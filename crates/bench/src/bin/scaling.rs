@@ -11,9 +11,9 @@
 //!
 //! Emits `BENCH_scaling.json`. CI gates the 1/4/16-thread figures
 //! against `crates/bench/baselines/BENCH_scaling.baseline.json` (≤ 20%
-//! regression, lock-free ≥ two-tier at every point, and ≥ 10x over
-//! two-tier at 16 contended threads). `--quick` runs just those thread
-//! counts with a smaller op budget for CI.
+//! regression, lock-free ≥ two-tier at every point, and a floor on the
+//! lock-free/two-tier ratio at 16 contended threads). `--quick` runs
+//! just those thread counts with a smaller op budget for CI.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};

@@ -40,30 +40,25 @@ pub enum SafepointPhase {
     /// hold and is about to move every unpinned object; no mutator can
     /// pin until the hold ends.
     CompactBegin,
-    /// The compactor has finished moving and rehoming, and is about to
-    /// release its exclusive world hold.
-    CompactEnd,
 }
 
 /// One GC safepoint notification, delivered to the [`SafepointHook`]
-/// *before* the collector acts on the candidates (and, for
-/// [`SafepointPhase::CompactEnd`], after it is done).
+/// *before* the collector acts on the candidates.
 #[derive(Debug)]
 pub struct Safepoint<'a> {
     /// Which safepoint this is.
     pub phase: SafepointPhase,
     /// `(begin, end)` payload address ranges of the candidate objects
     /// the collector is about to reclaim (sweep: dead and unpinned) or
-    /// may move (compaction begin: every unpinned object). Empty at
-    /// [`SafepointPhase::CompactEnd`].
+    /// may move (compaction begin: every unpinned object).
     pub candidates: &'a [(u64, u64)],
 }
 
 /// Callback invoked at every GC safepoint so a protection scheme can
-/// redeem or retire bookkeeping it keeps outside the pin ledger (e.g.
-/// parked borrow-stash credits) before the collector inspects
-/// liveness. Runs under the collector's world hold: shared for a
-/// sweep, exclusive for a compaction.
+/// retire bookkeeping it still holds for unpinned objects (e.g. a
+/// tag-table entry whose release was abandoned) before the collector
+/// reclaims or moves them. Runs under the collector's world hold:
+/// shared for a sweep, exclusive for a compaction.
 pub type SafepointHook = Arc<dyn Fn(&Safepoint<'_>) + Send + Sync>;
 
 /// Size of the simulated object header.
@@ -163,9 +158,9 @@ struct HeapInner {
     /// Notified for each moved object so protection schemes can rehome
     /// tag-table entries keyed by payload address.
     relocation_hook: Mutex<Option<RelocationHook>>,
-    /// Notified at GC safepoints (sweep, compaction begin/end) before
-    /// the collector acts, so protection schemes can flush parked
-    /// borrow credits and purge entries for the collector's candidates.
+    /// Notified at GC safepoints (sweep, compaction begin) before the
+    /// collector acts, so protection schemes can purge entries for the
+    /// collector's candidates.
     safepoint_hook: Mutex<Option<SafepointHook>>,
     /// Serializes sweeps. A sweep snapshots its dead candidates, drops
     /// the objects lock across the safepoint hook, and only then
@@ -570,8 +565,9 @@ impl Heap {
         dead.sort_unstable();
         // The safepoint fires before any candidate is reclaimed: a
         // protection scheme may still hold table entries for these dead
-        // objects (parked borrow-stash credits), and those entries must
-        // be gone before the addresses return to the allocator.
+        // objects (a release abandoned after persistent faults), and
+        // those entries must be gone before the addresses return to the
+        // allocator.
         let safepoint = self.inner.safepoint_hook.lock().clone();
         if let Some(safepoint) = safepoint {
             let candidates: Vec<(u64, u64)> = dead
@@ -644,13 +640,13 @@ impl Heap {
         let world = self.inner.world.write();
         // With the world stopped, notify the protection scheme before
         // anything moves: every unpinned object is a move (or reclaim)
-        // candidate, and any table entry still tracking one — alive only
-        // through parked borrow-stash credits, since pinning is what a
-        // live borrow implies — must be retired before its address is
+        // candidate, and any table entry still tracking one — an
+        // abandoned release, since pinning is what a live borrow
+        // implies — must be retired before its address is
         // re-tagged or handed to another object. No mutator can pin
         // while the exclusive hold lasts, so the candidate set is stable.
         let safepoint = self.inner.safepoint_hook.lock().clone();
-        if let Some(safepoint) = &safepoint {
+        if let Some(safepoint) = safepoint {
             let mut candidates: Vec<(u64, u64)> = {
                 let objects = self.inner.objects.lock();
                 objects
@@ -802,11 +798,6 @@ impl Heap {
             for &(old, new) in &moves {
                 hook(old, new);
             }
-        }
-        // Mirror notification before the world resumes, so schemes that
-        // gated asynchronous bookkeeping at CompactBegin can release it.
-        if let Some(safepoint) = &safepoint {
-            safepoint(&Safepoint { phase: SafepointPhase::CompactEnd, candidates: &[] });
         }
         drop(world);
         stats.pause = t0.elapsed();

@@ -105,14 +105,12 @@ pub trait Protection: Send + Sync + fmt::Debug {
 
     /// Notifies the scheme of a GC safepoint *before* the collector
     /// acts: a sweep about to reclaim dead, unpinned candidates, or a
-    /// compaction about to move every unpinned object (plus the
-    /// matching end-of-compaction notification). Schemes that keep
-    /// references outside the pin ledger — MTE4JNI's per-thread borrow
-    /// stash parks release credits that keep tag-table entries alive
-    /// after the unpin — must redeem or retire them here, restoring
-    /// "tracked ⇒ pinned" at the only moments the collector consults
-    /// it. Runs on the collector's thread under its world hold; the
-    /// default is a no-op.
+    /// compaction about to move every unpinned object. Schemes whose
+    /// bookkeeping can outlive the pin ledger — an MTE4JNI tag-table
+    /// entry whose release was abandoned after persistent faults — must
+    /// retire it here, restoring "tracked ⇒ pinned" at the only moments
+    /// the collector consults it. Runs on the collector's thread under
+    /// its world hold; the default is a no-op.
     fn on_safepoint(&self, _mem: &TaggedMemory, _sp: &Safepoint<'_>) {}
 
     /// Scheme-specific counters for the telemetry registry, as

@@ -311,8 +311,8 @@ impl VmBuilder {
     /// wired to the protection scheme so a compacting collection
     /// rehomes whatever per-object state the scheme keeps (e.g. MTE4JNI
     /// tag-table entries) before mutators resume, and every sweep or
-    /// compaction lets the scheme flush parked borrow credits before
-    /// the collector inspects liveness.
+    /// compaction lets the scheme retire entries it still holds for
+    /// the collector's candidates before the collector acts on them.
     pub fn build(self) -> Vm {
         let heap = Heap::new(self.heap);
         let protection = self.protection.unwrap_or_else(|| Arc::new(NoProtection));

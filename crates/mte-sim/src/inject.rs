@@ -138,9 +138,8 @@ fn xorshift64star(state: &mut u64) -> u64 {
 /// telemetry event when it fires. `false` whenever no injector is
 /// installed on this thread.
 pub(crate) fn should_fail(point: InjectPoint) -> bool {
-    // `try_with`: tag ops can run from thread-local destructors (the
-    // borrow stash's exit flush) after the injector slot is gone; those
-    // late ops simply see no injector.
+    // `try_with`: tag ops can run from thread-local destructors after
+    // the injector slot is gone; those late ops simply see no injector.
     INJECTOR.try_with(|i| {
         let mut slot = i.borrow_mut();
         let Some(inj) = slot.as_mut() else {

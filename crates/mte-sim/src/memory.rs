@@ -11,7 +11,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use crate::error::MemError;
 use crate::fault::{AccessKind, FaultKind, TagCheckFault};
@@ -86,11 +86,6 @@ pub struct TaggedMemory {
     /// One byte per page; bit 0 = `PROT_MTE`.
     prot: Box<[AtomicU8]>,
     stats: MteStats,
-    /// Self-reference: memories only exist behind the `Arc` that
-    /// [`TaggedMemory::new`] returns, so long-lived bookkeeping (the
-    /// lock-free tag table's thread-exit stash flush) can hold a `Weak`
-    /// back to the region instead of threading the `Arc` through.
-    this: Weak<TaggedMemory>,
 }
 
 fn zeroed_words(len: usize) -> Box<[AtomicU64]> {
@@ -136,21 +131,14 @@ impl TaggedMemory {
         );
         // A page is 512 data words and 16 tag words, so page rounding
         // guarantees whole words.
-        Arc::new_cyclic(|this| TaggedMemory {
+        Arc::new(TaggedMemory {
             base: config.base,
             size,
             data: zeroed_words(size / WORD),
             tags: zeroed_words(size / GRANULE / TAGS_PER_WORD),
             prot: zeroed_bytes(size / PAGE_SIZE),
             stats: MteStats::default(),
-            this: this.clone(),
         })
-    }
-
-    /// A `Weak` handle to this region's owning `Arc`, for bookkeeping
-    /// that must outlive a borrow of the region without owning it.
-    pub fn weak_ref(&self) -> Weak<TaggedMemory> {
-        self.this.clone()
     }
 
     /// Virtual base address of the region.

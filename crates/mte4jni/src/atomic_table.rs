@@ -17,29 +17,10 @@
 //! is a directory of fixed-size chunks, each allocated on first touch,
 //! keeping an idle table at a few hundred bytes instead of eagerly
 //! committing 8 bytes per heap granule.
-//!
-//! # The per-thread borrow stash
-//!
-//! With [`TableConfig::borrow_stash`] on (the default), a release does
-//! not return its reference to the entry word at all: after one
-//! validating load it parks a *credit* — address, tag, generation, and
-//! an implicit +1 on the physical count — in a thread-local stash and
-//! reports [`Release::Cached`]. The same thread's next acquire of the
-//! object redeems the credit with one validating load and zero RMWs, so
-//! a steady acquire/release loop costs no shared-memory traffic and no
-//! `irg`/`stg` churn. Credits are returned physically (running the
-//! normal teardown when they are the last reference) on stash eviction,
-//! on an explicit [`TagTable::flush_stash`] — the safepoint hook for
-//! layers that recycle addresses — and as a best-effort backstop when
-//! the thread exits. While a credit is parked the entry stays `Live`
-//! and the object stays tagged; generation validation makes credits
-//! self-invalidating if a force-release (`release_raw`) consumed the
-//! reference out from under the stash.
 
-use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::OnceLock;
 
 use mte_sim::sync::yield_point;
 use mte_sim::{MemError, MteThread, Tag, TagExclusion, TaggedMemory, TaggedPtr, GRANULE};
@@ -52,23 +33,6 @@ use crate::table::{
 /// Granules covered by one lazily allocated slab chunk (64 KiB of heap,
 /// 32 KiB of entry words).
 const CHUNK_GRANULES: usize = 1 << 12;
-
-/// Distinct objects one thread's stash tracks per table. Small and
-/// scanned linearly: the stash exists for tight reacquire loops, not as
-/// a second table.
-const STASH_SLOTS: usize = 4;
-
-/// Ceiling on parked credits per object; releases beyond it fall back
-/// to the physical path so a pathological release-only caller cannot
-/// grow an unbounded hidden count.
-const STASH_MAX_CREDITS: u32 = 1 << 20;
-
-/// CAS attempts the best-effort thread-exit flush makes per credit
-/// before abandoning it. Outside the deterministic scheduler a `Busy`
-/// window is a handful of instructions, so this never triggers in
-/// practice; the bound exists because a thread-local destructor must
-/// not spin forever.
-const BACKSTOP_RETRIES: usize = 64;
 
 /// Entry-word slab for one simulated memory region: a directory of
 /// on-demand chunks of `AtomicU64` entry words, one per granule.
@@ -111,17 +75,9 @@ impl Slab {
     }
 }
 
-/// The table's shared core: the slab plus everything a stash flush
-/// needs after the [`AtomicEntryTable`] facade may already be gone
-/// (thread-exit flushes outlive the facade's borrow scope).
+/// The table's state once bound to a region: the slab plus counters.
 struct Core {
     slab: Slab,
-    /// The region the table is bound to, for the tag zeroing a flush
-    /// performs when a credit was the last reference. `Weak`: the table
-    /// does not own the heap, and a flush after the region is gone has
-    /// nothing left to protect.
-    mem: Weak<TaggedMemory>,
-    release_tags: bool,
     /// Live entries (maintained incrementally; the slab is never
     /// scanned on the fast path).
     tracked: AtomicU64,
@@ -131,39 +87,10 @@ struct Core {
     cas_retries: AtomicU64,
     /// Shared acquires completed on the no-lock CAS path.
     shared_fast_acquires: AtomicU64,
-    /// Acquires served from a thread-local stash credit (no RMW at
-    /// all). Accumulated per thread and folded in on flush, mirroring
-    /// the batched telemetry rings.
-    stash_hits: AtomicU64,
-    /// Final releases performed by a stash flush or eviction rather
-    /// than a typed release: `fresh acquires == Freed releases +
-    /// stash_flush_frees` is the stash-aware conservation law.
-    stash_flush_frees: AtomicU64,
-    /// Bumped by every transition that can kill a lifetime *out from
-    /// under* a parked stash credit: `release_raw`'s force-free and
-    /// `rehome`'s relocation. A parked credit is a physical reference,
-    /// so the refcount cannot reach zero through typed releases while
-    /// it is parked — these two paths are the only ways its generation
-    /// can die. A redeem whose cached epoch still matches may therefore
-    /// skip the entry-word validation entirely (one read-mostly load
-    /// instead of a slab lookup plus decode). The residual window —
-    /// a force-free landing right after the check — is identical to
-    /// the validating-load scheme's, and is owned by the containment
-    /// layer either way.
-    force_epoch: AtomicU64,
-    /// Nonzero while a stop-the-world collector holds its exclusive
-    /// world gate ([`TagTable::begin_safepoint`]). Credit returns —
-    /// stash eviction, flush, and crucially the thread-exit `Drop`
-    /// backstop, which never touches the world gate — park at the top
-    /// of their CAS loop until this drops to zero, so their teardown
-    /// and tag zeroing can never interleave with the compactor's
-    /// move/re-tag pass.
-    safepoints: AtomicU64,
     /// Entries force-freed by [`TagTable::purge`] at a GC safepoint.
-    /// Deliberately *not* folded into [`Core::stash_flush_frees`]: the
-    /// funnel accumulates purge returns itself (`safepoint_purge_frees`)
-    /// and the conservation law carries them as a third term —
-    /// `acquires - shared == tag_frees + flush_frees + purge_frees`.
+    /// The funnel accumulates purge returns itself
+    /// (`safepoint_purge_frees`), the second term of its conservation
+    /// law `acquires - shared == tag_frees + purge_frees`.
     purge_frees: AtomicU64,
     /// Purges whose tag-store zeroing failed persistently: the entry was
     /// torn down regardless (a Live entry keyed to a reclaimed address
@@ -171,20 +98,6 @@ struct Core {
     /// reclaim/vacate zeroing covers it. Lets the conservation oracle
     /// attribute any tag-state imbalance under injected faults.
     purge_tag_leaks: AtomicU64,
-}
-
-/// What returning one stash credit to the entry word did.
-enum CreditReturn {
-    /// Count decremented; other references remain.
-    Dropped,
-    /// The credit was the last reference: entry torn down, tags zeroed.
-    Freed,
-    /// The credit's lifetime is over (generation moved on or the entry
-    /// was force-released): nothing to return, and any sibling credits
-    /// of the same entry are dead too.
-    Stolen,
-    /// Bounded retries exhausted (best-effort backstop only).
-    GaveUp,
 }
 
 impl Core {
@@ -198,351 +111,7 @@ impl Core {
         // already serialized and this is a no-op for the interleaving.
         std::thread::yield_now();
     }
-
-    /// Returns one credit of `stash_entry` to its entry word.
-    ///
-    /// `scheduled` chooses the wait discipline on contention: `true`
-    /// spins through [`Core::contended`] (a schedule point — required
-    /// whenever the calling thread runs under the deterministic
-    /// scheduler, where a raw spin on a parked `Busy` holder would
-    /// deadlock), `false` retries a bounded number of times with plain
-    /// spin hints (the thread-exit backstop, which must terminate and
-    /// must not emit schedule points after the scheduler considers the
-    /// thread finished).
-    fn return_credit(&self, mem: &TaggedMemory, stashed: &StashEntry, scheduled: bool) -> CreditReturn {
-        let Some(slot) = self.slab.slot(stashed.addr) else {
-            return CreditReturn::Stolen;
-        };
-        let mut attempts = 0;
-        loop {
-            // A compactor holding the world gate may be re-tagging the
-            // very region this credit would zero; wait the safepoint out
-            // before touching the entry word. The hold is a bounded
-            // critical section, so even the unscheduled backstop waits
-            // indefinitely here without forfeiting termination (its
-            // bounded retries guard CAS livelock, not collector waits).
-            while self.safepoints.load(Ordering::Acquire) != 0 {
-                if scheduled {
-                    self.contended("lockfree-credit-safepoint-wait");
-                } else {
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                }
-            }
-            let word = slot.load(Ordering::Acquire);
-            if entry::state(word) != EntryState::Live
-                || entry::generation(word) != stashed.generation
-            {
-                if entry::state(word) == EntryState::Busy && entry::generation(word) == stashed.generation {
-                    // Mid-transition under our generation (another
-                    // thread's teardown attempt that may yet abort):
-                    // wait it out rather than guess.
-                } else {
-                    return CreditReturn::Stolen;
-                }
-            } else if entry::refcount(word) > 1 {
-                if slot
-                    .compare_exchange(word, entry::drop_ref(word), Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    return CreditReturn::Dropped;
-                }
-            } else {
-                let busy = entry::begin_teardown(word);
-                if slot
-                    .compare_exchange(word, busy, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    if self.release_tags {
-                        if let Err(_e) = mem.set_tag_range(
-                            TaggedPtr::from_addr(stashed.addr),
-                            stashed.end,
-                            Tag::UNTAGGED,
-                        ) {
-                            // Transient (possibly injected) tag-store
-                            // failure: put the entry back and retry the
-                            // whole credit.
-                            slot.store(entry::abort_teardown(busy), Ordering::Release);
-                            if scheduled {
-                                self.contended("lockfree-flush-stg-retry");
-                            } else {
-                                attempts += 1;
-                                if attempts >= BACKSTOP_RETRIES {
-                                    return CreditReturn::GaveUp;
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    slot.store(entry::complete_teardown(busy), Ordering::Release);
-                    self.tracked.fetch_sub(1, Ordering::Relaxed);
-                    self.stash_flush_frees.fetch_add(1, Ordering::Relaxed);
-                    return CreditReturn::Freed;
-                }
-            }
-            if scheduled {
-                self.contended("lockfree-flush-retry");
-            } else {
-                attempts += 1;
-                if attempts >= BACKSTOP_RETRIES {
-                    return CreditReturn::GaveUp;
-                }
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Returns every credit of one stash entry; yields the number of
-    /// entries physically freed (0 or 1).
-    fn drain_entry(&self, mem: &TaggedMemory, stashed: &mut StashEntry, scheduled: bool) -> u64 {
-        self.stash_hits.fetch_add(stashed.hits, Ordering::Relaxed);
-        stashed.hits = 0;
-        while stashed.credits > 0 {
-            match self.return_credit(mem, stashed, scheduled) {
-                CreditReturn::Dropped => stashed.credits -= 1,
-                CreditReturn::Freed => {
-                    stashed.credits = 0;
-                    return 1;
-                }
-                CreditReturn::Stolen | CreditReturn::GaveUp => {
-                    stashed.credits = 0;
-                }
-            }
-        }
-        0
-    }
 }
-
-/// One object's parked references in a thread's stash.
-struct StashEntry {
-    addr: u64,
-    end: u64,
-    tag: Tag,
-    generation: u64,
-    /// Physical references this thread holds beyond its live borrows.
-    credits: u32,
-    /// Acquires served from this entry since the last fold into
-    /// [`Core::stash_hits`].
-    hits: u64,
-}
-
-/// One thread's stash for one table.
-struct TableStash {
-    table_id: u64,
-    core: Weak<Core>,
-    entries: Vec<StashEntry>,
-}
-
-/// All of one thread's parked credits: a one-slot **hot cache** in
-/// plain `Cell`s — the acquire/release fast path touches no `RefCell`
-/// and walks no vector — backed by a **cold store** of per-table entry
-/// vectors. A release takes the hot seat (demoting the previous
-/// occupant into the cold store); the next same-object acquire redeems
-/// straight from the `Cell`s after one validating load of the entry
-/// word.
-///
-/// The `Drop` impl is the best-effort backstop that returns parked
-/// credits when the thread exits without an explicit flush.
-///
-/// Timing caveat: thread-local destructors run during OS-level thread
-/// shutdown, *after* the point `std::thread::scope`/`join` observe the
-/// thread as finished. Code that needs quiescence at a known point
-/// (oracles, shutdown barriers) must call
-/// [`TagTable::flush_stash`](crate::TagTable::flush_stash) from the
-/// worker itself — the backstop only guarantees the credits return
-/// eventually, not before the join.
-struct StashStore {
-    /// Table id owning the hot credit; 0 = hot slot empty.
-    hot_table: Cell<u64>,
-    hot_addr: Cell<u64>,
-    hot_end: Cell<u64>,
-    hot_tag: Cell<Tag>,
-    hot_generation: Cell<u64>,
-    hot_credits: Cell<u32>,
-    hot_hits: Cell<u64>,
-    /// Snapshot of [`Core::force_epoch`] when the hot credit was last
-    /// validated: while the table's epoch still matches, redeeming skips
-    /// the entry-word load entirely.
-    hot_epoch: Cell<u64>,
-    /// The hot credit's table core — needed for demotion and the exit
-    /// flush, touched only off the fast path.
-    hot_core: RefCell<Option<Weak<Core>>>,
-    cold: RefCell<Vec<TableStash>>,
-    /// Parked releases since this thread's stash last drained; compared
-    /// against [`TableConfig::stash_expiry_parks`] to bound the credit
-    /// window by release count. Counted per thread across all tables —
-    /// the expiry drains everything, so the bound stays global.
-    parks: Cell<u32>,
-}
-
-impl StashStore {
-    /// Empties the hot slot, returning its occupant (if any).
-    fn take_hot(&self) -> Option<(u64, Weak<Core>, StashEntry)> {
-        if self.hot_table.get() == 0 {
-            return None;
-        }
-        let table_id = self.hot_table.get();
-        self.hot_table.set(0);
-        let weak = self.hot_core.borrow_mut().take()?;
-        Some((
-            table_id,
-            weak,
-            StashEntry {
-                addr: self.hot_addr.get(),
-                end: self.hot_end.get(),
-                tag: self.hot_tag.get(),
-                generation: self.hot_generation.get(),
-                credits: self.hot_credits.get(),
-                hits: self.hot_hits.get(),
-            },
-        ))
-    }
-
-    /// Installs a fresh credit in the hot slot (the slot must be
-    /// empty). `epoch` must be a [`Core::force_epoch`] value read
-    /// *before* the caller validated the borrow against its entry word
-    /// — caching a later value could mask a force-release that landed
-    /// in between.
-    fn fill_hot(&self, table_id: u64, core: &Arc<Core>, borrow: &Borrow, epoch: u64) {
-        self.hot_table.set(table_id);
-        *self.hot_core.borrow_mut() = Some(Arc::downgrade(core));
-        self.hot_addr.set(borrow.addr());
-        self.hot_end.set(borrow.end());
-        self.hot_tag.set(borrow.tag());
-        self.hot_generation.set(borrow.generation());
-        self.hot_credits.set(1);
-        self.hot_hits.set(0);
-        self.hot_epoch.set(epoch);
-    }
-
-    /// Moves the hot credit into the cold store, merging with any
-    /// existing entry for the same object (same lifetime: credits add;
-    /// older lifetime on either side: the stale credits are dead and
-    /// their hits fold into the shared counter). A full cold table
-    /// evicts its coldest entry physically to make room.
-    ///
-    /// The hot credit may belong to a *different* table than the caller
-    /// (one thread serving several VMs interleaves their releases), so
-    /// the eviction drain must use the evicted entry's own memory via
-    /// its core — a caller-supplied region would make the tag zeroing
-    /// fail persistently for out-of-range addresses and spin the
-    /// scheduled retry loop forever.
-    fn demote_hot(&self) {
-        let Some((table_id, weak, entry)) = self.take_hot() else {
-            return;
-        };
-        let Some(core) = weak.upgrade() else {
-            return;
-        };
-        if entry.credits == 0 {
-            core.stash_hits.fetch_add(entry.hits, Ordering::Relaxed);
-            return;
-        }
-        let mut cold = self.cold.borrow_mut();
-        let table = match cold.iter_mut().position(|t| t.table_id == table_id) {
-            Some(i) => &mut cold[i],
-            None => {
-                cold.push(TableStash {
-                    table_id,
-                    core: weak,
-                    entries: Vec::with_capacity(STASH_SLOTS),
-                });
-                cold.last_mut().expect("just pushed")
-            }
-        };
-        if let Some(existing) = table.entries.iter_mut().find(|e| e.addr == entry.addr) {
-            if existing.generation == entry.generation && existing.end == entry.end {
-                existing.credits = existing.credits.saturating_add(entry.credits);
-                existing.hits += entry.hits;
-            } else if existing.generation < entry.generation {
-                // The cold twin belongs to an older, force-released
-                // lifetime: its credits are dead.
-                core.stash_hits.fetch_add(existing.hits, Ordering::Relaxed);
-                *existing = entry;
-            } else {
-                // The hot credit was the stale one.
-                core.stash_hits.fetch_add(entry.hits, Ordering::Relaxed);
-            }
-            return;
-        }
-        if table.entries.len() >= STASH_SLOTS {
-            // Evict the coldest entry physically to make room.
-            let coldest = table
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.hits)
-                .map(|(i, _)| i)
-                .expect("stash is non-empty");
-            let mut evicted = table.entries.swap_remove(coldest);
-            if let Some(mem) = core.mem.upgrade() {
-                core.drain_entry(&mem, &mut evicted, true);
-            }
-        }
-        table.entries.push(entry);
-    }
-
-    /// Returns every parked credit — the hot slot and every cold table —
-    /// to its entry word, freeing entries whose last reference this was.
-    /// `scheduled` as in [`Core::drain_entry`]: `true` from in-band
-    /// paths (stash expiry), `false` only from the thread-exit backstop,
-    /// which runs outside the deterministic scheduler's view.
-    fn drain_all(&self, scheduled: bool) {
-        self.parks.set(0);
-        if let Some((_, weak, mut entry)) = self.take_hot() {
-            if let Some(core) = weak.upgrade() {
-                if let Some(mem) = core.mem.upgrade() {
-                    core.drain_entry(&mem, &mut entry, scheduled);
-                }
-            }
-        }
-        // Detach the cold tables before draining: `drain_entry` can
-        // yield (scheduled) or spin on the safepoint gate, and the
-        // `RefCell` borrow must not be held across either.
-        let mut cold: Vec<TableStash> = self.cold.borrow_mut().drain(..).collect();
-        for table in &mut cold {
-            let Some(core) = table.core.upgrade() else {
-                continue;
-            };
-            let Some(mem) = core.mem.upgrade() else {
-                continue;
-            };
-            for stashed in &mut table.entries {
-                core.drain_entry(&mem, stashed, scheduled);
-            }
-        }
-    }
-}
-
-impl Drop for StashStore {
-    fn drop(&mut self) {
-        self.drain_all(false);
-    }
-}
-
-thread_local! {
-    // `const` init: the access path skips the lazy-initialization
-    // check, which matters at ~2 stash probes per acquire/release pair.
-    static STASH: StashStore = const {
-        StashStore {
-            hot_table: Cell::new(0),
-            hot_addr: Cell::new(0),
-            hot_end: Cell::new(0),
-            hot_tag: Cell::new(Tag::UNTAGGED),
-            hot_generation: Cell::new(0),
-            hot_credits: Cell::new(0),
-            hot_hits: Cell::new(0),
-            hot_epoch: Cell::new(0),
-            hot_core: RefCell::new(None),
-            cold: RefCell::new(Vec::new()),
-            parks: Cell::new(0),
-        }
-    };
-}
-
-/// Table identity for keying thread-local stashes.
-static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Lock-free reference-counted tag table (the default
 /// [`TableBackend`](crate::TableBackend)).
@@ -552,197 +121,39 @@ static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
 /// [`TwoTierTable`](crate::TwoTierTable) is kept as the reference
 /// implementation and differential oracle for this one.
 pub struct AtomicEntryTable {
-    core: OnceLock<Arc<Core>>,
-    id: u64,
+    core: OnceLock<Core>,
     exclusion: TagExclusion,
     release_tags: bool,
     exclude_neighbor_tags: bool,
-    borrow_stash: bool,
-    /// [`TableConfig::stash_expiry_parks`]: parked releases per thread
-    /// before the whole stash self-flushes; 0 = unbounded.
-    stash_expiry: u32,
 }
 
 impl AtomicEntryTable {
     /// Creates a table with the default policy (tags zeroed on final
-    /// release, no neighbour exclusion, borrow stash on).
+    /// release, no neighbour exclusion).
     pub fn new() -> AtomicEntryTable {
         AtomicEntryTable::from_config(&TableConfig::default())
     }
 
-    /// Creates a table honouring `config`'s policy knobs
-    /// (`release_tags`, `exclude_neighbor_tags`, `borrow_stash`,
-    /// `stash_expiry_parks`; `table_count` does not apply — there is no
-    /// hash table to shard).
+    /// Creates a table honouring `config`'s `release_tags` and
+    /// `exclude_neighbor_tags` (`table_count` does not apply — there is
+    /// no hash table to shard).
     pub fn from_config(config: &TableConfig) -> AtomicEntryTable {
         AtomicEntryTable {
             core: OnceLock::new(),
-            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
             exclusion: TagExclusion::default(),
             release_tags: config.release_tags,
             exclude_neighbor_tags: config.exclude_neighbor_tags,
-            borrow_stash: config.borrow_stash,
-            stash_expiry: config.stash_expiry_parks,
         }
     }
 
-    fn core_for(&self, mem: &TaggedMemory) -> &Arc<Core> {
-        self.core.get_or_init(|| {
-            Arc::new(Core {
-                slab: Slab::new(mem),
-                mem: mem.weak_ref(),
-                release_tags: self.release_tags,
-                tracked: AtomicU64::new(0),
-                cas_retries: AtomicU64::new(0),
-                shared_fast_acquires: AtomicU64::new(0),
-                stash_hits: AtomicU64::new(0),
-                stash_flush_frees: AtomicU64::new(0),
-                force_epoch: AtomicU64::new(0),
-                safepoints: AtomicU64::new(0),
-                purge_frees: AtomicU64::new(0),
-                purge_tag_leaks: AtomicU64::new(0),
-            })
-        })
-    }
-
-    /// Tries to serve `acquire` from a parked credit: at most one
-    /// validating load, no RMW. A credit whose generation no longer
-    /// matches the entry word was consumed by a force-release; its
-    /// whole entry is discarded.
-    #[inline]
-    fn stash_try_acquire(&self, core: &Arc<Core>, addr: u64, end: u64) -> Option<Borrow> {
-        STASH.with(|stash| {
-            // Hot path: four `Cell` compares, one epoch load, two `Cell`
-            // writes — no RefCell borrow, no vector walk, no RMW, and no
-            // entry-word lookup while [`Core::force_epoch`] is
-            // unchanged (a parked credit pins the refcount above zero,
-            // so only an epoch-bumping transition can kill it).
-            if stash.hot_table.get() == self.id
-                && stash.hot_addr.get() == addr
-                && stash.hot_end.get() == end
-                && stash.hot_credits.get() > 0
-            {
-                let epoch = core.force_epoch.load(Ordering::Acquire);
-                if epoch == stash.hot_epoch.get() {
-                    stash.hot_credits.set(stash.hot_credits.get() - 1);
-                    stash.hot_hits.set(stash.hot_hits.get() + 1);
-                    return Some(Borrow::new(
-                        addr,
-                        end,
-                        stash.hot_tag.get(),
-                        stash.hot_generation.get(),
-                        true,
-                    ));
-                }
-                // The epoch moved: something, somewhere was
-                // force-released. Revalidate this credit against its
-                // entry word the slow way. Caching `epoch` (read
-                // *before* the word load) is what makes the refresh
-                // sound: a force landing after the word load bumps the
-                // counter past `epoch` and gets caught next redeem.
-                let slot = core.slab.slot(addr)?;
-                let word = slot.load(Ordering::Acquire);
-                if entry::state(word) == EntryState::Live
-                    && entry::generation(word) == stash.hot_generation.get()
-                {
-                    debug_assert_eq!(entry::tag(word), stash.hot_tag.get());
-                    stash.hot_epoch.set(epoch);
-                    stash.hot_credits.set(stash.hot_credits.get() - 1);
-                    stash.hot_hits.set(stash.hot_hits.get() + 1);
-                    return Some(Borrow::new(
-                        addr,
-                        end,
-                        stash.hot_tag.get(),
-                        stash.hot_generation.get(),
-                        true,
-                    ));
-                }
-                // The lifetime ended behind our back (force-release):
-                // the hot credit is dead; only its hit count survives.
-                core.stash_hits.fetch_add(stash.hot_hits.get(), Ordering::Relaxed);
-                stash.hot_table.set(0);
-                stash.hot_core.borrow_mut().take();
-                return None;
-            }
-            // Cold path: the RefCell-guarded per-table vectors.
-            let mut cold = stash.cold.borrow_mut();
-            let table = cold.iter_mut().find(|t| t.table_id == self.id)?;
-            let index = table
-                .entries
-                .iter()
-                .position(|e| e.addr == addr && e.end == end && e.credits > 0)?;
-            let stashed = &mut table.entries[index];
-            let slot = core.slab.slot(addr)?;
-            let word = slot.load(Ordering::Acquire);
-            if entry::state(word) == EntryState::Live
-                && entry::generation(word) == stashed.generation
-            {
-                debug_assert_eq!(entry::tag(word), stashed.tag);
-                stashed.credits -= 1;
-                stashed.hits += 1;
-                let borrow = Borrow::new(addr, end, stashed.tag, stashed.generation, true);
-                if stashed.credits == 0 && stashed.hits == 0 {
-                    table.entries.swap_remove(index);
-                }
-                Some(borrow)
-            } else {
-                // The lifetime ended behind our back (force-release):
-                // every sibling credit is dead with it.
-                table.entries.swap_remove(index);
-                None
-            }
-        })
-    }
-
-    /// Tries to park `borrow`'s reference as a thread-local credit.
-    /// Returns `false` when the stash cannot take the credit and the
-    /// caller must release physically.
-    ///
-    /// A release that exactly matches the hot credit's lifetime (table,
-    /// address, end, generation) parks without touching the shared
-    /// entry: if that lifetime has since been force-released, the hot
-    /// credit and the incoming borrow are dead *together*, and the
-    /// merged credits self-invalidate on the next validated redeem or
-    /// flush (the entry's refs were already zeroed by the force
-    /// release, so nothing leaks). Taking the hot *seat* for a new
-    /// lifetime still validates against the entry word first, so
-    /// untracked or stale borrows keep taking the physical path (and
-    /// its error reporting).
-    #[inline]
-    fn stash_try_cache(&self, core: &Arc<Core>, borrow: &Borrow) -> bool {
-        let addr = borrow.addr();
-        STASH.with(|stash| {
-            // Hot path: the same object releasing again on this thread
-            // just bumps the hot credit count — `Cell`s only.
-            if stash.hot_table.get() == self.id
-                && stash.hot_addr.get() == addr
-                && stash.hot_generation.get() == borrow.generation()
-                && stash.hot_end.get() == borrow.end()
-            {
-                let credits = stash.hot_credits.get();
-                if credits >= STASH_MAX_CREDITS {
-                    return false;
-                }
-                stash.hot_credits.set(credits + 1);
-                return true;
-            }
-            let Some(slot) = core.slab.slot(addr) else {
-                return false;
-            };
-            // Epoch before word: see [`StashStore::fill_hot`].
-            let epoch = core.force_epoch.load(Ordering::Acquire);
-            let word = slot.load(Ordering::Acquire);
-            if entry::state(word) != EntryState::Live
-                || entry::generation(word) != borrow.generation()
-            {
-                return false;
-            }
-            // A different object (or lifetime) takes the hot seat; the
-            // previous occupant moves to the cold store — evicting
-            // physically only when its table is full.
-            stash.demote_hot();
-            stash.fill_hot(self.id, core, borrow, epoch);
-            true
+    fn core_for(&self, mem: &TaggedMemory) -> &Core {
+        self.core.get_or_init(|| Core {
+            slab: Slab::new(mem),
+            tracked: AtomicU64::new(0),
+            cas_retries: AtomicU64::new(0),
+            shared_fast_acquires: AtomicU64::new(0),
+            purge_frees: AtomicU64::new(0),
+            purge_tag_leaks: AtomicU64::new(0),
         })
     }
 }
@@ -771,11 +182,6 @@ impl TagTable for AtomicEntryTable {
     ) -> mte_sim::Result<Borrow> {
         let addr = begin.addr();
         let core = self.core_for(mem);
-        if self.borrow_stash {
-            if let Some(borrow) = self.stash_try_acquire(core, addr, end) {
-                return Ok(borrow);
-            }
-        }
         let Some(slot) = core.slab.slot(addr) else {
             return Err(MemError::OutOfRange {
                 addr,
@@ -873,25 +279,6 @@ impl TagTable for AtomicEntryTable {
         let Some(core) = self.core.get() else {
             return Err(ReleaseError::new(borrow, ReleaseFailure::NotTracked));
         };
-        if self.borrow_stash && self.stash_try_cache(core, &borrow) {
-            // The credit window's hard bound: after `stash_expiry`
-            // parked releases the thread's whole stash drains, so a
-            // dangling pointer's detection latency is capped by release
-            // count even if no GC safepoint ever runs. Still reported
-            // as `Cached` — the park happened; the drain is bookkept as
-            // a flush (`stash_flush_frees`), same as any other flush.
-            if self.stash_expiry != 0 {
-                STASH.with(|stash| {
-                    let parks = stash.parks.get() + 1;
-                    if parks >= self.stash_expiry {
-                        stash.drain_all(true);
-                    } else {
-                        stash.parks.set(parks);
-                    }
-                });
-            }
-            return Ok(Release::Cached);
-        }
         let Some(slot) = core.slab.slot(addr) else {
             return Err(ReleaseError::new(borrow, ReleaseFailure::NotTracked));
         };
@@ -970,9 +357,6 @@ impl TagTable for AtomicEntryTable {
         // The escape hatch for callers without a Borrow token
         // (containment's force-release funnel, stray-release oracles):
         // same protocol as the typed path minus the generation check.
-        // Never consults the stash — a force-release must reach the
-        // shared count (parked credits then self-invalidate via their
-        // generation checks).
         let addr = begin.addr();
         let Some(slot) = self.core.get().and_then(|c| c.slab.slot(addr)) else {
             return Ok(ReleaseOutcome::NotTracked);
@@ -1008,12 +392,6 @@ impl TagTable for AtomicEntryTable {
                         core.contended("lockfree-release-raw-teardown-retry");
                         continue;
                     }
-                    // A force-free can kill a lifetime that parked
-                    // credits still reference: invalidate every epoch
-                    // snapshot *before* the tags change. (A bump that
-                    // then aborts on a failed tag store only causes a
-                    // spurious revalidation — never a missed one.)
-                    core.force_epoch.fetch_add(1, Ordering::Release);
                     if self.release_tags {
                         if let Err(e) = mem.set_tag_range(begin.untagged(), end, Tag::UNTAGGED) {
                             slot.store(entry::abort_teardown(busy), Ordering::Release);
@@ -1028,28 +406,6 @@ impl TagTable for AtomicEntryTable {
         }
     }
 
-    fn flush_stash(&self, mem: &TaggedMemory) -> u64 {
-        let Some(core) = self.core.get() else {
-            return 0;
-        };
-        STASH.with(|stash| {
-            let mut freed = 0;
-            if stash.hot_table.get() == self.id {
-                if let Some((_, _, mut entry)) = stash.take_hot() {
-                    freed += core.drain_entry(mem, &mut entry, true);
-                }
-            }
-            let mut cold = stash.cold.borrow_mut();
-            if let Some(index) = cold.iter().position(|t| t.table_id == self.id) {
-                let mut table = cold.swap_remove(index);
-                for stashed in &mut table.entries {
-                    freed += core.drain_entry(mem, stashed, true);
-                }
-            }
-            freed
-        })
-    }
-
     fn purge(&self, mem: &TaggedMemory, begin: u64, end: u64) -> u64 {
         let Some(core) = self.core.get() else {
             return 0;
@@ -1061,16 +417,14 @@ impl TagTable for AtomicEntryTable {
             let word = slot.load(Ordering::Acquire);
             match entry::state(word) {
                 EntryState::Free => return 0,
-                // A credit return that claimed the entry just before the
-                // safepoint gate went up; it finishes without the gate,
-                // so waiting it out is bounded.
+                // Another thread mid-transition on this entry; its
+                // critical section is a handful of tag stores.
                 EntryState::Busy => core.contended("lockfree-purge-busy"),
                 EntryState::Live => {
                     // Claim the whole entry in one step regardless of its
                     // reference count: `begin_teardown` insists on a
                     // single reference, but a purged entry may carry
-                    // several other threads' parked credits — exactly the
-                    // references a safepoint cannot reach.
+                    // several abandoned ones.
                     let busy = entry::pack(
                         entry::refcount(word),
                         entry::tag(word),
@@ -1084,10 +438,6 @@ impl TagTable for AtomicEntryTable {
                         core.contended("lockfree-purge-retry");
                         continue;
                     }
-                    // Expire every epoch snapshot before the tags change
-                    // (same contract as `release_raw`'s force-free): the
-                    // surviving credits must revalidate and die.
-                    core.force_epoch.fetch_add(1, Ordering::Release);
                     if self.release_tags {
                         let mut retries = 0u32;
                         while let Err(e) =
@@ -1122,18 +472,6 @@ impl TagTable for AtomicEntryTable {
         }
     }
 
-    fn begin_safepoint(&self) {
-        if let Some(core) = self.core.get() {
-            core.safepoints.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    fn end_safepoint(&self) {
-        if let Some(core) = self.core.get() {
-            core.safepoints.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
     fn rehome(&self, old: u64, new: u64) -> bool {
         if old == new {
             return false;
@@ -1147,18 +485,11 @@ impl TagTable for AtomicEntryTable {
         // Called with the world stopped (no concurrent acquire/release),
         // so plain load/store suffice. The entry word — generation
         // included — travels with the object, so a Borrow minted before
-        // the move still validates at the new address. Stash credits do
-        // NOT travel (they are keyed by address in other threads'
-        // thread-locals); the relocating layer must flush stashes at its
-        // safepoint before moving tracked objects.
+        // the move still validates at the new address.
         let word = old_slot.load(Ordering::Acquire);
         if entry::state(word) != EntryState::Live || entry::refcount(word) == 0 {
             return false;
         }
-        // Relocation re-keys the entry by address, which a parked
-        // credit cannot observe through its generation alone — expire
-        // every epoch snapshot so stale hot credits revalidate.
-        core.force_epoch.fetch_add(1, Ordering::Release);
         debug_assert_eq!(
             entry::state(new_slot.load(Ordering::Acquire)),
             EntryState::Free,
@@ -1184,8 +515,6 @@ impl TagTable for AtomicEntryTable {
             return vec![
                 ("atomic_cas_retries", 0),
                 ("atomic_shared_fast_acquires", 0),
-                ("atomic_stash_hits", 0),
-                ("atomic_stash_flush_frees", 0),
                 ("atomic_purge_frees", 0),
                 ("atomic_purge_tag_leaks", 0),
                 ("atomic_slab_chunks", 0),
@@ -1196,11 +525,6 @@ impl TagTable for AtomicEntryTable {
             (
                 "atomic_shared_fast_acquires",
                 core.shared_fast_acquires.load(Ordering::Relaxed),
-            ),
-            ("atomic_stash_hits", core.stash_hits.load(Ordering::Relaxed)),
-            (
-                "atomic_stash_flush_frees",
-                core.stash_flush_frees.load(Ordering::Relaxed),
             ),
             ("atomic_purge_frees", core.purge_frees.load(Ordering::Relaxed)),
             (

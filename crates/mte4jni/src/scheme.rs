@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use art_heap::{HeapConfig, ObjectRef, Safepoint, SafepointPhase};
+use art_heap::{HeapConfig, ObjectRef, Safepoint};
 use jni_rt::{AcquireOutcome, JniContext, Protection, ReleaseMode, Vm};
 use mte_sim::{TaggedMemory, TaggedPtr, TcfMode};
 
@@ -26,7 +26,7 @@ thread_local! {
 /// routinely run several VMs on one thread).
 static NEXT_SCHEME_ID: AtomicU64 = AtomicU64::new(1);
 
-fn stash_borrow(scheme: u64, raw: u64, borrow: Borrow) {
+fn cache_borrow(scheme: u64, raw: u64, borrow: Borrow) {
     BORROWS.with(|b| b.borrow_mut().push((scheme, raw, borrow)));
 }
 
@@ -65,14 +65,6 @@ impl Mte4Jni {
     }
 
     /// Creates the scheme with an explicit configuration.
-    ///
-    /// The per-thread borrow stash is honoured end-to-end: a stashed
-    /// release credit keeps the table entry alive (and the object
-    /// tagged) after the funnel has unpinned the object, and the
-    /// "tracked implies pinned" coupling the collectors rely on is
-    /// restored at their safepoints instead — [`Protection::on_safepoint`]
-    /// flushes this thread's credits and purges the collector's
-    /// candidates before any address is reclaimed or re-tagged.
     pub fn with_config(config: TableConfig) -> Mte4Jni {
         Mte4Jni {
             config,
@@ -87,17 +79,9 @@ impl Mte4Jni {
         }
     }
 
-    /// The *effective* configuration of the built table — not
-    /// necessarily the one requested: knobs a backend does not
-    /// implement are reported as off (today that is `borrow_stash`,
-    /// which only the lock-free backend carries; the two-tier and
-    /// global-lock tables silently ignore it).
+    /// The configuration the table was built from.
     pub fn config(&self) -> TableConfig {
-        TableConfig {
-            borrow_stash: self.config.borrow_stash
-                && self.config.backend == TableBackend::LockFree,
-            ..self.config
-        }
+        self.config
     }
 
     /// The underlying tag table.
@@ -162,7 +146,7 @@ impl Protection for Mte4Jni {
             self.shared_acquires.fetch_add(1, Ordering::Relaxed);
         }
         let ptr = begin.with_tag(borrow.tag());
-        stash_borrow(self.id, ptr.raw(), borrow);
+        cache_borrow(self.id, ptr.raw(), borrow);
         Ok(AcquireOutcome {
             ptr,
             is_copy: false, // native code operates directly on the object
@@ -196,7 +180,7 @@ impl Protection for Mte4Jni {
                         // Transient (possibly injected) tag-store failure:
                         // re-cache the token so the funnel's retry finds it
                         // again, and surface the error for that retry loop.
-                        stash_borrow(self.id, ptr.raw(), e.borrow);
+                        cache_borrow(self.id, ptr.raw(), e.borrow);
                         return Err(err.into());
                     }
                     ReleaseFailure::NotTracked | ReleaseFailure::StaleGeneration { .. } => {
@@ -234,35 +218,16 @@ impl Protection for Mte4Jni {
     }
 
     fn on_safepoint(&self, mem: &TaggedMemory, sp: &Safepoint<'_>) {
-        match sp.phase {
-            SafepointPhase::Sweep => {
-                // The collector thread's own parked credits first, then
-                // force-free whatever entry survives on each dead,
-                // unpinned candidate — alive only through *other*
-                // threads' credits, which no flush can reach and which
-                // self-invalidate via the generation/epoch checks.
-                self.table.flush_stash(mem);
-                let mut purged = 0u64;
-                for &(begin, end) in sp.candidates {
-                    purged += self.table.purge(mem, begin, end);
-                }
-                self.safepoint_frees.fetch_add(purged, Ordering::Relaxed);
-            }
-            SafepointPhase::CompactBegin => {
-                // Flush before raising the table's safepoint gate (the
-                // flush itself returns credits through the gated path),
-                // then purge every unpinned tracked entry so the move
-                // pass never re-tags an address the table still keys.
-                self.table.flush_stash(mem);
-                self.table.begin_safepoint();
-                let mut purged = 0u64;
-                for &(begin, end) in sp.candidates {
-                    purged += self.table.purge(mem, begin, end);
-                }
-                self.safepoint_frees.fetch_add(purged, Ordering::Relaxed);
-            }
-            SafepointPhase::CompactEnd => self.table.end_safepoint(),
-        }
+        // Sweep and compaction alike: force-free any entry that survives
+        // on an unpinned candidate — a borrow whose release was abandoned
+        // after persistent tag-store faults — so the collector never
+        // reclaims or re-tags an address the table still keys.
+        let purged: u64 = sp
+            .candidates
+            .iter()
+            .map(|&(begin, end)| self.table.purge(mem, begin, end))
+            .sum();
+        self.safepoint_frees.fetch_add(purged, Ordering::Relaxed);
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -274,15 +239,9 @@ impl Protection for Mte4Jni {
             ("tag_frees", s.tag_frees),
             ("rehomes", s.rehomes),
             ("tracked_objects", s.tracked_objects as u64),
-            // The *effective* stash state (0 when the backend ignores
-            // the requested `borrow_stash`) — `runtime_doctor` and the
-            // telemetry registry surface configuration overrides here
-            // instead of in a doc comment.
-            ("borrow_stash_effective", u64::from(self.config().borrow_stash)),
             // Entries force-freed by a GC-safepoint purge. Closes the
             // funnel conservation law on every backend:
-            //   acquires - shared_acquires
-            //     == tag_frees + atomic_stash_flush_frees + safepoint_purge_frees
+            //   acquires - shared_acquires == tag_frees + safepoint_purge_frees
             ("safepoint_purge_frees", self.safepoint_frees.load(Ordering::Relaxed)),
         ];
         out.extend(self.table.counters());
@@ -441,15 +400,8 @@ mod tests {
             env.release_primitive_array_critical(&a, elems, ReleaseMode::CopyBack)
         })
         .unwrap();
-        // The release parked a stash credit, so the tag deliberately
-        // lingers (a same-thread reacquire would redeem it with no RMW)…
-        assert_ne!(
-            vm.heap().memory().raw_tag_at(a.data_addr()).unwrap(),
-            Tag::UNTAGGED
-        );
-        // …until the next GC safepoint flushes the credit; from then on
-        // managed access (untagged) is clean even from a checking thread.
-        vm.heap().sweep();
+        // The last release zeroes the tags at once (Algorithm 2): managed
+        // access (untagged) is clean again, with no safepoint needed.
         assert_eq!(
             vm.heap().memory().raw_tag_at(a.data_addr()).unwrap(),
             Tag::UNTAGGED
@@ -520,14 +472,7 @@ mod tests {
             }
         });
         let _ = scheme;
-        // All borrows ended, but each worker's last release parked a
-        // credit, and `thread::scope` unblocks when the closures finish
-        // — the workers' TLS backstops may still be running. The
-        // compaction safepoint makes the cleanup deterministic: its
-        // purge force-frees any tracked-but-unpinned entry (racing
-        // backstops are held off by the table's safepoint gate and then
-        // see their generation die).
-        vm.heap().compact();
+        // All borrows ended: the last release zeroed the shared tag.
         assert_eq!(
             vm.heap().memory().raw_tag_at(a.data_addr()).unwrap(),
             Tag::UNTAGGED
@@ -585,17 +530,16 @@ mod tests {
             .unwrap();
         env.release_primitive_array_critical(&a, elems, ReleaseMode::CopyBack)
             .unwrap();
-        // The release parked a stash credit: the tag lingers until a
-        // safepoint redeems it.
-        assert_ne!(vm.heap().memory().raw_tag_at(ptr.addr()).unwrap(), Tag::UNTAGGED);
+        assert_eq!(
+            vm.heap().memory().raw_tag_at(ptr.addr()).unwrap(),
+            Tag::UNTAGGED
+        );
         drop(a);
-        // ...and only now may the sweep reclaim the object — its
-        // safepoint flush returns the parked credit first, so the
-        // address goes back to the allocator untracked and untagged.
+        // ...and only now may the sweep reclaim the object, with nothing
+        // left for its safepoint to purge.
         let stats = vm.heap().sweep();
         assert_eq!(stats.swept, 1);
         assert_eq!(stats.pinned, 0);
-        assert_eq!(vm.heap().memory().raw_tag_at(ptr.addr()).unwrap(), Tag::UNTAGGED);
     }
 
     #[test]
@@ -629,11 +573,10 @@ mod tests {
         );
         // Pinning kept every tracked entry in place — nothing to rehome.
         assert_eq!(scheme.stats().rehomes, 0);
-        // The ordinary release path still finds the entry; the stash
-        // parks the credit, and the next safepoint flush frees the tags.
+        // The ordinary release path still finds the entry and frees the
+        // tags.
         env.release_primitive_array_critical(&held, elems, ReleaseMode::CopyBack)
             .unwrap();
-        vm.heap().sweep();
         assert_eq!(
             vm.heap().memory().raw_tag_at(held_ptr.addr()).unwrap(),
             Tag::UNTAGGED
@@ -661,22 +604,12 @@ mod tests {
         assert_eq!(s.acquires, 2);
         assert_eq!(s.shared_acquires, 1);
         assert_eq!(s.releases, 2);
-        // Both releases parked credits: no typed free yet, the entry
-        // lives on until the safepoint flush returns the credits.
-        assert_eq!(s.tag_frees, 0);
-        assert_eq!(s.tracked_objects, 1);
-        vm.heap().sweep();
-        let s = scheme.stats();
+        // The second release was the last: it freed the entry and its
+        // tags, with no safepoint needed.
+        assert_eq!(s.tag_frees, 1);
         assert_eq!(s.tracked_objects, 0);
-        let flush_frees = scheme
-            .counters()
-            .iter()
-            .find(|(k, _)| *k == "atomic_stash_flush_frees")
-            .map(|&(_, v)| v)
-            .unwrap();
         // The funnel-level conservation law: every fresh acquire is
-        // balanced by a typed free or a stash-flush free.
-        assert_eq!(s.acquires - s.shared_acquires, s.tag_frees + flush_frees);
-        assert_eq!(flush_frees, 1);
+        // balanced by a typed free or a safepoint purge (none here).
+        assert_eq!(s.acquires - s.shared_acquires, s.tag_frees);
     }
 }

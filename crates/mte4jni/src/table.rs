@@ -87,29 +87,6 @@ pub struct TableConfig {
     /// (HWASan applies the same idea between neighbouring heap chunks).
     /// Costs four extra `ldg` per first acquire.
     pub exclude_neighbor_tags: bool,
-    /// Per-thread borrow stash (lock-free backend only, default on): a
-    /// release parks its reference in a thread-local credit instead of
-    /// touching the shared entry word, and the next acquire of the same
-    /// object by the same thread redeems the credit — the repeat
-    /// acquire/release pair performs no shared-memory RMW at all. A
-    /// stashed release reports [`Release::Cached`]; the object stays
-    /// tagged and tracked until the credit is redeemed, evicted, or
-    /// flushed ([`TagTable::flush_stash`], or automatically at thread
-    /// exit). Layers that recycle addresses while entries linger (the
-    /// heap funnel's sweep/compaction) flush their own thread's stash
-    /// and [`TagTable::purge`] the collector's candidates at their GC
-    /// safepoints — see `Mte4Jni::on_safepoint`, which does exactly
-    /// that.
-    pub borrow_stash: bool,
-    /// Hard bound on the borrow stash's detection-latency window
-    /// (lock-free backend only): after this many parked releases on one
-    /// thread, that thread's whole stash self-flushes — tags zeroed,
-    /// entries freed — even if no GC safepoint ever runs. Inside the
-    /// credit window a same-thread dangling use of a just-released
-    /// pointer still tag-matches; this cap keeps that window bounded by
-    /// release count instead of GC cadence. `0` disables the bound
-    /// (window closes only on redeem, eviction, flush, or safepoint).
-    pub stash_expiry_parks: u32,
 }
 
 impl Default for TableConfig {
@@ -119,8 +96,6 @@ impl Default for TableConfig {
             table_count: 16,
             release_tags: true,
             exclude_neighbor_tags: false,
-            borrow_stash: true,
-            stash_expiry_parks: 4096,
         }
     }
 }
@@ -217,13 +192,6 @@ pub enum Release {
     /// The count reached zero; the memory tags were re-zeroed (unless
     /// tag release is disabled for the ablation).
     Freed,
-    /// The reference was parked in the calling thread's borrow stash
-    /// (lock-free backend with `borrow_stash` enabled): no shared state
-    /// changed, the object remains tagged and tracked, and the credit is
-    /// redeemed by the thread's next acquire of the same object —
-    /// or returned physically on eviction, [`TagTable::flush_stash`],
-    /// or thread exit.
-    Cached,
 }
 
 /// Why a typed [`TagTable::release`] refused or failed.
@@ -368,31 +336,22 @@ pub trait TagTable: Send + Sync + fmt::Debug {
         false
     }
 
-    /// Returns the calling thread's stashed borrow credits for this
-    /// table to the shared entry words, performing the final tag release
-    /// where a credit was the last reference. Returns the number of
-    /// entries physically freed. The safepoint hook for layers that
-    /// recycle addresses (sweep, compaction): after a flush the thread
-    /// holds no hidden references. No-op for backends without a stash.
-    fn flush_stash(&self, _mem: &TaggedMemory) -> u64 {
-        0
-    }
-
     /// Force-frees the entry tracking `[begin, end)` regardless of its
     /// reference count, returning 1 if an entry was physically freed.
     ///
-    /// The GC safepoint escape hatch: when the collector has decided an
-    /// unpinned object may be reclaimed or moved, any surviving table
-    /// entry for it can only be held alive by parked stash credits on
-    /// *other* threads, which no safepoint can reach (a stash is
-    /// strictly thread-local). Purging tears the entry down in place;
-    /// the owning threads' credits then self-invalidate through the
-    /// generation check when they are eventually redeemed or returned.
+    /// The GC safepoint backstop: when the collector has decided an
+    /// unpinned object may be reclaimed or moved, a surviving table entry
+    /// for it is one no live borrower will ever release — typically a
+    /// borrow whose release failed persistently under injected tag-store
+    /// faults and was abandoned. Purging tears the entry down in place so
+    /// it is never keyed to a recycled address; a stale borrow of the
+    /// dead lifetime then fails its release with
+    /// [`ReleaseFailure::StaleGeneration`] or
+    /// [`ReleaseFailure::NotTracked`].
     ///
-    /// The default implementation lowers onto [`release_raw`] in a loop
-    /// (correct for backends without a stash, where every reference is
-    /// held by a live caller and the entry is simply drained). Transient
-    /// memory faults are retried a bounded number of times.
+    /// The default implementation lowers onto [`release_raw`] in a loop,
+    /// draining the entry one reference at a time. Transient memory
+    /// faults are retried a bounded number of times.
     ///
     /// [`release_raw`]: TagTable::release_raw
     fn purge(&self, mem: &TaggedMemory, begin: u64, end: u64) -> u64 {
@@ -408,23 +367,6 @@ pub trait TagTable: Send + Sync + fmt::Debug {
             }
         }
     }
-
-    /// Marks the start of a stop-the-world critical section (the
-    /// compacting collector's exclusive hold). While the safepoint is
-    /// up, asynchronous credit returns that bypass the world gate — the
-    /// thread-exit `Drop` backstop — park until [`end_safepoint`], so
-    /// they can never interleave their CAS teardown and tag zeroing
-    /// with the collector's move/re-tag pass. No-op for backends
-    /// without a stash (their callers all block on the world gate).
-    ///
-    /// [`end_safepoint`]: TagTable::end_safepoint
-    fn begin_safepoint(&self) {}
-
-    /// Ends the stop-the-world critical section started by
-    /// [`begin_safepoint`], releasing any parked credit returns.
-    ///
-    /// [`begin_safepoint`]: TagTable::begin_safepoint
-    fn end_safepoint(&self) {}
 
     /// Number of objects currently tracked (for tests and reports).
     fn tracked_objects(&self) -> usize;
@@ -928,24 +870,17 @@ mod tests {
     const BACKENDS: [TableBackend; 3] =
         [TableBackend::LockFree, TableBackend::TwoTier, TableBackend::Global];
 
-    // These tests pin the *eager* acquire/release protocol (every
-    // release reaches the shared entry), so the lock-free backend is
-    // built with the borrow stash off; the stash's deferred semantics
-    // have their own tests below (`stash_*`).
     fn tables() -> Vec<Box<dyn TagTable>> {
         BACKENDS
             .iter()
             .map(|&backend| {
-                TableConfig { backend, borrow_stash: false, ..TableConfig::default() }.build()
+                TableConfig {
+                    backend,
+                    ..TableConfig::default()
+                }
+                .build()
             })
             .collect()
-    }
-
-    fn eager_lock_free() -> AtomicEntryTable {
-        AtomicEntryTable::from_config(&TableConfig {
-            borrow_stash: false,
-            ..TableConfig::default()
-        })
     }
 
     #[test]
@@ -1042,7 +977,7 @@ mod tests {
         // Lock-free only: the generation check is that backend's ABA
         // defense (the locking backends re-validate through their entry
         // `dead` flags instead).
-        let table = eager_lock_free();
+        let table = AtomicEntryTable::new();
         let m = mem();
         let t = MteThread::with_seed("t", 19);
         let begin = TaggedPtr::from_addr(BASE + 0xA00);
@@ -1063,170 +998,6 @@ mod tests {
         // The new lifetime's count was protected: its release still frees.
         assert_eq!(table.release(&m, fresh).unwrap(), Release::Freed);
         assert_eq!(table.tracked_objects(), 0);
-    }
-
-    fn counter(table: &dyn TagTable, name: &str) -> u64 {
-        table
-            .counters()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn stash_parks_release_and_redeems_next_acquire() {
-        // Default lock-free config: borrow stash on.
-        let table = AtomicEntryTable::new();
-        let m = mem();
-        let t = MteThread::with_seed("t", 20);
-        let begin = TaggedPtr::from_addr(BASE + 0xB00);
-        let end = begin.addr() + 32;
-
-        let first = table.acquire(&m, &t, begin, end).unwrap();
-        let tag = first.tag();
-        assert_eq!(table.release(&m, first).unwrap(), Release::Cached);
-        // The reference is parked, not returned: the entry stays live
-        // and the memory stays tagged.
-        assert_eq!(table.tracked_objects(), 1);
-        assert_eq!(m.ldg(begin).unwrap(), tag);
-
-        // Same thread reacquires: the credit is redeemed without any
-        // shared RMW, and the borrow observes the cached tag as shared.
-        let again = table.acquire(&m, &t, begin, end).unwrap();
-        assert!(again.shared(), "stash hit joins the parked lifetime");
-        assert_eq!(again.tag(), tag);
-        assert_eq!(counter(&table, "atomic_stash_hits"), 0, "folded on flush, not yet");
-        assert_eq!(table.release(&m, again).unwrap(), Release::Cached);
-
-        // The flush returns the credit physically: entry freed, tags
-        // zeroed, hit/free counters land.
-        assert_eq!(table.flush_stash(&m), 1);
-        assert_eq!(table.tracked_objects(), 0);
-        assert_eq!(m.ldg(begin).unwrap(), Tag::UNTAGGED);
-        assert_eq!(counter(&table, "atomic_stash_hits"), 1);
-        assert_eq!(counter(&table, "atomic_stash_flush_frees"), 1);
-    }
-
-    #[test]
-    fn stash_expiry_bounds_the_credit_window_without_gc() {
-        // The count-based bound on the stash's detection-latency window
-        // (`TableConfig::stash_expiry_parks`): after that many parked
-        // releases the thread's stash self-drains, so a released
-        // object's tags are zeroed even if no GC safepoint — and no
-        // explicit flush — ever runs.
-        let table = AtomicEntryTable::from_config(&TableConfig {
-            stash_expiry_parks: 3,
-            ..TableConfig::default()
-        });
-        let m = mem();
-        let t = MteThread::with_seed("t", 24);
-        let target = TaggedPtr::from_addr(BASE + 0xF00);
-        let b = table.acquire(&m, &t, target, target.addr() + 16).unwrap();
-        let tag = b.tag();
-        assert_eq!(table.release(&m, b).unwrap(), Release::Cached); // park 1
-        assert_eq!(m.ldg(target).unwrap(), tag, "credit window still open");
-
-        // Age the window on a *different* object: parks 2 and 3 hit the
-        // bound and drain the whole stash, the idle target's demoted
-        // credit included.
-        let decoy = TaggedPtr::from_addr(BASE + 0x1F00);
-        for _ in 0..2 {
-            let b = table.acquire(&m, &t, decoy, decoy.addr() + 16).unwrap();
-            assert_eq!(table.release(&m, b).unwrap(), Release::Cached);
-        }
-        assert_eq!(table.tracked_objects(), 0, "expiry drained every credit");
-        assert_eq!(m.ldg(target).unwrap(), Tag::UNTAGGED);
-        assert_eq!(m.ldg(decoy).unwrap(), Tag::UNTAGGED);
-        assert_eq!(counter(&table, "atomic_stash_flush_frees"), 2);
-    }
-
-    #[test]
-    fn stash_credit_survives_only_its_own_lifetime() {
-        // A parked credit self-invalidates when the entry is
-        // force-released behind its back: the stale tag/generation is
-        // detected on redemption and a fresh physical acquire runs.
-        let table = AtomicEntryTable::new();
-        let m = mem();
-        let t = MteThread::with_seed("t", 21);
-        let begin = TaggedPtr::from_addr(BASE + 0xC00);
-        let end = begin.addr() + 32;
-
-        let b = table.acquire(&m, &t, begin, end).unwrap();
-        let old_gen = b.generation();
-        assert_eq!(table.release(&m, b).unwrap(), Release::Cached);
-        // Force-release reaches the shared count despite the credit
-        // (`release_raw` never consults the stash).
-        assert_eq!(table.release_raw(&m, begin, end).unwrap(), ReleaseOutcome::Freed);
-        assert_eq!(table.tracked_objects(), 0);
-
-        let fresh = table.acquire(&m, &t, begin, end).unwrap();
-        assert!(!fresh.shared(), "dead credit was discarded, not redeemed");
-        assert!(fresh.generation() > old_gen);
-        assert_eq!(table.release(&m, fresh).unwrap(), Release::Cached);
-        assert_eq!(table.flush_stash(&m), 1);
-        assert_eq!(table.tracked_objects(), 0);
-    }
-
-    #[test]
-    fn stash_untracked_release_still_errors() {
-        // The validating load runs before caching: a forged borrow is
-        // refused through the physical path, never silently parked.
-        let table = AtomicEntryTable::new();
-        let m = mem();
-        let begin = TaggedPtr::from_addr(BASE + 0xD00);
-        let forged = Borrow::new(begin.addr(), begin.addr() + 16, Tag::from_low_bits(5), 0, false);
-        let err = table.release(&m, forged).unwrap_err();
-        assert!(matches!(err.kind, ReleaseFailure::NotTracked));
-    }
-
-    #[test]
-    fn stash_evicts_coldest_entry_physically_when_full() {
-        let table = AtomicEntryTable::new();
-        let m = mem();
-        let t = MteThread::with_seed("t", 22);
-        // Park one credit for each of 6 distinct objects. The stash
-        // holds one hot credit plus STASH_SLOTS = 4 cold entries, so
-        // the sixth release demotes into a full cold store and evicts
-        // the coldest entry, returning its credit physically
-        // (refcount 1 -> 0 frees it).
-        for i in 0..6u64 {
-            let begin = TaggedPtr::from_addr(BASE + 0x2000 + i * 0x100);
-            let b = table.acquire(&m, &t, begin, begin.addr() + 16).unwrap();
-            assert_eq!(table.release(&m, b).unwrap(), Release::Cached);
-        }
-        assert_eq!(table.tracked_objects(), 5, "one entry was evicted and freed");
-        assert_eq!(counter(&table, "atomic_stash_flush_frees"), 1);
-        assert_eq!(table.flush_stash(&m), 5);
-        assert_eq!(table.tracked_objects(), 0);
-    }
-
-    #[test]
-    fn stash_thread_exit_returns_credits() {
-        let table = StdArc::new(AtomicEntryTable::new());
-        let m = mem();
-        let begin = TaggedPtr::from_addr(BASE + 0xE00);
-        let end = begin.addr() + 32;
-        std::thread::scope(|s| {
-            let table = StdArc::clone(&table);
-            let m = StdArc::clone(&m);
-            s.spawn(move || {
-                let t = MteThread::with_seed("w", 23);
-                let b = table.acquire(&m, &t, begin, end).unwrap();
-                assert_eq!(table.release(&m, b).unwrap(), Release::Cached);
-                // Thread exits holding a parked credit: the TLS
-                // destructor backstop must return it.
-            });
-        });
-        // TLS destructors run during OS thread shutdown, which `join`
-        // does not wait for: poll briefly rather than assert instantly.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while table.tracked_objects() != 0 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(table.tracked_objects(), 0, "exit flush freed the entry");
-        assert_eq!(m.ldg(begin).unwrap(), Tag::UNTAGGED);
-        assert_eq!(counter(table.as_ref(), "atomic_stash_flush_frees"), 1);
     }
 
     #[test]
@@ -1348,10 +1119,6 @@ mod tests {
                             assert_eq!(m.ldg(begin).unwrap(), borrow.tag());
                             table.release(&m, borrow).unwrap();
                         }
-                        // Quiescence discipline: a worker flushes its
-                        // borrow stash before exiting — `join` does not
-                        // wait for the TLS-destructor backstop.
-                        table.flush_stash(&m);
                     });
                 }
             });

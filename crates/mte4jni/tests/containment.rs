@@ -85,10 +85,8 @@ fn contained_sync_fault_keeps_vm_alive_and_balanced() {
     // Nothing under a nested trampoline re-reports it as a raw fault.
     assert!(err.as_tag_check().is_none());
 
-    // The leaked borrow was force-released, which parks a stash credit;
-    // the sweep safepoint flushes it, restoring the quiescent state the
-    // pin ledger, tag table, and tags all agree on.
-    t.vm.heap().sweep();
+    // The leaked borrow was force-released, restoring the quiescent
+    // state the pin ledger, tag table, and tags all agree on.
     assert_eq!(t.scheme.stats().tracked_objects, 0);
     assert_eq!(t.vm.heap().pinned_count(), 0);
     assert_eq!(
@@ -129,10 +127,7 @@ fn contained_async_fault_surfaces_at_method_end() {
         other => panic!("expected a contained fault, got {other:?}"),
     }
     // The body released its borrow itself; containment reclaimed none.
-    // That release parked a stash credit — flush it at a safepoint
-    // before asserting the table is back to empty.
     assert_eq!(t.vm.tombstones()[0].released_borrows, 0);
-    t.vm.heap().sweep();
     assert_eq!(t.scheme.stats().tracked_objects, 0);
     assert_eq!(clean_call(&env).unwrap(), 10);
 }

@@ -6,9 +6,7 @@
 
 use std::sync::Arc;
 
-use mte4jni::{
-    AtomicEntryTable, Borrow, Release, ReleaseOutcome, TableConfig, TagTable, TwoTierTable,
-};
+use mte4jni::{AtomicEntryTable, Borrow, Release, ReleaseOutcome, TagTable, TwoTierTable};
 use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 
 const BASE: u64 = 0x7a00_0000_0000;
@@ -55,13 +53,7 @@ fn lock_free_matches_two_tier_bit_for_bit() {
         let (mem_a, mem_b) = (memory(), memory());
         let ta = MteThread::with_seed("diff", 0xD1FF ^ seed);
         let tb = MteThread::with_seed("diff", 0xD1FF ^ seed);
-        // Stash off: this oracle pins the eager protocol, where every
-        // release reaches the shared entry (the borrow stash's deferred
-        // semantics are covered by its own unit and stress tests).
-        let a = AtomicEntryTable::from_config(&TableConfig {
-            borrow_stash: false,
-            ..TableConfig::default()
-        });
+        let a = AtomicEntryTable::new();
         let b = TwoTierTable::new(16);
         let mut stacks: Vec<Vec<(Borrow, Borrow)>> =
             (0..OBJECTS).map(|_| Vec::new()).collect();

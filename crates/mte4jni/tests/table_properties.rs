@@ -31,12 +31,8 @@ fn setup() -> (Arc<TaggedMemory>, MteThread) {
 }
 
 fn table_for(backend: TableBackend) -> Box<dyn TagTable> {
-    // Stash off: these properties pin the eager release protocol
-    // shared by all three backends; the lock-free borrow stash has its
-    // own unit and stress coverage.
     TableConfig {
         backend,
-        borrow_stash: false,
         ..TableConfig::default()
     }
     .build()

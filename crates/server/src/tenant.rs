@@ -463,8 +463,8 @@ impl Tenant {
     pub fn quiesce(&self) -> Vec<String> {
         let mut v = Vec::new();
         let tag = |msg: String| format!("tenant {}: {msg}", self.cfg.id);
-        // Safepoint first: flush borrow-stash credits and purge parked
-        // entries so the checks see the post-safepoint state.
+        // Safepoint first: purge entries a release abandoned after
+        // persistent faults, so the checks see the post-safepoint state.
         let _ = self.vm.heap().sweep();
         if let Some(scheme) = &self.mte {
             let tracked = scheme.table().tracked_objects();
@@ -551,8 +551,7 @@ fn map_outcome(result: Result<(), JniError>) -> Result<RequestOutcome, JniError>
 }
 
 /// The funnel-level conservation law (DESIGN §15): every fresh acquire
-/// is freed exactly once — typed release, stash flush/eviction, or
-/// GC-safepoint purge.
+/// is freed exactly once — by a typed release or a GC-safepoint purge.
 pub fn funnel_conservation_violation(scheme: &Mte4Jni) -> Option<String> {
     let s = scheme.stats();
     let counter = |name: &str| {
@@ -562,13 +561,12 @@ pub fn funnel_conservation_violation(scheme: &Mte4Jni) -> Option<String> {
             .find(|(k, _)| *k == name)
             .map_or(0, |(_, v)| v)
     };
-    let flush_frees = counter("atomic_stash_flush_frees");
     let purge_frees = counter("safepoint_purge_frees");
-    if s.acquires - s.shared_acquires != s.tag_frees + flush_frees + purge_frees {
+    if s.acquires - s.shared_acquires != s.tag_frees + purge_frees {
         Some(format!(
             "funnel conservation broken: {} acquires - {} shared != \
-             {} tag frees + {} stash-flush frees + {} safepoint purges",
-            s.acquires, s.shared_acquires, s.tag_frees, flush_frees, purge_frees
+             {} tag frees + {} safepoint purges",
+            s.acquires, s.shared_acquires, s.tag_frees, purge_frees
         ))
     } else {
         None

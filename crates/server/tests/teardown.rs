@@ -24,13 +24,10 @@ fn evicting_a_tenant_with_a_live_critical_borrow_balances_the_funnel() {
     drop(env);
 
     // Pin books balanced, no stale table entries, no leaked shadows.
-    // (`quiesce` sweeps first, so force-released credits parked in the
-    // thread-local stash are purged before the books are read.)
     let violations = tenant.quiesce();
     assert!(violations.is_empty(), "teardown leaked: {violations:?}");
 
-    // Three-term conservation: acquires - shared == typed frees +
-    // stash-flush frees + safepoint purges.
+    // Conservation: acquires - shared == typed frees + safepoint purges.
     let scheme = tenant.scheme().expect("mte tenant");
     assert_eq!(funnel_conservation_violation(scheme), None);
     let hs = tenant.vm().heap().stats();

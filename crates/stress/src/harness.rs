@@ -278,13 +278,6 @@ fn table_worker(
                     released = true;
                     break;
                 }
-                // The reference was parked in this thread's borrow
-                // stash; the explicit flush below returns it before the
-                // quiescence oracle runs.
-                Ok(Release::Cached) => {
-                    released = true;
-                    break;
-                }
                 Err(ReleaseError { borrow, kind }) => match kind {
                     // A failed release must leave the count intact: the
                     // token comes back for the retry.
@@ -310,13 +303,6 @@ fn table_worker(
         );
     }
     inject::clear();
-    // Return every parked stash credit while this worker is still a
-    // scheduled participant (the flush emits schedule points). Running
-    // it here — not in the TLS-destructor backstop — keeps the
-    // interleaving bit-reproducible and lets the quiescence oracle see
-    // a fully drained table. Injection is already disarmed, so the
-    // flush's tag stores cannot fail.
-    table.flush_stash(mem);
 }
 
 fn run_table_schedule(
@@ -371,21 +357,11 @@ fn run_table_schedule(
         }
         let fresh_n = tallies.fresh.load(Ordering::Relaxed);
         let freed_n = tallies.freed.load(Ordering::Relaxed);
-        // Stash-aware conservation law: every rc 0->1 transition is a
-        // fresh acquire, and every rc 1->0 is either a typed `Freed`
-        // release or a credit returned by a stash flush/eviction (the
-        // table counts those in `atomic_stash_flush_frees`; locking
-        // backends have no stash and report nothing).
-        let flush_frees = table
-            .counters()
-            .into_iter()
-            .find(|(name, _)| *name == "atomic_stash_flush_frees")
-            .map(|(_, v)| v)
-            .unwrap_or(0);
-        if fresh_n != freed_n + flush_frees {
+        // Conservation law: every rc 0->1 transition is a fresh
+        // acquire, and every rc 1->0 is a typed `Freed` release.
+        if fresh_n != freed_n {
             violations.push(format!(
-                "oracle: {fresh_n} fresh acquires but {freed_n} Freed releases \
-                 + {flush_frees} stash-flush frees"
+                "oracle: {fresh_n} fresh acquires but {freed_n} Freed releases"
             ));
         }
     }
@@ -401,31 +377,9 @@ fn run_table_schedule(
     }
 }
 
-/// The funnel-level conservation law: every entry a fresh (non-shared)
-/// acquire creates is freed exactly once — by a typed release
-/// (`tag_frees`), a stash flush or eviction (`atomic_stash_flush_frees`),
-/// or a GC-safepoint purge (`safepoint_purge_frees`). Returns the
-/// violation message if the books do not balance.
+/// [`server::funnel_conservation_violation`] as an oracle message.
 fn funnel_conservation_violation(scheme: &Mte4Jni) -> Option<String> {
-    let s = scheme.stats();
-    let counter = |name: &str| {
-        scheme
-            .counters()
-            .into_iter()
-            .find(|(k, _)| *k == name)
-            .map_or(0, |(_, v)| v)
-    };
-    let flush_frees = counter("atomic_stash_flush_frees");
-    let purge_frees = counter("safepoint_purge_frees");
-    if s.acquires - s.shared_acquires != s.tag_frees + flush_frees + purge_frees {
-        Some(format!(
-            "oracle: funnel conservation broken: {} acquires - {} shared != \
-             {} tag frees + {} stash-flush frees + {} safepoint purges",
-            s.acquires, s.shared_acquires, s.tag_frees, flush_frees, purge_frees
-        ))
-    } else {
-        None
-    }
+    server::funnel_conservation_violation(scheme).map(|m| format!("oracle: {m}"))
 }
 
 /// Runs one seeded **object-lifecycle** schedule: each worker repeatedly
@@ -493,10 +447,8 @@ pub fn run_lifecycle_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -
         .map(|(t, msg)| format!("t{t}: {msg}"))
         .collect();
     if report.clean() {
-        // Run a GC safepoint first: the sweep flushes this thread's
-        // stash and purges any entry kept alive only by a worker's
-        // parked credit (a racing TLS-exit backstop either wins the
-        // return or observes the purge — both drain to zero), so the
+        // Run a GC safepoint first: the sweep purges any entry a
+        // worker abandoned after persistent release faults, so the
         // quiescence checks below see the post-safepoint state the
         // "tracked ⇒ pinned" invariant is defined at.
         let _ = vm.heap().sweep();
@@ -518,9 +470,8 @@ pub fn run_lifecycle_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -
             ));
         }
         // Funnel-level conservation law: every fresh acquire's entry is
-        // eventually freed by a typed release, a stash flush, or a
-        // GC-safepoint purge. Shared acquires reuse an entry and free
-        // nothing.
+        // eventually freed by a typed release or a GC-safepoint purge.
+        // Shared acquires reuse an entry and free nothing.
         if let Some(scheme) = &mte {
             if let Some(v) = funnel_conservation_violation(scheme) {
                 violations.push(v);
@@ -713,9 +664,8 @@ pub fn run_containment_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig)
     if report.clean() {
         // Containment oracle: the VM survived the schedule, and every
         // contained fault left it balanced. The sweep safepoint runs
-        // first: worker releases (and containment force-releases) park
-        // stash credits, and the purge retires any entry a worker's
-        // still-racing TLS-exit backstop holds.
+        // first, so its purge retires any entry a release abandoned
+        // after persistent faults.
         let _ = vm.heap().sweep();
         let tracked = scheme.table().tracked_objects();
         if tracked != 0 {

@@ -191,7 +191,7 @@ fn containment_schedules_survive_faults_and_observe_degradation() {
 /// shared flags, and identical release outcomes.
 #[test]
 fn lock_free_matches_two_tier_under_the_scheduler() {
-    use mte4jni::{AtomicEntryTable, Release, TableConfig, TagTable, TwoTierTable};
+    use mte4jni::{AtomicEntryTable, Release, TagTable, TwoTierTable};
     use mte_sim::sync::{yield_point, Mutex};
     use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 
@@ -208,12 +208,7 @@ fn lock_free_matches_two_tier_under_the_scheduler() {
     for seed in 0..24u64 {
         let mem_a = memory();
         let mem_b = memory();
-        // Stash off: lockstep comparison pins the eager protocol
-        // (a parked `Cached` release has no two-tier counterpart).
-        let a: Arc<dyn TagTable> = Arc::new(AtomicEntryTable::from_config(&TableConfig {
-            borrow_stash: false,
-            ..TableConfig::default()
-        }));
+        let a: Arc<dyn TagTable> = Arc::new(AtomicEntryTable::new());
         let b: Arc<dyn TagTable> = Arc::new(TwoTierTable::new(16));
         let pair_locks: Arc<Vec<Mutex<()>>> =
             Arc::new((0..OBJECTS).map(|_| Mutex::new(())).collect());

@@ -185,9 +185,8 @@ pub fn record_tag_op(op: TagOp, granules: u64) {
     #[cfg(feature = "telemetry")]
     if enabled() {
         // `try_with`: tag ops can fire from other thread-local
-        // destructors (e.g. a borrow-stash flush zeroing tags at thread
-        // exit) after this batch is already gone; dropping those few
-        // counts is the best-effort contract of thread teardown.
+        // destructors after this batch is already gone; dropping those
+        // few counts is the best-effort contract of thread teardown.
         let _ = TAG_BATCH.try_with(|b| {
             // Bind the owning ring now, while thread-local state is
             // intact, so the thread-exit Drop flush never has to.

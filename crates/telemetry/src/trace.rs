@@ -288,6 +288,11 @@ fn emit_slow(event: TraceEvent) {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that install the process-global sink: run
+    /// in parallel, one test's `uninstall` or reinstall would cut into
+    /// the other's session.
+    static SINK_TESTS: Mutex<()> = Mutex::new(());
+
     struct Collect(Mutex<Vec<(u32, TraceEvent)>>);
     impl TraceSink for Collect {
         fn emit(&self, tid: u32, event: TraceEvent) {
@@ -297,6 +302,7 @@ mod tests {
 
     #[test]
     fn emit_is_gated_and_tids_are_dense_per_session() {
+        let _serial = SINK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
         emit(|| panic!("must not run while inactive"));
 
@@ -320,6 +326,7 @@ mod tests {
 
     #[test]
     fn reinstall_restarts_the_tid_epoch() {
+        let _serial = SINK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let sink = Arc::new(Collect(Mutex::new(Vec::new())));
         install(sink.clone());
         emit(|| TraceEvent::Sweep { swept: 0, pinned: 0 });

@@ -558,12 +558,11 @@ pub fn replay(trace: &Trace, backend: Backend) -> Result<Digest, ReplayError> {
         let _inject = trace.header.plan.map(|p| InjectGuard::install(p, trace.header.seed));
         run_events(&rt, &mut st)?;
     }
-    // A trace may end without a GC event, leaving release credits parked
-    // in the replay thread's borrow stash. The digest's stale-entry and
+    // A trace may end without a GC event. The digest's stale-entry and
     // conservation laws are defined at a safepoint, so run one: the
-    // sweep flushes this thread's stash and purges what only parked
-    // credits kept alive. (Injection is disarmed again — the guard
-    // dropped with the block above — so the flush cannot fault.)
+    // sweep purges any entry a release abandoned after persistent
+    // faults. (Injection is disarmed again — the guard dropped with the
+    // block above — so the purge cannot fault.)
     let _ = vm.heap().sweep();
 
     let mut payload_hash = FNV_BASIS;

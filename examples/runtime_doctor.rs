@@ -203,26 +203,6 @@ fn main() {
     let thread = vm.attach_thread("main");
     let env = vm.env(&thread);
 
-    // --- 0. Report the scheme's *effective* configuration. ---
-    // `config()` describes the table that was actually built, not the
-    // one requested: a knob the chosen backend does not implement is
-    // reported as off (e.g. `borrow_stash` outside the lock-free
-    // table), and the same signal travels with every telemetry
-    // snapshot as the `borrow_stash_effective` counter.
-    let requested = Mte4JniConfig::default();
-    let effective = scheme.config();
-    println!(
-        "scheme {}: backend {:?}, borrow stash requested={} effective={}",
-        scheme.name(),
-        effective.backend,
-        requested.borrow_stash,
-        effective.borrow_stash,
-    );
-    if requested.borrow_stash != effective.borrow_stash {
-        println!("  (stash overridden off: the {:?} backend does not carry it)", effective.backend);
-    }
-    println!();
-
     // --- 1. Watch tags appear and disappear in the tag map. ---
     let a = env.new_int_array(64).unwrap(); // 256 B payload = 16 granules
     let b = env.new_int_array(64).unwrap();
@@ -250,14 +230,8 @@ fn main() {
     })
     .unwrap();
 
-    // With the borrow stash on, a release parks a thread-local credit
-    // instead of touching the shared entry word — the tags deliberately
-    // outlive the release until a redeem, eviction, or safepoint flush.
-    println!("tag map after both releases (credits parked in the borrow stash):");
-    println!("{}\n", vm.heap().memory().tag_map(window, window_len).unwrap());
-
-    vm.heap().sweep();
-    println!("tag map after a GC sweep safepoint (stash flushed, tags zeroed — Algorithm 2):");
+    // Each last release zeroes its object's tags at once (Algorithm 2).
+    println!("tag map after both releases (tags zeroed — Algorithm 2):");
     println!("{}\n", vm.heap().memory().tag_map(window, window_len).unwrap());
 
     // --- 2. CheckJNI catches a release through the wrong interface. ---
@@ -280,11 +254,9 @@ fn main() {
     }
 
     // --- 4. The counter feed telemetry snapshots carry. ---
-    // `borrow_stash_effective` repeats the effective-config signal from
-    // section 0; `safepoint_purge_frees` counts entries a GC safepoint
-    // force-freed, the third term of the funnel conservation law
-    //   acquires - shared_acquires
-    //     == tag_frees + atomic_stash_flush_frees + safepoint_purge_frees.
+    // `safepoint_purge_frees` counts entries a GC safepoint force-freed,
+    // the second term of the funnel conservation law
+    //   acquires - shared_acquires == tag_frees + safepoint_purge_frees.
     println!("\nscheme counters:");
     for (name, value) in scheme.counters() {
         println!("  {name}: {value}");

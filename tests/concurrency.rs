@@ -62,11 +62,6 @@ fn every_scheme_survives_concurrent_shared_array() {
         let shared = env.new_int_array(256).expect("alloc");
         hammer(&vm, 8, 200, Some(&shared));
         if scheme.is_mte() && scheme != Scheme::AllocTaggingSync {
-            // The workers' final releases may sit parked in their TLS
-            // stashes (and `thread::scope` does not wait for the exit
-            // backstops) — a compaction safepoint makes the quiescent
-            // state deterministic before asserting on it.
-            vm.heap().compact();
             // Tags fully released once all borrows ended. (AllocTagging
             // keeps tags for the object's lifetime by design.)
             assert_eq!(
@@ -141,8 +136,6 @@ fn concurrent_faulty_thread_does_not_poison_others() {
             });
         }
     });
-    // Drain any release credits the workers' exits are still returning.
-    vm.heap().compact();
     assert_eq!(
         vm.heap().memory().raw_tag_at(shared.data_addr()).unwrap(),
         Tag::UNTAGGED,
@@ -189,9 +182,6 @@ fn many_objects_across_all_tables_concurrently() {
             });
         }
     });
-    // The workers parked their last release credits; the compaction
-    // safepoint purges whatever their exit backstops have not drained.
-    vm.heap().compact();
     let stats = scheme.stats();
     assert_eq!(stats.tracked_objects, 0);
     assert_eq!(stats.acquires, 8 * 300);

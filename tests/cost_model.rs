@@ -21,10 +21,6 @@ fn session(scheme: Scheme, len: usize) -> (mte_sim::MteStatsSnapshot, u64) {
         env.release_primitive_array_critical(&a, elems, ReleaseMode::CopyBack)
     })
     .unwrap();
-    // The release parked a stash credit; the sweep safepoint redeems it
-    // so the session's tag zeroing lands inside the measured window (the
-    // zeroing still happens exactly once per lifetime, just deferred).
-    vm.heap().sweep();
     let delta = vm.heap().memory().stats().snapshot().since(&before);
     let native_peak = vm.heap().native_alloc().stats().peak_bytes - native_before;
     (delta, native_peak)

@@ -109,21 +109,12 @@ fn use_after_release_matrix() {
         // Guarded copy freed the shadow buffer; the dangling pointer still
         // points into the native arena, so the write lands unnoticed.
         (Scheme::GuardedCopy, Outcome::Undetected),
-        // The eager protocol (the two-tier ablation carries no stash)
-        // zeroed the tags at release: the stale tagged pointer
-        // mismatches immediately.
+        // Every MTE4JNI backend zeroes the tags at the last release
+        // (Algorithm 2): the stale tagged pointer mismatches at once.
+        (Scheme::Mte4JniSync, Outcome::TagCheck),
+        (Scheme::Mte4JniAsync, Outcome::TagCheck),
         (Scheme::Mte4JniSyncTwoTier, Outcome::TagCheck),
         (Scheme::Mte4JniAsyncTwoTier, Outcome::TagCheck),
-        // The lock-free default parks the release as a stash credit:
-        // inside the credit window the tag still matches, so a
-        // same-thread dangling use lands undetected — the documented
-        // detection-latency cost of the stash (DESIGN §15). The window
-        // closes at the next redeem, eviction, GC safepoint, or the
-        // count-based stash expiry (`stash_expiry_parks`, default 4096
-        // parks), so its length never depends on GC cadence alone. The
-        // post-safepoint and post-expiry halves are asserted below.
-        (Scheme::Mte4JniSync, Outcome::Undetected),
-        (Scheme::Mte4JniAsync, Outcome::Undetected),
     ] {
         let vm = scheme.build_vm();
         let thread = vm.attach_thread("uar");
@@ -144,12 +135,12 @@ fn use_after_release_matrix() {
 
 #[test]
 fn use_after_release_is_caught_after_the_safepoint() {
-    // The second half of the stash's detection-latency contract: once a
-    // GC safepoint flushes the parked credit, the tags are zeroed and
-    // the same stale pointer faults exactly like the eager protocol.
+    // The safepoint purge only touches tracked entries: a GC between the
+    // release and the dangling use neither re-tags the array nor hides
+    // the mismatch, so the stale pointer still faults.
     for scheme in [Scheme::Mte4JniSync, Scheme::Mte4JniAsync] {
         let vm = scheme.build_vm();
-        let thread = vm.attach_thread("uar-flushed");
+        let thread = vm.attach_thread("uar-swept");
         let env = vm.env(&thread);
         let array = env.new_int_array(18).expect("alloc");
         let mut stale = None;
@@ -159,11 +150,11 @@ fn use_after_release_is_caught_after_the_safepoint() {
             env.release_primitive_array_critical(&array, elems, ReleaseMode::CopyBack)
         })
         .expect("clean acquire/release");
-        vm.heap().sweep(); // flush the credit, zero the tags
+        vm.heap().sweep();
         let stale = stale.expect("pointer recorded");
-        let result = env.call_native("use_after_flush", NativeKind::Normal, |env| {
+        let result = env.call_native("use_after_sweep", NativeKind::Normal, |env| {
             env.native_mem().write_u32(stale, 7)?; // dangling use
-            env.log("used after flush")?;
+            env.log("used after sweep")?;
             Ok(())
         });
         assert_eq!(classify(result), Outcome::TagCheck, "{scheme}");
@@ -172,33 +163,29 @@ fn use_after_release_is_caught_after_the_safepoint() {
 
 #[test]
 fn use_after_release_is_caught_after_stash_expiry() {
-    // The GC-independent bound on the credit window: after
-    // `stash_expiry_parks` parked releases the thread's stash
-    // self-drains, so the stale pointer faults even though no sweep or
-    // compaction ever ran.
-    let vm = mte4jni_vm(
-        TcfMode::Sync,
-        Mte4JniConfig { stash_expiry_parks: 4, ..Mte4JniConfig::default() },
-    );
-    let thread = vm.attach_thread("uar-expired");
-    let env = vm.env(&thread);
-    let array = env.new_int_array(18).expect("alloc");
-    let decoy = env.new_int_array(4).expect("alloc");
-    let result = env.call_native("use_after_expiry", NativeKind::Normal, |env| {
-        let elems = env.get_primitive_array_critical(&array)?;
-        let stale = elems.ptr();
-        env.release_primitive_array_critical(&array, elems, ReleaseMode::CopyBack)?; // park 1
-        // Parks 2–4 on a different array age the window past the bound,
-        // draining the whole stash — the target's credit included.
-        for _ in 0..3 {
-            let e = env.get_primitive_array_critical(&decoy)?;
-            env.release_primitive_array_critical(&decoy, e, ReleaseMode::CopyBack)?;
-        }
-        env.native_mem().write_u32(stale, 7)?; // dangling use, now detected
-        env.log("used after expiry")?;
-        Ok(())
-    });
-    assert_eq!(classify(result), Outcome::TagCheck);
+    // No release is deferred per thread: further borrows of another
+    // array on the same thread neither delay nor undo the tag free, so
+    // the stale pointer faults although no sweep or compaction ran.
+    for scheme in [Scheme::Mte4JniSync, Scheme::Mte4JniAsync] {
+        let vm = scheme.build_vm();
+        let thread = vm.attach_thread("uar-reborrow");
+        let env = vm.env(&thread);
+        let array = env.new_int_array(18).expect("alloc");
+        let decoy = env.new_int_array(4).expect("alloc");
+        let result = env.call_native("use_after_reborrow", NativeKind::Normal, |env| {
+            let elems = env.get_primitive_array_critical(&array)?;
+            let stale = elems.ptr();
+            env.release_primitive_array_critical(&array, elems, ReleaseMode::CopyBack)?;
+            for _ in 0..3 {
+                let e = env.get_primitive_array_critical(&decoy)?;
+                env.release_primitive_array_critical(&decoy, e, ReleaseMode::CopyBack)?;
+            }
+            env.native_mem().write_u32(stale, 7)?; // dangling use
+            env.log("used after reborrow")?;
+            Ok(())
+        });
+        assert_eq!(classify(result), Outcome::TagCheck, "{scheme}");
+    }
 }
 
 #[test]

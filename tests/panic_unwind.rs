@@ -7,7 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use art_heap::{HeapConfig, ThreadState};
-use jni_rt::{NativeKind, Protection, ReleaseMode, Vm};
+use jni_rt::{NativeKind, ReleaseMode, Vm};
 use mte4jni::Mte4Jni;
 
 fn vm_with_scheme() -> (Vm, Arc<Mte4Jni>) {
@@ -46,19 +46,12 @@ fn panic_with_live_critical_guard_unwinds_cleanly() {
         "ledger must hold no outstanding pointers"
     );
 
-    // The scheme saw a balanced acquire/release pair. The release
-    // parked a borrow-stash credit; the sweep safepoint flushes it and
-    // drops the tag.
-    vm.heap().sweep();
+    // The scheme saw a balanced acquire/release pair, and the release
+    // dropped the tag.
     let stats = scheme.stats();
     assert_eq!(stats.acquires, 1);
     assert_eq!(stats.releases, 1, "no double-release, no leak");
-    let flush_frees = scheme
-        .counters()
-        .iter()
-        .find(|(n, _)| *n == "atomic_stash_flush_frees")
-        .map_or(0, |(_, v)| *v);
-    assert_eq!(stats.tag_frees + flush_frees, 1, "the tag was freed once");
+    assert_eq!(stats.tag_frees, 1, "the tag was freed once");
     assert_eq!(stats.tracked_objects, 0);
 
     // The trampoline's drop guard restored the thread exactly as a
@@ -97,9 +90,6 @@ fn env_is_reusable_after_an_unwound_native_call() {
         .unwrap();
     assert_eq!(sum, 10);
 
-    // Flush the stash credits both releases parked before checking the
-    // table is empty again.
-    vm.heap().sweep();
     let stats = scheme.stats();
     assert_eq!(stats.acquires, 2);
     assert_eq!(stats.releases, 2);
@@ -128,7 +118,6 @@ fn explicit_release_before_panic_is_not_double_released() {
     // fire a second release.
     assert_eq!(env.guard_drops().len(), 0, "no RAII release should occur");
     assert!(env.outstanding_acquisitions().is_empty());
-    vm.heap().sweep(); // redeem the release's parked stash credit
     let stats = scheme.stats();
     assert_eq!(stats.acquires, 1);
     assert_eq!(stats.releases, 1, "exactly one release despite the panic");
