@@ -368,7 +368,7 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/BENCH_fig5.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema_version"] == 1, doc["schema_version"]
+assert doc["schema_version"] == 2, doc["schema_version"]
 assert doc["bench"] == "fig5"
 assert doc["rows"], "rows must be non-empty"
 assert "avg_mte_sync_ratio" in doc["summary"], sorted(doc["summary"])
@@ -376,11 +376,20 @@ assert "avg_degraded_guarded_ratio" in doc["summary"], sorted(doc["summary"])
 assert doc["summary"]["degraded_fallback_ratio"] > 0, doc["summary"]
 assert all("degraded_guarded_ratio" in row for row in doc["rows"])
 assert "counters" in doc["telemetry"]
-print("BENCH_fig5.json sane:", len(doc["rows"]), "rows (with degraded column)")
+# Event counts are exact: every release is timed at the site that counts
+# it, and every timed acquire is counted (region copies count as
+# acquires but carry no timing).
+kinds = doc["telemetry"]["events"]["by_kind"]
+def timed(op):
+    return sum(h["count"] for h in doc["telemetry"]["histograms"] if h["op"] == op)
+assert kinds.get("release", 0) == timed("release"), (kinds, timed("release"))
+assert kinds.get("acquire", 0) >= timed("acquire") > 0, (kinds, timed("acquire"))
+print("BENCH_fig5.json sane:", len(doc["rows"]), "rows (with degraded column),",
+      kinds["acquire"], "acquires,", kinds["release"], "releases counted exactly")
 PY
 else
     # No python3: at least require the schema marker in the raw text.
-    grep -q '"schema_version": 1' "$out/BENCH_fig5.json"
+    grep -q '"schema_version": 2' "$out/BENCH_fig5.json"
     echo "BENCH_fig5.json sane (schema marker present)"
 fi
 

@@ -66,7 +66,7 @@ impl BenchReport {
     }
 
     /// Assembles the schema-versioned document, collecting the telemetry
-    /// snapshot (consumes pending events).
+    /// snapshot.
     pub fn to_json(&self) -> JsonValue {
         let mut o = JsonValue::object();
         o.insert("schema_version", telemetry::SCHEMA_VERSION)
@@ -95,10 +95,10 @@ impl BenchReport {
     }
 }
 
-/// Handles the shared `--json <path>` / `--sample-every <n>` options: when
-/// `--json` is present, turns telemetry recording on (so the report
-/// captures histograms, events, and counters) and returns the output
-/// path. Benches call this before their measured section.
+/// Handles the shared `--json <path>` option: when it is present, turns
+/// telemetry recording on (so the report captures histograms, event
+/// counts, and counters) and returns the output path. Benches call this
+/// before their measured section.
 pub fn json_output(args: &Args) -> Option<PathBuf> {
     let path: String = args.value("--json", String::new());
     if path.is_empty() {
@@ -120,7 +120,6 @@ pub fn json_output(args: &Args) -> Option<PathBuf> {
         std::process::exit(2);
     }
     telemetry::set_enabled(true);
-    telemetry::set_sample_every(args.value("--sample-every", 1u32));
     Some(path)
 }
 

@@ -127,9 +127,7 @@ impl GcScanner {
                     mte.set_tco(config.tco);
                     while !stop.load(Ordering::Relaxed) {
                         let outcome = heap.scan_live(&mte);
-                        telemetry::record_rare(|| telemetry::Event::GcScan {
-                            objects: u32::try_from(outcome.objects).unwrap_or(u32::MAX),
-                        });
+                        telemetry::record(telemetry::Event::GcScan);
                         if !outcome.faults.is_empty() {
                             let mut log = faults.lock();
                             for fault in outcome.faults {

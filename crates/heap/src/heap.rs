@@ -811,9 +811,7 @@ impl Heap {
         self.inner
             .moved_bytes_total
             .fetch_add(stats.moved_bytes as u64, Ordering::Relaxed);
-        telemetry::record_rare(|| telemetry::Event::GcCompact {
-            moved: u32::try_from(stats.moved_objects).unwrap_or(u32::MAX),
-        });
+        telemetry::record(telemetry::Event::GcCompact);
         if let Some(start) = timing {
             telemetry::record_latency(
                 "heap",

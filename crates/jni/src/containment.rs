@@ -264,7 +264,7 @@ impl Containment {
             DegradeReason::TagExhaustion => &self.degraded_exhaust,
         }
         .fetch_add(1, Ordering::Relaxed);
-        telemetry::record_rare(|| telemetry::Event::Degraded { reason });
+        telemetry::record(telemetry::Event::Degraded { reason });
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Degraded {
             reason: match reason {
                 DegradeReason::Quarantine => 0,
@@ -285,7 +285,7 @@ impl Containment {
     ) -> Tombstone {
         self.contained.fetch_add(1, Ordering::Relaxed);
         let seq = self.tombstone_total.fetch_add(1, Ordering::Relaxed);
-        telemetry::record_rare(|| telemetry::Event::ContainedFault {
+        telemetry::record(telemetry::Event::ContainedFault {
             class: match fault.kind {
                 FaultKind::Sync => telemetry::FaultClass::Sync,
                 FaultKind::Async => telemetry::FaultClass::Async,

@@ -215,7 +215,7 @@ impl<'a> JniEnv<'a> {
                 t0,
             );
         }
-        telemetry::record(|| Event::Acquire { interface });
+        telemetry::record(Event::Acquire { interface });
         self.ledger.record(out.ptr, interface, identity);
         self.borrows.borrow_mut().push(LiveBorrow {
             ptr: out.ptr,
@@ -321,7 +321,7 @@ impl<'a> JniEnv<'a> {
                 t0,
             );
         }
-        telemetry::record(|| Event::Release { interface });
+        telemetry::record(Event::Release { interface });
         // The borrow ends — and the pin with it — when the scheme tore
         // its tracking down: on success, or on a CheckJNI abort (the
         // buffer is gone either way). `JNI_COMMIT` keeps the borrow, and
@@ -384,7 +384,7 @@ impl<'a> JniEnv<'a> {
     }
 
     pub(crate) fn note_guard_drop(&self, ptr: TaggedPtr, interface: JniInterface, object: u64) {
-        telemetry::record_rare(|| Event::GuardDrop { interface });
+        telemetry::record(Event::GuardDrop { interface });
         self.ledger.note_guard_drop(ptr, interface, object);
     }
 
@@ -465,7 +465,7 @@ impl<'a> JniEnv<'a> {
     /// string.
     pub fn get_string_region(&self, s: &StringRef, start: usize, out: &mut [u16]) -> Result<()> {
         self.ensure_not_critical("GetStringRegion")?;
-        telemetry::record(|| Event::Acquire { interface: JniInterface::StringRegion });
+        telemetry::record(Event::Acquire { interface: JniInterface::StringRegion });
         let result = (|| {
             let end = start.checked_add(out.len());
             if end.is_none_or(|e| e > s.len()) {
@@ -769,7 +769,7 @@ impl<'a> JniEnv<'a> {
         }
         if tco_control {
             mte.set_tco(false); // enable tag checking for the native section
-            telemetry::record_rare(|| Event::TcoToggle { checking_enabled: true });
+            telemetry::record(Event::TcoToggle);
         }
         // Containment bookmarks: everything acquired past these marks
         // belongs to this native frame and is reclaimed if it faults.
@@ -792,7 +792,7 @@ impl<'a> JniEnv<'a> {
                 let mte = self.env.thread.mte();
                 if self.tco_control {
                     mte.set_tco(true); // back to unchecked managed execution
-                    telemetry::record_rare(|| Event::TcoToggle { checking_enabled: false });
+                    telemetry::record(Event::TcoToggle);
                 }
                 if self.transitions {
                     self.env.thread.transition_to_managed();
@@ -1032,7 +1032,7 @@ macro_rules! typed_array_interfaces {
                 self.ensure_not_critical(concat!("Get", $get_name, "ArrayRegion"))?;
                 let result = (|| {
                     self.region_bounds(a, $prim, start, out.len(), concat!("Get", $get_name, "ArrayRegion"))?;
-                    telemetry::record(|| Event::Acquire { interface: JniInterface::ArrayRegion });
+                    telemetry::record(Event::Acquire { interface: JniInterface::ArrayRegion });
                     let mut bytes = vec![0u8; out.len() * $size];
                     let ptr = TaggedPtr::from_addr(a.data_addr() + (start * $size) as u64);
                     self.vm
@@ -1070,7 +1070,7 @@ macro_rules! typed_array_interfaces {
                 self.ensure_not_critical(concat!("Set", $get_name, "ArrayRegion"))?;
                 let result = (|| {
                     self.region_bounds(a, $prim, start, values.len(), concat!("Set", $get_name, "ArrayRegion"))?;
-                    telemetry::record(|| Event::Acquire { interface: JniInterface::ArrayRegion });
+                    telemetry::record(Event::Acquire { interface: JniInterface::ArrayRegion });
                     let mut bytes = Vec::with_capacity(values.len() * $size);
                     for v in values {
                         bytes.extend_from_slice(&v.to_le_bytes());

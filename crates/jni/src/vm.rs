@@ -187,7 +187,7 @@ impl Vm {
 
     /// Publishes this VM's counters ([`Self::publish_counters`]) and
     /// collects the full telemetry [`telemetry::Snapshot`] — counters,
-    /// latency histograms, and the drained event stream.
+    /// latency histograms, and the event counts.
     pub fn telemetry_snapshot(&self) -> telemetry::Snapshot {
         self.publish_counters();
         telemetry::Snapshot::collect()

@@ -10,7 +10,7 @@
 //! from `(schedule seed, participant index)`, so the fault pattern a
 //! thread sees is deterministic regardless of how the scheduler
 //! interleaves it with other threads. Every injected fault bumps a
-//! shared [`InjectCounters`] slot and emits a
+//! shared [`InjectCounters`] slot and counts a
 //! [`telemetry::Event::InjectedFault`] so snapshots can attribute the
 //! failure to the injector rather than the scheme under test.
 
@@ -18,7 +18,32 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use telemetry::InjectPoint;
+/// A fault-injection site inside the simulator: which operation an
+/// injected fault hit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum InjectPoint {
+    /// `irg` returned the excluded zero tag (tag-pool exhaustion).
+    Irg,
+    /// An `ldg` tag load failed.
+    Ldg,
+    /// An `stg`/`st2g`/tag-range store failed.
+    Stg,
+    /// The simulated native allocator reported arena exhaustion.
+    Alloc,
+    /// A spurious tag-check fault fired on a valid access.
+    Check,
+}
+
+impl InjectPoint {
+    /// Every injection point, in [`InjectCounters`] slot order.
+    pub const ALL: [InjectPoint; 5] = [
+        InjectPoint::Irg,
+        InjectPoint::Ldg,
+        InjectPoint::Stg,
+        InjectPoint::Alloc,
+        InjectPoint::Check,
+    ];
+}
 
 /// Per-point injection rates in parts-per-million of eligible
 /// operations. Zero (the default) disables the point.
@@ -76,7 +101,7 @@ pub struct InjectCounters {
 impl InjectCounters {
     /// Faults injected at `point` so far.
     pub fn get(&self, point: InjectPoint) -> u64 {
-        self.counts[point.index() as usize].load(Ordering::Relaxed)
+        self.counts[point as usize].load(Ordering::Relaxed)
     }
 
     /// Faults injected across all points.
@@ -85,7 +110,7 @@ impl InjectCounters {
     }
 
     fn bump(&self, point: InjectPoint) {
-        self.counts[point.index() as usize].fetch_add(1, Ordering::Relaxed);
+        self.counts[point as usize].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -152,7 +177,7 @@ pub(crate) fn should_fail(point: InjectPoint) -> bool {
         let draw = xorshift64star(&mut inj.rng) % 1_000_000;
         if draw < u64::from(rate) {
             inj.counters.bump(point);
-            telemetry::record_rare(|| telemetry::Event::InjectedFault { point });
+            telemetry::record(telemetry::Event::InjectedFault);
             true
         } else {
             false

@@ -21,8 +21,6 @@ use crate::tag::{Tag, TagExclusion, GRANULE, PAGE_SIZE, TAGS_PER_WORD};
 use crate::thread::{MteThread, TcfMode};
 use crate::Result;
 
-use telemetry::TagOp;
-
 /// Configuration for a [`TaggedMemory`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryConfig {
@@ -483,9 +481,6 @@ impl TaggedMemory {
             match effective {
                 TcfMode::Sync => {
                     self.stats.count_sync_fault();
-                    telemetry::record_rare(|| telemetry::Event::Fault {
-                        class: telemetry::FaultClass::Sync,
-                    });
                     let fault_addr = self.base + (g * GRANULE).max(offset) as u64;
                     return Err(MemError::TagCheck(Box::new(TagCheckFault {
                         kind: FaultKind::Sync,
@@ -500,9 +495,6 @@ impl TaggedMemory {
                 }
                 TcfMode::Async => {
                     self.stats.count_async_fault();
-                    telemetry::record_rare(|| telemetry::Event::Fault {
-                        class: telemetry::FaultClass::Async,
-                    });
                     t.latch_async_fault(ptr, mtag, access);
                     // Execution continues: async mode only logs.
                 }
@@ -515,8 +507,8 @@ impl TaggedMemory {
     /// Injected spurious tag-check fault: "a checked access faults
     /// despite matching tags". Raised through the same machinery as a
     /// real mismatch — the thread's effective TCF mode decides between
-    /// a synchronous error and an async latch, and the same stats and
-    /// telemetry fire — so downstream containment cannot tell it from
+    /// a synchronous error and an async latch, and the same stats fire —
+    /// so downstream containment cannot tell it from
     /// a genuine fault. The reported memory tag equals the pointer tag,
     /// which is the one signature that marks it as spurious in reports.
     #[cfg(feature = "stress-hooks")]
@@ -538,9 +530,6 @@ impl TaggedMemory {
         match effective {
             TcfMode::Sync => {
                 self.stats.count_sync_fault();
-                telemetry::record_rare(|| telemetry::Event::Fault {
-                    class: telemetry::FaultClass::Sync,
-                });
                 Err(MemError::TagCheck(Box::new(TagCheckFault {
                     kind: FaultKind::Sync,
                     pointer: TaggedPtr::from_addr(self.base + offset as u64).with_tag(ptag),
@@ -554,9 +543,6 @@ impl TaggedMemory {
             }
             TcfMode::Async => {
                 self.stats.count_async_fault();
-                telemetry::record_rare(|| telemetry::Event::Fault {
-                    class: telemetry::FaultClass::Async,
-                });
                 t.latch_async_fault(ptr, ptag, access);
                 Ok(())
             }
@@ -763,7 +749,6 @@ impl TaggedMemory {
     /// thread's random source.
     pub fn irg(&self, t: &MteThread, exclusion: TagExclusion) -> Tag {
         self.stats.count_irg();
-        telemetry::record_tag_op(TagOp::Irg, 1);
         #[cfg(feature = "stress-hooks")]
         if crate::inject::should_fail(crate::inject::InjectPoint::Irg) {
             // Tag-pool exhaustion: the generator falls back to the
@@ -788,7 +773,6 @@ impl TaggedMemory {
             return Err(MemError::Injected { point: "ldg" });
         }
         self.stats.count_ldg();
-        telemetry::record_tag_op(TagOp::Ldg, 1);
         if !self.page_is_mte(offset) {
             return Ok(Tag::UNTAGGED);
         }
@@ -811,7 +795,6 @@ impl TaggedMemory {
             return Err(MemError::Injected { point: "stg" });
         }
         self.stats.count_stg(1);
-        telemetry::record_tag_op(TagOp::Stg, 1);
         self.set_tag_nibble(offset / GRANULE, tag);
         Ok(())
     }
@@ -819,8 +802,8 @@ impl TaggedMemory {
     /// The `st2g` instruction: tags the granule containing `ptr` and the
     /// next one.
     ///
-    /// One bounds check, one `PROT_MTE` validation pass, and one
-    /// telemetry event cover both granules; if either granule is
+    /// One bounds check, one `PROT_MTE` validation pass, and one stats
+    /// update cover both granules; if either granule is
     /// unmappable neither is tagged.
     ///
     /// # Errors
@@ -839,7 +822,6 @@ impl TaggedMemory {
             return Err(MemError::Injected { point: "stg" });
         }
         self.stats.count_stg(2);
-        telemetry::record_tag_op(TagOp::Stg, 2);
         let g = offset / GRANULE;
         self.set_tag_span(g, g + 1, tag);
         Ok(())
@@ -863,7 +845,6 @@ impl TaggedMemory {
             return Err(MemError::Injected { point: "stg" });
         }
         self.stats.count_stg(1);
-        telemetry::record_tag_op(TagOp::Stg, 1);
         self.set_tag_nibble(offset / GRANULE, tag);
         // A granule is 16-byte aligned, so its data is exactly two words.
         self.data[offset / WORD].store(0, Ordering::Relaxed);
@@ -908,7 +889,6 @@ impl TaggedMemory {
         }
         self.set_tag_span(first, last, tag);
         self.stats.count_stg((last - first + 1) as u64);
-        telemetry::record_tag_op(TagOp::Stg, (last - first + 1) as u64);
         Ok(())
     }
 

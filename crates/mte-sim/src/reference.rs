@@ -29,8 +29,6 @@ use crate::tag::{Tag, TagExclusion, GRANULE, PAGE_SIZE};
 use crate::thread::{MteThread, TcfMode};
 use crate::Result;
 
-use telemetry::{Event, FaultClass, TagOp};
-
 /// Byte-granular scalar twin of [`crate::TaggedMemory`]. Same public
 /// surface, same observable behavior, an order of magnitude slower on
 /// bulk paths — by design.
@@ -167,7 +165,6 @@ impl ScalarMemory {
                 match effective {
                     TcfMode::Sync => {
                         self.stats.count_sync_fault();
-                        telemetry::record_rare(|| Event::Fault { class: FaultClass::Sync });
                         let fault_addr = self.base + (g * GRANULE).max(offset) as u64;
                         return Err(MemError::TagCheck(Box::new(TagCheckFault {
                             kind: FaultKind::Sync,
@@ -182,7 +179,6 @@ impl ScalarMemory {
                     }
                     TcfMode::Async => {
                         self.stats.count_async_fault();
-                        telemetry::record_rare(|| Event::Fault { class: FaultClass::Async });
                         t.latch_async_fault(ptr, mtag, access);
                     }
                     TcfMode::None | TcfMode::Asymm => unreachable!("resolved above"),
@@ -380,7 +376,6 @@ impl ScalarMemory {
     /// The `irg` instruction with operation counting.
     pub fn irg(&self, t: &MteThread, exclusion: TagExclusion) -> Tag {
         self.stats.count_irg();
-        telemetry::record(|| Event::TagOp { op: TagOp::Irg, granules: 1 });
         t.irg(exclusion)
     }
 
@@ -392,7 +387,6 @@ impl ScalarMemory {
     pub fn ldg(&self, ptr: TaggedPtr) -> Result<Tag> {
         let offset = self.offset_of(ptr.granule_base(), GRANULE)?;
         self.stats.count_ldg();
-        telemetry::record(|| Event::TagOp { op: TagOp::Ldg, granules: 1 });
         if !self.page_is_mte(offset) {
             return Ok(Tag::UNTAGGED);
         }
@@ -410,7 +404,6 @@ impl ScalarMemory {
             return Err(MemError::NotProtMte { addr: ptr.addr() });
         }
         self.stats.count_stg(1);
-        telemetry::record(|| Event::TagOp { op: TagOp::Stg, granules: 1 });
         self.tags[offset / GRANULE].store(tag.value(), Ordering::Relaxed);
         Ok(())
     }
@@ -432,7 +425,6 @@ impl ScalarMemory {
             });
         }
         self.stats.count_stg(2);
-        telemetry::record(|| Event::TagOp { op: TagOp::Stg, granules: 2 });
         self.tags[offset / GRANULE].store(tag.value(), Ordering::Relaxed);
         self.tags[offset / GRANULE + 1].store(tag.value(), Ordering::Relaxed);
         Ok(())
@@ -450,7 +442,6 @@ impl ScalarMemory {
             return Err(MemError::NotProtMte { addr: ptr.addr() });
         }
         self.stats.count_stg(1);
-        telemetry::record(|| Event::TagOp { op: TagOp::Stg, granules: 1 });
         self.tags[offset / GRANULE].store(tag.value(), Ordering::Relaxed);
         for i in 0..GRANULE {
             self.data[offset + i].store(0, Ordering::Relaxed);
@@ -484,10 +475,6 @@ impl ScalarMemory {
             self.tags[g].store(tag.value(), Ordering::Relaxed);
         }
         self.stats.count_stg((last - first + 1) as u64);
-        telemetry::record(|| Event::TagOp {
-            op: TagOp::Stg,
-            granules: u32::try_from(last - first + 1).unwrap_or(u32::MAX),
-        });
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! A process-wide named-counter registry.
 //!
-//! Counters complement the events and histograms: they are exact (never
-//! sampled), cheap to bump, and absorbed into [`crate::Snapshot`] under
+//! Counters complement the events and histograms: they are exact, named
+//! freely, cheap to bump, and absorbed into [`crate::Snapshot`] under
 //! dotted names — `mte.sync_faults`, `scheme.mte4jni.pool_hits`,
 //! `jni.guard_drops`, … Sources that already keep their own atomics
 //! (like `MteStats`) publish them at snapshot time via

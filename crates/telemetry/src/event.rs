@@ -1,28 +1,15 @@
-//! Structured runtime events and their compact 64-bit encoding.
+//! Structured runtime events and their exact process-wide tallies.
+//!
+//! Each [`Event`] recorded through [`crate::record`] bumps one relaxed
+//! atomic per event kind and, for interface-attributed events, one per
+//! [`JniInterface`]. Nothing is buffered, so nothing can be dropped: the
+//! snapshot digest reads the same totals the call sites produced.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::interface::JniInterface;
-
-/// A tag-manipulation instruction class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TagOp {
-    /// `irg` — random tag generation.
-    Irg,
-    /// `ldg` — tag load.
-    Ldg,
-    /// `stg`/`st2g`/`stzg` — tag stores (payload counts granules).
-    Stg,
-}
-
-impl TagOp {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TagOp::Irg => "irg",
-            TagOp::Ldg => "ldg",
-            TagOp::Stg => "stg",
-        }
-    }
-}
+use crate::snapshot::EventSummary;
 
 /// Synchronous vs. asynchronous tag-check fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -31,79 +18,6 @@ pub enum FaultClass {
     Sync,
     /// Imprecise fault latched in `TFSR`, surfaced at a kernel entry.
     Async,
-}
-
-impl FaultClass {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultClass::Sync => "sync",
-            FaultClass::Async => "async",
-        }
-    }
-}
-
-/// A fault-injection site inside the MTE simulator. The stress harness
-/// (`crates/stress`) installs a seeded injector and these identify which
-/// operation an injected fault hit, so snapshots can attribute failures
-/// to the injector rather than the scheme under test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum InjectPoint {
-    /// `irg` returned the excluded zero tag (tag-pool exhaustion).
-    Irg,
-    /// An `ldg` tag load failed.
-    Ldg,
-    /// An `stg`/`st2g`/tag-range store failed.
-    Stg,
-    /// The simulated native allocator reported arena exhaustion.
-    Alloc,
-    /// A spurious tag-check fault fired on a valid access.
-    Check,
-}
-
-impl InjectPoint {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            InjectPoint::Irg => "irg",
-            InjectPoint::Ldg => "ldg",
-            InjectPoint::Stg => "stg",
-            InjectPoint::Alloc => "alloc",
-            InjectPoint::Check => "check",
-        }
-    }
-
-    /// Stable subcode used by the event encoding and counter arrays.
-    pub fn index(self) -> u8 {
-        match self {
-            InjectPoint::Irg => 0,
-            InjectPoint::Ldg => 1,
-            InjectPoint::Stg => 2,
-            InjectPoint::Alloc => 3,
-            InjectPoint::Check => 4,
-        }
-    }
-
-    /// Inverse of [`InjectPoint::index`].
-    pub fn from_index(index: u8) -> Option<InjectPoint> {
-        Some(match index {
-            0 => InjectPoint::Irg,
-            1 => InjectPoint::Ldg,
-            2 => InjectPoint::Stg,
-            3 => InjectPoint::Alloc,
-            4 => InjectPoint::Check,
-            _ => return None,
-        })
-    }
-
-    /// Every injection point, in `index` order.
-    pub const ALL: [InjectPoint; 5] = [
-        InjectPoint::Irg,
-        InjectPoint::Ldg,
-        InjectPoint::Stg,
-        InjectPoint::Alloc,
-        InjectPoint::Check,
-    ];
 }
 
 /// Why an acquire was downgraded from the primary protection scheme to
@@ -116,37 +30,11 @@ pub enum DegradeReason {
     TagExhaustion,
 }
 
-impl DegradeReason {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DegradeReason::Quarantine => "quarantine",
-            DegradeReason::TagExhaustion => "tag_exhaustion",
-        }
-    }
-
-    /// Stable subcode used by the event encoding.
-    pub fn index(self) -> u8 {
-        match self {
-            DegradeReason::Quarantine => 0,
-            DegradeReason::TagExhaustion => 1,
-        }
-    }
-
-    /// Inverse of [`DegradeReason::index`].
-    pub fn from_index(index: u8) -> Option<DegradeReason> {
-        Some(match index {
-            0 => DegradeReason::Quarantine,
-            1 => DegradeReason::TagExhaustion,
-            _ => return None,
-        })
-    }
-}
-
 /// One structured telemetry event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// A `Get*` interface handed a raw pointer to native code.
+    /// A `Get*` interface handed a raw pointer to native code (region
+    /// copies count here too).
     Acquire {
         /// The interposing Table-1 interface.
         interface: JniInterface,
@@ -156,28 +44,10 @@ pub enum Event {
         /// The interposing Table-1 interface.
         interface: JniInterface,
     },
-    /// The simulated MTE hardware executed a tag instruction.
-    TagOp {
-        /// Which instruction class.
-        op: TagOp,
-        /// Granules touched (1 for `irg`/`ldg`).
-        granules: u32,
-    },
-    /// A tag-check fault was raised (sync) or latched (async).
-    Fault {
-        /// Fault class.
-        class: FaultClass,
-    },
     /// A trampoline flipped the per-thread `TCO` register.
-    TcoToggle {
-        /// True when checking became enabled (`TCO` cleared).
-        checking_enabled: bool,
-    },
+    TcoToggle,
     /// A GC scanner completed one scan pass.
-    GcScan {
-        /// Live objects visited.
-        objects: u32,
-    },
+    GcScan,
     /// An acquisition guard was dropped without an explicit
     /// `commit`/`abort` (auto-released with `JNI_ABORT`).
     GuardDrop {
@@ -186,15 +56,9 @@ pub enum Event {
     },
     /// The stress harness's fault injector forced a failure at a
     /// simulator operation.
-    InjectedFault {
-        /// Which operation the fault was injected into.
-        point: InjectPoint,
-    },
+    InjectedFault,
     /// The compacting collector completed one pass.
-    GcCompact {
-        /// Objects relocated during the pass.
-        moved: u32,
-    },
+    GcCompact,
     /// A tag-check fault was contained at the `call_native` boundary
     /// instead of aborting the VM (`FaultPolicy::Contain`).
     ContainedFault {
@@ -208,41 +72,49 @@ pub enum Event {
     },
 }
 
+/// The `by_kind` labels, in [`Event::kind_index`] order.
+const KIND_LABELS: [&str; 11] = [
+    "acquire",
+    "release",
+    "tco_toggle",
+    "gc_scan",
+    "guard_drop",
+    "injected_fault",
+    "gc_compact",
+    "contained_sync",
+    "contained_async",
+    "degraded_quarantine",
+    "degraded_tag_exhaustion",
+];
+
 impl Event {
-    /// Coarse event-kind label for summaries.
-    pub fn kind_label(self) -> &'static str {
+    /// Slot of this event's kind in [`KIND_LABELS`].
+    fn kind_index(self) -> usize {
         match self {
-            Event::Acquire { .. } => "acquire",
-            Event::Release { .. } => "release",
-            Event::TagOp { op, .. } => op.label(),
-            Event::Fault {
-                class: FaultClass::Sync,
-            } => "fault_sync",
-            Event::Fault {
-                class: FaultClass::Async,
-            } => "fault_async",
-            Event::TcoToggle { .. } => "tco_toggle",
-            Event::GcScan { .. } => "gc_scan",
-            Event::GuardDrop { .. } => "guard_drop",
-            Event::InjectedFault { .. } => "injected_fault",
-            Event::GcCompact { .. } => "gc_compact",
+            Event::Acquire { .. } => 0,
+            Event::Release { .. } => 1,
+            Event::TcoToggle => 2,
+            Event::GcScan => 3,
+            Event::GuardDrop { .. } => 4,
+            Event::InjectedFault => 5,
+            Event::GcCompact => 6,
             Event::ContainedFault {
                 class: FaultClass::Sync,
-            } => "contained_sync",
+            } => 7,
             Event::ContainedFault {
                 class: FaultClass::Async,
-            } => "contained_async",
+            } => 8,
             Event::Degraded {
                 reason: DegradeReason::Quarantine,
-            } => "degraded_quarantine",
+            } => 9,
             Event::Degraded {
                 reason: DegradeReason::TagExhaustion,
-            } => "degraded_tag_exhaustion",
+            } => 10,
         }
     }
 
     /// The interface this event is attributed to, if any.
-    pub fn interface(self) -> Option<JniInterface> {
+    fn interface(self) -> Option<JniInterface> {
         match self {
             Event::Acquire { interface }
             | Event::Release { interface }
@@ -250,157 +122,45 @@ impl Event {
             _ => None,
         }
     }
+}
 
-    /// Packs into a nonzero `u64` (zero is the empty-slot sentinel in
-    /// the ring buffer): `[63:60]` kind, `[59:56]` subcode, `[31:0]`
-    /// payload.
-    pub(crate) fn encode(self) -> u64 {
-        let (kind, sub, payload): (u64, u64, u64) = match self {
-            Event::Acquire { interface } => (1, u64::from(interface.index()), 0),
-            Event::Release { interface } => (2, u64::from(interface.index()), 0),
-            Event::TagOp { op, granules } => {
-                let sub = match op {
-                    TagOp::Irg => 0,
-                    TagOp::Ldg => 1,
-                    TagOp::Stg => 2,
-                };
-                (3, sub, u64::from(granules))
-            }
-            Event::Fault { class } => (4, matches!(class, FaultClass::Async) as u64, 0),
-            Event::TcoToggle { checking_enabled } => (5, u64::from(checking_enabled), 0),
-            Event::GcScan { objects } => (6, 0, u64::from(objects)),
-            Event::GuardDrop { interface } => (7, u64::from(interface.index()), 0),
-            Event::InjectedFault { point } => (8, u64::from(point.index()), 0),
-            Event::GcCompact { moved } => (9, 0, u64::from(moved)),
-            Event::ContainedFault { class } => {
-                (10, matches!(class, FaultClass::Async) as u64, 0)
-            }
-            Event::Degraded { reason } => (11, u64::from(reason.index()), 0),
-        };
-        (kind << 60) | (sub << 56) | payload
-    }
+static BY_KIND: [AtomicU64; KIND_LABELS.len()] = [const { AtomicU64::new(0) }; KIND_LABELS.len()];
+static BY_INTERFACE: [AtomicU64; JniInterface::ALL.len()] =
+    [const { AtomicU64::new(0) }; JniInterface::ALL.len()];
 
-    /// Decodes a packed event; `None` for the empty sentinel or a word
-    /// torn by a concurrent overwrite (the drain skips those).
-    pub(crate) fn decode(word: u64) -> Option<Event> {
-        let kind = word >> 60;
-        let sub = ((word >> 56) & 0xF) as u8;
-        let payload = (word & 0xFFFF_FFFF) as u32;
-        match kind {
-            1 => Some(Event::Acquire {
-                interface: JniInterface::from_index(sub)?,
-            }),
-            2 => Some(Event::Release {
-                interface: JniInterface::from_index(sub)?,
-            }),
-            3 => {
-                let op = match sub {
-                    0 => TagOp::Irg,
-                    1 => TagOp::Ldg,
-                    2 => TagOp::Stg,
-                    _ => return None,
-                };
-                Some(Event::TagOp {
-                    op,
-                    granules: payload,
-                })
-            }
-            4 => Some(Event::Fault {
-                class: if sub == 1 {
-                    FaultClass::Async
-                } else {
-                    FaultClass::Sync
-                },
-            }),
-            5 => Some(Event::TcoToggle {
-                checking_enabled: sub == 1,
-            }),
-            6 => Some(Event::GcScan { objects: payload }),
-            7 => Some(Event::GuardDrop {
-                interface: JniInterface::from_index(sub)?,
-            }),
-            8 => Some(Event::InjectedFault {
-                point: InjectPoint::from_index(sub)?,
-            }),
-            9 => Some(Event::GcCompact { moved: payload }),
-            10 => Some(Event::ContainedFault {
-                class: if sub == 1 {
-                    FaultClass::Async
-                } else {
-                    FaultClass::Sync
-                },
-            }),
-            11 => Some(Event::Degraded {
-                reason: DegradeReason::from_index(sub)?,
-            }),
-            _ => None,
-        }
+/// Counts `event` under its kind and, if it has one, its interface.
+pub(crate) fn count(event: Event) {
+    BY_KIND[event.kind_index()].fetch_add(1, Ordering::Relaxed);
+    if let Some(interface) = event.interface() {
+        BY_INTERFACE[usize::from(interface.index())].fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// An event as returned from a drain, with its origin thread.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DrainedEvent {
-    /// Name of the thread that recorded the event.
-    pub thread: String,
-    /// Per-thread sequence number (monotonic, gaps mean overwrites).
-    pub seq: u64,
-    /// The event itself.
-    pub event: Event,
+/// The tallies since the last [`reset`]; kinds and interfaces never
+/// seen are omitted.
+pub(crate) fn summary() -> EventSummary {
+    fn nonzero<'a>(
+        labels: impl IntoIterator<Item = &'a str>,
+        counts: &[AtomicU64],
+    ) -> BTreeMap<String, u64> {
+        labels
+            .into_iter()
+            .zip(counts)
+            .map(|(label, n)| (label.to_owned(), n.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    }
+    let by_kind = nonzero(KIND_LABELS, &BY_KIND);
+    EventSummary {
+        total: by_kind.values().sum(),
+        by_kind,
+        by_interface: nonzero(JniInterface::ALL.map(JniInterface::label), &BY_INTERFACE),
+    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let samples = [
-            Event::Acquire {
-                interface: JniInterface::PrimitiveArrayCritical,
-            },
-            Event::Release {
-                interface: JniInterface::StringUtfChars,
-            },
-            Event::TagOp {
-                op: TagOp::Stg,
-                granules: 12345,
-            },
-            Event::Fault {
-                class: FaultClass::Async,
-            },
-            Event::Fault {
-                class: FaultClass::Sync,
-            },
-            Event::TcoToggle {
-                checking_enabled: true,
-            },
-            Event::GcScan { objects: 77 },
-            Event::GuardDrop {
-                interface: JniInterface::ArrayElements,
-            },
-            Event::InjectedFault {
-                point: InjectPoint::Stg,
-            },
-            Event::GcCompact { moved: 4242 },
-            Event::ContainedFault {
-                class: FaultClass::Sync,
-            },
-            Event::ContainedFault {
-                class: FaultClass::Async,
-            },
-            Event::Degraded {
-                reason: DegradeReason::Quarantine,
-            },
-            Event::Degraded {
-                reason: DegradeReason::TagExhaustion,
-            },
-        ];
-        for e in samples {
-            let word = e.encode();
-            assert_ne!(word, 0, "{e:?} must not encode to the sentinel");
-            assert_eq!(Event::decode(word), Some(e));
-        }
-        assert_eq!(Event::decode(0), None);
+/// Zeroes every tally.
+pub(crate) fn reset() {
+    for n in BY_KIND.iter().chain(&BY_INTERFACE) {
+        n.store(0, Ordering::Relaxed);
     }
 }

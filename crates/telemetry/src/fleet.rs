@@ -19,15 +19,6 @@ pub fn tenant_scheme(tenant: u32, scheme: &str) -> String {
     format!("tenant{tenant}/{scheme}")
 }
 
-/// Splits a tenant-qualified scheme key back into `(tenant, scheme)`.
-/// Returns `None` for keys not produced by [`tenant_scheme`].
-pub fn parse_tenant_scheme(key: &str) -> Option<(u32, &str)> {
-    let rest = key.strip_prefix("tenant")?;
-    let slash = rest.find('/')?;
-    let tenant = rest[..slash].parse().ok()?;
-    Some((tenant, &rest[slash + 1..]))
-}
-
 /// Merged request-latency summary for one tenant, combined across all
 /// size classes and interfaces recorded under its scheme key.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -228,18 +219,12 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn tenant_keys_round_trip() {
-        let key = tenant_scheme(7, "lock-free");
-        assert_eq!(key, "tenant7/lock-free");
-        assert_eq!(parse_tenant_scheme(&key), Some((7, "lock-free")));
-        assert_eq!(parse_tenant_scheme("lock-free"), None);
-        assert_eq!(parse_tenant_scheme("tenantX/y"), None);
-    }
-
-    #[test]
     fn rollup_merges_histograms_and_exports_json() {
+        let _serial = crate::GLOBAL_STATE_TESTS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         crate::set_enabled(true);
-        crate::set_sample_every(1);
+        assert_eq!(tenant_scheme(7, "lock-free"), "tenant7/lock-free");
         // Two size classes under one tenant key merge into one summary.
         let scheme = "rollup-test";
         let tenant = 42;

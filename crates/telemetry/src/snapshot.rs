@@ -3,14 +3,13 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::DrainedEvent;
 use crate::hist::{HistKey, LatencyOp, SizeClass};
 use crate::json::JsonValue;
 
 /// Version of the JSON schema emitted by [`Snapshot::to_json`] and the
 /// bench `--json` exports. Bump on any breaking shape change and
 /// document the migration in DESIGN.md §8.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Percentile summary of one registered latency histogram.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,13 +59,11 @@ impl HistogramSummary {
     }
 }
 
-/// Digest of the drained event stream.
+/// Exact event counts since the last [`crate::reset`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EventSummary {
-    /// Events drained into this snapshot.
+    /// Events recorded.
     pub total: u64,
-    /// Events lost to ring overwrites (process lifetime).
-    pub dropped: u64,
     /// Count per event-kind label.
     pub by_kind: BTreeMap<String, u64>,
     /// Acquire/release/guard-drop count per interface label.
@@ -74,28 +71,9 @@ pub struct EventSummary {
 }
 
 impl EventSummary {
-    /// Builds a digest from drained events plus the global drop count.
-    pub fn from_events(events: &[DrainedEvent], dropped: u64) -> EventSummary {
-        let mut by_kind = BTreeMap::new();
-        let mut by_interface = BTreeMap::new();
-        for e in events {
-            *by_kind.entry(e.event.kind_label().to_owned()).or_insert(0) += 1;
-            if let Some(iface) = e.event.interface() {
-                *by_interface.entry(iface.label().to_owned()).or_insert(0) += 1;
-            }
-        }
-        EventSummary {
-            total: events.len() as u64,
-            dropped,
-            by_kind,
-            by_interface,
-        }
-    }
-
     fn to_json(&self) -> JsonValue {
         let mut o = JsonValue::object();
         o.insert("total", self.total)
-            .insert("dropped", self.dropped)
             .insert("by_kind", JsonValue::from(&self.by_kind))
             .insert("by_interface", JsonValue::from(&self.by_interface));
         o
@@ -103,8 +81,7 @@ impl EventSummary {
 }
 
 /// One coherent view of everything the telemetry layer knows: the
-/// counter registry, every latency histogram, and a digest of the event
-/// stream drained at collection time.
+/// counter registry, every latency histogram, and the event counts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
     /// The JSON schema version this snapshot serializes as.
@@ -113,20 +90,15 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// All latency histograms, sorted by key.
     pub histograms: Vec<HistogramSummary>,
-    /// Event-stream digest.
+    /// Event counts.
     pub events: EventSummary,
 }
 
 impl Snapshot {
-    /// Collects the process-wide snapshot. Drains pending ring events:
-    /// collecting is consuming for the event stream (counters and
-    /// histograms are cumulative and unaffected).
+    /// Collects the process-wide snapshot. Collecting reads without
+    /// consuming: counters, histograms and event counts all stay
+    /// cumulative until [`crate::reset`].
     pub fn collect() -> Snapshot {
-        // Push the calling thread's batched tag ops into the rings first,
-        // or a snapshot taken right after a burst of tag instructions
-        // would miss the partial batch (see `record_tag_op`).
-        crate::flush_tag_ops();
-        let events = crate::ring::drain_all();
         let histograms = crate::hist::all_histograms()
             .into_iter()
             .map(|(key, h)| summarize(&key, &h))
@@ -135,7 +107,7 @@ impl Snapshot {
             schema_version: SCHEMA_VERSION,
             counters: crate::counters().snapshot(),
             histograms,
-            events: EventSummary::from_events(&events, crate::ring::dropped_total()),
+            events: crate::event::summary(),
         }
     }
 
@@ -172,39 +144,6 @@ fn summarize(key: &HistKey, h: &crate::hist::LatencyHistogram) -> HistogramSumma
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
-    use crate::interface::JniInterface;
-
-    #[test]
-    fn event_summary_counts_kinds_and_interfaces() {
-        let events = vec![
-            DrainedEvent {
-                thread: "t".into(),
-                seq: 0,
-                event: Event::Acquire {
-                    interface: JniInterface::ArrayElements,
-                },
-            },
-            DrainedEvent {
-                thread: "t".into(),
-                seq: 1,
-                event: Event::Release {
-                    interface: JniInterface::ArrayElements,
-                },
-            },
-            DrainedEvent {
-                thread: "t".into(),
-                seq: 2,
-                event: Event::GcScan { objects: 3 },
-            },
-        ];
-        let s = EventSummary::from_events(&events, 7);
-        assert_eq!(s.total, 3);
-        assert_eq!(s.dropped, 7);
-        assert_eq!(s.by_kind["acquire"], 1);
-        assert_eq!(s.by_kind["gc_scan"], 1);
-        assert_eq!(s.by_interface["ArrayElements"], 2);
-    }
 
     #[test]
     fn snapshot_json_has_the_schema_version() {

@@ -1,9 +1,9 @@
 //! Trace record hook: a process-wide sink for deterministic JNI event
 //! logs (DESIGN §14).
 //!
-//! Unlike the sampled telemetry ring, this module is **always compiled**
-//! (no feature gate) and **off by default**: every `emit` call pays one
-//! relaxed atomic load when no recorder is installed. The runtime layers
+//! Unlike the per-kind event counts, this is an ordered stream. It is
+//! **off by default**: every `emit` call pays one relaxed atomic load
+//! when no recorder is installed. The runtime layers
 //! (jni trampoline/env funnel, heap GC, containment) call [`emit`] at
 //! their semantic boundary points; a recorder (see `crates/trace`)
 //! installs a [`TraceSink`] to capture the stream and serialize it.

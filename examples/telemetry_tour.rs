@@ -8,11 +8,8 @@
 use mte4jni_repro::prelude::*;
 
 fn main() {
-    // Telemetry is compiled in (feature "telemetry", on by default) but
-    // recording is off until enabled. `set_sample_every(1)` records every
-    // eligible event; production-style use would sample, e.g. every 64th.
+    // Recording is off until enabled.
     telemetry::set_enabled(true);
-    telemetry::set_sample_every(1);
 
     let vm = mte4jni::mte4jni_vm(TcfMode::Sync, Mte4JniConfig::default());
     let thread = vm.attach_thread("tour");
@@ -36,7 +33,8 @@ fn main() {
     env.release_int_array_elements(&a, elems, ReleaseMode::Abort).unwrap();
 
     // String traffic, and one out-of-bounds write that the sync MTE
-    // check catches — it shows up as a `fault_sync` event below.
+    // check catches — it shows up as `scheme.mte4jni.mte.sync_faults`
+    // below.
     let s = env.new_string("telemetry").unwrap();
     let chars = env.get_string_critical(&s).unwrap();
     env.release_string_critical(&s, chars).unwrap();
@@ -48,10 +46,10 @@ fn main() {
     })
     .unwrap();
 
-    // One snapshot gathers everything: per-thread event rings are merged
-    // and drained, the scheme's counters are published into the registry,
-    // and latency histograms report p50/p90/p99 per
-    // (scheme, interface, size class).
+    // One snapshot gathers everything: exact event counts per kind and
+    // interface, the scheme's counters published into the registry, and
+    // latency histograms with p50/p90/p99 per (scheme, interface, size
+    // class).
     let snapshot = vm.telemetry_snapshot();
     println!("{}", snapshot.to_json().to_pretty_string());
 

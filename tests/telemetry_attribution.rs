@@ -1,10 +1,11 @@
 //! End-to-end per-interface telemetry attribution for one MTE4JNI OOB
 //! scenario: acquire → tag ops → sync fault → release, all visible in a
-//! single [`telemetry::Snapshot`] keyed by `JniInterface`.
+//! single [`telemetry::Snapshot`]: events keyed by `JniInterface`, tag
+//! instructions and faults in the scheme's published `MteStats`.
 //!
-//! Telemetry state is process-global (per-thread rings, one counter
-//! registry), so this file holds exactly one test: sharing a binary with
-//! other telemetry-enabling tests would race on the rings and counters.
+//! Telemetry state is process-global (one set of event counts, one
+//! counter registry), so this file holds exactly one test: sharing a
+//! binary with other telemetry-enabling tests would race on the counts.
 
 use mte4jni_repro::prelude::*;
 
@@ -12,7 +13,6 @@ use mte4jni_repro::prelude::*;
 fn oob_scenario_attributes_events_to_primitive_array_critical() {
     telemetry::reset();
     telemetry::set_enabled(true);
-    telemetry::set_sample_every(1);
 
     let vm = Scheme::Mte4JniSync.build_vm();
     let thread = vm.attach_thread("attribution");
@@ -41,27 +41,29 @@ fn oob_scenario_attributes_events_to_primitive_array_critical() {
         "acquire + release both attributed: {by_if:?}"
     );
 
-    // Event kinds: the whole causal chain is visible in one snapshot.
+    // The whole causal chain is visible in one snapshot: the borrow's
+    // events, and the tag instructions and fault the scheme's MteStats
+    // counted exactly.
     let kinds = &snap.events.by_kind;
     assert!(kinds["acquire"] >= 1);
     assert!(kinds["release"] >= 1);
+    let counters = &snap.counters;
     assert!(
-        kinds.get("irg").copied().unwrap_or(0) >= 1,
-        "acquire drew a random tag: {kinds:?}"
+        counters["scheme.mte4jni.mte.irg_ops"] >= 1,
+        "acquire drew a random tag: {counters:?}"
     );
     assert!(
-        kinds.get("stg").copied().unwrap_or(0) >= 1,
-        "tags were written to granules: {kinds:?}"
+        counters["scheme.mte4jni.mte.stg_ops"] >= 1,
+        "tags were written to granules: {counters:?}"
     );
     assert!(
-        kinds["fault_sync"] >= 1,
-        "the OOB write tripped a synchronous fault: {kinds:?}"
+        counters["scheme.mte4jni.mte.sync_faults"] >= 1,
+        "the OOB write tripped a synchronous fault: {counters:?}"
     );
 
     // Scheme counters flow through the shared registry under one prefix.
-    assert!(snap.counters["scheme.mte4jni.acquires"] >= 1);
-    assert!(snap.counters["scheme.mte4jni.releases"] >= 1);
-    assert!(snap.counters["scheme.mte4jni.mte.sync_faults"] >= 1);
+    assert!(counters["scheme.mte4jni.acquires"] >= 1);
+    assert!(counters["scheme.mte4jni.releases"] >= 1);
     // The lock-free default has no table mutex to count; the slab
     // materialized at least one chunk for the first acquire, and each
     // last release freed its tag at once (no safepoint needed).

@@ -3,42 +3,33 @@
 //! match what was recorded, exact counter totals, and a histogram
 //! population equal to the recorded samples.
 //!
-//! Telemetry state is process-global (per-thread rings, one counter
-//! registry), so this file holds exactly one test: sharing a binary with
-//! other telemetry-enabling tests would race on the rings and counters.
+//! Telemetry state is process-global (one set of event counts, one
+//! counter registry), so this file holds exactly one test: sharing a
+//! binary with other telemetry-enabling tests would race on the counts.
 
 use std::time::Duration;
 
-use telemetry::{Event, JniInterface, LatencyOp, SizeClass, Snapshot, TagOp};
+use telemetry::{Event, JniInterface, LatencyOp, SizeClass, Snapshot};
 
 const WRITERS: usize = 8;
-const ACQUIRES_PER_WRITER: u64 = 200;
-const TAG_OPS_PER_WRITER: u64 = 100;
+/// Far past any fixed per-thread buffer: every event must be counted.
+const ACQUIRES_PER_WRITER: u64 = 5_000;
 const SAMPLES_PER_WRITER: u64 = 50;
 
 #[test]
 fn concurrent_writers_yield_a_consistent_snapshot() {
     telemetry::reset();
     telemetry::set_enabled(true);
-    telemetry::set_sample_every(1);
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             scope.spawn(move || {
-                // Each writer stays under the per-thread ring capacity
-                // (1024), so nothing is dropped and the snapshot must
-                // account for every single event.
                 let interfaces = JniInterface::ALL;
                 for i in 0..ACQUIRES_PER_WRITER {
                     let interface = interfaces[(w + i as usize) % interfaces.len()];
-                    telemetry::record(|| Event::Acquire { interface });
-                    telemetry::record(|| Event::Release { interface });
+                    telemetry::record(Event::Acquire { interface });
+                    telemetry::record(Event::Release { interface });
                     telemetry::counters().add("test.acquires", 1);
-                }
-                for op in [TagOp::Irg, TagOp::Ldg, TagOp::Stg] {
-                    for _ in 0..TAG_OPS_PER_WRITER {
-                        telemetry::record(|| Event::TagOp { op, granules: 4 });
-                    }
                 }
                 for i in 0..SAMPLES_PER_WRITER {
                     telemetry::record_latency_duration(
@@ -56,21 +47,16 @@ fn concurrent_writers_yield_a_consistent_snapshot() {
     let snap = Snapshot::collect();
     let writers = WRITERS as u64;
 
-    // No writer exceeded its ring: the digest covers every event.
-    assert_eq!(snap.events.dropped, 0, "rings must not have wrapped");
-
     // Per-kind counts match exactly what the writers recorded.
     let kinds = &snap.events.by_kind;
     assert_eq!(kinds["acquire"], writers * ACQUIRES_PER_WRITER);
     assert_eq!(kinds["release"], writers * ACQUIRES_PER_WRITER);
-    for kind in ["irg", "ldg", "stg"] {
-        assert_eq!(kinds[kind], writers * TAG_OPS_PER_WRITER, "kind {kind}");
-    }
+    assert_eq!(snap.events.total, writers * ACQUIRES_PER_WRITER * 2);
 
     // Per-interface counts: every acquire and release carries an
-    // interface, tag ops carry none — the interface total is exactly the
-    // acquire+release population, and each interface never exceeds the
-    // exact counter total.
+    // interface, so the interface total is exactly the acquire+release
+    // population, and each interface never exceeds the exact counter
+    // total.
     let by_if = &snap.events.by_interface;
     let interface_total: u64 = by_if.values().sum();
     assert_eq!(interface_total, writers * ACQUIRES_PER_WRITER * 2);
