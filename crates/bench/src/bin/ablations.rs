@@ -42,20 +42,7 @@ fn tag_conflict_probability(args: &Args, report: &mut BenchReport) {
     let trials: usize = args.value("--trials", 2000);
     report.param("trials", trials);
     println!("--- 1. tag-conflict probability ({trials} trials) ---");
-    for (label, config) in [
-        ("paper config", TableConfig::default()),
-        (
-            "with neighbour-tag exclusion (extension)",
-            TableConfig { exclude_neighbor_tags: true, ..TableConfig::default() },
-        ),
-    ] {
-        run_conflict_trials(label, config, trials, report);
-    }
-    println!();
-}
-
-fn run_conflict_trials(label: &str, config: TableConfig, trials: usize, report: &mut BenchReport) {
-    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, config);
+    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, TableConfig::default());
     let thread = vm.attach_thread("ablation");
     let env = vm.env(&thread);
 
@@ -97,7 +84,6 @@ fn run_conflict_trials(label: &str, config: TableConfig, trials: usize, report: 
         }
         vm.heap().sweep();
     }
-    println!("[{label}]");
     println!(
         "  OOB into a live tagged neighbour : missed {missed_live}/{trials} = {:.2}%",
         100.0 * missed_live as f64 / trials as f64
@@ -106,9 +92,9 @@ fn run_conflict_trials(label: &str, config: TableConfig, trials: usize, report: 
         "  OOB into released (zeroed) memory: missed {missed_released}/{trials} = {:.2}%",
         100.0 * missed_released as f64 / trials as f64
     );
+    println!();
     report.row(vec![
         ("section", JsonValue::from("tag_conflict")),
-        ("config", JsonValue::from(label)),
         ("missed_live", JsonValue::from(missed_live)),
         ("missed_released", JsonValue::from(missed_released)),
         ("trials", JsonValue::from(trials)),

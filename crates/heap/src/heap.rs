@@ -26,11 +26,6 @@ use crate::world::WorldGate;
 use crate::types::PrimitiveType;
 use crate::Result;
 
-/// Callback invoked for every relocated object during compaction, with
-/// the old and new *payload* addresses — the keys a protection scheme's
-/// tag table uses.
-pub type RelocationHook = Arc<dyn Fn(u64, u64) + Send + Sync>;
-
 /// Which GC safepoint a [`SafepointHook`] invocation marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SafepointPhase {
@@ -78,10 +73,6 @@ pub struct HeapConfig {
     pub alignment: usize,
     /// Whether heap pages are mapped with `PROT_MTE`.
     pub prot_mte: bool,
-    /// Whether every object is tagged with a random tag at *allocation*
-    /// time (the HWASan/HeMate-style policy from the paper's related
-    /// work, §6.2) rather than at JNI acquisition. Requires `prot_mte`.
-    pub tag_on_alloc: bool,
 }
 
 impl HeapConfig {
@@ -92,7 +83,6 @@ impl HeapConfig {
             memory: MemoryConfig::default(),
             alignment: 16,
             prot_mte: true,
-            tag_on_alloc: false,
         }
     }
 
@@ -102,7 +92,6 @@ impl HeapConfig {
             memory: MemoryConfig::default(),
             alignment: 8,
             prot_mte: false,
-            tag_on_alloc: false,
         }
     }
 
@@ -113,18 +102,6 @@ impl HeapConfig {
             memory: MemoryConfig::default(),
             alignment: 8,
             prot_mte: true,
-            tag_on_alloc: false,
-        }
-    }
-
-    /// HWASan/HeMate-style policy: every object receives a random tag at
-    /// allocation time (related-work comparison point, §6.2).
-    pub fn alloc_tagged() -> HeapConfig {
-        HeapConfig {
-            memory: MemoryConfig::default(),
-            alignment: 16,
-            prot_mte: true,
-            tag_on_alloc: true,
         }
     }
 }
@@ -155,9 +132,6 @@ struct HeapInner {
     /// insertion hold it shared (recursively — an accessor may nest
     /// inside another gated section on the same thread).
     world: WorldGate,
-    /// Notified for each moved object so protection schemes can rehome
-    /// tag-table entries keyed by payload address.
-    relocation_hook: Mutex<Option<RelocationHook>>,
     /// Notified at GC safepoints (sweep, compaction begin) before the
     /// collector acts, so protection schemes can purge entries for the
     /// collector's candidates.
@@ -177,8 +151,6 @@ struct HeapInner {
     compactions: AtomicU64,
     moved_objects_total: AtomicU64,
     moved_bytes_total: AtomicU64,
-    /// xorshift state for allocation-time tag generation.
-    tag_rng: AtomicU64,
 }
 
 /// A simulated ART-style Java heap.
@@ -219,10 +191,6 @@ impl Heap {
             config.alignment == 8 || config.alignment == 16,
             "object alignment must be 8 or 16"
         );
-        assert!(
-            !config.tag_on_alloc || config.prot_mte,
-            "allocation-time tagging requires a PROT_MTE heap"
-        );
         let memory = TaggedMemory::new(config.memory);
         let heap_len = (memory.size() / 4 * 3) & !(mte_sim::PAGE_SIZE - 1);
         let heap_start = memory.base();
@@ -242,7 +210,6 @@ impl Heap {
                 objects: Mutex::new(HashMap::new()),
                 pins: PinLedger::default(),
                 world: WorldGate::default(),
-                relocation_hook: Mutex::new(None),
                 safepoint_hook: Mutex::new(None),
                 sweep_serial: SchedMutex::new(()),
                 allocated_total: AtomicU64::new(0),
@@ -251,7 +218,6 @@ impl Heap {
                 compactions: AtomicU64::new(0),
                 moved_objects_total: AtomicU64::new(0),
                 moved_bytes_total: AtomicU64::new(0),
-                tag_rng: AtomicU64::new(0x2545_F491_4F6C_DD1D),
             }),
         }
     }
@@ -303,10 +269,6 @@ impl Heap {
         mem.write_bytes_unchecked(header, &hdr)?;
         // Java zero-initializes payloads.
         mem.fill_unchecked(header.wrapping_add(HEADER_SIZE as u64), byte_len, 0)?;
-        if self.inner.config.tag_on_alloc {
-            let tag = self.next_alloc_tag();
-            mem.set_tag_range(header, addr + block_len as u64, tag)?;
-        }
         let token = Arc::new(LiveToken::new(addr, kind, len));
         objects.insert(
             addr,
@@ -319,32 +281,6 @@ impl Heap {
         drop(objects);
         self.inner.allocated_total.fetch_add(1, Ordering::Relaxed);
         Ok(token)
-    }
-
-    /// Generates a non-zero allocation tag (xorshift over the shared
-    /// state; tag 0 is reserved for untagged memory).
-    fn next_alloc_tag(&self) -> Tag {
-        fn xorshift(mut x: u64) -> u64 {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x
-        }
-        loop {
-            // One atomic step: a separate load/store pair let racing
-            // allocators observe the same state and walk away with
-            // identical "random" tags.
-            let prev = self
-                .inner
-                .tag_rng
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |x| Some(xorshift(x)))
-                .expect("xorshift update is infallible");
-            let x = xorshift(prev);
-            let tag = Tag::from_low_bits((x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as u8);
-            if !tag.is_untagged() {
-                return tag;
-            }
-        }
     }
 
     /// Allocates a zero-filled primitive array.
@@ -508,12 +444,6 @@ impl Heap {
         self.inner.pins.token(addr).map(|token| ObjectRef { token })
     }
 
-    /// Installs the compaction relocation callback (old payload address,
-    /// new payload address). Replaces any previous hook.
-    pub fn set_relocation_hook(&self, hook: impl Fn(u64, u64) + Send + Sync + 'static) {
-        *self.inner.relocation_hook.lock() = Some(Arc::new(hook));
-    }
-
     /// Installs the GC safepoint callback. Replaces any previous hook.
     pub fn set_safepoint_hook(&self, hook: impl Fn(&Safepoint<'_>) + Send + Sync + 'static) {
         *self.inner.safepoint_hook.lock() = Some(Arc::new(hook));
@@ -627,10 +557,11 @@ impl Heap {
     /// Mark–compact collection over the block allocator: slides every
     /// unpinned live object toward the bottom of the heap, reclaims dead
     /// objects, rewrites handles through their shared liveness tokens,
-    /// migrates memory tags with the payload (re-tags the destination,
-    /// zeroes the source), and fires the relocation hook per move so the
-    /// protection scheme can rehome tag-table entries. Pinned objects are
-    /// immovable obstacles, exactly like ART's critical-section pinning.
+    /// and migrates memory tags with the payload (re-tags the destination,
+    /// zeroes the source). The protection scheme's safepoint hook runs
+    /// first, so no tag-table entry is keyed to an object that moves.
+    /// Pinned objects are immovable obstacles, exactly like ART's
+    /// critical-section pinning.
     ///
     /// Runs stop-the-world: payload accessors block on the world gate for
     /// the duration.
@@ -682,7 +613,6 @@ impl Heap {
         let mut stats = CompactStats::default();
         let mut cursor = heap_start;
         let mut layout: Vec<(u64, u64)> = Vec::with_capacity(entries.len());
-        let mut moves: Vec<(u64, u64)> = Vec::new();
         let mut buf = Vec::new();
         for (addr, meta) in entries {
             let block_len = meta.block_len as u64;
@@ -758,7 +688,6 @@ impl Heap {
                 }
             }
             token.relocate(new_addr);
-            moves.push((addr + HEADER_SIZE as u64, new_addr + HEADER_SIZE as u64));
             stats.moved_objects += 1;
             stats.moved_bytes += meta.block_len;
             objects.insert(new_addr, meta);
@@ -790,15 +719,6 @@ impl Heap {
             }
         }
         drop(objects);
-        // Rehome tag-table entries keyed by moved payload addresses while
-        // the world is still stopped, so no acquire can observe a
-        // half-moved key.
-        let hook = self.inner.relocation_hook.lock().clone();
-        if let Some(hook) = hook {
-            for &(old, new) in &moves {
-                hook(old, new);
-            }
-        }
         drop(world);
         stats.pause = t0.elapsed();
         self.inner
@@ -1464,25 +1384,6 @@ mod tests {
     }
 
     #[test]
-    fn relocation_hook_reports_payload_moves() {
-        let h = heap();
-        let moves = Arc::new(Mutex::new(Vec::new()));
-        {
-            let m = Arc::clone(&moves);
-            h.set_relocation_hook(move |old, new| m.lock().push((old, new)));
-        }
-        let garbage = h.alloc_int_array(16).unwrap();
-        let live = h.alloc_int_array(16).unwrap();
-        let old_payload = live.data_addr();
-        drop(garbage);
-        h.sweep();
-        let stats = h.compact();
-        assert_eq!(stats.moved_objects, 1);
-        assert_ne!(live.data_addr(), old_payload);
-        assert_eq!(*moves.lock(), vec![(old_payload, live.data_addr())]);
-    }
-
-    #[test]
     fn compaction_reuses_reclaimed_space_for_new_allocations() {
         let h = heap();
         let mut survivors = Vec::new();
@@ -1499,25 +1400,5 @@ mod tests {
         let expected = survivors.iter().map(|s| s.addr()).max().unwrap() + 32;
         let next = h.alloc_int_array(4).unwrap();
         assert_eq!(next.addr(), expected);
-    }
-
-    #[test]
-    fn racing_allocators_get_distinct_tag_streams() {
-        let h = Heap::new(HeapConfig::alloc_tagged());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..200 {
-                        let a = h.alloc_byte_array(8).unwrap();
-                        let tag = h.memory().raw_tag_at(a.addr()).unwrap();
-                        assert!(!tag.is_untagged(), "allocation tags are never zero");
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
     }
 }

@@ -95,14 +95,6 @@ pub trait Protection: Send + Sync + fmt::Debug {
         false
     }
 
-    /// Notifies the scheme that the compacting collector moved an object:
-    /// any internal state keyed by `old_payload` (e.g. a tag-table entry)
-    /// must be rehomed to `new_payload`. Called with the world stopped, so
-    /// no acquire or release can run concurrently. Only objects with no
-    /// outstanding borrow are ever moved, so most schemes track nothing
-    /// for them — the default is a no-op.
-    fn on_relocate(&self, _old_payload: u64, _new_payload: u64) {}
-
     /// Notifies the scheme of a GC safepoint *before* the collector
     /// acts: a sweep about to reclaim dead, unpinned candidates, or a
     /// compaction about to move every unpinned object. Schemes whose

@@ -211,8 +211,9 @@ impl Vm {
     /// Starts a background scanner whose cycles run the compacting
     /// collector instead of the plain sweep ([`Heap::compact`]): pinned
     /// objects are left in place, everything else slides down, and the
-    /// protection scheme's [`Protection::on_relocate`] hook rehomes any
-    /// per-object state (e.g. tag-table entries) for each move.
+    /// protection scheme's [`Protection::on_safepoint`] hook first
+    /// retires any per-object state (e.g. tag-table entries) it still
+    /// holds for an object about to move.
     pub fn start_compacting_gc(&self, interval: Duration) -> GcScanner {
         GcScanner::start(
             &self.heap,
@@ -307,25 +308,14 @@ impl VmBuilder {
         self
     }
 
-    /// Builds the VM. The heap's relocation and safepoint hooks are
-    /// wired to the protection scheme so a compacting collection
-    /// rehomes whatever per-object state the scheme keeps (e.g. MTE4JNI
-    /// tag-table entries) before mutators resume, and every sweep or
-    /// compaction lets the scheme retire entries it still holds for
-    /// the collector's candidates before the collector acts on them.
+    /// Builds the VM. The heap's safepoint hook is wired to the
+    /// protection scheme so every sweep or compaction lets the scheme
+    /// retire entries it still holds for the collector's candidates
+    /// (e.g. MTE4JNI tag-table entries) before the collector acts on
+    /// them.
     pub fn build(self) -> Vm {
         let heap = Heap::new(self.heap);
         let protection = self.protection.unwrap_or_else(|| Arc::new(NoProtection));
-        heap.set_relocation_hook({
-            let protection = Arc::clone(&protection);
-            let fallback = self.fallback.clone();
-            move |old_payload, new_payload| {
-                protection.on_relocate(old_payload, new_payload);
-                if let Some(fb) = &fallback {
-                    fb.on_relocate(old_payload, new_payload);
-                }
-            }
-        });
         heap.set_safepoint_hook({
             let protection = Arc::clone(&protection);
             let fallback = self.fallback.clone();

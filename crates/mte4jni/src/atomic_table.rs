@@ -122,27 +122,22 @@ impl Core {
 /// implementation and differential oracle for this one.
 pub struct AtomicEntryTable {
     core: OnceLock<Core>,
-    exclusion: TagExclusion,
     release_tags: bool,
-    exclude_neighbor_tags: bool,
 }
 
 impl AtomicEntryTable {
     /// Creates a table with the default policy (tags zeroed on final
-    /// release, no neighbour exclusion).
+    /// release).
     pub fn new() -> AtomicEntryTable {
         AtomicEntryTable::from_config(&TableConfig::default())
     }
 
-    /// Creates a table honouring `config`'s `release_tags` and
-    /// `exclude_neighbor_tags` (`table_count` does not apply — there is
-    /// no hash table to shard).
+    /// Creates a table honouring `config`'s `release_tags`
+    /// (`table_count` does not apply — there is no hash table to shard).
     pub fn from_config(config: &TableConfig) -> AtomicEntryTable {
         AtomicEntryTable {
             core: OnceLock::new(),
-            exclusion: TagExclusion::default(),
             release_tags: config.release_tags,
-            exclude_neighbor_tags: config.exclude_neighbor_tags,
         }
     }
 
@@ -220,25 +215,7 @@ impl TagTable for AtomicEntryTable {
                         core.contended("lockfree-acquire-fresh-retry");
                         continue;
                     }
-                    let mut exclusion = self.exclusion;
-                    if self.exclude_neighbor_tags {
-                        // Never collide with the granules bracketing the
-                        // object (two on each side, to reach past the
-                        // 16-byte object headers separating payloads) —
-                        // deterministic adjacent-OOB detection.
-                        let g = GRANULE as u64;
-                        for neighbour in [
-                            begin.wrapping_sub(2 * g),
-                            begin.wrapping_sub(g),
-                            TaggedPtr::from_addr(end),
-                            TaggedPtr::from_addr(end + g),
-                        ] {
-                            if let Ok(t) = mem.ldg(neighbour) {
-                                exclusion = exclusion.excluding(t);
-                            }
-                        }
-                    }
-                    let tag = mem.irg(thread, exclusion);
+                    let tag = mem.irg(thread, TagExclusion::default());
                     // `irg` falls back to the zero tag on pool
                     // exhaustion; surface that before any tag store
                     // (see the two-tier path) so the rollback below
@@ -470,40 +447,6 @@ impl TagTable for AtomicEntryTable {
                 }
             }
         }
-    }
-
-    fn rehome(&self, old: u64, new: u64) -> bool {
-        if old == new {
-            return false;
-        }
-        let Some(core) = self.core.get() else {
-            return false;
-        };
-        let (Some(old_slot), Some(new_slot)) = (core.slab.slot(old), core.slab.slot(new)) else {
-            return false;
-        };
-        // Called with the world stopped (no concurrent acquire/release),
-        // so plain load/store suffice. The entry word — generation
-        // included — travels with the object, so a Borrow minted before
-        // the move still validates at the new address.
-        let word = old_slot.load(Ordering::Acquire);
-        if entry::state(word) != EntryState::Live || entry::refcount(word) == 0 {
-            return false;
-        }
-        debug_assert_eq!(
-            entry::state(new_slot.load(Ordering::Acquire)),
-            EntryState::Free,
-            "relocation target {new:#x} was already tracked"
-        );
-        new_slot.store(word, Ordering::Release);
-        // The old slot keeps its generation so stale borrows of the old
-        // address keep failing the generation check after the slot is
-        // reused.
-        old_slot.store(
-            entry::pack(0, Tag::UNTAGGED, EntryState::Free, entry::generation(word)),
-            Ordering::Release,
-        );
-        true
     }
 
     fn tracked_objects(&self) -> usize {

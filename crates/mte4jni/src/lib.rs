@@ -32,12 +32,12 @@
 //! # Example
 //!
 //! ```
-//! use mte4jni::{mte4jni_vm, Mte4JniConfig};
+//! use mte4jni::{mte4jni_vm, TableConfig};
 //! use mte_sim::TcfMode;
 //! use jni_rt::NativeKind;
 //!
 //! # fn main() {
-//! let vm = mte4jni_vm(TcfMode::Sync, Mte4JniConfig::default());
+//! let vm = mte4jni_vm(TcfMode::Sync, TableConfig::default());
 //! let thread = vm.attach_thread("main");
 //! let env = vm.env(&thread);
 //! let array = env.new_int_array(18).unwrap();
@@ -57,24 +57,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod alloc_tagging;
 mod atomic_table;
 pub mod entry;
 mod scheme;
 mod table;
 
-pub use alloc_tagging::AllocTagging;
 pub use atomic_table::AtomicEntryTable;
 pub use scheme::{mte4jni_vm, Mte4Jni, Mte4JniStats};
 pub use table::{
     Borrow, GlobalLockTable, Release, ReleaseError, ReleaseFailure, ReleaseOutcome, TableBackend,
     TableConfig, TagTable, TwoTierTable,
 };
-
-/// Migration alias: the scheme configuration is now the backend-generic
-/// [`TableConfig`] (the former `Locking` enum became
-/// [`TableConfig::backend`]).
-pub type Mte4JniConfig = TableConfig;
 
 // Re-exported so downstream code can name the trait without importing
 // `jni_rt` separately.

@@ -53,7 +53,6 @@ pub struct Mte4Jni {
     shared_acquires: AtomicU64,
     releases: AtomicU64,
     tag_frees: AtomicU64,
-    rehomes: AtomicU64,
     safepoint_frees: AtomicU64,
 }
 
@@ -74,7 +73,6 @@ impl Mte4Jni {
             shared_acquires: AtomicU64::new(0),
             releases: AtomicU64::new(0),
             tag_frees: AtomicU64::new(0),
-            rehomes: AtomicU64::new(0),
             safepoint_frees: AtomicU64::new(0),
         }
     }
@@ -96,7 +94,6 @@ impl Mte4Jni {
             shared_acquires: self.shared_acquires.load(Ordering::Relaxed),
             releases: self.releases.load(Ordering::Relaxed),
             tag_frees: self.tag_frees.load(Ordering::Relaxed),
-            rehomes: self.rehomes.load(Ordering::Relaxed),
             tracked_objects: self.table.tracked_objects(),
         }
     }
@@ -184,10 +181,12 @@ impl Protection for Mte4Jni {
                         return Err(err.into());
                     }
                     ReleaseFailure::NotTracked | ReleaseFailure::StaleGeneration { .. } => {
-                        // The entry moved out from under the token (e.g. a
-                        // defensive rehome after compaction): fall through
-                        // to the raw path, which keys on the *current*
-                        // payload address.
+                        // The token outlived its entry: a safepoint purge
+                        // freed an entry whose release had been abandoned,
+                        // and a force-release is now retiring the borrow.
+                        // Fall through to the raw path, which keys on the
+                        // current payload address, as the token-less
+                        // force-release below does.
                     }
                 },
             }
@@ -204,17 +203,6 @@ impl Protection for Mte4Jni {
 
     fn uses_thread_mte(&self) -> bool {
         true
-    }
-
-    fn on_relocate(&self, old_payload: u64, new_payload: u64) {
-        // The pin ledger keeps every borrowed object in place, so the
-        // table normally has no entry for a moved object — but if one
-        // exists (broken table ablations, future schemes tracking
-        // unborrowed state), it must follow the payload or the next
-        // release would miss it and leave the tags stale.
-        if self.table.rehome(old_payload, new_payload) {
-            self.rehomes.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     fn on_safepoint(&self, mem: &TaggedMemory, sp: &Safepoint<'_>) {
@@ -237,7 +225,6 @@ impl Protection for Mte4Jni {
             ("shared_acquires", s.shared_acquires),
             ("releases", s.releases),
             ("tag_frees", s.tag_frees),
-            ("rehomes", s.rehomes),
             ("tracked_objects", s.tracked_objects as u64),
             // Entries force-freed by a GC-safepoint purge. Closes the
             // funnel conservation law on every backend:
@@ -260,8 +247,6 @@ pub struct Mte4JniStats {
     pub releases: u64,
     /// Releases that dropped the count to zero and freed the tags.
     pub tag_frees: u64,
-    /// Tag-table entries rehomed by the compacting collector.
-    pub rehomes: u64,
     /// Objects currently tracked.
     pub tracked_objects: usize,
 }
@@ -571,8 +556,8 @@ mod tests {
             vm.heap().memory().raw_tag_at(held_ptr.addr()).unwrap(),
             held_ptr.tag()
         );
-        // Pinning kept every tracked entry in place — nothing to rehome.
-        assert_eq!(scheme.stats().rehomes, 0);
+        // The borrowed object's entry survived the collection in place.
+        assert_eq!(scheme.stats().tracked_objects, 1);
         // The ordinary release path still finds the entry and frees the
         // tags.
         env.release_primitive_array_critical(&held, elems, ReleaseMode::CopyBack)

@@ -64,9 +64,7 @@ pub enum TableBackend {
     Global,
 }
 
-/// The one configuration struct for every tag-table backend — replaces
-/// the former `Locking` enum plus the `with_release_policy` /
-/// `with_neighbor_exclusion` builder sprawl.
+/// The one configuration struct for every tag-table backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableConfig {
     /// Backend implementation (default: [`TableBackend::LockFree`]).
@@ -79,14 +77,6 @@ pub struct TableConfig {
     /// the ablation where stale tags linger after the last release
     /// (§3's motivation for timely release).
     pub release_tags: bool,
-    /// **Neighbour-tag exclusion**, an extension beyond the paper: when
-    /// generating a fresh tag, the tags of the granules bracketing the
-    /// object are loaded (`ldg`) and excluded from `irg`, so an
-    /// out-of-bounds access into a *directly adjacent* tagged object is
-    /// detected deterministically instead of with probability 14/15
-    /// (HWASan applies the same idea between neighbouring heap chunks).
-    /// Costs four extra `ldg` per first acquire.
-    pub exclude_neighbor_tags: bool,
 }
 
 impl Default for TableConfig {
@@ -95,7 +85,6 @@ impl Default for TableConfig {
             backend: TableBackend::LockFree,
             table_count: 16,
             release_tags: true,
-            exclude_neighbor_tags: false,
         }
     }
 }
@@ -324,18 +313,6 @@ pub trait TagTable: Send + Sync + fmt::Debug {
         end: u64,
     ) -> mte_sim::Result<ReleaseOutcome>;
 
-    /// Rehomes the entry keyed by `old` (a payload begin address) to
-    /// `new` after the compacting collector moved the object. Called with
-    /// the world stopped, so no acquire or release runs concurrently.
-    /// Returns `true` when a live entry was moved; `false` when nothing
-    /// was tracked at `old`. The pin ledger keeps every borrowed object
-    /// in place, so in a correctly pinned run tracked entries never move
-    /// — this hook is the defensive backstop (and the ablation path for
-    /// deliberately broken tables).
-    fn rehome(&self, _old: u64, _new: u64) -> bool {
-        false
-    }
-
     /// Force-frees the entry tracking `[begin, end)` regardless of its
     /// reference count, returning 1 if an entry was physically freed.
     ///
@@ -419,9 +396,7 @@ const POOL_CAP: usize = 64;
 /// against this one.
 pub struct TwoTierTable {
     tables: Vec<Mutex<Table>>,
-    exclusion: TagExclusion,
     release_tags: bool,
-    exclude_neighbor_tags: bool,
     /// Table-lock acquisitions on the acquire/release paths — the §5.3.2
     /// contention metric the two-tier design minimizes the hold time of.
     lock_acquisitions: AtomicU64,
@@ -445,8 +420,8 @@ impl TwoTierTable {
         })
     }
 
-    /// Creates a table set honouring `config`'s `table_count`,
-    /// `release_tags`, and `exclude_neighbor_tags`.
+    /// Creates a table set honouring `config`'s `table_count` and
+    /// `release_tags`.
     ///
     /// # Panics
     ///
@@ -455,9 +430,7 @@ impl TwoTierTable {
         assert!(config.table_count > 0, "at least one hash table is required");
         TwoTierTable {
             tables: (0..config.table_count).map(|_| Mutex::new(Table::default())).collect(),
-            exclusion: TagExclusion::default(),
             release_tags: config.release_tags,
-            exclude_neighbor_tags: config.exclude_neighbor_tags,
             lock_acquisitions: AtomicU64::new(0),
             pool_hits: AtomicU64::new(0),
         }
@@ -564,25 +537,7 @@ impl TagTable for TwoTierTable {
                 obj.tag
             } else {
                 // Generate a new tag (irg) and apply it (st2g/stg).
-                let mut exclusion = self.exclusion;
-                if self.exclude_neighbor_tags {
-                    // Never collide with the granules bracketing the
-                    // object (two on each side, to reach past the 16-byte
-                    // object headers separating payloads) — deterministic
-                    // adjacent-OOB detection.
-                    let g = GRANULE as u64;
-                    for neighbour in [
-                        begin.wrapping_sub(2 * g),
-                        begin.wrapping_sub(g),
-                        TaggedPtr::from_addr(end),
-                        TaggedPtr::from_addr(end + g),
-                    ] {
-                        if let Ok(t) = mem.ldg(neighbour) {
-                            exclusion = exclusion.excluding(t);
-                        }
-                    }
-                }
-                let tag = mem.irg(thread, exclusion);
+                let tag = mem.irg(thread, TagExclusion::default());
                 // `irg` falls back to the zero tag when the pool is
                 // exhausted (injected, or everything excluded). An
                 // untagged "protected" object would silently behave like
@@ -679,41 +634,6 @@ impl TagTable for TwoTierTable {
         Ok(ReleaseOutcome::Freed)
     }
 
-    fn rehome(&self, old: u64, new: u64) -> bool {
-        if old == new {
-            return false;
-        }
-        // Detach from the old table under its table lock. `old` and `new`
-        // usually hash to different tables, so this cannot be one lock
-        // scope.
-        let entry = {
-            self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-            let mut t = self.tables[self.table_index(old)].lock();
-            match t.map.remove(&old) {
-                Some(e) => e,
-                None => return false,
-            }
-        };
-        {
-            let mut obj = entry.lock();
-            if obj.dead || obj.addr != old || obj.reference_num == 0 {
-                // The mapping pointed at a dead (possibly recycled) entry;
-                // there is nothing live to move and the stale mapping is
-                // already gone.
-                return false;
-            }
-            obj.addr = new;
-        }
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        let mut t = self.tables[self.table_index(new)].lock();
-        let previous = t.map.insert(new, entry);
-        debug_assert!(
-            previous.is_none(),
-            "relocation target {new:#x} was already tracked"
-        );
-        true
-    }
-
     fn tracked_objects(&self) -> usize {
         self.tables.iter().map(|t| t.lock().map.len()).sum()
     }
@@ -737,7 +657,6 @@ struct GlobalEntry {
 /// Figure 6's ablation baseline).
 pub struct GlobalLockTable {
     entries: Mutex<AddrMap<GlobalEntry>>,
-    exclusion: TagExclusion,
     release_tags: bool,
 }
 
@@ -751,7 +670,6 @@ impl GlobalLockTable {
     pub fn from_config(config: &TableConfig) -> GlobalLockTable {
         GlobalLockTable {
             entries: Mutex::new(AddrMap::default()),
-            exclusion: TagExclusion::default(),
             release_tags: config.release_tags,
         }
     }
@@ -789,7 +707,7 @@ impl TagTable for GlobalLockTable {
             entry.reference_num += 1;
             Ok(Borrow::new(begin.addr(), end, entry.tag, 0, true))
         } else {
-            let tag = mem.irg(thread, self.exclusion);
+            let tag = mem.irg(thread, TagExclusion::default());
             if tag.is_untagged() {
                 // Tag-pool exhaustion; nothing inserted yet, so the
                 // table is untouched (see the two-tier path).
@@ -824,24 +742,6 @@ impl TagTable for GlobalLockTable {
         }
         entries.remove(&begin.addr());
         Ok(ReleaseOutcome::Freed)
-    }
-
-    fn rehome(&self, old: u64, new: u64) -> bool {
-        if old == new {
-            return false;
-        }
-        let mut entries = self.entries.lock();
-        match entries.remove(&old) {
-            Some(e) => {
-                let previous = entries.insert(new, e);
-                debug_assert!(
-                    previous.is_none(),
-                    "relocation target {new:#x} was already tracked"
-                );
-                true
-            }
-            None => false,
-        }
     }
 
     fn tracked_objects(&self) -> usize {
@@ -1049,51 +949,6 @@ mod tests {
     #[should_panic(expected = "at least one hash table")]
     fn zero_tables_rejected() {
         let _ = TwoTierTable::new(0);
-    }
-
-    #[test]
-    fn rehome_moves_the_entry_to_the_new_address() {
-        for table in tables() {
-            let m = mem();
-            let t = MteThread::with_seed("t", 17);
-            let old = TaggedPtr::from_addr(BASE + 0x700);
-            let new = TaggedPtr::from_addr(BASE + 0x9000); // different table index
-            let b = table.acquire(&m, &t, old, old.addr() + 32).unwrap();
-            let tag = b.tag();
-            assert!(table.rehome(old.addr(), new.addr()), "{table:?}");
-            assert_eq!(table.tracked_objects(), 1, "still one entry, rekeyed");
-            // The old key is gone...
-            assert_eq!(
-                table.release_raw(&m, old, old.addr() + 32).unwrap(),
-                ReleaseOutcome::NotTracked
-            );
-            // ...and a shared acquire at the new address finds the entry
-            // with its tag intact (the heap migrated the memory tags).
-            m.set_tag_range(new, new.addr() + 32, tag).unwrap();
-            let again = table.acquire(&m, &t, new, new.addr() + 32).unwrap();
-            assert!(again.shared(), "{table:?}: rehomed entry was found");
-            assert_eq!(again.tag(), tag);
-            table.release(&m, again).unwrap();
-            assert_eq!(
-                table.release_raw(&m, new, new.addr() + 32).unwrap(),
-                ReleaseOutcome::Freed
-            );
-            assert_eq!(table.tracked_objects(), 0);
-            drop(b); // the original borrow's lifetime ended via release_raw
-        }
-    }
-
-    #[test]
-    fn rehome_of_untracked_or_unmoved_address_is_a_no_op() {
-        for table in tables() {
-            let m = mem();
-            let t = MteThread::with_seed("t", 18);
-            assert!(!table.rehome(BASE + 0x800, BASE + 0x900), "{table:?}");
-            let begin = TaggedPtr::from_addr(BASE + 0x800);
-            let _b = table.acquire(&m, &t, begin, begin.addr() + 16).unwrap();
-            assert!(!table.rehome(begin.addr(), begin.addr()), "same address");
-            assert_eq!(table.tracked_objects(), 1, "entry untouched");
-        }
     }
 
     #[test]

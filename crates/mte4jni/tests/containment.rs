@@ -137,7 +137,7 @@ fn async_fault_surfaces_exactly_once() {
     // Abort policy: the raw fault reaches the caller, but only at the
     // first thread-state transition after the corrupting store — and
     // only once.
-    let vm = mte4jni::mte4jni_vm(TcfMode::Async, mte4jni::Mte4JniConfig::default());
+    let vm = mte4jni::mte4jni_vm(TcfMode::Async, mte4jni::TableConfig::default());
     let thread = vm.attach_thread("main");
     let env = vm.env(&thread);
     let a = env.new_int_array(16).unwrap();
@@ -160,7 +160,7 @@ fn async_fault_surfaces_exactly_once() {
 
 #[test]
 fn async_fault_does_not_leak_into_unrelated_thread() {
-    let vm = mte4jni::mte4jni_vm(TcfMode::Async, mte4jni::Mte4JniConfig::default());
+    let vm = mte4jni::mte4jni_vm(TcfMode::Async, mte4jni::TableConfig::default());
     let ta = vm.attach_thread("victim");
     let tb = vm.attach_thread("bystander");
     let env_a = vm.env(&ta);

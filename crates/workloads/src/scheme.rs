@@ -6,7 +6,7 @@ use std::sync::Arc;
 use art_heap::HeapConfig;
 use guarded_copy::GuardedCopy;
 use jni_rt::{NoProtection, Vm};
-use mte4jni::{AllocTagging, Mte4Jni, TableBackend, TableConfig};
+use mte4jni::{Mte4Jni, TableBackend, TableConfig};
 use mte_sim::TcfMode;
 
 /// The protection schemes of the paper's evaluation, plus the Figure 6
@@ -33,9 +33,6 @@ pub enum Scheme {
     Mte4JniSyncGlobalLock,
     /// MTE4JNI (async) with the naive global lock.
     Mte4JniAsyncGlobalLock,
-    /// HWASan/HeMate-style allocation-time tagging (related work, §6.2):
-    /// tags live for the object's lifetime; JNI acquire is just an `ldg`.
-    AllocTaggingSync,
 }
 
 impl Scheme {
@@ -47,9 +44,8 @@ impl Scheme {
         Scheme::Mte4JniAsync,
     ];
 
-    /// All schemes, including the Figure 6 table ablations and the
-    /// related-work allocation-tagging comparison point.
-    pub const ALL: [Scheme; 9] = [
+    /// All schemes, including the Figure 6 table ablations.
+    pub const ALL: [Scheme; 8] = [
         Scheme::NoProtection,
         Scheme::GuardedCopy,
         Scheme::Mte4JniSync,
@@ -58,7 +54,6 @@ impl Scheme {
         Scheme::Mte4JniAsyncTwoTier,
         Scheme::Mte4JniSyncGlobalLock,
         Scheme::Mte4JniAsyncGlobalLock,
-        Scheme::AllocTaggingSync,
     ];
 
     /// Display label matching the paper's figures.
@@ -72,7 +67,6 @@ impl Scheme {
             Scheme::Mte4JniAsyncTwoTier => "MTE4JNI+Async+two_tier",
             Scheme::Mte4JniSyncGlobalLock => "MTE4JNI+Sync+global_lock",
             Scheme::Mte4JniAsyncGlobalLock => "MTE4JNI+Async+global_lock",
-            Scheme::AllocTaggingSync => "AllocTag+Sync",
         }
     }
 
@@ -120,11 +114,6 @@ impl Scheme {
             Scheme::Mte4JniAsyncTwoTier => mte(TcfMode::Async, TableBackend::TwoTier),
             Scheme::Mte4JniSyncGlobalLock => mte(TcfMode::Sync, TableBackend::Global),
             Scheme::Mte4JniAsyncGlobalLock => mte(TcfMode::Async, TableBackend::Global),
-            Scheme::AllocTaggingSync => Vm::builder()
-                .heap_config(HeapConfig::alloc_tagged())
-                .check_mode(TcfMode::Sync)
-                .protection(Arc::new(AllocTagging::new()))
-                .build(),
         }
     }
 }
@@ -164,8 +153,7 @@ mod tests {
         assert!(Scheme::Mte4JniSyncTwoTier.is_mte());
         assert!(Scheme::Mte4JniAsyncGlobalLock.is_mte());
         assert_eq!(Scheme::MAIN.len(), 4);
-        assert_eq!(Scheme::ALL.len(), 9);
-        assert!(Scheme::AllocTaggingSync.is_mte());
+        assert_eq!(Scheme::ALL.len(), 8);
     }
 
     #[test]

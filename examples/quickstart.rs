@@ -8,7 +8,7 @@ fn main() {
     // 1. Build a runtime with the MTE4JNI scheme in synchronous mode:
     //    16-byte-aligned PROT_MTE heap, two-tier tag tables, thread-level
     //    MTE enabling in the JNI trampolines.
-    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, Mte4JniConfig::default());
+    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, TableConfig::default());
     let thread = vm.attach_thread("main");
     let env = vm.env(&thread);
 

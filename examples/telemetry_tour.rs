@@ -11,7 +11,7 @@ fn main() {
     // Recording is off until enabled.
     telemetry::set_enabled(true);
 
-    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, Mte4JniConfig::default());
+    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, TableConfig::default());
     let thread = vm.attach_thread("tour");
     let env = vm.env(&thread);
 

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use art_heap::{ArrayRef, Heap, HeapConfig, JavaThread, PrimitiveType, StringRef};
     pub use guarded_copy::GuardedCopy;
     pub use jni_rt::{JniEnv, JniError, NativeKind, Protection, ReleaseMode, Vm};
-    pub use mte4jni::{mte4jni_vm, Mte4Jni, Mte4JniConfig};
+    pub use mte4jni::{mte4jni_vm, Mte4Jni, TableConfig};
     pub use mte_sim::{Tag, TaggedPtr, TcfMode};
     pub use workloads::Scheme;
 }

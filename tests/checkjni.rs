@@ -91,7 +91,7 @@ fn commit_release_keeps_the_ledger_entry() {
 fn validation_is_off_by_default() {
     // Without check_jni, a mismatched release goes straight to the
     // scheme; MTE4JNI treats it as a plain release of the same object.
-    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, Mte4JniConfig::default());
+    let vm = mte4jni::mte4jni_vm(TcfMode::Sync, TableConfig::default());
     let thread = vm.attach_thread("main");
     let env = vm.env(&thread);
     let s = env.new_string("hello").unwrap();

@@ -61,9 +61,8 @@ fn every_scheme_survives_concurrent_shared_array() {
         let env = vm.env(&setup);
         let shared = env.new_int_array(256).expect("alloc");
         hammer(&vm, 8, 200, Some(&shared));
-        if scheme.is_mte() && scheme != Scheme::AllocTaggingSync {
-            // Tags fully released once all borrows ended. (AllocTagging
-            // keeps tags for the object's lifetime by design.)
+        if scheme.is_mte() {
+            // Tags fully released once all borrows ended.
             assert_eq!(
                 vm.heap().memory().raw_tag_at(shared.data_addr()).unwrap(),
                 Tag::UNTAGGED,

@@ -103,29 +103,6 @@ fn tag_traffic_is_sixteen_times_smaller_than_copy_traffic() {
 }
 
 #[test]
-fn alloc_tagging_moves_tag_cost_to_allocation() {
-    // AllocTagging pays tags per *allocation*; its JNI path is ldg-only.
-    let vm = Scheme::AllocTaggingSync.build_vm();
-    let thread = vm.attach_thread("cost");
-    let env = vm.env(&thread);
-    let before = vm.heap().memory().stats().snapshot();
-    let a = env.new_int_array(1024).unwrap();
-    let after_alloc = vm.heap().memory().stats().snapshot().since(&before);
-    assert!(after_alloc.stg_ops >= 256, "tagged at allocation");
-
-    let before = vm.heap().memory().stats().snapshot();
-    env.call_native("session", NativeKind::Normal, |env| {
-        let elems = env.get_primitive_array_critical(&a)?;
-        env.release_primitive_array_critical(&a, elems, ReleaseMode::CopyBack)
-    })
-    .unwrap();
-    let jni = vm.heap().memory().stats().snapshot().since(&before);
-    assert_eq!(jni.irg_ops, 0);
-    assert_eq!(jni.stg_ops, 0, "JNI path does no tag writes");
-    assert_eq!(jni.ldg_ops, 1, "just recovers the allocation tag");
-}
-
-#[test]
 fn no_protection_does_no_extra_work_at_all() {
     let (delta, native) = session(Scheme::NoProtection, 4096);
     assert_eq!(delta.irg_ops, 0);

@@ -193,7 +193,7 @@ fn random_programs_match_the_oracle_under_every_scheme() {
 fn long_program_with_heavy_reallocation() {
     let program = generate(0xFEED, 300, 6);
     let expected = run_oracle(&program, 6);
-    for scheme in [Scheme::GuardedCopy, Scheme::Mte4JniSync, Scheme::AllocTaggingSync] {
+    for scheme in [Scheme::GuardedCopy, Scheme::Mte4JniSync] {
         let got = run_simulated(scheme, &program, 6);
         assert_eq!(got, expected, "diverged under {scheme}");
     }
