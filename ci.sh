@@ -55,7 +55,22 @@ for key in gates:
 # 4 KiB checked read/write and on set_tag_range.
 for key in ("speedup_read_4k", "speedup_write_4k", "speedup_set_tag_range"):
     assert cur[key] >= 4.0, f"{key} below 4x: {cur[key]:.2f}"
-print("throughput gate:", ", ".join(f"{k}={cur[k]:.2f}" for k in sorted(gates)))
+# The one-word scalar path (DESIGN.md §10): checked u32 load+store per
+# element against the scalar reference, alternated round by round in
+# the same run so the host's speed cancels out (median of 31 per-round
+# ratios). Thirty-four quick runs on a 2-vCPU host read 1.04x-1.55x;
+# the span-check path this replaced reads 0.46x-0.48x. The floor is 75%
+# of the minimum, rounded down to 0.05. It fails a return to the span
+# path and a planted +80% slowdown of the one-word path (0.57x-0.64x).
+# A planted +26% slowdown (0.82x-1.16x) overlaps the clean range and
+# passes; see CHANGES.md.
+elem_floor = 0.75
+assert cur["speedup_element_rw"] >= elem_floor, (
+    f"speedup_element_rw below {elem_floor:.2f}x: {cur['speedup_element_rw']:.3f} "
+    f"({cur['element_rw_ns']:.2f} ns vs {cur['scalar_element_rw_ns']:.2f} ns scalar)"
+)
+print("throughput gate:", ", ".join(f"{k}={cur[k]:.2f}" for k in sorted(gates)),
+      f"speedup_element_rw={cur['speedup_element_rw']:.3f}")
 PY
 else
     # No python3: at least require the report and its headline fields.

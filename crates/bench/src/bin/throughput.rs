@@ -7,9 +7,13 @@
 //! speedups the optimization claims (≥ 4x on 4 KiB+ checked
 //! `read_bytes`/`write_bytes` and on `set_tag_range`) and the absolute
 //! checked-path GB/s figures the CI bench-smoke stage gates against a
-//! committed baseline. `--quick` shrinks the measured volume for CI.
+//! committed baseline. A per-element row times checked `load_u32` +
+//! `store_u32` pairs over a tagged 4 KiB region — the access pattern of
+//! a JNI native element loop — and records `element_rw_ns` and
+//! `speedup_element_rw`, a within-run ratio CI gates so the host's speed
+//! cancels out. `--quick` shrinks the measured volume for CI.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bench::{json_output, measure, print_environment, time_copy, Args, BenchReport};
 use mte_sim::{
@@ -19,6 +23,8 @@ use telemetry::json::JsonValue;
 use workloads::Scheme;
 
 const BASE: u64 = 0x7a00_0000_0000;
+/// Alternating wide/scalar rounds of the per-element row.
+const ELEMENT_ROUNDS: usize = 31;
 
 /// GB/s moved given total bytes and the best measured duration.
 fn gbps(bytes: u64, d: Duration) -> f64 {
@@ -214,6 +220,59 @@ fn main() {
     for (key, v) in &gate_figures {
         report.summary(key, *v);
     }
+
+    // Per-element view: one checked u32 load and store per element of a
+    // tagged 4 KiB region, the scalar path native loops run on. Wide and
+    // scalar passes alternate, and the ratio is the median of the
+    // per-round ratios, so a host phase change hits both sides alike.
+    const ELEMENTS: usize = 4096 / 4;
+    let passes = (volume / 4096) as u32;
+    let pairs = f64::from(ELEMENTS as u32 * passes);
+    let elem = |i: usize| s.ptr.wrapping_add(4 * i as u64);
+    let wide_pass = || {
+        let start = Instant::now();
+        for _ in 0..passes {
+            for i in 0..ELEMENTS {
+                let v = s.wide.load_u32(&s.thread, elem(i)).unwrap();
+                s.wide
+                    .store_u32(&s.thread, elem(i), v.wrapping_add(1))
+                    .unwrap();
+            }
+        }
+        start.elapsed().as_nanos() as f64 / pairs
+    };
+    let scalar_pass = || {
+        let start = Instant::now();
+        for _ in 0..passes {
+            for i in 0..ELEMENTS {
+                let v = s.scalar.load_u32(&s.thread, elem(i)).unwrap();
+                s.scalar
+                    .store_u32(&s.thread, elem(i), v.wrapping_add(1))
+                    .unwrap();
+            }
+        }
+        start.elapsed().as_nanos() as f64 / pairs
+    };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    wide_pass();
+    scalar_pass();
+    let rounds: Vec<(f64, f64)> = (0..ELEMENT_ROUNDS)
+        .map(|_| (wide_pass(), scalar_pass()))
+        .collect();
+    let element_rw_ns = median(rounds.iter().map(|r| r.0).collect());
+    let scalar_element_rw_ns = median(rounds.iter().map(|r| r.1).collect());
+    let speedup_element_rw = median(rounds.iter().map(|r| r.1 / r.0).collect());
+    println!(
+        "element rw (checked u32 load+store, 4 KiB): {element_rw_ns:.2} ns wide, \
+         {scalar_element_rw_ns:.2} ns scalar, {speedup_element_rw:.2}x"
+    );
+    println!();
+    report.summary("element_rw_ns", element_rw_ns);
+    report.summary("scalar_element_rw_ns", scalar_element_rw_ns);
+    report.summary("speedup_element_rw", speedup_element_rw);
 
     // Scheme-level view: the JNI critical-path copy inherits the kernel
     // speedup end to end.

@@ -13,9 +13,17 @@
 //! shared [`InjectCounters`] slot and counts a
 //! [`telemetry::Event::InjectedFault`] so snapshots can attribute the
 //! failure to the injector rather than the scheme under test.
+//!
+//! Feature unification compiles these hooks into every binary that
+//! shares a build with the stress harness or the server, figure benches
+//! included, so the disarmed case must cost nothing measurable: a
+//! process-wide count of armed threads is read with one relaxed load,
+//! and only when it is nonzero does [`should_fail`] touch the
+//! thread-local. An armed thread always sees its own increment, so its
+//! decision stream is exactly the one it would draw alone.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A fault-injection site inside the simulator: which operation an
@@ -114,10 +122,35 @@ impl InjectCounters {
     }
 }
 
+/// Threads whose [`INJECTOR`] slot holds an injector. Raised when an
+/// [`Injector`] is built and lowered when it drops, so replacing one,
+/// clearing an empty slot and thread exit all keep the count exact.
+/// `Relaxed` suffices: the count publishes no data (each thread reads
+/// only its own injector), and a thread always observes its own
+/// increment.
+static ARMED_THREADS: AtomicUsize = AtomicUsize::new(0);
+
 struct Injector {
     plan: FaultPlan,
     rng: u64,
     counters: Arc<InjectCounters>,
+}
+
+impl Injector {
+    fn new(plan: FaultPlan, rng: u64, counters: Arc<InjectCounters>) -> Injector {
+        ARMED_THREADS.fetch_add(1, Ordering::Relaxed);
+        Injector {
+            plan,
+            rng,
+            counters,
+        }
+    }
+}
+
+impl Drop for Injector {
+    fn drop(&mut self) {
+        ARMED_THREADS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 thread_local! {
@@ -129,13 +162,8 @@ thread_local! {
 /// yield independent streams.
 pub fn install(plan: FaultPlan, seed: u64, counters: Arc<InjectCounters>) {
     let rng = splitmix64(seed) | 1; // xorshift state must be nonzero
-    INJECTOR.with(|i| {
-        *i.borrow_mut() = Some(Injector {
-            plan,
-            rng,
-            counters,
-        });
-    });
+    let injector = Injector::new(plan, rng, counters);
+    INJECTOR.with(|i| *i.borrow_mut() = Some(injector));
 }
 
 /// Disarms fault injection on the calling thread.
@@ -161,8 +189,18 @@ fn xorshift64star(state: &mut u64) -> u64 {
 
 /// One injection decision at `point`; bumps the counters and emits the
 /// telemetry event when it fires. `false` whenever no injector is
-/// installed on this thread.
+/// installed on this thread, and without a thread-local lookup when no
+/// thread in the process is armed.
+#[inline]
 pub(crate) fn should_fail(point: InjectPoint) -> bool {
+    if ARMED_THREADS.load(Ordering::Relaxed) == 0 {
+        return false;
+    }
+    should_fail_armed(point)
+}
+
+#[inline(never)]
+fn should_fail_armed(point: InjectPoint) -> bool {
     // `try_with`: tag ops can run from thread-local destructors after
     // the injector slot is gone; those late ops simply see no injector.
     INJECTOR.try_with(|i| {
@@ -189,6 +227,24 @@ pub(crate) fn should_fail(point: InjectPoint) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Barrier, Mutex, MutexGuard};
+
+    /// Serializes every test that arms a thread: the armed count is
+    /// process-wide, so the exact-count assertions need the other tests
+    /// in this binary to be disarmed while they run.
+    static ARMING: Mutex<()> = Mutex::new(());
+
+    fn arming() -> MutexGuard<'static, ()> {
+        ARMING.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn armed() -> usize {
+        ARMED_THREADS.load(Ordering::Relaxed)
+    }
+
+    fn counters() -> Arc<InjectCounters> {
+        Arc::new(InjectCounters::default())
+    }
 
     #[test]
     fn disarmed_thread_never_fails() {
@@ -199,7 +255,100 @@ mod tests {
     }
 
     #[test]
+    fn install_over_install_counts_the_thread_once() {
+        let _g = arming();
+        assert_eq!(armed(), 0);
+        install(FaultPlan::uniform(1), 1, counters());
+        assert_eq!(armed(), 1);
+        install(FaultPlan::uniform(2), 2, counters());
+        assert_eq!(armed(), 1, "the replaced injector's drop disarms it");
+        clear();
+        assert_eq!(armed(), 0);
+    }
+
+    #[test]
+    fn clear_without_install_leaves_the_count_alone() {
+        let _g = arming();
+        clear();
+        clear();
+        assert_eq!(armed(), 0);
+        install(FaultPlan::uniform(1), 1, counters());
+        clear();
+        clear();
+        assert_eq!(armed(), 0);
+    }
+
+    #[test]
+    fn thread_exit_disarms_the_thread() {
+        let _g = arming();
+        std::thread::spawn(|| {
+            install(FaultPlan::uniform(1), 1, counters());
+            assert_eq!(armed(), 1);
+            // No clear(): the thread-local destructor must disarm.
+        })
+        .join()
+        .unwrap();
+        assert_eq!(armed(), 0);
+    }
+
+    #[test]
+    fn armed_stream_ignores_other_threads_arming_and_disarming() {
+        let _g = arming();
+        let plan = FaultPlan::uniform(300_000);
+        const DRAWS: usize = 4000;
+        install(plan, 42, counters());
+        let solo: Vec<bool> = (0..DRAWS)
+            .map(|_| should_fail(InjectPoint::Check))
+            .collect();
+        clear();
+
+        let start = Arc::new(Barrier::new(2));
+        let other = {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for seed in 0..500 {
+                    install(plan, seed, counters());
+                    let _ = should_fail(InjectPoint::Check);
+                    clear();
+                }
+            })
+        };
+        install(plan, 42, counters());
+        start.wait();
+        let mut raced = Vec::with_capacity(DRAWS);
+        for _ in 0..DRAWS {
+            raced.push(should_fail(InjectPoint::Check));
+            std::hint::spin_loop();
+        }
+        clear();
+        other.join().unwrap();
+        assert_eq!(solo, raced);
+        assert_eq!(armed(), 0);
+
+        // The converse: a disarmed thread never fires while another
+        // thread holds the count above zero.
+        let hold = Arc::new(Barrier::new(2));
+        let done = Arc::new(Barrier::new(2));
+        let holder = {
+            let (hold, done) = (Arc::clone(&hold), Arc::clone(&done));
+            std::thread::spawn(move || {
+                install(FaultPlan::uniform(1_000_000), 7, counters());
+                hold.wait();
+                done.wait();
+            })
+        };
+        hold.wait();
+        assert_eq!(armed(), 1);
+        assert!((0..100).all(|_| !should_fail(InjectPoint::Check)));
+        done.wait();
+        holder.join().unwrap();
+        assert_eq!(armed(), 0);
+    }
+
+    #[test]
     fn rates_are_deterministic_and_roughly_proportional() {
+        let _g = arming();
         let counters = Arc::new(InjectCounters::default());
         install(FaultPlan::uniform(200_000), 42, counters.clone());
         let hits: Vec<bool> = (0..1000).map(|_| should_fail(InjectPoint::Stg)).collect();
@@ -223,6 +372,7 @@ mod tests {
 
     #[test]
     fn zero_rate_point_never_fires() {
+        let _g = arming();
         let plan = FaultPlan {
             ldg_fail_ppm: 500_000,
             ..FaultPlan::default()

@@ -247,24 +247,35 @@ impl TaggedMemory {
     }
 
     /// Merges `bytes` into word `word_idx` starting at byte `byte_off`,
-    /// leaving the other lanes untouched. One atomic read-modify-write,
-    /// so concurrent writers to sibling bytes of the same word cannot be
-    /// clobbered.
+    /// leaving the other lanes untouched.
     #[inline]
     fn store_partial(&self, word_idx: usize, byte_off: usize, bytes: &[u8]) {
         debug_assert!(byte_off + bytes.len() <= WORD);
-        let mut mask = 0u64;
         let mut value = 0u64;
         for (i, &b) in bytes.iter().enumerate() {
-            let shift = (byte_off + i) * 8;
-            mask |= 0xFF << shift;
-            value |= u64::from(b) << shift;
+            value |= u64::from(b) << (i * 8);
         }
+        self.store_lanes(word_idx, byte_off, bytes.len(), value);
+    }
+
+    /// Stores the low `len` bytes of `value` into word `word_idx` at byte
+    /// lane `lane`: a plain store for a whole word, otherwise one atomic
+    /// read-modify-write, so concurrent writers to sibling bytes of the
+    /// same word cannot be clobbered.
+    #[inline]
+    fn store_lanes(&self, word_idx: usize, lane: usize, len: usize, value: u64) {
+        debug_assert!(len > 0 && lane + len <= WORD);
+        let word = &self.data[word_idx];
+        if len == WORD {
+            word.store(value, Ordering::Relaxed);
+            return;
+        }
+        let mask = ((1u64 << (len * 8)) - 1) << (lane * 8);
+        let bits = (value << (lane * 8)) & mask;
         // The closure always returns Some, so this cannot fail.
-        let _ = self.data[word_idx]
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
-                Some((w & !mask) | value)
-            });
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+            Some((w & !mask) | bits)
+        });
     }
 
     /// Copies `buf` into the data store starting at `offset`: full words
@@ -377,8 +388,10 @@ impl TaggedMemory {
     // ------------------------------------------------------------------
 
     /// Performs the hardware tag check for an access of `len` bytes at
-    /// `ptr` by thread `t`. Called on every data access; a no-op when the
-    /// thread's checks are disabled or the page lacks `PROT_MTE`.
+    /// `ptr` by thread `t`. Called on every bulk access and every scalar
+    /// access that straddles a data word (one-word scalar accesses use
+    /// [`Self::check_word_access`]); a no-op when the thread's checks are
+    /// disabled or the page lacks `PROT_MTE`.
     ///
     /// The `PROT_MTE` bit is read once per *page* spanned by the access
     /// (not once per granule), and granule tags are compared 16 at a
@@ -411,6 +424,37 @@ impl TaggedMemory {
                 self.check_granule_span(t, ptr, g, segment_last, offset, access)?;
             }
             g = segment_last + 1;
+        }
+        Ok(())
+    }
+
+    /// The tag check for an access that stays inside one data word, and
+    /// so inside one granule and one page (DESIGN.md §10): one
+    /// `PROT_MTE` byte load and one nibble compare. Injection and
+    /// mismatch handling are exactly [`Self::check_access`]'s.
+    #[inline]
+    fn check_word_access(
+        &self,
+        t: &MteThread,
+        ptr: TaggedPtr,
+        offset: usize,
+        access: AccessKind,
+    ) -> Result<()> {
+        if !t.checks_enabled() {
+            return Ok(());
+        }
+        #[cfg(feature = "stress-hooks")]
+        if crate::inject::should_fail(crate::inject::InjectPoint::Check) {
+            self.spurious_fault(t, ptr, offset, access)?;
+        }
+        if !self.page_is_mte(offset) {
+            return Ok(());
+        }
+        let g = offset / GRANULE;
+        let (word_idx, nibble) = (g / TAGS_PER_WORD, g % TAGS_PER_WORD);
+        let word = self.tags[word_idx].load(Ordering::Relaxed);
+        if (word >> (nibble * 4)) & 0xF != u64::from(ptr.tag().value()) {
+            self.tag_mismatch(t, ptr, word, word_idx, nibble, nibble, offset, access)?;
         }
         Ok(())
     }
@@ -564,10 +608,7 @@ impl TaggedMemory {
     /// [`MemError::TagCheck`] on a synchronous tag mismatch.
     #[inline]
     pub fn load_u8(&self, t: &MteThread, ptr: TaggedPtr) -> Result<u8> {
-        let offset = self.offset_of(ptr.addr(), 1)?;
-        self.check_access(t, ptr, offset, 1, AccessKind::Read)?;
-        let word = self.data[offset / WORD].load(Ordering::Relaxed);
-        Ok((word >> ((offset % WORD) * 8)) as u8)
+        self.load_le(t, ptr, 1).map(|v| v as u8)
     }
 
     /// Stores one byte.
@@ -577,24 +618,55 @@ impl TaggedMemory {
     /// See [`Self::load_u8`].
     #[inline]
     pub fn store_u8(&self, t: &MteThread, ptr: TaggedPtr, value: u8) -> Result<()> {
-        let offset = self.offset_of(ptr.addr(), 1)?;
-        self.check_access(t, ptr, offset, 1, AccessKind::Write)?;
-        self.store_partial(offset / WORD, offset % WORD, &[value]);
-        Ok(())
+        self.store_le(t, ptr, 1, u64::from(value))
     }
 
+    /// Region offset of a scalar access of `len <= 8` bytes: one
+    /// compare, since an address below the base wraps to a huge offset.
+    #[inline]
+    fn scalar_offset(&self, addr: u64, len: usize) -> Result<usize> {
+        debug_assert!((1..=WORD).contains(&len));
+        let offset = addr.wrapping_sub(self.base);
+        if offset <= (self.size - len) as u64 {
+            Ok(offset as usize)
+        } else {
+            Err(out_of_range(addr, len))
+        }
+    }
+
+    /// Scalar load of `len` (1..=8) bytes. An access inside one data
+    /// word takes one granule check and one word load; only a
+    /// word-straddling access pays for the span check and byte copy.
     #[inline]
     fn load_le(&self, t: &MteThread, ptr: TaggedPtr, len: usize) -> Result<u64> {
-        let offset = self.offset_of(ptr.addr(), len)?;
+        let offset = self.scalar_offset(ptr.addr(), len)?;
+        let lane = offset % WORD;
+        if lane + len <= WORD {
+            self.check_word_access(t, ptr, offset, AccessKind::Read)?;
+            let word = self.data[offset / WORD].load(Ordering::Relaxed) >> (lane * 8);
+            return Ok(if len == WORD {
+                word
+            } else {
+                word & ((1u64 << (len * 8)) - 1)
+            });
+        }
         self.check_access(t, ptr, offset, len, AccessKind::Read)?;
         let mut bytes = [0u8; WORD];
         self.copy_out(offset, &mut bytes[..len]);
         Ok(u64::from_le_bytes(bytes))
     }
 
+    /// Scalar store of the low `len` (1..=8) bytes of `value`; the
+    /// one-word case is a plain store or a single masked RMW.
     #[inline]
     fn store_le(&self, t: &MteThread, ptr: TaggedPtr, len: usize, value: u64) -> Result<()> {
-        let offset = self.offset_of(ptr.addr(), len)?;
+        let offset = self.scalar_offset(ptr.addr(), len)?;
+        let lane = offset % WORD;
+        if lane + len <= WORD {
+            self.check_word_access(t, ptr, offset, AccessKind::Write)?;
+            self.store_lanes(offset / WORD, lane, len, value);
+            return Ok(());
+        }
         self.check_access(t, ptr, offset, len, AccessKind::Write)?;
         self.copy_in(offset, &value.to_le_bytes()[..len]);
         Ok(())

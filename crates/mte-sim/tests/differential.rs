@@ -184,20 +184,33 @@ proptest! {
     }
 
     /// Scalar-width loads/stores (u8..u64) at arbitrary unaligned
-    /// offsets, crossing word and granule boundaries.
+    /// offsets, crossing word and granule boundaries, in every check mode
+    /// with `TCO` set or clear. A quarter of the cases land within 16
+    /// bytes of the region end, so the last word and `OutOfRange` are
+    /// reached too.
     #[test]
     fn scalar_width_accesses_match(
         tags in prop::collection::vec(0u8..16, GRANULES..GRANULES + 1),
         prot_mask in 0u8..16,
         ptr_tag in 0u8..16,
         offset in 0usize..(SIZE - 8),
+        tail_sel in 0u8..4,
+        tail_offset in 0usize..24,
         value in any::<u64>(),
         width_sel in 0u8..4,
         data_seed in any::<u64>(),
+        mode_sel in 0u8..4,
+        tco in any::<bool>(),
     ) {
-        let p = Pair::build(&tags, prot_mask, data_seed, TcfMode::Sync);
+        let mode = [TcfMode::Sync, TcfMode::Async, TcfMode::Asymm, TcfMode::None]
+            [mode_sel as usize];
+        let p = Pair::build(&tags, prot_mask, data_seed, mode);
+        p.wt.set_tco(tco);
+        p.st.set_tco(tco);
+        let offset = if tail_sel == 0 { SIZE - 16 + tail_offset } else { offset };
         let ptr = TaggedPtr::from_addr(BASE + offset as u64)
             .with_tag(Tag::from_low_bits(ptr_tag));
+        let (w0, s0) = (p.wide.stats().snapshot(), p.scalar.stats().snapshot());
         let (wr, sr): (Result<u64, MemError>, Result<u64, MemError>) = match width_sel {
             0 => {
                 let w = p.wide.store_u8(&p.wt, ptr, value as u8)
@@ -234,7 +247,10 @@ proptest! {
             let mask = match width_sel { 0 => 0xFF, 1 => 0xFFFF, 2 => 0xFFFF_FFFF, _ => u64::MAX };
             prop_assert_eq!(v, value & mask);
         }
+        let (wd, sd) = p.deltas(&w0, &s0);
+        prop_assert_eq!(wd, sd, "stats deltas diverged");
         p.assert_same_state();
+        assert_same_latch(&p);
     }
 
     /// Tag instructions (`stg`/`st2g`/`stzg`/`ldg`/`set_tag_range`) over
