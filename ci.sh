@@ -21,6 +21,11 @@ else
     echo "clippy not installed; skipping lint stage"
 fi
 
+echo "== rustdoc (warnings denied) =="
+# Broken, ambiguous or private intra-doc links fail the stage, so an
+# item deleted from the code cannot leave a dangling link in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-going
+
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 

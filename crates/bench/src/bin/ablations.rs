@@ -170,8 +170,8 @@ fn alignment_fragmentation(report: &mut BenchReport) {
     println!();
 }
 
-/// 4. Uncontended tag-table cost across k (see fig6 --sweep-tables and
-///    the Criterion `tag_table` group for more).
+/// 4. Uncontended tag-table cost across k (see fig6 --sweep-tables for
+///    more).
 fn table_count_cost(args: &Args, report: &mut BenchReport) {
     let iters: u32 = args.value("--table-iters", 100_000);
     println!("--- 4. tag table acquire+release cost vs k (uncontended, {iters} pairs) ---");

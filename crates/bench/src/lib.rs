@@ -1,5 +1,4 @@
-//! Shared harness code for the figure-regeneration binaries and the
-//! Criterion benches.
+//! Shared harness code for the figure-regeneration binaries.
 //!
 //! Each binary regenerates one table/figure of the paper (see
 //! `DESIGN.md`'s experiment index):

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // Via the `sync` facade so the stress harness can schedule around the
-// shadow-ledger lock; plain `parking_lot` in release builds.
+// shadow-ledger lock; plain `parking_lot` on threads it does not drive.
 use mte_sim::sync::Mutex;
 
 use jni_rt::{AbortReport, AcquireOutcome, JniContext, JniError, Protection, ReleaseMode};

@@ -217,7 +217,7 @@ impl fmt::Debug for GcScanner {
 pub struct GcReport {
     /// Scan+sweep cycles completed.
     pub cycles: u64,
-    /// Bounded fault sample: the first and last [`FAULT_SAMPLE`]
+    /// Bounded fault sample: the first and last `FAULT_SAMPLE`
     /// tag-check faults encountered.
     pub faults: Vec<TagCheckFault>,
     /// Total tag-check faults encountered (≥ `faults.len()`).

@@ -4,7 +4,7 @@
 //! stack and therefore carries rich runtime types as small integers.
 //! This module owns those encodings for the types that live at or above
 //! the jni layer (`NativeKind`, `ReleaseMode`, `PrimitiveType`) plus the
-//! [`outcome`](telemetry::trace::outcome) classification of jni-layer
+//! [`telemetry::trace::outcome`] classification of jni-layer
 //! results, so the recorder (hooks in this crate) and the replayer
 //! (`crates/trace`) cannot drift apart.
 

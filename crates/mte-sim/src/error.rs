@@ -30,16 +30,14 @@ pub enum MemError {
         /// Requested allocation size.
         requested: usize,
     },
-    /// A fault injected by the stress harness (`stress-hooks` builds
-    /// only; the variant exists unconditionally so matches stay
-    /// exhaustive across feature sets).
+    /// A fault injected by the stress harness through
+    /// [`crate::inject`].
     Injected {
         /// Label of the operation the fault was injected into.
         point: &'static str,
     },
-    /// `irg` found no usable tag: the exclusion mask (or injected
-    /// tag-pool exhaustion) left only the zero tag, so the allocation
-    /// cannot be colored distinctly.
+    /// `irg` found no usable tag: injected tag-pool exhaustion left only
+    /// the zero tag, so the allocation cannot be colored distinctly.
     TagExhausted {
         /// Base address of the allocation that could not be tagged.
         addr: u64,

@@ -1,9 +1,8 @@
-//! Seeded fault injection for the simulator (`stress-hooks` builds
-//! only).
+//! Seeded fault injection for the simulator.
 //!
 //! The stress harness (`crates/stress`) installs a per-thread
 //! [`FaultPlan`] + seed before running a workload; the simulator then
-//! consults [`should_fail`] (crate-internal) at five points — `irg`
+//! consults `should_fail` (crate-internal) at five points — `irg`
 //! tag-pool exhaustion, `ldg`/`stg` faults, native-allocation failure,
 //! and spurious tag-check faults — and forces the corresponding error
 //! path. Decisions come from a thread-local xorshift64* stream seeded
@@ -14,13 +13,12 @@
 //! [`telemetry::Event::InjectedFault`] so snapshots can attribute the
 //! failure to the injector rather than the scheme under test.
 //!
-//! Feature unification compiles these hooks into every binary that
-//! shares a build with the stress harness or the server, figure benches
-//! included, so the disarmed case must cost nothing measurable: a
-//! process-wide count of armed threads is read with one relaxed load,
-//! and only when it is nonzero does [`should_fail`] touch the
-//! thread-local. An armed thread always sees its own increment, so its
-//! decision stream is exactly the one it would draw alone.
+//! The hooks are compiled into every binary, figure benches included,
+//! so the disarmed case must cost nothing measurable: a process-wide
+//! count of armed threads is read with one relaxed load, and only when
+//! it is nonzero does `should_fail` touch the thread-local. An armed
+//! thread always sees its own increment, so its decision stream is
+//! exactly the one it would draw alone.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TcfMode, TagExclusion};
+//! use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TcfMode};
 //!
 //! # fn main() -> Result<(), mte_sim::MemError> {
 //! let mem = TaggedMemory::new(MemoryConfig::default());
@@ -33,7 +33,7 @@
 //! // Map a page with PROT_MTE and tag one granule.
 //! let addr = mem.base();
 //! mem.mprotect_mte(addr, 4096, true)?;
-//! let tag = thread.irg(TagExclusion::default());
+//! let tag = thread.irg();
 //! let ptr = mte_sim::TaggedPtr::from_addr(addr).with_tag(tag);
 //! mem.stg(ptr, tag)?;
 //!
@@ -52,7 +52,6 @@
 
 mod error;
 mod fault;
-#[cfg(feature = "stress-hooks")]
 pub mod inject;
 mod memory;
 mod nalloc;
@@ -70,7 +69,7 @@ pub use nalloc::{NativeAllocator, NativeAllocatorStats};
 pub use pointer::TaggedPtr;
 pub use reference::ScalarMemory;
 pub use stats::{MteStats, MteStatsSnapshot};
-pub use tag::{Tag, TagExclusion, GRANULE, PAGE_SIZE, TAG_BITS, TAGS_PER_WORD};
+pub use tag::{Tag, GRANULE, PAGE_SIZE, TAG_BITS, TAGS_PER_WORD};
 pub use thread::{FrameGuard, MteThread, TcfMode};
 
 /// Convenience alias for results whose error type is [`MemError`].

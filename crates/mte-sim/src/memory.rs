@@ -15,9 +15,10 @@ use std::sync::Arc;
 
 use crate::error::MemError;
 use crate::fault::{AccessKind, FaultKind, TagCheckFault};
+use crate::inject::{should_fail, InjectPoint};
 use crate::pointer::TaggedPtr;
 use crate::stats::MteStats;
-use crate::tag::{Tag, TagExclusion, GRANULE, PAGE_SIZE, TAGS_PER_WORD};
+use crate::tag::{Tag, GRANULE, PAGE_SIZE, TAGS_PER_WORD};
 use crate::thread::{MteThread, TcfMode};
 use crate::Result;
 
@@ -409,8 +410,7 @@ impl TaggedMemory {
         if !t.checks_enabled() {
             return Ok(());
         }
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Check) {
+        if should_fail(InjectPoint::Check) {
             self.spurious_fault(t, ptr, offset, access)?;
         }
         let first = offset / GRANULE;
@@ -443,8 +443,7 @@ impl TaggedMemory {
         if !t.checks_enabled() {
             return Ok(());
         }
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Check) {
+        if should_fail(InjectPoint::Check) {
             self.spurious_fault(t, ptr, offset, access)?;
         }
         if !self.page_is_mte(offset) {
@@ -510,19 +509,14 @@ impl TaggedMemory {
         access: AccessKind,
     ) -> Result<()> {
         let ptag = ptr.tag();
-        // Asymmetric mode resolves per access direction.
-        let effective = match (t.mode(), access) {
-            (TcfMode::Asymm, AccessKind::Read) => TcfMode::Sync,
-            (TcfMode::Asymm, AccessKind::Write) => TcfMode::Async,
-            (m, _) => m,
-        };
+        let mode = t.mode();
         for nibble in lo..=hi {
             let mtag = Tag::from_low_bits((word >> (nibble * 4)) as u8);
             if mtag == ptag {
                 continue;
             }
             let g = word_idx * TAGS_PER_WORD + nibble;
-            match effective {
+            match mode {
                 TcfMode::Sync => {
                     self.stats.count_sync_fault();
                     let fault_addr = self.base + (g * GRANULE).max(offset) as u64;
@@ -542,7 +536,7 @@ impl TaggedMemory {
                     t.latch_async_fault(ptr, mtag, access);
                     // Execution continues: async mode only logs.
                 }
-                TcfMode::None | TcfMode::Asymm => unreachable!("resolved above"),
+                TcfMode::None => unreachable!("checks_enabled() gates None out"),
             }
         }
         Ok(())
@@ -550,12 +544,11 @@ impl TaggedMemory {
 
     /// Injected spurious tag-check fault: "a checked access faults
     /// despite matching tags". Raised through the same machinery as a
-    /// real mismatch — the thread's effective TCF mode decides between
+    /// real mismatch — the thread's TCF mode decides between
     /// a synchronous error and an async latch, and the same stats fire —
     /// so downstream containment cannot tell it from
     /// a genuine fault. The reported memory tag equals the pointer tag,
     /// which is the one signature that marks it as spurious in reports.
-    #[cfg(feature = "stress-hooks")]
     #[cold]
     #[inline(never)]
     fn spurious_fault(
@@ -566,12 +559,7 @@ impl TaggedMemory {
         access: AccessKind,
     ) -> Result<()> {
         let ptag = ptr.tag();
-        let effective = match (t.mode(), access) {
-            (TcfMode::Asymm, AccessKind::Read) => TcfMode::Sync,
-            (TcfMode::Asymm, AccessKind::Write) => TcfMode::Async,
-            (m, _) => m,
-        };
-        match effective {
+        match t.mode() {
             TcfMode::Sync => {
                 self.stats.count_sync_fault();
                 Err(MemError::TagCheck(Box::new(TagCheckFault {
@@ -590,9 +578,8 @@ impl TaggedMemory {
                 t.latch_async_fault(ptr, ptag, access);
                 Ok(())
             }
-            // `checks_enabled()` gated `None` out before injection, and
-            // `Asymm` resolved above.
-            TcfMode::None | TcfMode::Asymm => Ok(()),
+            // `checks_enabled()` gated `None` out before injection.
+            TcfMode::None => Ok(()),
         }
     }
 
@@ -819,16 +806,14 @@ impl TaggedMemory {
 
     /// The `irg` instruction with operation counting; delegates to the
     /// thread's random source.
-    pub fn irg(&self, t: &MteThread, exclusion: TagExclusion) -> Tag {
+    pub fn irg(&self, t: &MteThread) -> Tag {
         self.stats.count_irg();
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Irg) {
-            // Tag-pool exhaustion: the generator falls back to the
-            // always-excluded zero tag, as real irg does when the
-            // exclusion mask covers all 16 tags.
+        if should_fail(InjectPoint::Irg) {
+            // Tag-pool exhaustion: the generator falls back to the zero
+            // tag it otherwise never draws.
             return Tag::UNTAGGED;
         }
-        t.irg(exclusion)
+        t.irg()
     }
 
     /// The `ldg` instruction: loads the memory tag of the granule
@@ -840,8 +825,7 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`] outside the region.
     pub fn ldg(&self, ptr: TaggedPtr) -> Result<Tag> {
         let offset = self.offset_of(ptr.granule_base(), GRANULE)?;
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Ldg) {
+        if should_fail(InjectPoint::Ldg) {
             return Err(MemError::Injected { point: "ldg" });
         }
         self.stats.count_ldg();
@@ -862,8 +846,7 @@ impl TaggedMemory {
         if !self.page_is_mte(offset) {
             return Err(not_prot_mte(ptr.addr()));
         }
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Stg) {
+        if should_fail(InjectPoint::Stg) {
             return Err(MemError::Injected { point: "stg" });
         }
         self.stats.count_stg(1);
@@ -889,8 +872,7 @@ impl TaggedMemory {
         if !self.page_is_mte(offset + GRANULE) {
             return Err(not_prot_mte(self.base + (offset + GRANULE) as u64));
         }
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Stg) {
+        if should_fail(InjectPoint::Stg) {
             return Err(MemError::Injected { point: "stg" });
         }
         self.stats.count_stg(2);
@@ -912,8 +894,7 @@ impl TaggedMemory {
         if !self.page_is_mte(offset) {
             return Err(not_prot_mte(ptr.addr()));
         }
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Stg) {
+        if should_fail(InjectPoint::Stg) {
             return Err(MemError::Injected { point: "stg" });
         }
         self.stats.count_stg(1);
@@ -942,8 +923,7 @@ impl TaggedMemory {
         }
         let len = (end - start) as usize;
         let offset = self.offset_of(start, len)?;
-        #[cfg(feature = "stress-hooks")]
-        if crate::inject::should_fail(crate::inject::InjectPoint::Stg) {
+        if should_fail(InjectPoint::Stg) {
             return Err(MemError::Injected { point: "stg" });
         }
         let first = offset / GRANULE;
@@ -1266,7 +1246,7 @@ mod tests {
         let t = checked_thread(TcfMode::Sync);
         m.mprotect_mte(m.base(), PAGE_SIZE, true).unwrap();
         let before = m.stats().snapshot();
-        let tag = m.irg(&t, TagExclusion::default());
+        let tag = m.irg(&t);
         let p = TaggedPtr::from_addr(m.base()).with_tag(tag);
         m.set_tag_range(p, p.addr() + 64, tag).unwrap();
         m.load_u32(&t, p).unwrap();
@@ -1314,55 +1294,5 @@ mod tag_map_tests {
             size: 1 << 16,
         });
         assert!(m.tag_map(m.end(), 16).is_err());
-    }
-}
-
-#[cfg(test)]
-mod asymm_tests {
-    use super::*;
-
-    fn setup() -> (Arc<TaggedMemory>, MteThread, TaggedPtr) {
-        let m = TaggedMemory::new(MemoryConfig {
-            base: 0x7a00_0000_0000,
-            size: 1 << 16,
-        });
-        m.mprotect_mte(m.base(), PAGE_SIZE, true).unwrap();
-        let tag = Tag::new(0x6).unwrap();
-        m.stg(TaggedPtr::from_addr(m.base()), tag).unwrap();
-        let t = MteThread::new("asymm");
-        t.set_mode(TcfMode::Asymm);
-        t.set_tco(false);
-        // An untagged pointer into the tagged granule: every access is a
-        // mismatch.
-        let p = TaggedPtr::from_addr(m.base());
-        (m, t, p)
-    }
-
-    #[test]
-    fn asymm_reads_fault_synchronously() {
-        let (m, t, p) = setup();
-        let err = m.load_u32(&t, p).unwrap_err();
-        let fault = err.as_tag_check().unwrap();
-        assert_eq!(fault.kind, FaultKind::Sync);
-        assert!(!t.has_pending_fault(), "nothing latched for a sync read");
-    }
-
-    #[test]
-    fn asymm_writes_latch_asynchronously() {
-        let (m, t, p) = setup();
-        m.store_u32(&t, p, 7).unwrap(); // proceeds
-        assert!(t.has_pending_fault());
-        let fault = t.syscall("write").unwrap_err();
-        assert_eq!(fault.kind, FaultKind::Async);
-        assert_eq!(fault.access, AccessKind::Write);
-    }
-
-    #[test]
-    fn asymm_matching_tags_pass_both_ways() {
-        let (m, t, p) = setup();
-        let tagged = p.with_tag(Tag::new(0x6).unwrap());
-        m.store_u32(&t, tagged, 99).unwrap();
-        assert_eq!(m.load_u32(&t, tagged).unwrap(), 99);
-        assert!(t.syscall("write").is_ok());
     }
 }

@@ -80,7 +80,6 @@ impl NativeAllocator {
     ///
     /// [`MemError::OutOfNativeMemory`] when no free block is large enough.
     pub fn alloc(&self, len: usize) -> Result<TaggedPtr> {
-        #[cfg(feature = "stress-hooks")]
         if crate::inject::should_fail(crate::inject::InjectPoint::Alloc) {
             return Err(MemError::OutOfNativeMemory { requested: len });
         }

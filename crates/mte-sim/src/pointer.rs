@@ -107,29 +107,6 @@ impl TaggedPtr {
         }
     }
 
-    /// The `addg` instruction: advances the address by `offset` and the
-    /// tag by `tag_offset` (modulo 16) — AArch64's combined
-    /// pointer-and-tag arithmetic, used by stack tagging and by allocators
-    /// that derive per-chunk tags from a base tag.
-    #[must_use]
-    pub fn addg(self, offset: u64, tag_offset: u8) -> TaggedPtr {
-        let tag = Tag::from_low_bits(self.tag().value().wrapping_add(tag_offset));
-        self.wrapping_add(offset).with_tag(tag)
-    }
-
-    /// The `subg` instruction: the subtractive counterpart of [`Self::addg`].
-    #[must_use]
-    pub fn subg(self, offset: u64, tag_offset: u8) -> TaggedPtr {
-        let tag = Tag::from_low_bits(self.tag().value().wrapping_sub(tag_offset) & 0xF);
-        self.wrapping_sub(offset).with_tag(tag)
-    }
-
-    /// The `subp` instruction: signed difference of two pointers'
-    /// *addresses*, ignoring both tags.
-    pub fn subp(self, other: TaggedPtr) -> i64 {
-        self.addr().wrapping_sub(other.addr()) as i64
-    }
-
     /// The address of the granule containing this pointer.
     pub fn granule_base(self) -> u64 {
         self.addr() & !(GRANULE as u64 - 1)
@@ -244,55 +221,5 @@ mod tests {
         assert!(TaggedPtr::from_addr(0x1000).is_aligned_to(16));
         assert!(!TaggedPtr::from_addr(0x1008).is_aligned_to(16));
         assert!(TaggedPtr::from_addr(0x1008).is_aligned_to(8));
-    }
-}
-
-#[cfg(test)]
-mod instruction_tests {
-    use super::*;
-    use crate::TagExclusion;
-
-    #[test]
-    fn addg_advances_address_and_tag_mod_16() {
-        let p = TaggedPtr::from_addr(0x1000).with_tag(Tag::new(0xE).unwrap());
-        let q = p.addg(0x20, 3);
-        assert_eq!(q.addr(), 0x1020);
-        assert_eq!(q.tag().value(), 0x1, "0xE + 3 wraps to 0x1");
-    }
-
-    #[test]
-    fn subg_reverses_addg() {
-        let p = TaggedPtr::from_addr(0x2000).with_tag(Tag::new(0x2).unwrap());
-        let q = p.addg(0x40, 5).subg(0x40, 5);
-        assert_eq!(q, p);
-        assert_eq!(p.subg(0, 3).tag().value(), 0xF, "0x2 - 3 wraps to 0xF");
-    }
-
-    #[test]
-    fn subp_ignores_tags() {
-        let a = TaggedPtr::from_addr(0x3000).with_tag(Tag::new(0x9).unwrap());
-        let b = TaggedPtr::from_addr(0x2FF0).with_tag(Tag::new(0x1).unwrap());
-        assert_eq!(a.subp(b), 0x10);
-        assert_eq!(b.subp(a), -0x10);
-    }
-
-    #[test]
-    fn gmi_inserts_pointer_tag_into_mask() {
-        let p = TaggedPtr::from_addr(0x100).with_tag(Tag::new(0xB).unwrap());
-        let mask = TagExclusion::default().gmi(p);
-        assert!(mask.excludes(Tag::new(0xB).unwrap()));
-        assert!(mask.excludes(Tag::UNTAGGED), "default exclusion preserved");
-        assert_eq!(mask.available(), 14);
-    }
-
-    #[test]
-    fn irg_after_gmi_never_collides_with_the_pointer() {
-        use crate::MteThread;
-        let t = MteThread::with_seed("t", 77);
-        let p = TaggedPtr::from_addr(0x100).with_tag(Tag::new(0x5).unwrap());
-        let mask = TagExclusion::default().gmi(p);
-        for _ in 0..500 {
-            assert_ne!(t.irg(mask), p.tag());
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! Two consumers keep this alive:
 //!
 //! * the differential property suite (`tests/differential.rs`) pins the
-//!   word-packed kernels in [`crate::memory`] bit-equivalent to these —
+//!   word-packed kernels of [`crate::TaggedMemory`] bit-equivalent to these —
 //!   results, fault kind and address, stats deltas, and final
 //!   data/tag state must all agree;
 //! * the `throughput` bench measures both implementations and records
@@ -25,7 +25,7 @@ use crate::fault::{AccessKind, FaultKind, TagCheckFault};
 use crate::memory::MemoryConfig;
 use crate::pointer::TaggedPtr;
 use crate::stats::MteStats;
-use crate::tag::{Tag, TagExclusion, GRANULE, PAGE_SIZE};
+use crate::tag::{Tag, GRANULE, PAGE_SIZE};
 use crate::thread::{MteThread, TcfMode};
 use crate::Result;
 
@@ -157,12 +157,7 @@ impl ScalarMemory {
             }
             let mtag = Tag::from_low_bits(self.tags[g].load(Ordering::Relaxed));
             if mtag != ptag {
-                let effective = match (t.mode(), access) {
-                    (TcfMode::Asymm, AccessKind::Read) => TcfMode::Sync,
-                    (TcfMode::Asymm, AccessKind::Write) => TcfMode::Async,
-                    (m, _) => m,
-                };
-                match effective {
+                match t.mode() {
                     TcfMode::Sync => {
                         self.stats.count_sync_fault();
                         let fault_addr = self.base + (g * GRANULE).max(offset) as u64;
@@ -181,7 +176,7 @@ impl ScalarMemory {
                         self.stats.count_async_fault();
                         t.latch_async_fault(ptr, mtag, access);
                     }
-                    TcfMode::None | TcfMode::Asymm => unreachable!("resolved above"),
+                    TcfMode::None => unreachable!("checks_enabled() gates None out"),
                 }
             }
         }
@@ -374,9 +369,9 @@ impl ScalarMemory {
     }
 
     /// The `irg` instruction with operation counting.
-    pub fn irg(&self, t: &MteThread, exclusion: TagExclusion) -> Tag {
+    pub fn irg(&self, t: &MteThread) -> Tag {
         self.stats.count_irg();
-        t.irg(exclusion)
+        t.irg()
     }
 
     /// The `ldg` instruction over byte-per-granule tag storage.

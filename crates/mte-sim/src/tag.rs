@@ -82,76 +82,6 @@ impl fmt::Display for Tag {
     }
 }
 
-/// The set of tags excluded from random generation by [`irg`].
-///
-/// Models the `GCR_EL1.Exclude` field: bit *i* set means tag *i* is never
-/// produced. The default excludes only tag 0, matching the Linux kernel's
-/// default exclusion mask for MTE-enabled processes.
-///
-/// [`irg`]: crate::MteThread::irg
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TagExclusion(u16);
-
-impl TagExclusion {
-    /// Excludes no tags at all (even tag 0 may be produced).
-    pub const NONE: TagExclusion = TagExclusion(0);
-
-    /// Creates an exclusion set from a raw 16-bit mask (bit *i* excludes
-    /// tag *i*).
-    pub fn from_mask(mask: u16) -> TagExclusion {
-        TagExclusion(mask)
-    }
-
-    /// Returns the raw 16-bit mask.
-    pub fn mask(self) -> u16 {
-        self.0
-    }
-
-    /// Returns a new set that additionally excludes `tag`.
-    ///
-    /// ```
-    /// use mte_sim::{Tag, TagExclusion};
-    /// let excl = TagExclusion::default().excluding(Tag::new(5).unwrap());
-    /// assert!(excl.excludes(Tag::new(5).unwrap()));
-    /// assert!(excl.excludes(Tag::UNTAGGED));
-    /// ```
-    #[must_use]
-    pub fn excluding(self, tag: Tag) -> TagExclusion {
-        TagExclusion(self.0 | 1 << tag.value())
-    }
-
-    /// Whether `tag` is excluded from generation.
-    pub fn excludes(self, tag: Tag) -> bool {
-        self.0 & (1 << tag.value()) != 0
-    }
-
-    /// Number of tags still available for generation.
-    pub fn available(self) -> u32 {
-        16 - self.0.count_ones()
-    }
-
-    /// The `gmi` instruction: inserts the tag of `ptr` into this
-    /// exclusion mask — the hardware primitive allocators use to build
-    /// "don't collide with this pointer" masks for a following `irg`.
-    #[must_use]
-    pub fn gmi(self, ptr: crate::TaggedPtr) -> TagExclusion {
-        self.excluding(ptr.tag())
-    }
-}
-
-impl Default for TagExclusion {
-    /// Excludes only [`Tag::UNTAGGED`].
-    fn default() -> Self {
-        TagExclusion(1)
-    }
-}
-
-impl fmt::Debug for TagExclusion {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TagExclusion({:#06b})", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,27 +125,6 @@ mod tests {
         assert!(Tag::UNTAGGED.is_untagged());
         assert_eq!(Tag::default(), Tag::UNTAGGED);
         assert!(!Tag::new(1).unwrap().is_untagged());
-    }
-
-    #[test]
-    fn default_exclusion_excludes_only_zero() {
-        let excl = TagExclusion::default();
-        assert!(excl.excludes(Tag::UNTAGGED));
-        for v in 1..16 {
-            assert!(!excl.excludes(Tag::new(v).unwrap()), "tag {v}");
-        }
-        assert_eq!(excl.available(), 15);
-    }
-
-    #[test]
-    fn excluding_accumulates() {
-        let excl = TagExclusion::NONE
-            .excluding(Tag::new(3).unwrap())
-            .excluding(Tag::new(9).unwrap());
-        assert!(excl.excludes(Tag::new(3).unwrap()));
-        assert!(excl.excludes(Tag::new(9).unwrap()));
-        assert!(!excl.excludes(Tag::new(4).unwrap()));
-        assert_eq!(excl.available(), 14);
     }
 
     #[test]

@@ -16,6 +16,8 @@ const BASE: u64 = 0x7a00_0000_0000;
 /// while keeping full-state comparison cheap.
 const SIZE: usize = 4 * PAGE_SIZE;
 const GRANULES: usize = SIZE / GRANULE;
+/// Every tag-check fault mode; each proptest draws one.
+const MODES: [TcfMode; 3] = [TcfMode::Sync, TcfMode::Async, TcfMode::None];
 
 /// The wide implementation and its scalar oracle, driven in lockstep.
 struct Pair {
@@ -125,9 +127,9 @@ proptest! {
         offset in 0usize..(SIZE - 600),
         len in 0usize..600,
         data_seed in any::<u64>(),
-        mode_sel in 0u8..3,
+        mode_sel in 0usize..MODES.len(),
     ) {
-        let mode = [TcfMode::Sync, TcfMode::Async, TcfMode::Asymm][mode_sel as usize];
+        let mode = MODES[mode_sel];
         let p = Pair::build(&tags, prot_mask, data_seed, mode);
         let ptr = TaggedPtr::from_addr(BASE + offset as u64)
             .with_tag(Tag::from_low_bits(ptr_tag));
@@ -145,7 +147,7 @@ proptest! {
         assert_same_latch(&p);
     }
 
-    /// Checked bulk writes and fills, including async/asymm continuation
+    /// Checked bulk writes and fills, including async continuation
     /// semantics: the data image afterwards must match byte-for-byte.
     #[test]
     fn write_and_fill_match_scalar(
@@ -156,10 +158,10 @@ proptest! {
         len in 0usize..600,
         fill_value in any::<u8>(),
         data_seed in any::<u64>(),
-        mode_sel in 0u8..3,
+        mode_sel in 0usize..MODES.len(),
         use_fill in any::<bool>(),
     ) {
-        let mode = [TcfMode::Sync, TcfMode::Async, TcfMode::Asymm][mode_sel as usize];
+        let mode = MODES[mode_sel];
         let p = Pair::build(&tags, prot_mask, data_seed, mode);
         let ptr = TaggedPtr::from_addr(BASE + offset as u64)
             .with_tag(Tag::from_low_bits(ptr_tag));
@@ -199,11 +201,10 @@ proptest! {
         value in any::<u64>(),
         width_sel in 0u8..4,
         data_seed in any::<u64>(),
-        mode_sel in 0u8..4,
+        mode_sel in 0usize..MODES.len(),
         tco in any::<bool>(),
     ) {
-        let mode = [TcfMode::Sync, TcfMode::Async, TcfMode::Asymm, TcfMode::None]
-            [mode_sel as usize];
+        let mode = MODES[mode_sel];
         let p = Pair::build(&tags, prot_mask, data_seed, mode);
         p.wt.set_tco(tco);
         p.st.set_tco(tco);

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use mte_sim::sync::yield_point;
-use mte_sim::{MemError, MteThread, Tag, TagExclusion, TaggedMemory, TaggedPtr, GRANULE};
+use mte_sim::{MemError, MteThread, Tag, TaggedMemory, TaggedPtr, GRANULE};
 
 use crate::entry::{self, EntryState};
 use crate::table::{
@@ -215,7 +215,7 @@ impl TagTable for AtomicEntryTable {
                         core.contended("lockfree-acquire-fresh-retry");
                         continue;
                     }
-                    let tag = mem.irg(thread, TagExclusion::default());
+                    let tag = mem.irg(thread);
                     // `irg` falls back to the zero tag on pool
                     // exhaustion; surface that before any tag store
                     // (see the two-tier path) so the rollback below

@@ -15,11 +15,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// The `sync` facade is plain `parking_lot` in release builds; under the
-// `stress-hooks` feature every lock operation becomes a schedule point
-// for the deterministic scheduler in `crates/stress` (DESIGN.md §9).
+// Every lock operation on the `sync` facade is a schedule point for the
+// deterministic scheduler in `crates/stress` (DESIGN.md §9); threads
+// without a scheduler take the plain `parking_lot` path.
 use mte_sim::sync::Mutex;
-use mte_sim::{MemError, MteThread, Tag, TagExclusion, TaggedMemory, TaggedPtr, GRANULE};
+use mte_sim::{MemError, MteThread, Tag, TaggedMemory, TaggedPtr, GRANULE};
 
 use crate::atomic_table::AtomicEntryTable;
 
@@ -537,7 +537,7 @@ impl TagTable for TwoTierTable {
                 obj.tag
             } else {
                 // Generate a new tag (irg) and apply it (st2g/stg).
-                let tag = mem.irg(thread, TagExclusion::default());
+                let tag = mem.irg(thread);
                 // `irg` falls back to the zero tag when the pool is
                 // exhausted (injected, or everything excluded). An
                 // untagged "protected" object would silently behave like
@@ -707,7 +707,7 @@ impl TagTable for GlobalLockTable {
             entry.reference_num += 1;
             Ok(Borrow::new(begin.addr(), end, entry.tag, 0, true))
         } else {
-            let tag = mem.irg(thread, TagExclusion::default());
+            let tag = mem.irg(thread);
             if tag.is_untagged() {
                 // Tag-pool exhaustion; nothing inserted yet, so the
                 // table is untouched (see the two-tier path).

@@ -348,7 +348,6 @@ struct SelfCheckOutcome {
 
 /// Runs a broken scheme until the harness flags it; the harness fails
 /// its own audit if a seeded bug survives the whole budget.
-#[cfg(feature = "mutation")]
 fn self_check(kind: SchemeKind, o: &Options) -> SelfCheckOutcome {
     // No fault injection here: the self-check isolates pure concurrency
     // detection.
@@ -452,7 +451,6 @@ fn main() -> ExitCode {
 
     let mut self_checks = Vec::new();
     if o.self_check {
-        #[cfg(feature = "mutation")]
         for kind in [
             SchemeKind::BrokenLockFree,
             SchemeKind::BrokenTwoTier,
@@ -475,11 +473,6 @@ fn main() -> ExitCode {
                 }
             }
             self_checks.push(out);
-        }
-        #[cfg(not(feature = "mutation"))]
-        {
-            eprintln!("stress: --self-check requires the `mutation` feature");
-            ok = false;
         }
     }
 

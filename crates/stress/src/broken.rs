@@ -1,6 +1,5 @@
 //! Deliberately broken tag-table variants for the mutation self-check
-//! (`mutation` feature, default-on, never exported outside this crate's
-//! tests and `--self-check`).
+//! (used only by this crate's tests and `--self-check`).
 //!
 //! All variants carry the same class of seeded bug: a **lost update** on
 //! the reference count. Where the real tables read and mutate the count
@@ -22,7 +21,7 @@ use std::sync::Arc;
 use mte4jni::entry::{self, EntryState};
 use mte4jni::{Borrow, ReleaseOutcome, TagTable};
 use mte_sim::sync::{yield_point, Mutex};
-use mte_sim::{MteThread, Tag, TagExclusion, TaggedMemory, TaggedPtr, GRANULE};
+use mte_sim::{MteThread, Tag, TaggedMemory, TaggedPtr, GRANULE};
 
 #[derive(Debug)]
 struct Entry {
@@ -75,7 +74,7 @@ impl TagTable for BrokenTwoTier {
         // lock below; another thread can interleave between the two.
         let count = entry.lock().reference_num;
         if count == 0 {
-            let tag = mem.irg(thread, TagExclusion::default());
+            let tag = mem.irg(thread);
             mem.set_tag_range(begin, end, tag)?;
             let mut e = entry.lock();
             e.tag = tag;
@@ -167,7 +166,7 @@ impl TagTable for BrokenGlobal {
                 Ok(Borrow::new(addr, end, tag, 0, true))
             }
             None => {
-                let tag = mem.irg(thread, TagExclusion::default());
+                let tag = mem.irg(thread);
                 mem.set_tag_range(begin, end, tag)?;
                 self.entries.lock().insert(
                     addr,
@@ -265,7 +264,7 @@ impl TagTable for BrokenLockFree {
                 true,
             ))
         } else {
-            let tag = mem.irg(thread, TagExclusion::default());
+            let tag = mem.irg(thread);
             mem.set_tag_range(begin, end, tag)?;
             yield_point("broken-lockfree-gap");
             let generation = entry::generation(word).wrapping_add(1);

@@ -39,7 +39,6 @@ use mte_sim::{MemError, MemoryConfig, MteThread, Tag, TaggedMemory, TaggedPtr, T
 
 use crate::sched::{self, RunReport};
 
-#[cfg(feature = "mutation")]
 use crate::broken::{BrokenGlobal, BrokenLockFree, BrokenTwoTier};
 
 /// Base address of the per-schedule simulated memory.
@@ -61,13 +60,10 @@ pub enum SchemeKind {
     /// The guarded-copy shadow ledger.
     Guarded,
     /// Deliberately broken lock-free variant (mutation self-check).
-    #[cfg(feature = "mutation")]
     BrokenLockFree,
     /// Deliberately broken two-tier variant (mutation self-check).
-    #[cfg(feature = "mutation")]
     BrokenTwoTier,
     /// Deliberately broken global variant (mutation self-check).
-    #[cfg(feature = "mutation")]
     BrokenGlobal,
 }
 
@@ -79,11 +75,8 @@ impl SchemeKind {
             SchemeKind::TwoTier => "two-tier",
             SchemeKind::Global => "global",
             SchemeKind::Guarded => "guarded",
-            #[cfg(feature = "mutation")]
             SchemeKind::BrokenLockFree => "broken-lock-free",
-            #[cfg(feature = "mutation")]
             SchemeKind::BrokenTwoTier => "broken-two-tier",
-            #[cfg(feature = "mutation")]
             SchemeKind::BrokenGlobal => "broken-global",
         }
     }
@@ -166,10 +159,8 @@ fn mix(seed: u64, salt: u64) -> u64 {
 fn vm_backend(kind: SchemeKind) -> TableBackend {
     match kind {
         SchemeKind::TwoTier => TableBackend::TwoTier,
-        #[cfg(feature = "mutation")]
         SchemeKind::BrokenTwoTier => TableBackend::TwoTier,
         SchemeKind::Global => TableBackend::Global,
-        #[cfg(feature = "mutation")]
         SchemeKind::BrokenGlobal => TableBackend::Global,
         _ => TableBackend::LockFree,
     }
@@ -187,15 +178,12 @@ pub fn run_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> Schedule
         }
         SchemeKind::Global => run_table_schedule(Arc::new(GlobalLockTable::new()), seed, cfg),
         SchemeKind::Guarded => run_guarded_schedule(seed, cfg),
-        #[cfg(feature = "mutation")]
         SchemeKind::BrokenLockFree => {
             run_table_schedule(Arc::new(BrokenLockFree::new()), seed, cfg)
         }
-        #[cfg(feature = "mutation")]
         SchemeKind::BrokenTwoTier => {
             run_table_schedule(Arc::new(BrokenTwoTier::new(16)), seed, cfg)
         }
-        #[cfg(feature = "mutation")]
         SchemeKind::BrokenGlobal => run_table_schedule(Arc::new(BrokenGlobal::new()), seed, cfg),
     }
 }
@@ -939,10 +927,8 @@ pub fn run_serving_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> 
 
     let scheme = match kind {
         SchemeKind::TwoTier => TenantScheme::TwoTier,
-        #[cfg(feature = "mutation")]
         SchemeKind::BrokenTwoTier => TenantScheme::TwoTier,
         SchemeKind::Global => TenantScheme::Global,
-        #[cfg(feature = "mutation")]
         SchemeKind::BrokenGlobal => TenantScheme::Global,
         SchemeKind::Guarded => TenantScheme::Guarded,
         _ => TenantScheme::LockFree,

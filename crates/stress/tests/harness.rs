@@ -315,7 +315,6 @@ fn scheduler_aborts_runaway_schedules_on_budget() {
     assert!(report.steps >= 50);
 }
 
-#[cfg(feature = "mutation")]
 mod mutation {
     use super::*;
 

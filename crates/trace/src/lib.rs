@@ -10,10 +10,10 @@
 //! * [`codec`] — a compact length-prefixed varint binary format with a
 //!   schema-versioned header. Encoding is bit-reproducible: no wall
 //!   clock, no host state, ever.
-//! * [`replay`] — re-drives a trace against a fresh [`jni_rt::Vm`] under
+//! * [`replay`](mod@replay) — re-drives a trace against a fresh [`jni_rt::Vm`] under
 //!   any table backend (or the guarded-copy scheme) and reduces the run
 //!   to a deterministic outcome [`Digest`].
-//! * [`diff`] — the differential oracle: one trace replayed across every
+//! * [`diff`](mod@diff) — the differential oracle: one trace replayed across every
 //!   backend, digests compared under the documented allowance (tag
 //!   values and containment mechanics may differ between schemes;
 //!   detection verdicts and conservation laws may not).

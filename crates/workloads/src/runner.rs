@@ -1,4 +1,4 @@
-//! Timing runners used by the figure harness and the Criterion benches.
+//! Timing runners used by the figure harness.
 
 use std::time::{Duration, Instant};
 

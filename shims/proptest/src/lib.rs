@@ -230,7 +230,7 @@ pub mod prop {
             }
         }
 
-        /// The strategy returned by [`vec`].
+        /// The strategy returned by [`vec()`].
         #[derive(Clone, Copy, Debug)]
         pub struct VecStrategy<S> {
             element: S,

@@ -12,7 +12,6 @@
 //! | [`guarded_copy`] | the CheckJNI guarded-copy baseline |
 //! | [`mte4jni`] | **the paper's contribution**: two-tier reference-counted tag tables + thread-level MTE |
 //! | [`workloads`] | GeekBench-style kernels and the scheme factory |
-//! | [`dex_interp`] | a miniature managed-code interpreter: bounds-checked bytecode calling native methods through the real trampolines |
 //!
 //! This facade crate re-exports everything and hosts the runnable
 //! examples and the cross-crate integration tests.
@@ -40,7 +39,6 @@
 //! ```
 
 pub use art_heap;
-pub use dex_interp;
 pub use guarded_copy;
 pub use jni_rt;
 pub use mte4jni;

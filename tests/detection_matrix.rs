@@ -26,37 +26,61 @@ fn classify(result: Result<(), JniError>) -> Outcome {
     }
 }
 
+/// What became of the `int[8]` allocated directly after the victim.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Neighbour {
+    /// Every byte of its header and payload is unchanged.
+    Intact,
+    /// The offense changed at least one byte of it.
+    Corrupted,
+}
+
 /// Runs one offense in a fresh VM: acquire an `int[18]`, perform the
-/// offense, log (surfacing latched async faults), release.
+/// offense, log (surfacing latched async faults), release. Reports the
+/// outcome and whether the object allocated after the victim survived.
 fn run_offense(
     scheme: Scheme,
     offense: impl FnOnce(&JniEnv<'_>, &jni_rt::NativeArray) -> Result<(), JniError>,
-) -> Outcome {
+) -> (Outcome, Neighbour) {
     let vm = scheme.build_vm();
     let thread = vm.attach_thread("matrix");
     let env = vm.env(&thread);
     // Padding so negative-index offenses stay inside the simulated heap.
     let _padding = env.new_int_array(64).expect("alloc padding");
     let array = env.new_int_array(18).expect("alloc");
+    let neighbour = env.new_int_array(8).expect("alloc neighbour");
+    let snapshot = || {
+        let mut bytes = [0u8; art_heap::HEADER_SIZE + 8 * 4];
+        let ptr = TaggedPtr::from_addr(neighbour.addr());
+        vm.heap().memory().read_bytes_unchecked(ptr, &mut bytes).expect("in range");
+        bytes
+    };
+    let before = snapshot();
     let result = env.call_native("offense", NativeKind::Normal, |env| {
         let elems = env.get_primitive_array_critical(&array)?;
         offense(env, &elems)?;
         env.log("done")?;
         env.release_primitive_array_critical(&array, elems, ReleaseMode::CopyBack)
     });
-    classify(result)
+    let neighbour = if snapshot() == before { Neighbour::Intact } else { Neighbour::Corrupted };
+    (classify(result), neighbour)
 }
 
 #[test]
 fn near_oob_write_matrix() {
-    // Write at index 21 of int[18]: inside the red zone, outside the tag.
+    // Write at index 21 of int[18]: inside the red zone, outside the tag,
+    // and 12 bytes past the payload, inside the next object. Unprotected,
+    // the neighbour is corrupted silently; guarded copy's store lands in
+    // the shadow's red zone and aborts at release; sync MTE faults at the
+    // store; async MTE latches the fault but lets the store land.
     let offense = |env: &JniEnv<'_>, a: &jni_rt::NativeArray| {
         a.write_i32(&env.native_mem(), 21, 1).map_err(Into::into)
     };
-    assert_eq!(run_offense(Scheme::NoProtection, offense), Outcome::Undetected);
-    assert_eq!(run_offense(Scheme::GuardedCopy, offense), Outcome::AtRelease);
-    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), Outcome::TagCheck);
-    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), Outcome::TagCheck);
+    use {Neighbour::*, Outcome::*};
+    assert_eq!(run_offense(Scheme::NoProtection, offense), (Undetected, Corrupted));
+    assert_eq!(run_offense(Scheme::GuardedCopy, offense), (AtRelease, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), (TagCheck, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), (TagCheck, Corrupted));
 }
 
 #[test]
@@ -65,10 +89,11 @@ fn near_oob_read_matrix() {
     let offense = |env: &JniEnv<'_>, a: &jni_rt::NativeArray| {
         a.read_i32(&env.native_mem(), 21).map(drop).map_err(Into::into)
     };
-    assert_eq!(run_offense(Scheme::NoProtection, offense), Outcome::Undetected);
-    assert_eq!(run_offense(Scheme::GuardedCopy, offense), Outcome::Undetected);
-    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), Outcome::TagCheck);
-    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), Outcome::TagCheck);
+    use {Neighbour::*, Outcome::*};
+    assert_eq!(run_offense(Scheme::NoProtection, offense), (Undetected, Intact));
+    assert_eq!(run_offense(Scheme::GuardedCopy, offense), (Undetected, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), (TagCheck, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), (TagCheck, Intact));
 }
 
 #[test]
@@ -81,10 +106,11 @@ fn negative_index_write_matrix() {
     let offense = |env: &JniEnv<'_>, a: &jni_rt::NativeArray| {
         a.write_i32(&env.native_mem(), -8, 1).map_err(Into::into)
     };
-    assert_eq!(run_offense(Scheme::NoProtection, offense), Outcome::Undetected);
-    assert_eq!(run_offense(Scheme::GuardedCopy, offense), Outcome::AtRelease);
-    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), Outcome::TagCheck);
-    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), Outcome::TagCheck);
+    use {Neighbour::*, Outcome::*};
+    assert_eq!(run_offense(Scheme::NoProtection, offense), (Undetected, Intact));
+    assert_eq!(run_offense(Scheme::GuardedCopy, offense), (AtRelease, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), (TagCheck, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), (TagCheck, Intact));
 }
 
 #[test]
@@ -95,10 +121,11 @@ fn far_oob_write_matrix() {
     let offense = |env: &JniEnv<'_>, a: &jni_rt::NativeArray| {
         a.write_i32(&env.native_mem(), 4096, 1).map_err(Into::into)
     };
-    assert_eq!(run_offense(Scheme::NoProtection, offense), Outcome::Undetected);
-    assert_eq!(run_offense(Scheme::GuardedCopy, offense), Outcome::Undetected);
-    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), Outcome::TagCheck);
-    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), Outcome::TagCheck);
+    use {Neighbour::*, Outcome::*};
+    assert_eq!(run_offense(Scheme::NoProtection, offense), (Undetected, Intact));
+    assert_eq!(run_offense(Scheme::GuardedCopy, offense), (Undetected, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniSync, offense), (TagCheck, Intact));
+    assert_eq!(run_offense(Scheme::Mte4JniAsync, offense), (TagCheck, Intact));
 }
 
 #[test]
