@@ -11,6 +11,15 @@ cd "$(dirname "$0")"
 echo "== build (workspace, all targets) =="
 cargo build --offline --workspace --all-targets
 
+echo "== build (benchmark harness) =="
+# perfbench/ is a workspace of its own that depends on the repository's
+# crates by path, so the workspace build above never compiles it. Build
+# it (and its tests) here so a public-API change that breaks the
+# benchmark fails CI rather than the benchmark run. Writes only to the
+# ignored perfbench/target/.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+cargo test --offline --release --manifest-path perfbench/Cargo.toml --no-run
+
 echo "== test (workspace) =="
 cargo test --offline --workspace -q
 

@@ -184,8 +184,8 @@ fn table_count_cost(args: &Args, report: &mut BenchReport) {
         let table = TwoTierTable::new(k);
         let start = Instant::now();
         for _ in 0..iters {
-            let borrow = table.acquire(&mem, &thread, begin, end).unwrap();
-            table.release(&mem, borrow).unwrap();
+            table.acquire(&mem, &thread, begin, end).unwrap();
+            table.release(&mem, begin, end).unwrap();
         }
         let per_pair = start.elapsed().as_secs_f64() / f64::from(iters) * 1e9;
         println!("k = {k:>3}: {per_pair:>7.1} ns per acquire+release pair");

@@ -20,7 +20,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use bench::{json_output, print_environment, Args, BenchReport};
-use mte4jni::{TableBackend, TableConfig, TagTable};
+use mte4jni::{ReleaseOutcome, TableBackend, TableConfig, TagTable};
 use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 use telemetry::json::JsonValue;
 
@@ -93,11 +93,15 @@ fn measure_ops(
                     let end = addr + OBJ_LEN;
                     barrier.wait();
                     for _ in 0..pairs {
-                        let Ok(borrow) = table.acquire(&mem, &thread, begin, end) else {
+                        if table.acquire(&mem, &thread, begin, end).is_err() {
                             failed.store(true, Ordering::Relaxed);
                             return;
-                        };
-                        if table.release(&mem, borrow).is_err() {
+                        }
+                        // The borrow just acquired must still be tracked.
+                        if !matches!(
+                            table.release(&mem, begin, end),
+                            Ok(outcome) if outcome != ReleaseOutcome::NotTracked
+                        ) {
                             failed.store(true, Ordering::Relaxed);
                             return;
                         }

@@ -3,8 +3,11 @@
 //! ART's CheckJNI detects more than buffer overflows: it catches JNI
 //! *usage* errors such as releasing a pointer through the wrong interface,
 //! releasing it against the wrong object, or forgetting to release at all
-//! (paper §6.3). This module implements that bookkeeping as an opt-in
-//! per-environment ledger ([`VmBuilder::check_jni`]).
+//! (paper §6.3). This module holds that validation, opt-in per
+//! environment ([`VmBuilder::check_jni`]). It keeps no pointer map of its
+//! own: the environment's live-borrow list already records each borrow's
+//! interface and object, and a release is checked against the borrow it
+//! names there.
 //!
 //! The interface vocabulary itself ([`JniInterface`]) lives in the
 //! `telemetry` crate so protection schemes and events can share it; this
@@ -13,7 +16,6 @@
 //! [`VmBuilder::check_jni`]: crate::VmBuilder::check_jni
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use mte_sim::{Backtrace, TaggedPtr};
 use telemetry::JniInterface;
@@ -35,11 +37,10 @@ pub struct Outstanding {
     pub object: u64,
 }
 
-/// Per-environment acquisition ledger. Disabled ledgers cost nothing.
+/// Per-environment CheckJNI state. Disabled ledgers cost nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
     enabled: bool,
-    entries: RefCell<HashMap<u64, (JniInterface, u64)>>,
     guard_drops: RefCell<Vec<Outstanding>>,
 }
 
@@ -47,61 +48,42 @@ impl Ledger {
     pub(crate) fn new(enabled: bool) -> Ledger {
         Ledger {
             enabled,
-            entries: RefCell::new(HashMap::new()),
             guard_drops: RefCell::new(Vec::new()),
         }
     }
 
-    /// Records a successful acquisition of `object` through `interface`.
-    pub(crate) fn record(&self, ptr: TaggedPtr, interface: JniInterface, object: u64) {
-        if self.enabled {
-            self.entries.borrow_mut().insert(ptr.raw(), (interface, object));
-        }
+    /// Whether CheckJNI validation is on for this environment.
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled
     }
 
-    /// Validates a release: the pointer must have been acquired through
-    /// the same interface family, against the same object. Unknown
-    /// pointers are left to the protection scheme (which reports a stale
-    /// release where it can).
-    ///
-    /// When `keep` is true (a `JNI_COMMIT` release) the entry stays open.
+    /// Validates a release against `acquired`, the live borrow the
+    /// released pointer names: it must have been acquired through the
+    /// same interface family, against the same object. Pointers with no
+    /// live borrow are left to the protection scheme (which reports a
+    /// stale release where it can).
     pub(crate) fn verify(
         &self,
-        ptr: TaggedPtr,
+        acquired: Option<Outstanding>,
         interface: JniInterface,
-        keep: bool,
         object: u64,
     ) -> Result<()> {
-        if !self.enabled {
-            return Ok(());
-        }
-        let mut entries = self.entries.borrow_mut();
-        match entries.get(&ptr.raw()) {
-            Some(&(recorded, _)) if recorded != interface => {
-                Err(Self::abort(format!(
-                    "pointer {:#x} was acquired with {} but released with {}",
-                    ptr.raw(),
-                    recorded.get_name(),
-                    interface.release_name(),
-                )))
-            }
-            Some(&(_, recorded_obj)) if recorded_obj != object => {
-                Err(Self::abort(format!(
-                    "pointer {:#x} was acquired with {} from object {:#x} \
-                     but released against object {:#x}",
-                    ptr.raw(),
-                    interface.get_name(),
-                    recorded_obj,
-                    object,
-                )))
-            }
-            Some(_) => {
-                if !keep {
-                    entries.remove(&ptr.raw());
-                }
-                Ok(())
-            }
-            None => Ok(()),
+        match acquired {
+            Some(a) if self.enabled && a.interface != interface => Err(Self::abort(format!(
+                "pointer {:#x} was acquired with {} but released with {}",
+                a.pointer,
+                a.interface.get_name(),
+                interface.release_name(),
+            ))),
+            Some(a) if self.enabled && a.object != object => Err(Self::abort(format!(
+                "pointer {:#x} was acquired with {} from object {:#x} \
+                 but released against object {:#x}",
+                a.pointer,
+                interface.get_name(),
+                a.object,
+                object,
+            ))),
+            _ => Ok(()),
         }
     }
 
@@ -126,126 +108,15 @@ impl Ledger {
         }
     }
 
-    /// Drops a recorded acquisition without validation — used by the
-    /// containment pass after it force-releases a leaked borrow, so the
-    /// ledger does not keep reporting a pointer the runtime already
-    /// reclaimed.
-    pub(crate) fn forget(&self, ptr: TaggedPtr) {
-        if self.enabled {
-            self.entries.borrow_mut().remove(&ptr.raw());
-        }
-    }
-
     /// Guards dropped without an explicit `commit`/`abort`.
     pub(crate) fn guard_drops(&self) -> Vec<Outstanding> {
         self.guard_drops.borrow().clone()
-    }
-
-    /// Acquisitions that were never released.
-    pub(crate) fn outstanding(&self) -> Vec<Outstanding> {
-        self.entries
-            .borrow()
-            .iter()
-            .map(|(&pointer, &(interface, object))| Outstanding {
-                pointer,
-                interface,
-                object,
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ptr(addr: u64) -> TaggedPtr {
-        TaggedPtr::from_addr(addr)
-    }
-
-    const OBJ: u64 = 0x1000;
-
-    #[test]
-    fn disabled_ledger_accepts_everything() {
-        let ledger = Ledger::new(false);
-        ledger.record(ptr(0x10), JniInterface::StringChars, OBJ);
-        assert!(ledger
-            .verify(ptr(0x10), JniInterface::ArrayElements, false, OBJ)
-            .is_ok());
-        assert!(ledger.outstanding().is_empty());
-    }
-
-    #[test]
-    fn matched_release_closes_the_entry() {
-        let ledger = Ledger::new(true);
-        ledger.record(ptr(0x10), JniInterface::ArrayElements, OBJ);
-        assert_eq!(ledger.outstanding().len(), 1);
-        assert_eq!(ledger.outstanding()[0].object, OBJ);
-        ledger
-            .verify(ptr(0x10), JniInterface::ArrayElements, false, OBJ)
-            .unwrap();
-        assert!(ledger.outstanding().is_empty());
-    }
-
-    #[test]
-    fn commit_keeps_the_entry_open() {
-        let ledger = Ledger::new(true);
-        ledger.record(ptr(0x10), JniInterface::ArrayElements, OBJ);
-        ledger
-            .verify(ptr(0x10), JniInterface::ArrayElements, true, OBJ)
-            .unwrap();
-        assert_eq!(ledger.outstanding().len(), 1);
-    }
-
-    #[test]
-    fn mismatched_interface_is_an_abort() {
-        let ledger = Ledger::new(true);
-        ledger.record(ptr(0x20), JniInterface::StringCritical, OBJ);
-        let err = ledger
-            .verify(ptr(0x20), JniInterface::StringChars, false, OBJ)
-            .unwrap_err();
-        let report = err.as_abort().expect("check-jni abort");
-        assert!(report.message.contains("GetStringCritical"));
-        assert!(report.message.contains("ReleaseStringChars"));
-        // The entry survives the failed release, like ART (which aborts).
-        assert_eq!(ledger.outstanding().len(), 1);
-    }
-
-    #[test]
-    fn mismatched_object_is_an_abort() {
-        // The `ReleaseStringUTFChars(wrong_string, utf)` bug class: right
-        // interface, wrong source object.
-        let ledger = Ledger::new(true);
-        ledger.record(ptr(0x20), JniInterface::StringUtfChars, OBJ);
-        let err = ledger
-            .verify(ptr(0x20), JniInterface::StringUtfChars, false, 0x2000)
-            .unwrap_err();
-        let report = err.as_abort().expect("check-jni abort");
-        assert!(report.message.contains("from object 0x1000"), "{}", report.message);
-        assert!(report.message.contains("against object 0x2000"), "{}", report.message);
-        assert_eq!(ledger.outstanding().len(), 1);
-    }
-
-    #[test]
-    fn unknown_pointers_are_deferred_to_the_scheme() {
-        let ledger = Ledger::new(true);
-        assert!(ledger
-            .verify(ptr(0x30), JniInterface::ArrayElements, false, OBJ)
-            .is_ok());
-    }
-
-    #[test]
-    fn guard_drops_are_noted_only_when_enabled() {
-        let ledger = Ledger::new(false);
-        ledger.note_guard_drop(ptr(0x40), JniInterface::PrimitiveArrayCritical, OBJ);
-        assert!(ledger.guard_drops().is_empty());
-
-        let ledger = Ledger::new(true);
-        ledger.note_guard_drop(ptr(0x40), JniInterface::PrimitiveArrayCritical, OBJ);
-        let drops = ledger.guard_drops();
-        assert_eq!(drops.len(), 1);
-        assert_eq!(drops[0].interface, JniInterface::PrimitiveArrayCritical);
-    }
 
     #[test]
     fn interface_names_render() {

@@ -28,15 +28,30 @@ use crate::Result;
 const CONTAIN_RELEASE_RETRIES: u32 = 64;
 
 /// One raw pointer currently handed out to native code through this
-/// environment. Always tracked (unlike the opt-in CheckJNI ledger): the
-/// containment pass needs it to clean up after a fault, and releases
-/// use it to route back to the scheme that performed the acquire.
+/// environment — the borrow's only record in the JNI layer. The
+/// containment pass uses it to clean up after a fault, releases use it
+/// to route back to the scheme that performed the acquire, and CheckJNI
+/// validates releases against it and reports it while outstanding.
 #[derive(Clone)]
 struct LiveBorrow {
     ptr: TaggedPtr,
     obj: ObjectRef,
+    /// Address of the Java object the caller named: `obj` itself, except
+    /// for `GetStringUTFChars`, where it is the source string and `obj`
+    /// the hidden transcoding buffer.
+    identity: u64,
     interface: JniInterface,
     via_fallback: bool,
+}
+
+impl LiveBorrow {
+    fn outstanding(&self) -> Outstanding {
+        Outstanding {
+            pointer: self.ptr.raw(),
+            interface: self.interface,
+            object: self.identity,
+        }
+    }
 }
 
 /// The JNI environment for one thread — the `JNIEnv*` native code
@@ -72,9 +87,17 @@ impl<'a> JniEnv<'a> {
     }
 
     /// CheckJNI: acquisitions on this environment that were never
-    /// released — what ART warns about when a thread detaches.
+    /// released, in acquire order — what ART warns about when a thread
+    /// detaches. Empty when CheckJNI is off.
     pub fn outstanding_acquisitions(&self) -> Vec<Outstanding> {
-        self.ledger.outstanding()
+        if !self.ledger.enabled() {
+            return Vec::new();
+        }
+        self.borrows
+            .borrow()
+            .iter()
+            .map(LiveBorrow::outstanding)
+            .collect()
     }
 
     /// CheckJNI: guards that were dropped without an explicit
@@ -142,7 +165,7 @@ impl<'a> JniEnv<'a> {
     /// The single acquire path every `Get*` interface funnels through:
     /// quarantine routing, protection interposition with bounded retry
     /// and tag-exhaustion degradation, latency timing, event recording,
-    /// the CheckJNI ledger entry, and the live-borrow log. `identity` is
+    /// and the live-borrow record. `identity` is
     /// the address of the Java object the caller named — for
     /// `GetStringUTFChars` that is the source string while `scheme_obj`
     /// is the hidden transcoding buffer.
@@ -216,10 +239,10 @@ impl<'a> JniEnv<'a> {
             );
         }
         telemetry::record(Event::Acquire { interface });
-        self.ledger.record(out.ptr, interface, identity);
         self.borrows.borrow_mut().push(LiveBorrow {
             ptr: out.ptr,
             obj: scheme_obj.clone(),
+            identity,
             interface,
             via_fallback,
         });
@@ -232,9 +255,9 @@ impl<'a> JniEnv<'a> {
         Ok(out)
     }
 
-    /// The matching single release path: ledger verification (interface
-    /// *and* object identity), then the scheme interposition with timing
-    /// and event recording.
+    /// The matching single release path: the live-borrow lookup with
+    /// CheckJNI verification (interface *and* object identity), then the
+    /// scheme interposition with timing and event recording.
     pub(crate) fn release_raw(
         &self,
         scheme_obj: &ObjectRef,
@@ -244,10 +267,33 @@ impl<'a> JniEnv<'a> {
         mode: ReleaseMode,
     ) -> Result<()> {
         let result = self
-            .ledger
-            .verify(ptr, interface, mode == ReleaseMode::Commit, identity)
-            .and_then(|()| self.release_scheme(scheme_obj, ptr, interface, mode));
+            .find_borrow(ptr, interface, identity)
+            .and_then(|slot| self.release_scheme(slot, scheme_obj, ptr, interface, mode));
         self.trace_release(ptr, identity, interface, mode, result)
+    }
+
+    /// Index of the live borrow `ptr` names — the latest one, when an
+    /// object is borrowed more than once. `None` for a pointer this
+    /// environment never handed out.
+    fn borrow_slot(&self, ptr: TaggedPtr) -> Option<usize> {
+        self.borrows
+            .borrow()
+            .iter()
+            .rposition(|b| b.ptr.raw() == ptr.raw())
+    }
+
+    /// [`Self::borrow_slot`], validated under CheckJNI against the
+    /// releasing `interface` and object `identity`.
+    fn find_borrow(
+        &self,
+        ptr: TaggedPtr,
+        interface: JniInterface,
+        identity: u64,
+    ) -> Result<Option<usize>> {
+        let slot = self.borrow_slot(ptr);
+        let acquired = slot.map(|i| self.borrows.borrow()[i].outstanding());
+        self.ledger.verify(acquired, interface, identity)?;
+        Ok(slot)
     }
 
     /// Emits the trace event for an app-level release and passes the
@@ -272,12 +318,14 @@ impl<'a> JniEnv<'a> {
         result
     }
 
-    /// The scheme half of the release path, after ledger verification.
-    /// The critical releases call it directly because their
-    /// `critical_depth` bookkeeping must run even when the scheme reports
-    /// corruption (the buffer is gone either way).
+    /// The scheme half of the release path for the live borrow at
+    /// `slot` (from [`Self::find_borrow`]). The critical releases call it
+    /// directly because their `critical_depth` bookkeeping must run even
+    /// when the scheme reports corruption (the buffer is gone either
+    /// way).
     fn release_scheme(
         &self,
+        slot: Option<usize>,
         scheme_obj: &ObjectRef,
         ptr: TaggedPtr,
         interface: JniInterface,
@@ -288,13 +336,7 @@ impl<'a> JniEnv<'a> {
         // degraded borrow must be released by the fallback, not the
         // primary. Unknown pointers go to the primary, which reports a
         // stale release where it can.
-        let via_fallback = self
-            .borrows
-            .borrow()
-            .iter()
-            .rev()
-            .find(|b| b.ptr.raw() == ptr.raw())
-            .is_some_and(|b| b.via_fallback);
+        let via_fallback = slot.is_some_and(|i| self.borrows.borrow()[i].via_fallback);
         let scheme = self.scheme_for(via_fallback);
         let containment = self.vm.containment();
         let started = telemetry::start_timing();
@@ -330,11 +372,11 @@ impl<'a> JniEnv<'a> {
         let ends_borrow = mode != ReleaseMode::Commit
             && matches!(result, Ok(()) | Err(JniError::CheckJniAbort(_)));
         if ends_borrow {
-            let mut borrows = self.borrows.borrow_mut();
-            if let Some(i) = borrows.iter().rposition(|b| b.ptr.raw() == ptr.raw()) {
-                borrows.remove(i);
+            // The scheme call cannot touch this environment's borrow
+            // list, so `slot` still names the same borrow.
+            if let Some(i) = slot {
+                self.borrows.borrow_mut().remove(i);
             }
-            drop(borrows);
             self.vm.heap().unpin(scheme_obj.addr());
         }
         result
@@ -343,8 +385,8 @@ impl<'a> JniEnv<'a> {
     /// Force-releases every borrow opened at or after `mark` with
     /// `JNI_ABORT` — the same funnel a dropped [`CriticalGuard`] uses —
     /// so tag tables, refcounts, and pins stay balanced after a
-    /// contained fault. Ledger entries for the reclaimed pointers are
-    /// forgotten so CheckJNI does not keep reporting them.
+    /// contained fault. These are runtime releases, not app calls, so
+    /// CheckJNI does not validate them.
     fn release_leaked_borrows(&self, mark: usize) -> u32 {
         let leaked: Vec<LiveBorrow> = {
             let borrows = self.borrows.borrow();
@@ -352,9 +394,11 @@ impl<'a> JniEnv<'a> {
         };
         let mut released = 0u32;
         for b in leaked {
+            let slot = self.borrow_slot(b.ptr);
             let mut attempts = 0u32;
             loop {
-                let result = self.release_scheme(&b.obj, b.ptr, b.interface, ReleaseMode::Abort);
+                let result =
+                    self.release_scheme(slot, &b.obj, b.ptr, b.interface, ReleaseMode::Abort);
                 match result {
                     Err(e) if e.is_transient() && attempts < CONTAIN_RELEASE_RETRIES => {
                         attempts += 1;
@@ -363,7 +407,6 @@ impl<'a> JniEnv<'a> {
                     _ => break,
                 }
             }
-            self.ledger.forget(b.ptr);
             released += 1;
         }
         released
@@ -572,21 +615,21 @@ impl<'a> JniEnv<'a> {
         elems: NativeArray,
         mode: ReleaseMode,
     ) -> Result<()> {
-        if let Err(e) = self.ledger.verify(
-            elems.ptr(),
-            JniInterface::PrimitiveArrayCritical,
-            mode == ReleaseMode::Commit,
-            a.addr(),
-        ) {
-            return self.trace_release(
-                elems.ptr(),
-                a.addr(),
-                JniInterface::PrimitiveArrayCritical,
-                mode,
-                Err(e),
-            );
-        }
+        let slot =
+            match self.find_borrow(elems.ptr(), JniInterface::PrimitiveArrayCritical, a.addr()) {
+                Ok(slot) => slot,
+                Err(e) => {
+                    return self.trace_release(
+                        elems.ptr(),
+                        a.addr(),
+                        JniInterface::PrimitiveArrayCritical,
+                        mode,
+                        Err(e),
+                    )
+                }
+            };
         let result = self.release_scheme(
+            slot,
             &a.as_object(),
             elems.ptr(),
             JniInterface::PrimitiveArrayCritical,
@@ -623,19 +666,20 @@ impl<'a> JniEnv<'a> {
     ///
     /// See [`Self::release_primitive_array_critical`].
     pub fn release_string_critical(&self, s: &StringRef, chars: NativeArray) -> Result<()> {
-        if let Err(e) =
-            self.ledger
-                .verify(chars.ptr(), JniInterface::StringCritical, false, s.addr())
-        {
-            return self.trace_release(
-                chars.ptr(),
-                s.addr(),
-                JniInterface::StringCritical,
-                ReleaseMode::Abort,
-                Err(e),
-            );
-        }
+        let slot = match self.find_borrow(chars.ptr(), JniInterface::StringCritical, s.addr()) {
+            Ok(slot) => slot,
+            Err(e) => {
+                return self.trace_release(
+                    chars.ptr(),
+                    s.addr(),
+                    JniInterface::StringCritical,
+                    ReleaseMode::Abort,
+                    Err(e),
+                )
+            }
+        };
         let result = self.release_scheme(
+            slot,
             &s.as_object(),
             chars.ptr(),
             JniInterface::StringCritical,
@@ -700,9 +744,9 @@ impl<'a> JniEnv<'a> {
         let heap = self.vm.heap();
         let backing = heap.alloc_byte_array(utf.len())?;
         heap.write_payload(&backing.as_object(), &utf)?;
-        // The scheme guards the transcoding buffer, but the ledger records
-        // the *source string* as the identity so the release can validate
-        // the string the caller passes back.
+        // The scheme guards the transcoding buffer, but the borrow records
+        // the *source string* as its identity so CheckJNI can validate the
+        // string the caller passes back.
         let out = self.acquire_raw(&backing.as_object(), s.addr(), JniInterface::StringUtfChars)?;
         Ok(NativeUtf::new(out.ptr, utf_len, out.is_copy, backing))
     }

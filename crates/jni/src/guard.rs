@@ -6,7 +6,7 @@
 //! committed), while [`CriticalGuard::commit`]/[`CriticalGuard::abort`]
 //! release it deliberately. Guards delegate to the same acquire/release
 //! path as the paired `get_*`/`release_*` methods, so the protection
-//! scheme, the CheckJNI ledger, and telemetry see identical traffic.
+//! scheme, CheckJNI validation, and telemetry see identical traffic.
 
 use crate::env::JniEnv;
 use crate::native::{NativeArray, NativeMem};

@@ -19,8 +19,8 @@ pub struct VmConfig {
     /// Process-wide MTE check mode, applied to every attached thread
     /// (the `prctl(PR_SET_TAGGED_ADDR_CTRL, PR_MTE_TCF_*)` analogue).
     pub check_mode: TcfMode,
-    /// Whether CheckJNI usage validation (acquisition ledgers, interface
-    /// pairing) is enabled on every environment.
+    /// Whether CheckJNI usage validation (outstanding acquisitions,
+    /// interface pairing) is enabled on every environment.
     pub check_jni: bool,
     /// What to do when a tag-check fault crosses the trampoline boundary.
     pub fault_policy: FaultPolicy,
@@ -275,8 +275,8 @@ impl VmBuilder {
         self
     }
 
-    /// Enables CheckJNI usage validation (acquisition ledgers, release
-    /// interface pairing — paper §6.3).
+    /// Enables CheckJNI usage validation (outstanding acquisitions,
+    /// release interface pairing — paper §6.3).
     pub fn check_jni(mut self, enabled: bool) -> VmBuilder {
         self.check_jni = enabled;
         self

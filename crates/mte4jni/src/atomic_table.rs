@@ -26,9 +26,7 @@ use mte_sim::sync::yield_point;
 use mte_sim::{MemError, MteThread, Tag, TaggedMemory, TaggedPtr, GRANULE};
 
 use crate::entry::{self, EntryState};
-use crate::table::{
-    Borrow, Release, ReleaseError, ReleaseFailure, ReleaseOutcome, TableConfig, TagTable,
-};
+use crate::table::{ReleaseOutcome, TableConfig, TagTable};
 
 /// Granules covered by one lazily allocated slab chunk (64 KiB of heap,
 /// 32 KiB of entry words).
@@ -174,7 +172,7 @@ impl TagTable for AtomicEntryTable {
         thread: &MteThread,
         begin: TaggedPtr,
         end: u64,
-    ) -> mte_sim::Result<Borrow> {
+    ) -> mte_sim::Result<(Tag, bool)> {
         let addr = begin.addr();
         let core = self.core_for(mem);
         let Some(slot) = core.slab.slot(addr) else {
@@ -199,13 +197,12 @@ impl TagTable for AtomicEntryTable {
                         .is_ok()
                     {
                         core.shared_fast_acquires.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Borrow::new(addr, end, entry::tag(word), entry::generation(word), true));
+                        return Ok((entry::tag(word), true));
                     }
                     core.contended("lockfree-acquire-shared-retry");
                 }
                 EntryState::Free => {
-                    // Fresh path: claim the slot Busy (bumping the
-                    // generation: a new lifetime opens) and run the
+                    // Fresh path: claim the slot Busy and run the
                     // fallible tag work while owning it.
                     let busy = entry::begin_fresh(word);
                     if slot
@@ -229,13 +226,11 @@ impl TagTable for AtomicEntryTable {
                         Ok(()) => {
                             core.tracked.fetch_add(1, Ordering::Relaxed);
                             slot.store(entry::commit_fresh(busy, tag), Ordering::Release);
-                            return Ok(Borrow::new(addr, end, tag, entry::generation(busy), false));
+                            return Ok((tag, false));
                         }
                         Err(e) => {
                             // Withdraw the claim so a failed first
-                            // acquire leaves no tracked object behind
-                            // (the bumped generation is deliberately
-                            // kept — see `entry::abort_fresh`).
+                            // acquire leaves no tracked object behind.
                             slot.store(entry::abort_fresh(busy), Ordering::Release);
                             return Err(e);
                         }
@@ -251,99 +246,23 @@ impl TagTable for AtomicEntryTable {
         }
     }
 
-    fn release(&self, mem: &TaggedMemory, borrow: Borrow) -> Result<Release, ReleaseError> {
-        let addr = borrow.addr();
-        let Some(core) = self.core.get() else {
-            return Err(ReleaseError::new(borrow, ReleaseFailure::NotTracked));
-        };
-        let Some(slot) = core.slab.slot(addr) else {
-            return Err(ReleaseError::new(borrow, ReleaseFailure::NotTracked));
-        };
-        loop {
-            let word = slot.load(Ordering::Acquire);
-            match entry::state(word) {
-                EntryState::Free => {
-                    return Err(ReleaseError::new(borrow, ReleaseFailure::NotTracked));
-                }
-                EntryState::Busy => {
-                    core.contended("lockfree-release-busy");
-                }
-                EntryState::Live => {
-                    let current = entry::generation(word);
-                    if current != borrow.generation() {
-                        // The ABA defense: this borrow outlived its
-                        // lifetime (the entry was freed and re-acquired
-                        // behind our back). Refusing the decrement
-                        // protects the *new* lifetime's count.
-                        let held = borrow.generation();
-                        return Err(ReleaseError::new(
-                            borrow,
-                            ReleaseFailure::StaleGeneration { held, current },
-                        ));
-                    }
-                    let remaining = entry::refcount(word);
-                    if remaining > 1 {
-                        if slot
-                            .compare_exchange(
-                                word,
-                                entry::drop_ref(word),
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                        {
-                            return Ok(Release::Shared { remaining: remaining - 1 });
-                        }
-                        core.contended("lockfree-release-shared-retry");
-                        continue;
-                    }
-                    // Last borrower: claim the slot and zero the tags
-                    // *before* freeing the entry, so a failed (or
-                    // injected) tag store leaves the entry live and the
-                    // caller can retry with the returned borrow.
-                    let busy = entry::begin_teardown(word);
-                    if slot
-                        .compare_exchange(word, busy, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
-                    {
-                        core.contended("lockfree-release-teardown-retry");
-                        continue;
-                    }
-                    if self.release_tags {
-                        if let Err(e) =
-                            mem.set_tag_range(TaggedPtr::from_addr(addr), borrow.end(), Tag::UNTAGGED)
-                        {
-                            slot.store(entry::abort_teardown(busy), Ordering::Release);
-                            return Err(ReleaseError::new(borrow, ReleaseFailure::Mem(e)));
-                        }
-                    }
-                    slot.store(entry::complete_teardown(busy), Ordering::Release);
-                    core.tracked.fetch_sub(1, Ordering::Relaxed);
-                    return Ok(Release::Freed);
-                }
-            }
-        }
-    }
-
-    fn release_raw(
+    fn release(
         &self,
         mem: &TaggedMemory,
         begin: TaggedPtr,
         end: u64,
     ) -> mte_sim::Result<ReleaseOutcome> {
-        // The escape hatch for callers without a Borrow token
-        // (containment's force-release funnel, stray-release oracles):
-        // same protocol as the typed path minus the generation check.
-        let addr = begin.addr();
-        let Some(slot) = self.core.get().and_then(|c| c.slab.slot(addr)) else {
+        let Some(core) = self.core.get() else {
             return Ok(ReleaseOutcome::NotTracked);
         };
-        let core = self.core.get().expect("slot implies core");
+        let Some(slot) = core.slab.slot(begin.addr()) else {
+            return Ok(ReleaseOutcome::NotTracked);
+        };
         loop {
             let word = slot.load(Ordering::Acquire);
             match entry::state(word) {
                 EntryState::Free => return Ok(ReleaseOutcome::NotTracked),
-                EntryState::Busy => core.contended("lockfree-release-raw-busy"),
+                EntryState::Busy => core.contended("lockfree-release-busy"),
                 EntryState::Live => {
                     let remaining = entry::refcount(word);
                     if remaining > 1 {
@@ -358,15 +277,19 @@ impl TagTable for AtomicEntryTable {
                         {
                             return Ok(ReleaseOutcome::Decremented { remaining: remaining - 1 });
                         }
-                        core.contended("lockfree-release-raw-retry");
+                        core.contended("lockfree-release-shared-retry");
                         continue;
                     }
+                    // Last borrower: claim the slot and zero the tags
+                    // *before* freeing the entry, so a failed (or
+                    // injected) tag store leaves the entry live and the
+                    // caller can retry the release.
                     let busy = entry::begin_teardown(word);
                     if slot
                         .compare_exchange(word, busy, Ordering::AcqRel, Ordering::Acquire)
                         .is_err()
                     {
-                        core.contended("lockfree-release-raw-teardown-retry");
+                        core.contended("lockfree-release-teardown-retry");
                         continue;
                     }
                     if self.release_tags {
@@ -402,12 +325,8 @@ impl TagTable for AtomicEntryTable {
                     // reference count: `begin_teardown` insists on a
                     // single reference, but a purged entry may carry
                     // several abandoned ones.
-                    let busy = entry::pack(
-                        entry::refcount(word),
-                        entry::tag(word),
-                        EntryState::Busy,
-                        entry::generation(word),
-                    );
+                    let busy =
+                        entry::pack(entry::refcount(word), entry::tag(word), EntryState::Busy);
                     if slot
                         .compare_exchange(word, busy, Ordering::AcqRel, Ordering::Acquire)
                         .is_err()
@@ -437,10 +356,7 @@ impl TagTable for AtomicEntryTable {
                             retries += 1;
                         }
                     }
-                    slot.store(
-                        entry::pack(0, Tag::UNTAGGED, EntryState::Free, entry::generation(word)),
-                        Ordering::Release,
-                    );
+                    slot.store(entry::pack(0, Tag::UNTAGGED, EntryState::Free), Ordering::Release);
                     core.tracked.fetch_sub(1, Ordering::Relaxed);
                     core.purge_frees.fetch_add(1, Ordering::Relaxed);
                     return 1;

@@ -6,31 +6,26 @@
 //! ```text
 //!  63                             38 37  36 35   32 31              0
 //! ┌─────────────────────────────────┬──────┬───────┬────────────────┐
-//! │ generation (26 bits)            │ state│  tag  │ refcount       │
+//! │ unused (always 0)               │ state│  tag  │ refcount       │
 //! └─────────────────────────────────┴──────┴───────┴────────────────┘
 //! ```
 //!
 //! * **refcount** — concurrent borrowers sharing the object's tag;
 //! * **tag** — the 4-bit memory tag applied to the payload granules;
-//! * **state** — [`EntryState::Free`] (nothing tracked),
+//! * **state** — [`EntryState::Free`] (nothing tracked; the word is 0),
 //!   [`EntryState::Live`] (tagged, `refcount ≥ 1`), or
 //!   [`EntryState::Busy`] (one thread owns the slot exclusively while it
-//!   runs the fallible `irg`/`stg` work outside any lock);
-//! * **generation** — bumped on every `Free → Busy` transition, i.e.
-//!   once per tracked lifetime. A [`Borrow`](crate::Borrow) token
-//!   carries the generation it was minted under, so a release that
-//!   raced a free + re-acquire of the same address observes a
-//!   generation mismatch instead of silently decrementing the new
-//!   lifetime's count — the CAS-world equivalent of the two-tier
-//!   scheme's `dead`-flag ABA re-check. The counter wraps at 2²⁶
-//!   lifetimes *of one granule*, far beyond any schedule the stress
-//!   harness explores.
+//!   runs the fallible `irg`/`stg` work outside any lock).
 //!
 //! The functions here are pure: they pack, inspect, and compute the
 //! successor word for each protocol transition. [`AtomicEntryTable`]
-//! CASes the successors in; the property tests drive the same functions
-//! through a model state machine to show no transition can resurrect a
-//! freed generation.
+//! CASes the successors in, and every successor is computed from the
+//! loaded word alone. A word that went `Free` and came back
+//! bit-identical between a thread's load and its CAS therefore gets the
+//! same successor a retry would compute, so the ABA case is harmless:
+//! ABA only hurts a caller that carries state from outside the word
+//! into the CAS, and the table's callers carry none — a release is keyed
+//! by the object's address alone, as in Algorithm 2.
 //!
 //! [`AtomicEntryTable`]: crate::AtomicEntryTable
 
@@ -42,12 +37,6 @@ pub const REFCOUNT_BITS: u32 = 32;
 pub const TAG_SHIFT: u32 = 32;
 /// Shift of the 2-bit state field (word bits `36..38`).
 pub const STATE_SHIFT: u32 = 36;
-/// Shift of the generation counter (word bits `38..64`).
-pub const GENERATION_SHIFT: u32 = 38;
-/// Width of the generation counter.
-pub const GENERATION_BITS: u32 = 64 - GENERATION_SHIFT;
-/// Mask for the (unshifted) generation counter.
-pub const GENERATION_MASK: u64 = (1 << GENERATION_BITS) - 1;
 
 const REFCOUNT_MASK: u64 = (1 << REFCOUNT_BITS) - 1;
 const TAG_MASK: u64 = 0xF;
@@ -56,8 +45,7 @@ const STATE_MASK: u64 = 0x3;
 /// Lifecycle state of one entry slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EntryState {
-    /// No object tracked at this granule; the all-zero word is a `Free`
-    /// entry of generation 0.
+    /// No object tracked at this granule; a `Free` word is all zero.
     Free,
     /// An object is tracked: `tag` is applied to its granules and
     /// `refcount` borrowers hold it.
@@ -78,17 +66,9 @@ impl EntryState {
     }
 }
 
-/// Packs the four fields into one entry word.
-///
-/// # Panics
-///
-/// Debug-asserts that `generation` fits [`GENERATION_BITS`].
-pub fn pack(refcount: u32, tag: Tag, state: EntryState, generation: u64) -> u64 {
-    debug_assert!(generation <= GENERATION_MASK, "generation overflows its field");
-    u64::from(refcount)
-        | (u64::from(tag.value()) << TAG_SHIFT)
-        | (state.bits() << STATE_SHIFT)
-        | ((generation & GENERATION_MASK) << GENERATION_SHIFT)
+/// Packs the three fields into one entry word.
+pub fn pack(refcount: u32, tag: Tag, state: EntryState) -> u64 {
+    u64::from(refcount) | (u64::from(tag.value()) << TAG_SHIFT) | (state.bits() << STATE_SHIFT)
 }
 
 /// Reference count stored in `word`.
@@ -113,39 +93,24 @@ pub fn state(word: u64) -> EntryState {
     }
 }
 
-/// Generation counter stored in `word`.
-pub fn generation(word: u64) -> u64 {
-    (word >> GENERATION_SHIFT) & GENERATION_MASK
-}
-
-/// `Free → Busy`: claims the slot for a fresh acquire, opening a new
-/// lifetime. This is the *only* transition that advances the
-/// generation, so every tracked lifetime of a granule has a distinct
-/// generation (modulo 2²⁶ wrap).
+/// `Free → Busy`: claims the slot for a fresh acquire.
 pub fn begin_fresh(word: u64) -> u64 {
     debug_assert_eq!(state(word), EntryState::Free);
-    pack(
-        0,
-        Tag::UNTAGGED,
-        EntryState::Busy,
-        generation(word).wrapping_add(1) & GENERATION_MASK,
-    )
+    pack(0, Tag::UNTAGGED, EntryState::Busy)
 }
 
 /// `Busy → Live`: the fresh acquire's `irg` + tag stores succeeded;
 /// publish the tag with a count of one.
 pub fn commit_fresh(word: u64, tag: Tag) -> u64 {
     debug_assert_eq!(state(word), EntryState::Busy);
-    pack(1, tag, EntryState::Live, generation(word))
+    pack(1, tag, EntryState::Live)
 }
 
 /// `Busy → Free`: the fresh acquire's tag work failed (injected fault
-/// or tag-pool exhaustion); return the slot untracked. The bumped
-/// generation is kept — generations identify *attempts to open* a
-/// lifetime, and skipping values is harmless.
+/// or tag-pool exhaustion); return the slot untracked.
 pub fn abort_fresh(word: u64) -> u64 {
     debug_assert_eq!(state(word), EntryState::Busy);
-    pack(0, Tag::UNTAGGED, EntryState::Free, generation(word))
+    pack(0, Tag::UNTAGGED, EntryState::Free)
 }
 
 /// `Live → Live`: one more borrower shares the existing tag.
@@ -168,7 +133,7 @@ pub fn drop_ref(word: u64) -> u64 {
 pub fn begin_teardown(word: u64) -> u64 {
     debug_assert_eq!(state(word), EntryState::Live);
     debug_assert_eq!(refcount(word), 1, "teardown requires the last borrower");
-    pack(1, tag(word), EntryState::Busy, generation(word))
+    pack(1, tag(word), EntryState::Busy)
 }
 
 /// `Busy → Live`: the teardown's tag store failed; the entry stays live
@@ -176,16 +141,13 @@ pub fn begin_teardown(word: u64) -> u64 {
 pub fn abort_teardown(word: u64) -> u64 {
     debug_assert_eq!(state(word), EntryState::Busy);
     debug_assert_eq!(refcount(word), 1);
-    pack(1, tag(word), EntryState::Live, generation(word))
+    pack(1, tag(word), EntryState::Live)
 }
 
-/// `Busy → Free`: teardown succeeded; the lifetime is over. The
-/// generation is preserved (the *next* [`begin_fresh`] bumps it), so a
-/// stale [`Borrow`](crate::Borrow) from this lifetime can never match a
-/// later one.
+/// `Busy → Free`: teardown succeeded; the lifetime is over.
 pub fn complete_teardown(word: u64) -> u64 {
     debug_assert_eq!(state(word), EntryState::Busy);
-    pack(0, Tag::UNTAGGED, EntryState::Free, generation(word))
+    pack(0, Tag::UNTAGGED, EntryState::Free)
 }
 
 #[cfg(test)]
@@ -193,59 +155,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_word_is_free_generation_zero() {
-        assert_eq!(state(0), EntryState::Free);
-        assert_eq!(refcount(0), 0);
-        assert_eq!(generation(0), 0);
-        assert_eq!(tag(0), Tag::UNTAGGED);
-    }
-
-    #[test]
     fn pack_round_trips_every_field() {
         let t = Tag::from_low_bits(0xB);
-        let w = pack(7, t, EntryState::Live, 0x123_4567);
+        let w = pack(7, t, EntryState::Live);
         assert_eq!(refcount(w), 7);
         assert_eq!(tag(w), t);
         assert_eq!(state(w), EntryState::Live);
-        assert_eq!(generation(w), 0x123_4567);
-    }
-
-    #[test]
-    fn lifetime_walkthrough_bumps_generation_once() {
-        let t = Tag::from_low_bits(5);
-        let free = 0u64;
-        let busy = begin_fresh(free);
-        assert_eq!(generation(busy), 1);
-        let live = commit_fresh(busy, t);
-        assert_eq!((refcount(live), tag(live)), (1, t));
-        let live2 = add_ref(live);
-        assert_eq!(refcount(live2), 2);
-        let live1 = drop_ref(live2);
-        assert_eq!(live1, live);
-        let tearing = begin_teardown(live1);
-        assert_eq!(tag(tearing), t, "teardown keeps the tag for abort");
-        assert_eq!(abort_teardown(tearing), live1);
-        let done = complete_teardown(tearing);
-        assert_eq!(state(done), EntryState::Free);
-        assert_eq!(generation(done), 1, "generation advances on begin_fresh only");
-        assert_eq!(generation(begin_fresh(done)), 2);
-    }
-
-    #[test]
-    fn generation_wraps_inside_its_field() {
-        let w = pack(0, Tag::UNTAGGED, EntryState::Free, GENERATION_MASK);
-        let bumped = begin_fresh(w);
-        assert_eq!(generation(bumped), 0, "wraps, never corrupts other fields");
-        assert_eq!(state(bumped), EntryState::Busy);
-        assert_eq!(refcount(bumped), 0);
-    }
-
-    #[test]
-    fn failed_fresh_acquire_skips_a_generation() {
-        let busy = begin_fresh(0);
-        let free = abort_fresh(busy);
-        assert_eq!(state(free), EntryState::Free);
-        assert_eq!(generation(free), 1, "the attempt consumed generation 1");
-        assert_eq!(generation(begin_fresh(free)), 2);
     }
 }

@@ -13,12 +13,12 @@
 //!    per-object **reference count**. The paper finds the count via `k`
 //!    hash tables guarded by a **two-tier locking scheme** (table locks +
 //!    per-object locks, [`TwoTierTable`]); the production default is the
-//!    lock-free [`AtomicEntryTable`], which packs count + tag + state +
-//!    generation into one CAS-able word per object (DESIGN.md §13).
+//!    lock-free [`AtomicEntryTable`], which packs count + tag + state
+//!    into one CAS-able word per object (DESIGN.md §13).
 //! 2. **Memory tag release** ([`TagTable::release`], Algorithm 2): the
-//!    matching release interface consumes the typed [`Borrow`] token,
-//!    decrements the count, and at zero re-zeroes the memory tags so
-//!    stale tags cannot alias future allocations.
+//!    matching release interface looks the entry up by the object's
+//!    start address, decrements the count, and at zero re-zeroes the
+//!    memory tags so stale tags cannot alias future allocations.
 //! 3. **Thread-level MTE enabling** (§3.3): tag checking must apply only
 //!    to threads executing native code, because GC and other runtime
 //!    threads access the same objects with untagged pointers. The scheme
@@ -65,8 +65,7 @@ mod table;
 pub use atomic_table::AtomicEntryTable;
 pub use scheme::{mte4jni_vm, Mte4Jni, Mte4JniStats};
 pub use table::{
-    Borrow, GlobalLockTable, Release, ReleaseError, ReleaseFailure, ReleaseOutcome, TableBackend,
-    TableConfig, TagTable, TwoTierTable,
+    GlobalLockTable, ReleaseOutcome, TableBackend, TableConfig, TagTable, TwoTierTable,
 };
 
 // Re-exported so downstream code can name the trait without importing

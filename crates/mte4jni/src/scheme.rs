@@ -1,6 +1,5 @@
 //! The MTE4JNI [`Protection`] implementation and VM factory.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -9,34 +8,7 @@ use art_heap::{HeapConfig, ObjectRef, Safepoint};
 use jni_rt::{AcquireOutcome, JniContext, Protection, ReleaseMode, Vm};
 use mte_sim::{TaggedMemory, TaggedPtr, TcfMode};
 
-use crate::table::{Borrow, Release, ReleaseFailure, ReleaseOutcome, TableBackend, TableConfig, TagTable};
-
-thread_local! {
-    /// Per-thread borrow cache: the [`Borrow`] tokens minted by
-    /// `on_acquire`, keyed by `(scheme instance, outgoing pointer)`.
-    /// `on_release` pops the matching token (LIFO for nested borrows of
-    /// one object) and hands it to the typed [`TagTable::release`], so
-    /// the common release touches no shared lookup structure at all —
-    /// the token already carries the address range, tag, and
-    /// generation.
-    static BORROWS: RefCell<Vec<(u64, u64, Borrow)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Distinguishes the borrow-cache entries of coexisting schemes (tests
-/// routinely run several VMs on one thread).
-static NEXT_SCHEME_ID: AtomicU64 = AtomicU64::new(1);
-
-fn cache_borrow(scheme: u64, raw: u64, borrow: Borrow) {
-    BORROWS.with(|b| b.borrow_mut().push((scheme, raw, borrow)));
-}
-
-fn take_borrow(scheme: u64, raw: u64) -> Option<Borrow> {
-    BORROWS.with(|b| {
-        let mut v = b.borrow_mut();
-        let idx = v.iter().rposition(|(s, r, _)| *s == scheme && *r == raw)?;
-        Some(v.remove(idx).2)
-    })
-}
+use crate::table::{ReleaseOutcome, TableBackend, TableConfig, TagTable};
 
 /// The MTE4JNI protection scheme.
 ///
@@ -47,8 +19,6 @@ fn take_borrow(scheme: u64, raw: u64) -> Option<Borrow> {
 pub struct Mte4Jni {
     config: TableConfig,
     table: Box<dyn TagTable>,
-    /// This instance's key in the per-thread borrow cache.
-    id: u64,
     acquires: AtomicU64,
     shared_acquires: AtomicU64,
     releases: AtomicU64,
@@ -68,7 +38,6 @@ impl Mte4Jni {
         Mte4Jni {
             config,
             table: config.build(),
-            id: NEXT_SCHEME_ID.fetch_add(1, Ordering::Relaxed),
             acquires: AtomicU64::new(0),
             shared_acquires: AtomicU64::new(0),
             releases: AtomicU64::new(0),
@@ -135,17 +104,15 @@ impl Protection for Mte4Jni {
 
     fn on_acquire(&self, cx: &JniContext<'_>, obj: &ObjectRef) -> jni_rt::Result<AcquireOutcome> {
         let (begin, end) = Self::payload_range(cx, obj);
-        let borrow = self
+        let (tag, shared) = self
             .table
             .acquire(cx.heap.memory(), cx.thread.mte(), begin, end)?;
         self.acquires.fetch_add(1, Ordering::Relaxed);
-        if borrow.shared() {
+        if shared {
             self.shared_acquires.fetch_add(1, Ordering::Relaxed);
         }
-        let ptr = begin.with_tag(borrow.tag());
-        cache_borrow(self.id, ptr.raw(), borrow);
         Ok(AcquireOutcome {
-            ptr,
+            ptr: begin.with_tag(tag),
             is_copy: false, // native code operates directly on the object
         })
     }
@@ -154,46 +121,17 @@ impl Protection for Mte4Jni {
         &self,
         cx: &JniContext<'_>,
         obj: &ObjectRef,
-        ptr: TaggedPtr,
+        _ptr: TaggedPtr,
         mode: ReleaseMode,
     ) -> jni_rt::Result<()> {
         if mode == ReleaseMode::Commit {
             // Data already lives in the object (no copy); JNI_COMMIT keeps
-            // the borrow, so the tag — and the cached token — stay.
+            // the borrow, so the tag stays.
             return Ok(());
         }
+        // Algorithm 2, keyed by the object's start address.
         let (begin, end) = Self::payload_range(cx, obj);
-        if let Some(borrow) = take_borrow(self.id, ptr.raw()) {
-            match self.table.release(cx.heap.memory(), borrow) {
-                Ok(outcome) => {
-                    self.releases.fetch_add(1, Ordering::Relaxed);
-                    if outcome == Release::Freed {
-                        self.tag_frees.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(());
-                }
-                Err(e) => match e.kind {
-                    ReleaseFailure::Mem(err) => {
-                        // Transient (possibly injected) tag-store failure:
-                        // re-cache the token so the funnel's retry finds it
-                        // again, and surface the error for that retry loop.
-                        cache_borrow(self.id, ptr.raw(), e.borrow);
-                        return Err(err.into());
-                    }
-                    ReleaseFailure::NotTracked | ReleaseFailure::StaleGeneration { .. } => {
-                        // The token outlived its entry: a safepoint purge
-                        // freed an entry whose release had been abandoned,
-                        // and a force-release is now retiring the borrow.
-                        // Fall through to the raw path, which keys on the
-                        // current payload address, as the token-less
-                        // force-release below does.
-                    }
-                },
-            }
-        }
-        // Raw escape hatch: no token (cross-layer force-release) or the
-        // token no longer matches the entry.
-        let outcome = self.table.release_raw(cx.heap.memory(), begin, end)?;
+        let outcome = self.table.release(cx.heap.memory(), begin, end)?;
         self.releases.fetch_add(1, Ordering::Relaxed);
         if outcome == ReleaseOutcome::Freed {
             self.tag_frees.fetch_add(1, Ordering::Relaxed);
@@ -594,7 +532,7 @@ mod tests {
         assert_eq!(s.tag_frees, 1);
         assert_eq!(s.tracked_objects, 0);
         // The funnel-level conservation law: every fresh acquire is
-        // balanced by a typed free or a safepoint purge (none here).
+        // balanced by a tag free or a safepoint purge (none here).
         assert_eq!(s.acquires - s.shared_acquires, s.tag_frees);
     }
 }

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use mte4jni::{AtomicEntryTable, Borrow, Release, ReleaseOutcome, TagTable, TwoTierTable};
+use mte4jni::{AtomicEntryTable, ReleaseOutcome, TagTable, TwoTierTable};
 use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 
 const BASE: u64 = 0x7a00_0000_0000;
@@ -35,16 +35,15 @@ fn release_pair(
     b: &TwoTierTable,
     mem_a: &TaggedMemory,
     mem_b: &TaggedMemory,
-    (ba, bb): (Borrow, Borrow),
+    obj: usize,
     context: &str,
-) {
-    let ra = a.release(mem_a, ba).unwrap();
-    let rb = b.release(mem_b, bb).unwrap();
-    match (&ra, &rb) {
-        (Release::Freed, Release::Freed) => {}
-        (Release::Shared { remaining: x }, Release::Shared { remaining: y }) if x == y => {}
-        _ => panic!("{context}: release outcomes diverged: {ra:?} vs {rb:?}"),
-    }
+) -> ReleaseOutcome {
+    let addr = BASE + STRIDE * obj as u64;
+    let (begin, end) = (TaggedPtr::from_addr(addr), addr + LEN);
+    let ra = a.release(mem_a, begin, end).unwrap();
+    let rb = b.release(mem_b, begin, end).unwrap();
+    assert_eq!(ra, rb, "{context}: release outcomes diverged");
+    ra
 }
 
 #[test]
@@ -55,8 +54,8 @@ fn lock_free_matches_two_tier_bit_for_bit() {
         let tb = MteThread::with_seed("diff", 0xD1FF ^ seed);
         let a = AtomicEntryTable::new();
         let b = TwoTierTable::new(16);
-        let mut stacks: Vec<Vec<(Borrow, Borrow)>> =
-            (0..OBJECTS).map(|_| Vec::new()).collect();
+        // Live borrows per object, as the model count.
+        let mut held = [0u32; OBJECTS as usize];
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         for step in 0..400 {
             let obj = (lcg(&mut rng) % OBJECTS) as usize;
@@ -64,41 +63,26 @@ fn lock_free_matches_two_tier_bit_for_bit() {
             let begin = TaggedPtr::from_addr(addr);
             let end = addr + LEN;
             if lcg(&mut rng) % 2 == 1 {
-                match stacks[obj].pop() {
-                    Some(pair) => release_pair(
-                        &a,
-                        &b,
-                        &mem_a,
-                        &mem_b,
-                        pair,
-                        &format!("seed {seed} step {step}"),
-                    ),
-                    None => {
-                        // Both tables agree strays are not their problem.
-                        assert_eq!(
-                            a.release_raw(&mem_a, begin, end).unwrap(),
-                            ReleaseOutcome::NotTracked
-                        );
-                        assert_eq!(
-                            b.release_raw(&mem_b, begin, end).unwrap(),
-                            ReleaseOutcome::NotTracked
-                        );
-                    }
-                }
+                // Releases without a live borrow are strays: both tables
+                // must agree they are not their problem.
+                let outcome =
+                    release_pair(&a, &b, &mem_a, &mem_b, obj, &format!("seed {seed} step {step}"));
+                let expected = match held[obj] {
+                    0 => ReleaseOutcome::NotTracked,
+                    1 => ReleaseOutcome::Freed,
+                    n => ReleaseOutcome::Decremented { remaining: n - 1 },
+                };
+                assert_eq!(outcome, expected, "seed {seed} step {step}");
+                held[obj] = held[obj].saturating_sub(1);
             } else {
-                let ba = a.acquire(&mem_a, &ta, begin, end).unwrap();
-                let bb = b.acquire(&mem_b, &tb, begin, end).unwrap();
+                let (tag_a, shared_a) = a.acquire(&mem_a, &ta, begin, end).unwrap();
+                let (tag_b, shared_b) = b.acquire(&mem_b, &tb, begin, end).unwrap();
+                assert_eq!(tag_a, tag_b, "seed {seed} step {step}: tags diverged");
                 assert_eq!(
-                    ba.tag(),
-                    bb.tag(),
-                    "seed {seed} step {step}: tags diverged"
-                );
-                assert_eq!(
-                    ba.shared(),
-                    bb.shared(),
+                    shared_a, shared_b,
                     "seed {seed} step {step}: shared flags diverged"
                 );
-                stacks[obj].push((ba, bb));
+                held[obj] += 1;
             }
             assert_eq!(
                 a.tracked_objects(),
@@ -108,9 +92,9 @@ fn lock_free_matches_two_tier_bit_for_bit() {
         }
         // Drain the remaining borrows, then the final tag state must be
         // identical granule by granule (and fully untagged).
-        for stack in &mut stacks {
-            while let Some(pair) = stack.pop() {
-                release_pair(&a, &b, &mem_a, &mem_b, pair, &format!("seed {seed} drain"));
+        for (obj, n) in held.iter().enumerate() {
+            for _ in 0..*n {
+                release_pair(&a, &b, &mem_a, &mem_b, obj, &format!("seed {seed} drain"));
             }
         }
         assert_eq!(a.tracked_objects(), 0);

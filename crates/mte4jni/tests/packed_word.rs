@@ -1,12 +1,9 @@
 //! Property tests for the packed atomic entry word: the bit layout
 //! round-trips every field, and no sequence of protocol transitions can
-//! republish (`Live`) a generation that an earlier lifetime retired —
-//! the invariant the `Borrow` generation check relies on to close the
-//! free/re-acquire ABA window.
+//! reach a `Live` word without a borrower and the committed tag, or a
+//! `Free` word other than 0.
 
-use std::collections::HashSet;
-
-use mte4jni::entry::{self, EntryState, GENERATION_MASK};
+use mte4jni::entry::{self, EntryState};
 use mte_sim::Tag;
 use proptest::prelude::*;
 
@@ -16,39 +13,28 @@ proptest! {
         rc in any::<u32>(),
         tag in 0u8..16,
         state_ix in 0usize..3,
-        generation in 0u64..=GENERATION_MASK,
     ) {
         let state = [EntryState::Free, EntryState::Live, EntryState::Busy][state_ix];
-        let word = entry::pack(rc, Tag::from_low_bits(tag), state, generation);
+        let word = entry::pack(rc, Tag::from_low_bits(tag), state);
         prop_assert_eq!(entry::refcount(word), rc);
         prop_assert_eq!(entry::tag(word), Tag::from_low_bits(tag));
         prop_assert_eq!(entry::state(word), state);
-        prop_assert_eq!(entry::generation(word), generation);
     }
 
     /// Model state machine: arbitrary choices drive one entry word
     /// through the transition functions exactly as the table's CAS loop
-    /// would. A generation is *retired* once its lifetime ends (teardown
-    /// completes, or a fresh attempt aborts); from then on no reachable
-    /// word may ever be `Live` under it again.
+    /// would. Every reachable `Live` word carries at least one borrower
+    /// and the tag its fresh acquire committed; every reachable `Free`
+    /// word is 0, so a freed entry keeps nothing of its lifetime.
     #[test]
-    fn transitions_never_republish_a_retired_generation(
+    fn transitions_keep_live_words_counted_and_free_words_zero(
         choices in prop::collection::vec(any::<u8>(), 1..300),
     ) {
         let mut word = 0u64;
-        let mut retired: HashSet<u64> = HashSet::new();
         // Distinguishes a Busy slot opened by begin_fresh from one
         // opened by begin_teardown.
         let mut fresh = false;
-        let check_live = |word: u64, retired: &HashSet<u64>| {
-            if entry::state(word) == EntryState::Live {
-                assert!(
-                    !retired.contains(&entry::generation(word)),
-                    "word republished retired generation {}",
-                    entry::generation(word)
-                );
-            }
-        };
+        let mut committed = Tag::UNTAGGED;
         for c in choices {
             match entry::state(word) {
                 EntryState::Free => {
@@ -57,20 +43,14 @@ proptest! {
                 }
                 EntryState::Busy if fresh => {
                     if c % 2 == 0 {
-                        word = entry::commit_fresh(
-                            word,
-                            Tag::from_low_bits(1 + (c >> 1) % 15),
-                        );
+                        committed = Tag::from_low_bits(1 + (c >> 1) % 15);
+                        word = entry::commit_fresh(word, committed);
                     } else {
-                        // A failed attempt retires its generation too: no
-                        // Borrow was ever minted under it, and none may be.
-                        retired.insert(entry::generation(word));
                         word = entry::abort_fresh(word);
                     }
                 }
                 EntryState::Busy => {
                     if c % 2 == 0 {
-                        retired.insert(entry::generation(word));
                         word = entry::complete_teardown(word);
                     } else {
                         word = entry::abort_teardown(word);
@@ -88,7 +68,14 @@ proptest! {
                     }
                 }
             }
-            check_live(word, &retired);
+            match entry::state(word) {
+                EntryState::Live => {
+                    prop_assert!(entry::refcount(word) >= 1, "live word {word:#x} has no borrower");
+                    prop_assert_eq!(entry::tag(word), committed);
+                }
+                EntryState::Free => prop_assert_eq!(word, 0),
+                EntryState::Busy => {}
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mte4jni::{Borrow, Release, ReleaseOutcome, TableBackend, TableConfig, TagTable};
+use mte4jni::{ReleaseOutcome, TableBackend, TableConfig, TagTable};
 use mte_sim::{MemoryConfig, MteThread, Tag, TaggedMemory, TaggedPtr};
 use proptest::prelude::*;
 
@@ -48,93 +48,68 @@ fn obj_range(i: usize) -> (TaggedPtr, u64) {
 fn check_against_model(backend: TableBackend, ops: &[(usize, bool)]) -> Result<(), String> {
     let (mem, thread) = setup();
     let table = table_for(backend);
-    // The model: per-object stack of live borrow tokens and live tag.
-    let mut borrows: HashMap<usize, Vec<Borrow>> = HashMap::new();
+    // The model: per-object live-borrow count and live tag.
+    let mut counts: HashMap<usize, u32> = HashMap::new();
     let mut tags: HashMap<usize, Tag> = HashMap::new();
 
     for (step, &(obj, is_release)) in ops.iter().enumerate() {
         let (begin, end) = obj_range(obj);
-        let held = borrows.entry(obj).or_default();
+        let held = counts.entry(obj).or_default();
         if is_release {
-            match held.pop() {
+            let outcome = table
+                .release(&mem, begin, end)
+                .map_err(|e| format!("step {step}: release error {e}"))?;
+            match (*held, outcome) {
                 // Never-acquired (or fully released) objects are not the
-                // table's problem: Algorithm 2's early-out, reachable only
-                // through the untyped escape hatch.
-                None => {
-                    let outcome = table
-                        .release_raw(&mem, begin, end)
-                        .map_err(|e| format!("step {step}: stray release error {e}"))?;
-                    if outcome != ReleaseOutcome::NotTracked {
-                        return Err(format!(
-                            "step {step}: model count 0 but table said {outcome:?}"
-                        ));
+                // table's problem: Algorithm 2's early-out.
+                (0, ReleaseOutcome::NotTracked) => {}
+                (1, ReleaseOutcome::Freed) => {
+                    tags.remove(&obj);
+                    // The tag must be re-zeroed exactly at count zero.
+                    let seen = mem.ldg(begin).map_err(|e| format!("step {step}: {e}"))?;
+                    if !seen.is_untagged() {
+                        return Err(format!("step {step}: tag {seen:?} survived Freed"));
                     }
                 }
-                Some(borrow) => {
-                    let n = held.len() as u32 + 1;
-                    let release = table
-                        .release(&mem, borrow)
-                        .map_err(|e| format!("step {step}: release error {e}"))?;
-                    match (n, release) {
-                        (1, Release::Freed) => {
-                            tags.remove(&obj);
-                            // The tag must be re-zeroed exactly at count zero.
-                            let seen =
-                                mem.ldg(begin).map_err(|e| format!("step {step}: {e}"))?;
-                            if !seen.is_untagged() {
-                                return Err(format!("step {step}: tag {seen:?} survived Freed"));
-                            }
-                        }
-                        (n, Release::Shared { remaining }) if n > 1 => {
-                            // The count never underflows: remaining == n - 1.
-                            if remaining != n - 1 {
-                                return Err(format!(
-                                    "step {step}: count {n} decremented to {remaining}"
-                                ));
-                            }
-                        }
-                        (n, release) => {
-                            return Err(format!(
-                                "step {step}: model count {n} but table said {release:?}"
-                            ));
-                        }
-                    }
+                // The count never underflows: remaining == n - 1.
+                (n, ReleaseOutcome::Decremented { remaining }) if n > 1 && remaining == n - 1 => {}
+                (n, outcome) => {
+                    return Err(format!(
+                        "step {step}: model count {n} but table said {outcome:?}"
+                    ));
                 }
             }
+            *held = held.saturating_sub(1);
         } else {
-            let borrow = table
+            let (tag, shared) = table
                 .acquire(&mem, &thread, begin, end)
                 .map_err(|e| format!("step {step}: acquire error {e}"))?;
-            if borrow.shared() == held.is_empty() {
+            if shared == (*held == 0) {
                 return Err(format!(
-                    "step {step}: model count {} but shared={}",
-                    held.len(),
-                    borrow.shared()
+                    "step {step}: model count {held} but shared={shared}"
                 ));
             }
             if let Some(&live) = tags.get(&obj) {
                 // Concurrent (here: overlapping) getters observe one tag.
-                if borrow.tag() != live {
+                if tag != live {
                     return Err(format!(
-                        "step {step}: second acquire saw {:?}, first saw {live:?}",
-                        borrow.tag()
+                        "step {step}: second acquire saw {tag:?}, first saw {live:?}"
                     ));
                 }
             } else {
-                tags.insert(obj, borrow.tag());
+                tags.insert(obj, tag);
             }
             let seen = mem.ldg(begin).map_err(|e| format!("step {step}: {e}"))?;
-            if seen != borrow.tag() {
+            if seen != tag {
                 return Err(format!(
-                    "step {step}: memory holds {seen:?}, acquire returned {:?}",
-                    borrow.tag()
+                    "step {step}: memory holds {seen:?}, acquire returned {tag:?}"
                 ));
             }
-            held.push(borrow);
+            *held += 1;
         }
     }
 
-    let live = borrows.values().filter(|b| !b.is_empty()).count();
+    let live = counts.values().filter(|&&n| n > 0).count();
     if table.tracked_objects() != live {
         return Err(format!(
             "end: model has {live} live objects, table tracks {}",
@@ -173,37 +148,37 @@ proptest! {
             let (mem, thread) = setup();
             let table = table_for(backend);
             let (begin, end) = obj_range(live);
-            let borrow = table.acquire(&mem, &thread, begin, end).unwrap();
-            let tag = borrow.tag();
+            let (tag, _) = table.acquire(&mem, &thread, begin, end).unwrap();
             for &s in &strays {
                 // Offset by granules: never equal to a tracked begin.
                 let addr = BASE + OBJ_STRIDE * OBJECTS as u64 + 16 * s;
                 let stray = TaggedPtr::from_addr(addr);
-                let outcome = table.release_raw(&mem, stray, addr + OBJ_LEN).unwrap();
+                let outcome = table.release(&mem, stray, addr + OBJ_LEN).unwrap();
                 prop_assert_eq!(outcome, ReleaseOutcome::NotTracked);
             }
             prop_assert_eq!(table.tracked_objects(), 1);
             prop_assert_eq!(mem.ldg(begin).unwrap(), tag);
-            assert!(matches!(table.release(&mem, borrow), Ok(Release::Freed)));
+            prop_assert_eq!(table.release(&mem, begin, end).unwrap(), ReleaseOutcome::Freed);
         }
     }
 }
 
 // Exhaustively check the underflow edge: double-release after a single
-// acquire must hit NotTracked, not wrap the count. The typed API makes
-// this a compile error (the token is consumed); the raw escape hatch is
-// where the edge still exists.
+// acquire must hit NotTracked, not wrap the count.
 #[test]
 fn double_release_never_underflows() {
     for backend in BACKENDS {
         let (mem, thread) = setup();
         let table = table_for(backend);
         let (begin, end) = obj_range(0);
-        let borrow = table.acquire(&mem, &thread, begin, end).unwrap();
-        assert!(matches!(table.release(&mem, borrow), Ok(Release::Freed)));
+        table.acquire(&mem, &thread, begin, end).unwrap();
+        assert_eq!(
+            table.release(&mem, begin, end).unwrap(),
+            ReleaseOutcome::Freed
+        );
         for _ in 0..3 {
             assert_eq!(
-                table.release_raw(&mem, begin, end).unwrap(),
+                table.release(&mem, begin, end).unwrap(),
                 ReleaseOutcome::NotTracked,
                 "{backend:?}: release after Freed must be NotTracked"
             );

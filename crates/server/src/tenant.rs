@@ -551,7 +551,7 @@ fn map_outcome(result: Result<(), JniError>) -> Result<RequestOutcome, JniError>
 }
 
 /// The funnel-level conservation law (DESIGN §15): every fresh acquire
-/// is freed exactly once — by a typed release or a GC-safepoint purge.
+/// is freed exactly once — by a release or a GC-safepoint purge.
 pub fn funnel_conservation_violation(scheme: &Mte4Jni) -> Option<String> {
     let s = scheme.stats();
     let counter = |name: &str| {

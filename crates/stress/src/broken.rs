@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mte4jni::entry::{self, EntryState};
-use mte4jni::{Borrow, ReleaseOutcome, TagTable};
+use mte4jni::{ReleaseOutcome, TagTable};
 use mte_sim::sync::{yield_point, Mutex};
 use mte_sim::{MteThread, Tag, TaggedMemory, TaggedPtr, GRANULE};
 
@@ -59,7 +59,7 @@ impl TagTable for BrokenTwoTier {
         thread: &MteThread,
         begin: TaggedPtr,
         end: u64,
-    ) -> mte_sim::Result<Borrow> {
+    ) -> mte_sim::Result<(Tag, bool)> {
         let addr = begin.addr();
         let entry = {
             let mut t = self.table(addr).lock();
@@ -79,17 +79,17 @@ impl TagTable for BrokenTwoTier {
             let mut e = entry.lock();
             e.tag = tag;
             e.reference_num = count + 1;
-            Ok(Borrow::new(addr, end, tag, 0, false))
+            Ok((tag, false))
         } else {
             mem.ldg(begin)?;
             let mut e = entry.lock();
             let tag = e.tag;
             e.reference_num = count + 1;
-            Ok(Borrow::new(addr, end, tag, 0, true))
+            Ok((tag, true))
         }
     }
 
-    fn release_raw(
+    fn release(
         &self,
         mem: &TaggedMemory,
         begin: TaggedPtr,
@@ -149,7 +149,7 @@ impl TagTable for BrokenGlobal {
         thread: &MteThread,
         begin: TaggedPtr,
         end: u64,
-    ) -> mte_sim::Result<Borrow> {
+    ) -> mte_sim::Result<(Tag, bool)> {
         let addr = begin.addr();
         // BUG: lookup and update are separate critical sections.
         let existing = self
@@ -163,7 +163,7 @@ impl TagTable for BrokenGlobal {
                 if let Some(e) = self.entries.lock().get_mut(&addr) {
                     e.reference_num = count + 1;
                 }
-                Ok(Borrow::new(addr, end, tag, 0, true))
+                Ok((tag, true))
             }
             None => {
                 let tag = mem.irg(thread);
@@ -175,12 +175,12 @@ impl TagTable for BrokenGlobal {
                         tag,
                     },
                 );
-                Ok(Borrow::new(addr, end, tag, 0, false))
+                Ok((tag, false))
             }
         }
     }
 
-    fn release_raw(
+    fn release(
         &self,
         mem: &TaggedMemory,
         begin: TaggedPtr,
@@ -245,7 +245,7 @@ impl TagTable for BrokenLockFree {
         thread: &MteThread,
         begin: TaggedPtr,
         end: u64,
-    ) -> mte_sim::Result<Borrow> {
+    ) -> mte_sim::Result<(Tag, bool)> {
         let addr = begin.addr();
         let slot = self.word(addr);
         // BUG: read-compute-store instead of CAS; the yield between the
@@ -256,27 +256,17 @@ impl TagTable for BrokenLockFree {
             mem.ldg(begin)?;
             yield_point("broken-lockfree-gap");
             slot.store(entry::add_ref(word), Ordering::Release);
-            Ok(Borrow::new(
-                addr,
-                end,
-                entry::tag(word),
-                entry::generation(word),
-                true,
-            ))
+            Ok((entry::tag(word), true))
         } else {
             let tag = mem.irg(thread);
             mem.set_tag_range(begin, end, tag)?;
             yield_point("broken-lockfree-gap");
-            let generation = entry::generation(word).wrapping_add(1);
-            slot.store(
-                entry::pack(1, tag, EntryState::Live, generation),
-                Ordering::Release,
-            );
-            Ok(Borrow::new(addr, end, tag, generation, false))
+            slot.store(entry::pack(1, tag, EntryState::Live), Ordering::Release);
+            Ok((tag, false))
         }
     }
 
-    fn release_raw(
+    fn release(
         &self,
         mem: &TaggedMemory,
         begin: TaggedPtr,
@@ -303,7 +293,7 @@ impl TagTable for BrokenLockFree {
             mem.set_tag_range(begin.untagged(), end, Tag::UNTAGGED)?;
             yield_point("broken-lockfree-gap");
             slot.store(
-                entry::pack(0, Tag::UNTAGGED, EntryState::Free, entry::generation(word)),
+                entry::pack(0, Tag::UNTAGGED, EntryState::Free),
                 Ordering::Release,
             );
             Ok(ReleaseOutcome::Freed)

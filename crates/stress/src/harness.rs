@@ -30,8 +30,8 @@ use jni_rt::{
     ContainmentConfig, FaultPolicy, JniError, NativeArray, NativeKind, Protection, ReleaseMode, Vm,
 };
 use mte4jni::{
-    AtomicEntryTable, GlobalLockTable, Mte4Jni, Release, ReleaseError, ReleaseFailure,
-    TableBackend, TableConfig, TagTable, TwoTierTable,
+    AtomicEntryTable, GlobalLockTable, Mte4Jni, ReleaseOutcome, TableBackend, TableConfig,
+    TagTable, TwoTierTable,
 };
 use mte_sim::inject::{self, FaultPlan, InjectCounters};
 use mte_sim::sync::yield_point;
@@ -228,8 +228,8 @@ fn table_worker(
         let addr = objects[(worker + round) % objects.len()];
         let begin = TaggedPtr::from_addr(addr);
         let end = addr + 64;
-        let borrow = match table.acquire(mem, &t, begin, end) {
-            Ok(b) => b,
+        let (tag, shared) = match table.acquire(mem, &t, begin, end) {
+            Ok(acquired) => acquired,
             // Injected failures (including forced irg exhaustion) are
             // tolerated; the rollback contract says they must leave the
             // table unchanged, which the oracle checks.
@@ -238,24 +238,21 @@ fn table_worker(
             | Err(MemError::TagExhausted { .. }) => continue,
             Err(e) => panic!("VIOLATION: acquire failed unexpectedly: {e}"),
         };
-        if !borrow.shared() {
+        if !shared {
             tallies.fresh.fetch_add(1, Ordering::Relaxed);
         }
-        let tag = borrow.tag();
         probe(mem, begin, tag, "just after acquire");
         yield_point("holding");
         probe(mem, begin, tag, "after yield while held");
-        let mut pending = Some(borrow);
         let mut released = false;
         for _ in 0..RELEASE_RETRIES {
-            let borrow = pending.take().expect("failed release hands the borrow back");
-            match table.release(mem, borrow) {
-                Ok(Release::Freed) => {
+            match table.release(mem, begin, end) {
+                Ok(ReleaseOutcome::Freed) => {
                     tallies.freed.fetch_add(1, Ordering::Relaxed);
                     released = true;
                     break;
                 }
-                Ok(Release::Shared { remaining }) => {
+                Ok(ReleaseOutcome::Decremented { remaining }) => {
                     if remaining as usize >= cfg.threads {
                         panic!(
                             "VIOLATION: {remaining} borrowers remain after release \
@@ -266,23 +263,13 @@ fn table_worker(
                     released = true;
                     break;
                 }
-                Err(ReleaseError { borrow, kind }) => match kind {
-                    // A failed release must leave the count intact: the
-                    // token comes back for the retry.
-                    ReleaseFailure::Mem(MemError::Injected { .. }) => {
-                        pending = Some(borrow);
-                    }
-                    ReleaseFailure::NotTracked => {
-                        panic!("VIOLATION: release of a live borrow reported NotTracked")
-                    }
-                    ReleaseFailure::StaleGeneration { held, current } => panic!(
-                        "VIOLATION: live borrow's generation went stale \
-                         (held {held}, table at {current})"
-                    ),
-                    ReleaseFailure::Mem(e) => {
-                        panic!("VIOLATION: release failed unexpectedly: {e}")
-                    }
-                },
+                Ok(ReleaseOutcome::NotTracked) => {
+                    panic!("VIOLATION: release of a live borrow reported NotTracked")
+                }
+                // A failed release must leave the count intact, so the
+                // same release is retried.
+                Err(MemError::Injected { .. }) => {}
+                Err(e) => panic!("VIOLATION: release failed unexpectedly: {e}"),
             }
         }
         assert!(
@@ -458,7 +445,7 @@ pub fn run_lifecycle_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -
             ));
         }
         // Funnel-level conservation law: every fresh acquire's entry is
-        // eventually freed by a typed release or a GC-safepoint purge.
+        // eventually freed by a release or a GC-safepoint purge.
         // Shared acquires reuse an entry and free nothing.
         if let Some(scheme) = &mte {
             if let Some(v) = funnel_conservation_violation(scheme) {

@@ -191,7 +191,7 @@ fn containment_schedules_survive_faults_and_observe_degradation() {
 /// shared flags, and identical release outcomes.
 #[test]
 fn lock_free_matches_two_tier_under_the_scheduler() {
-    use mte4jni::{AtomicEntryTable, Release, TagTable, TwoTierTable};
+    use mte4jni::{AtomicEntryTable, ReleaseOutcome, TagTable, TwoTierTable};
     use mte_sim::sync::{yield_point, Mutex};
     use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 
@@ -226,26 +226,22 @@ fn lock_free_matches_two_tier_under_the_scheduler() {
                         let addr = BASE + 0x100 * obj as u64;
                         let begin = TaggedPtr::from_addr(addr);
                         let end = addr + 64;
-                        let (ba, bb) = {
+                        {
                             let _g = pair_locks[obj].lock();
                             let ba = a.acquire(&mem_a, &ta, begin, end).unwrap();
                             let bb = b.acquire(&mem_b, &tb, begin, end).unwrap();
-                            assert_eq!(ba.tag(), bb.tag(), "seed {seed}: tags diverged");
-                            assert_eq!(ba.shared(), bb.shared(), "seed {seed}: shared diverged");
-                            (ba, bb)
-                        };
+                            assert_eq!(ba, bb, "seed {seed}: tag or shared flag diverged");
+                        }
                         yield_point("diff-holding");
                         let _g = pair_locks[obj].lock();
-                        let ra = a.release(&mem_a, ba).unwrap();
-                        let rb = b.release(&mem_b, bb).unwrap();
-                        match (&ra, &rb) {
-                            (Release::Freed, Release::Freed) => {}
-                            (
-                                Release::Shared { remaining: x },
-                                Release::Shared { remaining: y },
-                            ) if x == y => {}
-                            _ => panic!("seed {seed}: releases diverged: {ra:?} vs {rb:?}"),
-                        }
+                        let ra = a.release(&mem_a, begin, end).unwrap();
+                        let rb = b.release(&mem_b, begin, end).unwrap();
+                        assert_eq!(ra, rb, "seed {seed}: releases diverged");
+                        assert_ne!(
+                            ra,
+                            ReleaseOutcome::NotTracked,
+                            "seed {seed}: live borrow untracked"
+                        );
                     }
                 }) as Box<dyn FnOnce() + Send + '_>
             })

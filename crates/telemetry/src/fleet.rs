@@ -60,31 +60,11 @@ pub fn request_latency(scheme_key: &str) -> RequestLatency {
     }
     RequestLatency {
         count,
-        p50_ns: merged_quantile(&buckets, count, max, 0.50),
-        p99_ns: merged_quantile(&buckets, count, max, 0.99),
+        p50_ns: hist::bucket_quantile(buckets.iter().copied(), count, max, 0.50),
+        p99_ns: hist::bucket_quantile(buckets.iter().copied(), count, max, 0.99),
         max_ns: max,
         mean_ns: sum.checked_div(count).unwrap_or(0),
     }
-}
-
-/// Quantile over merged log-2 buckets, mirroring
-/// `LatencyHistogram::quantile_ns`: bucket `i` ceiling is `2^i − 1` ns
-/// (bucket 0 is "≤ 1 ns"), clamped to the observed max.
-fn merged_quantile(buckets: &[u64], total: u64, max_ns: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0;
-    for (i, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            let ceiling = if i == 0 { 1 } else { (1u64 << i) - 1 };
-            return ceiling.min(max_ns);
-        }
-    }
-    max_ns
 }
 
 /// Per-tenant counters the serving layer feeds into the rollup. All

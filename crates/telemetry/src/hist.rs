@@ -119,6 +119,33 @@ fn bucket_for(ns: u64) -> usize {
     }
 }
 
+/// An upper-bound estimate of the `q`-quantile, `q` in `[0, 1]`, over
+/// log-2 bucket counts totalling `total` samples: the ceiling of the
+/// bucket holding the rank, `2^i − 1` ns (bucket 0 is "≤ 1 ns"),
+/// clamped to the observed max so p99 never exceeds it. Returns 0 when
+/// `total` is 0.
+pub(crate) fn bucket_quantile(
+    buckets: impl IntoIterator<Item = u64>,
+    total: u64,
+    max_ns: u64,
+    q: f64,
+) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0;
+    for (i, n) in buckets.into_iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            let ceiling = if i == 0 { 1 } else { (1u64 << i) - 1 };
+            return ceiling.min(max_ns);
+        }
+    }
+    max_ns
+}
+
 impl LatencyHistogram {
     /// Records one duration.
     pub fn record(&self, d: Duration) {
@@ -137,23 +164,12 @@ impl LatencyHistogram {
     /// An upper-bound estimate (bucket ceiling) of the `q`-quantile,
     /// `q` in `[0, 1]`. Returns 0 for an empty histogram.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                // Ceiling of bucket i: 2^i - 1 ns (bucket 0 is "≤ 1 ns"),
-                // clamped to the observed max so p99 never exceeds it.
-                let ceiling = if i == 0 { 1 } else { (1u64 << i) - 1 };
-                return ceiling.min(self.max_ns());
-            }
-        }
-        self.max_ns()
+        bucket_quantile(
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
+            self.count(),
+            self.max_ns(),
+            q,
+        )
     }
 
     /// Largest recorded duration in nanoseconds.

@@ -4,6 +4,8 @@
 
 use std::sync::Arc;
 
+use mte4jni_repro::mte_sim::inject::{self, FaultPlan, InjectCounters};
+use mte4jni_repro::mte_sim::MemError;
 use mte4jni_repro::prelude::*;
 
 fn check_vm() -> Vm {
@@ -27,6 +29,10 @@ fn mismatched_release_interface_is_an_abort() {
     let report = err.as_abort().expect("check-jni abort");
     assert!(report.message.contains("GetStringChars"), "{}", report.message);
     assert!(report.message.contains("ReleaseStringCritical"), "{}", report.message);
+    // The borrow survives the rejected release, like ART (which aborts).
+    let outstanding = env.outstanding_acquisitions();
+    assert_eq!(outstanding.len(), 1);
+    assert_eq!(outstanding[0].interface, jni_rt::JniInterface::StringChars);
 }
 
 #[test]
@@ -85,6 +91,44 @@ fn commit_release_keeps_the_ledger_entry() {
     let elems = jni_rt::NativeArray::new(ptr, 4, PrimitiveType::Int, false);
     env.release_int_array_elements(&a, elems, ReleaseMode::CopyBack).unwrap();
     assert!(env.outstanding_acquisitions().is_empty());
+    // A pointer with no live borrow is left to the scheme: MTE4JNI finds
+    // no table entry and does nothing (Algorithm 2's early-out).
+    let elems = jni_rt::NativeArray::new(ptr, 4, PrimitiveType::Int, false);
+    env.release_int_array_elements(&a, elems, ReleaseMode::Abort).unwrap();
+    assert!(env.outstanding_acquisitions().is_empty());
+}
+
+#[test]
+fn failed_release_stays_outstanding_until_retried() {
+    let vm = check_vm();
+    let thread = vm.attach_thread("main");
+    let env = vm.env(&thread);
+    let a = env.new_int_array(4).unwrap();
+    let elems = env.get_int_array_elements(&a).unwrap();
+    let ptr = elems.ptr();
+    // Every tag store fails, so the final release cannot zero the tags
+    // and the borrow must stay live.
+    inject::install(
+        FaultPlan { stg_fail_ppm: 1_000_000, ..FaultPlan::default() },
+        1,
+        Arc::new(InjectCounters::default()),
+    );
+    let result = env.release_int_array_elements(&a, elems, ReleaseMode::Abort);
+    inject::clear();
+    assert!(
+        matches!(result, Err(JniError::Mem(MemError::Injected { .. }))),
+        "{result:?}"
+    );
+    assert!(vm.heap().is_pinned(a.addr()), "the pointer is still handed out");
+    let outstanding = env.outstanding_acquisitions();
+    assert_eq!(outstanding.len(), 1);
+    assert_eq!(outstanding[0].pointer, ptr.raw());
+    assert_eq!(outstanding[0].object, a.addr());
+    // With injection cleared, the retried release ends the borrow.
+    let elems = jni_rt::NativeArray::new(ptr, 4, PrimitiveType::Int, false);
+    env.release_int_array_elements(&a, elems, ReleaseMode::Abort).unwrap();
+    assert!(env.outstanding_acquisitions().is_empty());
+    assert!(!vm.heap().is_pinned(a.addr()));
 }
 
 #[test]
@@ -97,7 +141,15 @@ fn validation_is_off_by_default() {
     let s = env.new_string("hello").unwrap();
     let chars = env.get_string_chars(&s).unwrap();
     assert!(env.release_string_critical(&s, chars).is_ok());
-    assert!(env.outstanding_acquisitions().is_empty(), "ledger disabled");
+    let _leak = env.get_string_chars(&s).unwrap();
+    assert!(env.outstanding_acquisitions().is_empty(), "CheckJNI disabled");
+    let a = env.new_int_array(4).unwrap();
+    env.call_native("drop", NativeKind::Normal, |env| {
+        let _guard = env.critical(&a)?;
+        Ok(())
+    })
+    .unwrap();
+    assert!(env.guard_drops().is_empty(), "guard drops go unrecorded");
 }
 
 #[test]
@@ -111,7 +163,11 @@ fn utf_chars_released_against_the_wrong_string_is_an_abort() {
     let s2 = env.new_string("second").unwrap();
     let utf = env.get_string_utf_chars(&s1).unwrap();
     let err = env.release_string_utf_chars(&s2, utf).unwrap_err();
-    assert!(err.as_abort().is_some(), "wrong source string caught");
+    let report = err.as_abort().expect("wrong source string caught");
+    let from = format!("from object {:#x}", s1.addr());
+    let against = format!("against object {:#x}", s2.addr());
+    assert!(report.message.contains(&from), "{}", report.message);
+    assert!(report.message.contains(&against), "{}", report.message);
     // The rejected release does not clear the borrow: the ledger still
     // reports the original acquisition from s1 as outstanding.
     let outstanding = env.outstanding_acquisitions();
