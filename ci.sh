@@ -487,7 +487,9 @@ echo "== trace record/replay: determinism + differential gate =="
 # (2) the committed golden corpus must replay to equivalent outcome
 # digests across every table backend (strict among the MTE tables,
 # detection-verdict equality vs guarded copy, conservation laws for
-# all) — `trace diff` exits nonzero on any divergence.
+# all) — `trace diff` exits nonzero on any divergence; (3) each
+# trace's `trace diff` output (hashes and counts only, so deterministic)
+# must match its committed golden under crates/trace/corpus/expected/.
 trace_bin() { cargo run --offline -q -p trace --bin trace -- "$@"; }
 trace_bin record --workload "Asset Compression" --seed 7 --scale 1 \
     --out "$out/wl_a.trc" >/dev/null
@@ -502,9 +504,11 @@ cmp "$out/oob_a.trc" "$out/oob_b.trc"
 cmp "$out/sp_a.trc" "$out/sp_b.trc"
 echo "fixed-seed corpus recordings bit-identical across runs"
 for trc in crates/trace/corpus/*.trc; do
-    trace_bin diff --in "$trc"
+    name="$(basename "$trc" .trc)"
+    trace_bin diff --in "$trc" >"$out/diff_$name.txt"
+    diff -u "crates/trace/corpus/expected/$name.txt" "$out/diff_$name.txt"
 done
-echo "golden corpus equivalent across backends"
+echo "golden corpus equivalent across backends; diff output matches the goldens"
 # The runtime_doctor example must keep loading corpus traces: its dump
 # must name the contained fault's method and attributed interface.
 doctor_out="$(cargo run --offline -q --example runtime_doctor -- \

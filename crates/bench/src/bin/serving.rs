@@ -20,9 +20,10 @@
 
 use bench::{json_output, print_environment, Args, BenchReport};
 use mte_sim::inject::FaultPlan;
-use server::{Server, ServerConfig, TenantScheme};
+use server::{Server, ServerConfig};
 use server::traffic::TrafficConfig;
 use telemetry::json::JsonValue;
+use workloads::Backend;
 
 /// Tenant count for the noisy-neighbor comparison rows.
 const NOISY_TENANTS: u32 = 4;
@@ -59,7 +60,7 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 fn measure(
-    scheme: TenantScheme,
+    scheme: Backend,
     tenants: u32,
     noisy: bool,
     per_tenant: u64,
@@ -132,7 +133,7 @@ fn measure(
     best.expect("repeats >= 1")
 }
 
-fn scheme_key(scheme: TenantScheme) -> String {
+fn scheme_key(scheme: Backend) -> String {
     scheme.label().replace('-', "_")
 }
 
@@ -160,7 +161,7 @@ fn main() {
     // Per-row req/s on a loaded single-core host swings ±25% run to
     // run, but the run's peak is stable within ~10%.
     let mut peak_req_s = 0f64;
-    for scheme in TenantScheme::ALL {
+    for scheme in Backend::ALL {
         let mut quiet4_neighbor_p99 = 0u64;
         for tenants in [1u32, 4, 16] {
             let runs: &[bool] = if tenants == NOISY_TENANTS {

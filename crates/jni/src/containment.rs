@@ -15,7 +15,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mte_sim::sync::Mutex;
@@ -48,21 +47,17 @@ pub struct ContainmentConfig {
     /// Bounded retries for transient (`MemError::is_transient`) acquire
     /// and release failures before the error is propagated.
     pub transient_retries: u32,
-    /// Retained tombstones per VM; older ones are dropped (the counter
-    /// keeps the true total).
-    pub max_tombstones: usize,
-    /// When set, every tombstone is also serialized to
-    /// `TOMBSTONE_<seq>.json` under this directory.
-    pub tombstone_dir: Option<PathBuf>,
 }
+
+/// Tombstones retained per VM; older ones are dropped (the
+/// contained-fault counter keeps the true total).
+const MAX_TOMBSTONES: usize = 64;
 
 impl Default for ContainmentConfig {
     fn default() -> Self {
         ContainmentConfig {
             quarantine_threshold: 3,
             transient_retries: 3,
-            max_tombstones: 64,
-            tombstone_dir: None,
         }
     }
 }
@@ -155,8 +150,6 @@ pub struct ContainmentStats {
     pub degraded_tag_exhaustion: u64,
     /// Native methods currently quarantined.
     pub quarantined_methods: u64,
-    /// Tombstones written over the VM's lifetime (retained or not).
-    pub tombstones: u64,
 }
 
 #[derive(Debug, Default)]
@@ -177,7 +170,6 @@ pub struct Containment {
     retries: AtomicU64,
     degraded_quarantine: AtomicU64,
     degraded_exhaust: AtomicU64,
-    tombstone_total: AtomicU64,
 }
 
 impl Containment {
@@ -189,7 +181,6 @@ impl Containment {
             retries: AtomicU64::new(0),
             degraded_quarantine: AtomicU64::new(0),
             degraded_exhaust: AtomicU64::new(0),
-            tombstone_total: AtomicU64::new(0),
         }
     }
 
@@ -231,7 +222,6 @@ impl Containment {
             degraded_quarantine: self.degraded_quarantine.load(Ordering::Relaxed),
             degraded_tag_exhaustion: self.degraded_exhaust.load(Ordering::Relaxed),
             quarantined_methods: quarantined,
-            tombstones: self.tombstone_total.load(Ordering::Relaxed),
         }
     }
 
@@ -244,7 +234,6 @@ impl Containment {
         doc.insert("transient_retries", stats.transient_retries);
         doc.insert("degraded_quarantine", stats.degraded_quarantine);
         doc.insert("degraded_tag_exhaustion", stats.degraded_tag_exhaustion);
-        doc.insert("tombstones", stats.tombstones);
         let methods: Vec<JsonValue> = self
             .quarantined_methods()
             .into_iter()
@@ -274,8 +263,8 @@ impl Containment {
     }
 
     /// Records one contained fault against `method`: bumps the counters,
-    /// quarantines the method once it crosses the threshold, retains (and
-    /// optionally serializes) the tombstone. Returns the finished record.
+    /// quarantines the method once it crosses the threshold, retains the
+    /// tombstone. Returns the finished record.
     pub(crate) fn record_contained(
         &self,
         method: &'static str,
@@ -283,8 +272,7 @@ impl Containment {
         fault: TagCheckFault,
         released_borrows: u32,
     ) -> Tombstone {
-        self.contained.fetch_add(1, Ordering::Relaxed);
-        let seq = self.tombstone_total.fetch_add(1, Ordering::Relaxed);
+        let seq = self.contained.fetch_add(1, Ordering::Relaxed);
         telemetry::record(telemetry::Event::ContainedFault {
             class: match fault.kind {
                 FaultKind::Sync => telemetry::FaultClass::Sync,
@@ -307,14 +295,8 @@ impl Containment {
             released_borrows,
             quarantined,
         };
-        if let Some(dir) = &self.config.tombstone_dir {
-            // Best-effort, like logcat: a full disk must not turn
-            // containment back into an abort.
-            let path = dir.join(format!("TOMBSTONE_{seq}.json"));
-            let _ = std::fs::write(path, tombstone.to_json().to_pretty_string());
-        }
         state.tombstones.push(tombstone.clone());
-        if state.tombstones.len() > self.config.max_tombstones {
+        if state.tombstones.len() > MAX_TOMBSTONES {
             state.tombstones.remove(0);
         }
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Tombstone {
@@ -378,7 +360,6 @@ mod tests {
         assert_eq!(c.quarantined_methods(), vec!["native_churn"]);
         let stats = c.stats();
         assert_eq!(stats.contained_faults, 3);
-        assert_eq!(stats.tombstones, 3);
         assert_eq!(stats.quarantined_methods, 1);
     }
 
@@ -418,37 +399,22 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_files_are_written_when_a_dir_is_set() {
-        let dir = std::env::temp_dir().join(format!(
-            "mte4jni-tombstones-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let c = Containment::new(ContainmentConfig {
-            tombstone_dir: Some(dir.clone()),
-            ..ContainmentConfig::default()
-        });
-        c.record_contained("native_churn", "mte4jni".into(), sample_fault(), 0);
-        let path = dir.join("TOMBSTONE_0.json");
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let doc = telemetry::json::parse(&raw).unwrap();
-        assert_eq!(doc.get("method").unwrap().as_str(), Some("native_churn"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn retained_tombstones_are_bounded() {
         let c = Containment::new(ContainmentConfig {
-            max_tombstones: 2,
             quarantine_threshold: u32::MAX,
             ..ContainmentConfig::default()
         });
-        for _ in 0..5 {
+        let faults = MAX_TOMBSTONES + 3;
+        for _ in 0..faults {
             c.record_contained("m", "mte4jni".into(), sample_fault(), 0);
         }
         let kept = c.tombstones();
-        assert_eq!(kept.len(), 2);
+        assert_eq!(kept.len(), MAX_TOMBSTONES);
         assert_eq!(kept[0].seq, 3, "oldest retained after trimming");
-        assert_eq!(c.stats().tombstones, 5, "total still counts everything");
+        assert_eq!(
+            c.stats().contained_faults,
+            faults as u64,
+            "total still counts everything"
+        );
     }
 }

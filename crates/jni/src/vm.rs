@@ -179,7 +179,6 @@ impl Vm {
                 cs.degraded_tag_exhaustion,
             ),
             ("containment.quarantined_methods", cs.quarantined_methods),
-            ("containment.tombstones", cs.tombstones),
         ] {
             reg.set(&format!("scheme.{scheme}.{key}"), value);
         }
@@ -302,7 +301,7 @@ impl VmBuilder {
         self
     }
 
-    /// Tunes quarantine thresholds, retry bounds, and tombstone output.
+    /// Tunes quarantine thresholds and retry bounds.
     pub fn containment_config(mut self, config: ContainmentConfig) -> VmBuilder {
         self.containment = config;
         self

@@ -67,6 +67,23 @@ impl Mte4Jni {
         }
     }
 
+    /// The funnel conservation law (DESIGN §15): every fresh acquire is
+    /// freed exactly once, by a release or a GC-safepoint purge, so
+    /// `acquires - shared_acquires == tag_frees + safepoint purges`.
+    /// Returns the broken law as a message; `None` when it holds. Only
+    /// meaningful at quiescence, with no acquire or release in flight.
+    pub fn funnel_violation(&self) -> Option<String> {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (acquires, shared) = (load(&self.acquires), load(&self.shared_acquires));
+        let (frees, purges) = (load(&self.tag_frees), load(&self.safepoint_frees));
+        (acquires - shared != frees + purges).then(|| {
+            format!(
+                "funnel conservation broken: {acquires} acquires - {shared} shared != \
+                 {frees} tag frees + {purges} safepoint purges"
+            )
+        })
+    }
+
     fn payload_range(cx: &JniContext<'_>, obj: &ObjectRef) -> (TaggedPtr, u64) {
         let begin = cx.heap.data_ptr(obj);
         let end = begin.addr() + obj.byte_len() as u64;

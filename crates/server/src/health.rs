@@ -6,13 +6,13 @@
 //! longer trusts, which is an operator decision, not an automatic one.
 //!
 //! The inputs are the VM's own containment counters
-//! ([`jni_rt::ContainmentStats`]): contained tag-check faults and
-//! tombstones escalate through `Degraded` into `Quarantined`;
-//! `TagExhausted` single-acquire degradations and per-method quarantine
-//! routing mark the tenant `Degraded` but — by design — **never** push
-//! it past that on their own: running on the guarded-copy fallback is a
-//! correct (slower) mode, not a fault. `Evicted` is reached only
-//! through an explicit eviction threshold or [`HealthTracker::evict`].
+//! ([`jni_rt::ContainmentStats`]): one contained tag-check fault makes
+//! a tenant `Degraded` and four make it `Quarantined`; `TagExhausted`
+//! single-acquire degradations and per-method quarantine routing mark
+//! the tenant `Degraded` but — by design — **never** push it past that
+//! on their own: running on the guarded-copy fallback is a correct
+//! (slower) mode, not a fault. `Evicted` is reached only through
+//! [`HealthTracker::evict`].
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -69,47 +69,19 @@ impl Health {
     }
 }
 
-/// Thresholds mapping containment counters to health states.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthPolicy {
-    /// Contained faults at which the tenant leaves `Healthy`.
-    pub degrade_after_contained: u64,
-    /// Contained faults at which the tenant is quarantined.
-    pub quarantine_after_contained: u64,
-    /// Tombstones at which the tenant is quarantined.
-    pub quarantine_after_tombstones: u64,
-    /// Contained faults at which the tenant is evicted outright
-    /// (`u64::MAX` = never automatically; eviction is an operator or
-    /// end-of-run action).
-    pub evict_after_contained: u64,
-}
+/// Contained faults at which a tenant leaves `Healthy`.
+const DEGRADE_AFTER_CONTAINED: u64 = 1;
+/// Contained faults at which a tenant is quarantined.
+const QUARANTINE_AFTER_CONTAINED: u64 = 4;
 
-impl Default for HealthPolicy {
-    fn default() -> HealthPolicy {
-        HealthPolicy {
-            degrade_after_contained: 1,
-            quarantine_after_contained: 4,
-            quarantine_after_tombstones: 4,
-            evict_after_contained: u64::MAX,
-        }
-    }
-}
-
-/// The monotonic health latch for one tenant.
-#[derive(Debug)]
+/// The monotonic health latch for one tenant; the default is a healthy
+/// tenant (`Healthy` is state 0).
+#[derive(Debug, Default)]
 pub struct HealthTracker {
     state: AtomicU8,
-    policy: HealthPolicy,
 }
 
 impl HealthTracker {
-    /// A healthy tenant under `policy`.
-    pub fn new(policy: HealthPolicy) -> HealthTracker {
-        HealthTracker {
-            state: AtomicU8::new(Health::Healthy.as_u8()),
-            policy,
-        }
-    }
 
     /// Current state.
     pub fn current(&self) -> Health {
@@ -120,14 +92,9 @@ impl HealthTracker {
     /// the (possibly escalated) state. Concurrent observers race
     /// benignly: `fetch_max` keeps the latch monotonic.
     pub fn observe(&self, stats: &ContainmentStats) -> Health {
-        let p = &self.policy;
-        let target = if stats.contained_faults >= p.evict_after_contained {
-            Health::Evicted
-        } else if stats.contained_faults >= p.quarantine_after_contained
-            || stats.tombstones >= p.quarantine_after_tombstones
-        {
+        let target = if stats.contained_faults >= QUARANTINE_AFTER_CONTAINED {
             Health::Quarantined
-        } else if stats.contained_faults >= p.degrade_after_contained
+        } else if stats.contained_faults >= DEGRADE_AFTER_CONTAINED
             || stats.degraded_tag_exhaustion > 0
             || stats.degraded_quarantine > 0
             || stats.quarantined_methods > 0
@@ -160,7 +127,7 @@ mod tests {
 
     #[test]
     fn health_is_a_monotonic_latch() {
-        let t = HealthTracker::new(HealthPolicy::default());
+        let t = HealthTracker::default();
         assert_eq!(t.current(), Health::Healthy);
         let mut s = stats();
         s.contained_faults = 1;
@@ -176,7 +143,7 @@ mod tests {
 
     #[test]
     fn tag_exhaustion_caps_at_degraded() {
-        let t = HealthTracker::new(HealthPolicy::default());
+        let t = HealthTracker::default();
         let mut s = stats();
         s.degraded_tag_exhaustion = 1_000_000;
         assert_eq!(t.observe(&s), Health::Degraded);
@@ -184,27 +151,5 @@ mod tests {
         s.quarantined_methods = 50;
         assert_eq!(t.observe(&s), Health::Degraded);
         assert!(!t.current().sheds_all());
-    }
-
-    #[test]
-    fn tombstones_quarantine_independently_of_fault_count() {
-        let t = HealthTracker::new(HealthPolicy {
-            quarantine_after_tombstones: 2,
-            ..HealthPolicy::default()
-        });
-        let mut s = stats();
-        s.tombstones = 2;
-        assert_eq!(t.observe(&s), Health::Quarantined);
-    }
-
-    #[test]
-    fn eviction_threshold_fires() {
-        let t = HealthTracker::new(HealthPolicy {
-            evict_after_contained: 10,
-            ..HealthPolicy::default()
-        });
-        let mut s = stats();
-        s.contained_faults = 10;
-        assert_eq!(t.observe(&s), Health::Evicted);
     }
 }

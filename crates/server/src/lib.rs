@@ -35,7 +35,7 @@ pub mod tenant;
 pub mod traffic;
 
 pub use admission::{Admission, Permit, Rejected};
-pub use health::{Health, HealthPolicy, HealthTracker};
+pub use health::{Health, HealthTracker};
 pub use server::{RunSummary, Server, ServerConfig};
-pub use tenant::{funnel_conservation_violation, RequestOutcome, Tenant, TenantConfig, TenantScheme};
+pub use tenant::{RequestOutcome, Tenant, TenantConfig};
 pub use traffic::{Corpus, Request, RequestKind, TrafficConfig};

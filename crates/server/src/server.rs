@@ -35,7 +35,7 @@ impl ServerConfig {
     }
 }
 
-/// Aggregate result of one [`Server::run`].
+/// Aggregate result of one [`Server::run_timed`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunSummary {
     /// Requests admitted and run to a terminal outcome.
@@ -74,39 +74,13 @@ impl Server {
             .expect("tenant id out of range")
     }
 
-    /// Drives the arrival stream to completion over the worker pool and
-    /// returns the aggregate summary.
-    pub fn run(&self, requests: &[Request]) -> RunSummary {
-        let cursor = AtomicUsize::new(0);
-        let served = AtomicUsize::new(0);
-        let shed = AtomicUsize::new(0);
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(req) = requests.get(i) else { break };
-                    match self.tenant(req.tenant).serve(req) {
-                        Ok(_) => served.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => shed.fetch_add(1, Ordering::Relaxed),
-                    };
-                });
-            }
-        });
-        RunSummary {
-            served: served.load(Ordering::Relaxed) as u64,
-            shed: shed.load(Ordering::Relaxed) as u64,
-            elapsed: start.elapsed(),
-        }
-    }
-
-    /// Like [`Server::run`], but wall-clock-times every served request
-    /// and returns the exact per-request latencies in nanoseconds,
-    /// grouped per tenant in [`Server::tenants`] order. Shed requests
-    /// are not timed. Timing makes this nondeterministic — it exists
-    /// for the serving bench, which needs precise quantiles rather than
-    /// the log-2-bucketed telemetry histograms; deterministic harnesses
-    /// use [`Server::run`].
+    /// Drives the arrival stream to completion over the worker pool.
+    /// Returns the aggregate summary and the wall-clock latency of every
+    /// served request in nanoseconds, grouped per tenant in
+    /// [`Server::tenants`] order; shed requests are not timed. Which
+    /// worker serves which request depends on the host's thread timing;
+    /// deterministic harnesses drive [`Tenant::serve`] under their own
+    /// scheduler instead.
     pub fn run_timed(&self, requests: &[Request]) -> (RunSummary, Vec<Vec<u64>>) {
         let cursor = AtomicUsize::new(0);
         let served = AtomicUsize::new(0);

@@ -1,12 +1,13 @@
 //! One tenant: its own VM, protection scheme, health latch, admission
 //! state, and counters — the fault-isolation unit of the fleet.
 //!
-//! A tenant VM is built exactly like the containment stress VMs: an
-//! MTE4JNI primary over the chosen table backend with a guarded-copy
-//! quarantine fallback under [`FaultPolicy::Contain`] (or guarded copy
-//! as the primary for the ablation tenant). Everything a request does
-//! happens on this tenant's own simulated memory, heap, and tag table,
-//! so a neighbor's faults cannot reach it by construction — what the
+//! A tenant VM is built by [`Backend::build_vm`], exactly like the
+//! containment stress VMs: an MTE4JNI primary over the chosen table
+//! backend with a guarded-copy quarantine fallback under
+//! [`jni_rt::FaultPolicy::Contain`] (or guarded copy as the primary for
+//! the ablation tenant). Everything a request does happens on this
+//! tenant's own simulated memory, heap, and tag table, so a neighbor's
+//! faults cannot reach it by construction — what the
 //! serving layer adds is *resource* isolation (bounded queue, memory
 //! budget, shared-pool shedding) and the health machinery that turns
 //! containment telemetry into admission decisions.
@@ -15,20 +16,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use art_heap::HeapConfig;
-use guarded_copy::GuardedCopy;
-use jni_rt::{
-    ContainmentConfig, ContainmentStats, FaultPolicy, JniEnv, JniError, NativeKind, Protection,
-    ReleaseMode, Vm,
-};
-use mte4jni::{Mte4Jni, TableBackend, TableConfig};
+use jni_rt::{ContainmentStats, JniEnv, JniError, NativeKind, ReleaseMode, Vm};
+use mte4jni::Mte4Jni;
 use mte_sim::inject::{self, FaultPlan, InjectCounters};
 use mte_sim::sync::yield_point;
-use mte_sim::{MemError, MemoryConfig, TcfMode};
-use trace::Backend;
+use mte_sim::{MemError, MemoryConfig};
+use workloads::{Backend, VmSchemes};
 
 use crate::admission::{Admission, Rejected};
-use crate::health::{Health, HealthPolicy, HealthTracker};
+use crate::health::{Health, HealthTracker};
 use crate::traffic::{mix, Request, RequestKind};
 
 /// Base address of tenant 0's simulated memory; each tenant's arena is
@@ -37,94 +33,28 @@ use crate::traffic::{mix, Request, RequestKind};
 pub const TENANT_BASE: u64 = 0x7a00_0000_0000;
 /// Address stride between tenant arenas.
 pub const TENANT_STRIDE: u64 = 0x1_0000_0000;
+/// Simulated-memory arena size of every tenant.
+const TENANT_HEAP_BYTES: usize = 1 << 22;
+/// Request-level retries on transient errors, with deterministic
+/// backoff between attempts.
+const REQUEST_RETRIES: u32 = 4;
+/// A tenant sweeps its heap every this many admitted requests.
+const SWEEP_EVERY: u64 = 64;
 
-/// Protection scheme a tenant runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TenantScheme {
-    /// MTE4JNI over the lock-free atomic-entry table (default).
-    LockFree,
-    /// MTE4JNI over the paper's two-tier locking table.
-    TwoTier,
-    /// MTE4JNI over the global-lock ablation table.
-    Global,
-    /// Guarded copy as the primary (no MTE).
-    Guarded,
-}
-
-impl TenantScheme {
-    /// All schemes, report order.
-    pub const ALL: [TenantScheme; 4] = [
-        TenantScheme::LockFree,
-        TenantScheme::TwoTier,
-        TenantScheme::Global,
-        TenantScheme::Guarded,
-    ];
-
-    /// Stable label, matching the stress harness scheme labels.
-    pub fn label(self) -> &'static str {
-        match self {
-            TenantScheme::LockFree => "lock-free",
-            TenantScheme::TwoTier => "two-tier",
-            TenantScheme::Global => "global",
-            TenantScheme::Guarded => "guarded",
-        }
-    }
-
-    /// Parses [`Self::label`] (case-insensitive).
-    pub fn parse(s: &str) -> Option<TenantScheme> {
-        TenantScheme::ALL
-            .into_iter()
-            .find(|k| k.label().eq_ignore_ascii_case(s))
-    }
-
-    /// The tag-table backend (MTE schemes only).
-    fn backend(self) -> Option<TableBackend> {
-        match self {
-            TenantScheme::LockFree => Some(TableBackend::LockFree),
-            TenantScheme::TwoTier => Some(TableBackend::TwoTier),
-            TenantScheme::Global => Some(TableBackend::Global),
-            TenantScheme::Guarded => None,
-        }
-    }
-
-    /// The matching trace-replay backend.
-    pub fn replay_backend(self) -> Backend {
-        match self {
-            TenantScheme::LockFree => Backend::LockFree,
-            TenantScheme::TwoTier => Backend::TwoTier,
-            TenantScheme::Global => Backend::Global,
-            TenantScheme::Guarded => Backend::Guarded,
-        }
-    }
-}
-
-/// Per-tenant build and policy knobs.
+/// Per-tenant build and admission knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TenantConfig {
     /// Tenant index within the fleet.
     pub id: u32,
-    /// Protection scheme.
-    pub scheme: TenantScheme,
-    /// Simulated-memory arena size.
-    pub heap_bytes: usize,
+    /// Protection backend.
+    pub scheme: Backend,
     /// Bounded in-flight queue capacity.
     pub queue_capacity: usize,
     /// Native-memory budget (`usize::MAX` = unlimited).
     pub budget_bytes: usize,
-    /// VM-level per-method quarantine threshold.
-    pub quarantine_threshold: u32,
-    /// VM-level transient retry budget inside acquire/release.
-    pub transient_retries: u32,
-    /// Request-level retries on transient errors (deterministic
-    /// backoff between attempts).
-    pub request_retries: u32,
-    /// Health thresholds.
-    pub policy: HealthPolicy,
     /// Fault injection armed for this tenant's requests (the noisy
     /// neighbor); `None` for clean tenants.
     pub fault_plan: Option<FaultPlan>,
-    /// Sweep the tenant heap every this many admitted requests.
-    pub sweep_every: u64,
 }
 
 impl TenantConfig {
@@ -132,16 +62,10 @@ impl TenantConfig {
     pub fn new(id: u32) -> TenantConfig {
         TenantConfig {
             id,
-            scheme: TenantScheme::LockFree,
-            heap_bytes: 1 << 22,
+            scheme: Backend::LockFree,
             queue_capacity: 8,
             budget_bytes: usize::MAX,
-            quarantine_threshold: 2,
-            transient_retries: 4,
-            request_retries: 4,
-            policy: HealthPolicy::default(),
             fault_plan: None,
-            sweep_every: 64,
         }
     }
 }
@@ -177,8 +101,7 @@ struct Counters {
 pub struct Tenant {
     cfg: TenantConfig,
     vm: Vm,
-    mte: Option<Arc<Mte4Jni>>,
-    guarded: Arc<GuardedCopy>,
+    schemes: VmSchemes,
     health: HealthTracker,
     admission: Admission,
     counters: Counters,
@@ -186,57 +109,22 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// Builds the tenant VM for `cfg` (same shape as the containment
-    /// stress VMs; guarded-copy tenants mirror the guarded stress VMs).
+    /// Builds the tenant VM for `cfg` by [`Backend::build_vm`] over the
+    /// tenant's own arena: the containment stress VM, or for guarded
+    /// tenants the guarded stress VM.
     pub fn new(cfg: TenantConfig) -> Tenant {
-        let memory = MemoryConfig {
+        let (vm, schemes) = cfg.scheme.build_vm(MemoryConfig {
             base: TENANT_BASE + u64::from(cfg.id) * TENANT_STRIDE,
-            size: cfg.heap_bytes,
-        };
-        let guarded = Arc::new(GuardedCopy::new());
-        let (vm, mte) = match cfg.scheme.backend() {
-            Some(backend) => {
-                let scheme = Arc::new(Mte4Jni::with_config(TableConfig {
-                    backend,
-                    ..TableConfig::default()
-                }));
-                let vm = Vm::builder()
-                    .heap_config(HeapConfig {
-                        memory,
-                        ..HeapConfig::mte4jni()
-                    })
-                    .check_mode(TcfMode::Sync)
-                    .protection(Arc::clone(&scheme) as Arc<dyn Protection>)
-                    .fallback_protection(Arc::clone(&guarded) as Arc<dyn Protection>)
-                    .fault_policy(FaultPolicy::Contain)
-                    .containment_config(ContainmentConfig {
-                        quarantine_threshold: cfg.quarantine_threshold,
-                        transient_retries: cfg.transient_retries,
-                        ..ContainmentConfig::default()
-                    })
-                    .build();
-                (vm, Some(scheme))
-            }
-            None => {
-                let vm = Vm::builder()
-                    .heap_config(HeapConfig {
-                        memory,
-                        ..HeapConfig::stock_art()
-                    })
-                    .protection(Arc::clone(&guarded) as Arc<dyn Protection>)
-                    .build();
-                (vm, None)
-            }
-        };
+            size: TENANT_HEAP_BYTES,
+        });
         Tenant {
             admission: Admission::new(cfg.queue_capacity, cfg.budget_bytes),
-            health: HealthTracker::new(cfg.policy),
+            health: HealthTracker::default(),
             counters: Counters::default(),
             inject_counters: Arc::new(InjectCounters::default()),
             cfg,
             vm,
-            mte,
-            guarded,
+            schemes,
         }
     }
 
@@ -257,7 +145,7 @@ impl Tenant {
     /// The MTE4JNI scheme, for oracle introspection (`None` for
     /// guarded-copy tenants).
     pub fn scheme(&self) -> Option<&Mte4Jni> {
-        self.mte.as_deref()
+        self.schemes.mte.as_deref()
     }
 
     /// Health after folding in the latest containment counters.
@@ -300,7 +188,7 @@ impl Tenant {
         // Periodic housekeeping sweep, always disarmed: the collector is
         // a runtime-internal path whose tag stores are infallible by
         // contract, so injected faults must never reach it.
-        if admitted.is_multiple_of(self.cfg.sweep_every.max(1)) {
+        if admitted.is_multiple_of(SWEEP_EVERY) {
             let _ = self.vm.heap().sweep();
         }
         let t0 = if telemetry::enabled() {
@@ -316,7 +204,7 @@ impl Tenant {
                 Ok(o) => break o,
                 Err(e)
                     if (e.is_transient() || matches!(e, JniError::Heap(_)))
-                        && attempt < self.cfg.request_retries =>
+                        && attempt < REQUEST_RETRIES =>
                 {
                     attempt += 1;
                     self.counters.retries.fetch_add(1, Ordering::Relaxed);
@@ -387,7 +275,7 @@ impl Tenant {
                 let trace = corpus
                     .decode()
                     .expect("committed corpus traces always decode");
-                match trace::replay(&trace, self.cfg.scheme.replay_backend()) {
+                match trace::replay(&trace, self.cfg.scheme) {
                     Ok(digest) => {
                         let violations = digest.conservation_violations().len() as u64;
                         self.counters
@@ -456,44 +344,15 @@ impl Tenant {
         let _ = self.vm.heap().sweep();
     }
 
-    /// The post-run quiescence oracle — the containment-stress checks
-    /// applied to one tenant: zero stale table entries, the funnel
-    /// conservation law, zero leaked shadows or native bytes, balanced
-    /// pins. Returns human-readable violations (empty = sound).
+    /// The post-run quiescence oracle ([`VmSchemes::quiesce`]) on this
+    /// tenant's VM. Returns human-readable violations (empty = sound).
     pub fn quiesce(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let tag = |msg: String| format!("tenant {}: {msg}", self.cfg.id);
-        // Safepoint first: purge entries a release abandoned after
-        // persistent faults, so the checks see the post-safepoint state.
-        let _ = self.vm.heap().sweep();
-        if let Some(scheme) = &self.mte {
-            let tracked = scheme.table().tracked_objects();
-            if tracked != 0 {
-                v.push(tag(format!("{tracked} stale table entries after quiescence")));
-            }
-            if let Some(m) = funnel_conservation_violation(scheme) {
-                v.push(tag(m));
-            }
-        }
-        let shadows = self.guarded.tracked_shadows();
-        if shadows != 0 {
-            v.push(tag(format!("{shadows} guarded-copy shadows leaked")));
-        }
-        let in_use = self.vm.heap().native_alloc().stats().bytes_in_use;
-        if in_use != 0 {
-            v.push(tag(format!("{in_use} native bytes leaked")));
-        }
-        let hs = self.vm.heap().stats();
-        if hs.pinned_objects != 0 {
-            v.push(tag(format!("{} objects still pinned", hs.pinned_objects)));
-        }
-        if hs.pins_total != hs.unpins_total {
-            v.push(tag(format!(
-                "{} pins but {} unpins",
-                hs.pins_total, hs.unpins_total
-            )));
-        }
-        v
+        let id = self.cfg.id;
+        self.schemes
+            .quiesce(&self.vm)
+            .into_iter()
+            .map(|m| format!("tenant {id}: {m}"))
+            .collect()
     }
 
     /// This tenant's row for the fleet rollup.
@@ -513,7 +372,6 @@ impl Tenant {
             degraded_exhaust: cs.degraded_tag_exhaustion,
             degraded_quarantine: cs.degraded_quarantine,
             retries: c.retries.load(Ordering::Relaxed),
-            tombstones: cs.tombstones,
         }
     }
 
@@ -547,28 +405,5 @@ fn map_outcome(result: Result<(), JniError>) -> Result<RequestOutcome, JniError>
         Err(JniError::ContainedFault { .. }) => Ok(RequestOutcome::Contained),
         Err(JniError::CheckJniAbort(_)) => Ok(RequestOutcome::Detected),
         Err(e) => Err(e),
-    }
-}
-
-/// The funnel-level conservation law (DESIGN §15): every fresh acquire
-/// is freed exactly once — by a release or a GC-safepoint purge.
-pub fn funnel_conservation_violation(scheme: &Mte4Jni) -> Option<String> {
-    let s = scheme.stats();
-    let counter = |name: &str| {
-        scheme
-            .counters()
-            .into_iter()
-            .find(|(k, _)| *k == name)
-            .map_or(0, |(_, v)| v)
-    };
-    let purge_frees = counter("safepoint_purge_frees");
-    if s.acquires - s.shared_acquires != s.tag_frees + purge_frees {
-        Some(format!(
-            "funnel conservation broken: {} acquires - {} shared != \
-             {} tag frees + {} safepoint purges",
-            s.acquires, s.shared_acquires, s.tag_frees, purge_frees
-        ))
-    } else {
-        None
     }
 }

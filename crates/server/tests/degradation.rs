@@ -22,7 +22,7 @@ fn concurrent_tag_exhaustion_degrades_but_never_quarantines() {
     };
     let stream = traffic.generate(1);
     let server = Server::new(cfg);
-    let summary = server.run(&stream);
+    let summary = server.run_timed(&stream).0;
     assert_eq!(summary.served, 120, "degraded tenant must keep serving");
 
     let t = server.tenant(0);
@@ -60,7 +60,7 @@ fn partial_exhaustion_under_threads_stays_sound() {
     };
     let stream = traffic.generate(1);
     let server = Server::new(cfg);
-    server.run(&stream);
+    server.run_timed(&stream);
     let t = server.tenant(0);
     let s = t.stats();
     assert!(s.degraded_exhaust > 0, "{s:?}");

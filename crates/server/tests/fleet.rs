@@ -5,9 +5,10 @@
 //! books, and zero stale table entries.
 
 use mte_sim::inject::FaultPlan;
-use server::{Request, Server, ServerConfig, TenantScheme, TrafficConfig};
+use server::{Request, Server, ServerConfig, TrafficConfig};
+use workloads::Backend;
 
-fn noisy_fleet(scheme: TenantScheme) -> (Server, Vec<Request>) {
+fn noisy_fleet(scheme: Backend) -> (Server, Vec<Request>) {
     let mut cfg = ServerConfig::with_tenants(3, 3);
     for (i, t) in cfg.tenants.iter_mut().enumerate() {
         t.scheme = scheme;
@@ -28,8 +29,8 @@ fn noisy_fleet(scheme: TenantScheme) -> (Server, Vec<Request>) {
 
 #[test]
 fn noisy_neighbor_is_contained_and_quarantined() {
-    let (server, stream) = noisy_fleet(TenantScheme::LockFree);
-    let summary = server.run(&stream);
+    let (server, stream) = noisy_fleet(Backend::LockFree);
+    let summary = server.run_timed(&stream).0;
     assert_eq!(summary.served + summary.shed, stream.len() as u64);
 
     // The noisy tenant took real faults, was contained, and ended up
@@ -71,8 +72,8 @@ fn noisy_neighbor_is_contained_and_quarantined() {
 
 #[test]
 fn isolation_holds_on_the_two_tier_backend() {
-    let (server, stream) = noisy_fleet(TenantScheme::TwoTier);
-    server.run(&stream);
+    let (server, stream) = noisy_fleet(Backend::TwoTier);
+    server.run_timed(&stream);
     for id in [1, 2] {
         let s = server.tenant(id).stats();
         assert_eq!(s.contained_faults, 0, "neighbor {id}: {s:?}");
@@ -85,8 +86,8 @@ fn isolation_holds_on_the_two_tier_backend() {
 
 #[test]
 fn rollup_reports_every_tenant_with_schema_version() {
-    let (server, stream) = noisy_fleet(TenantScheme::LockFree);
-    server.run(&stream);
+    let (server, stream) = noisy_fleet(Backend::LockFree);
+    server.run_timed(&stream);
     let rollup = server.rollup();
     assert_eq!(rollup.tenants().count(), 3);
     let (admitted, completed, shed, contained) = rollup.totals();
@@ -104,7 +105,7 @@ fn guarded_tenants_detect_instead_of_contain() {
     // faulting access; neighbors still finish clean.
     let mut cfg = ServerConfig::with_tenants(2, 2);
     for t in &mut cfg.tenants {
-        t.scheme = TenantScheme::Guarded;
+        t.scheme = Backend::Guarded;
     }
     let traffic = TrafficConfig {
         per_tenant: 150,
@@ -113,7 +114,7 @@ fn guarded_tenants_detect_instead_of_contain() {
     };
     let stream = traffic.generate(2);
     let server = Server::new(cfg);
-    server.run(&stream);
+    server.run_timed(&stream);
     let neighbor = server.tenant(1).stats();
     assert_eq!(neighbor.contained_faults, 0);
     assert_eq!(neighbor.completed, neighbor.admitted);
@@ -137,7 +138,7 @@ fn queue_bound_sheds_under_a_starved_pool() {
     };
     let stream = traffic.generate(2);
     let server = Server::new(cfg);
-    let summary = server.run(&stream);
+    let summary = server.run_timed(&stream).0;
     assert_eq!(summary.served + summary.shed, 80);
     // With a single worker there is never queue contention, so nothing
     // sheds — the bound is a ceiling, not a throttle.

@@ -3,7 +3,8 @@
 //! through the pin-ledger funnel before the heap drops, keeping the
 //! three-term conservation law and the pin books balanced.
 
-use server::{funnel_conservation_violation, Tenant, TenantConfig, TenantScheme};
+use server::{Tenant, TenantConfig};
+use workloads::Backend;
 
 #[test]
 fn evicting_a_tenant_with_a_live_critical_borrow_balances_the_funnel() {
@@ -29,7 +30,7 @@ fn evicting_a_tenant_with_a_live_critical_borrow_balances_the_funnel() {
 
     // Conservation: acquires - shared == typed frees + safepoint purges.
     let scheme = tenant.scheme().expect("mte tenant");
-    assert_eq!(funnel_conservation_violation(scheme), None);
+    assert_eq!(scheme.funnel_violation(), None);
     let hs = tenant.vm().heap().stats();
     assert_eq!(hs.pinned_objects, 0);
     assert_eq!(hs.pins_total, hs.unpins_total);
@@ -56,7 +57,7 @@ fn force_release_reclaims_every_open_borrow() {
 #[test]
 fn eviction_works_for_guarded_tenants_too() {
     let mut cfg = TenantConfig::new(2);
-    cfg.scheme = TenantScheme::Guarded;
+    cfg.scheme = Backend::Guarded;
     let tenant = Tenant::new(cfg);
     let thread = tenant.vm().attach_thread("teardown");
     let env = tenant.vm().env(&thread);

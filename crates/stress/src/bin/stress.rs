@@ -178,12 +178,13 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, St
             "--scheme" => {
                 let v = args.next().ok_or("--scheme needs a value")?;
                 o.scheme = match v.as_str() {
-                    "lock-free" => Some(SchemeKind::LockFree),
-                    "two-tier" => Some(SchemeKind::TwoTier),
-                    "global" => Some(SchemeKind::Global),
-                    "guarded" => Some(SchemeKind::Guarded),
                     "all" => None,
-                    other => return Err(format!("--scheme: unknown scheme {other:?}")),
+                    label => Some(
+                        SchemeKind::REAL
+                            .into_iter()
+                            .find(|k| k.label() == label)
+                            .ok_or_else(|| format!("--scheme: unknown scheme {label:?}"))?,
+                    ),
                 };
             }
             "--lifecycle" => o.lifecycle = true,
@@ -398,11 +399,10 @@ fn main() -> ExitCode {
         Some(k) => vec![k],
         // Containment is an MTE4JNI-with-fallback workload: guarded copy
         // is the degradation target, not a scheme under test.
-        None if o.containment => vec![
-            SchemeKind::LockFree,
-            SchemeKind::TwoTier,
-            SchemeKind::Global,
-        ],
+        None if o.containment => SchemeKind::REAL
+            .into_iter()
+            .filter(|k| k.backend().table().is_some())
+            .collect(),
         None => SchemeKind::REAL.to_vec(),
     };
 

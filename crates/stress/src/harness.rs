@@ -25,17 +25,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use art_heap::{HeapConfig, PrimitiveType};
-use guarded_copy::GuardedCopy;
-use jni_rt::{
-    ContainmentConfig, FaultPolicy, JniError, NativeArray, NativeKind, Protection, ReleaseMode, Vm,
-};
+use jni_rt::{JniError, NativeArray, NativeKind, Protection, ReleaseMode, Vm};
 use mte4jni::{
-    AtomicEntryTable, GlobalLockTable, Mte4Jni, ReleaseOutcome, TableBackend, TableConfig,
-    TagTable, TwoTierTable,
+    AtomicEntryTable, GlobalLockTable, Mte4Jni, ReleaseOutcome, TableConfig, TagTable,
+    TwoTierTable,
 };
 use mte_sim::inject::{self, FaultPlan, InjectCounters};
 use mte_sim::sync::yield_point;
 use mte_sim::{MemError, MemoryConfig, MteThread, Tag, TaggedMemory, TaggedPtr, TcfMode};
+use workloads::{Backend, VmSchemes};
 
 use crate::sched::{self, RunReport};
 
@@ -45,6 +43,11 @@ use crate::broken::{BrokenGlobal, BrokenLockFree, BrokenTwoTier};
 const BASE: u64 = 0x7a00_0000_0000;
 /// Per-schedule memory size: small, so hundreds of schedules stay cheap.
 const MEM_SIZE: usize = 1 << 20;
+/// The per-schedule simulated memory of the VM-mounted workloads.
+const MEMORY: MemoryConfig = MemoryConfig {
+    base: BASE,
+    size: MEM_SIZE,
+};
 /// Release retries under injection before a worker gives up.
 const RELEASE_RETRIES: usize = 64;
 
@@ -68,16 +71,26 @@ pub enum SchemeKind {
 }
 
 impl SchemeKind {
-    /// Display/report label.
+    /// Display/report label: the backend's for a real scheme.
     pub fn label(self) -> &'static str {
         match self {
-            SchemeKind::LockFree => "lock-free",
-            SchemeKind::TwoTier => "two-tier",
-            SchemeKind::Global => "global",
-            SchemeKind::Guarded => "guarded",
             SchemeKind::BrokenLockFree => "broken-lock-free",
             SchemeKind::BrokenTwoTier => "broken-two-tier",
             SchemeKind::BrokenGlobal => "broken-global",
+            real => real.backend().label(),
+        }
+    }
+
+    /// The backend a VM-mounted schedule runs. The broken mutants
+    /// cannot be mounted behind a VM (the scheme builds its own table),
+    /// so they map to their real counterparts; the mutation self-check
+    /// exercises them through [`run_schedule`].
+    pub fn backend(self) -> Backend {
+        match self {
+            SchemeKind::LockFree | SchemeKind::BrokenLockFree => Backend::LockFree,
+            SchemeKind::TwoTier | SchemeKind::BrokenTwoTier => Backend::TwoTier,
+            SchemeKind::Global | SchemeKind::BrokenGlobal => Backend::Global,
+            SchemeKind::Guarded => Backend::Guarded,
         }
     }
 
@@ -150,20 +163,6 @@ fn mix(seed: u64, salt: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// Table backend a VM-mounted schedule uses for `kind`. The broken
-/// mutants cannot be mounted behind a VM (the scheme builds its own
-/// table), so they map to their real counterparts; `Guarded` never
-/// reaches this.
-fn vm_backend(kind: SchemeKind) -> TableBackend {
-    match kind {
-        SchemeKind::TwoTier => TableBackend::TwoTier,
-        SchemeKind::BrokenTwoTier => TableBackend::TwoTier,
-        SchemeKind::Global => TableBackend::Global,
-        SchemeKind::BrokenGlobal => TableBackend::Global,
-        _ => TableBackend::LockFree,
-    }
 }
 
 /// Runs one seeded schedule of `kind` and returns what happened. Same
@@ -352,55 +351,63 @@ fn run_table_schedule(
     }
 }
 
-/// [`server::funnel_conservation_violation`] as an oracle message.
-fn funnel_conservation_violation(scheme: &Mte4Jni) -> Option<String> {
-    server::funnel_conservation_violation(scheme).map(|m| format!("oracle: {m}"))
+/// The VM-mounted schedules' oracle: the quiescence oracle
+/// ([`VmSchemes::quiesce`]), then a check that no stale tag aliases a
+/// recycled address — blocks reclaimed during the schedule (or by the
+/// oracle's own safepoint sweep) must come back untagged, or a fresh
+/// object at the same address would appear borrowed (and fault checking
+/// threads) through no act of its own.
+fn vm_oracle(vm: &Vm, schemes: &VmSchemes, cfg: &StressConfig) -> Vec<String> {
+    let mut violations: Vec<String> = schemes
+        .quiesce(vm)
+        .into_iter()
+        .map(|m| format!("oracle: {m}"))
+        .collect();
+    let oracle = vm.attach_thread("oracle");
+    for _ in 0..cfg.objects.max(4) {
+        match vm.env(&oracle).new_int_array(16) {
+            Ok(a) => match vm.heap().memory().raw_tag_at(a.data_addr()) {
+                Ok(tag) if tag.is_untagged() => {}
+                Ok(tag) => violations.push(format!(
+                    "oracle: recycled address {:#x} still tagged {tag:?}",
+                    a.data_addr()
+                )),
+                Err(e) => violations.push(format!("oracle: tag read failed: {e}")),
+            },
+            Err(e) => violations.push(format!("oracle: post-quiescence alloc failed: {e}")),
+        }
+    }
+    violations
 }
 
 /// Runs one seeded **object-lifecycle** schedule: each worker repeatedly
 /// allocates an array, acquires it through the scheme, drops the last
 /// Java handle, runs a sweep (which must spare the dead-but-borrowed
 /// object), then releases through a handle resurrected from the pin
-/// ledger and sweeps again. The quiescence oracle asserts that no table
-/// entry or shadow copy leaked, that every pin was returned, and that no
-/// stale tag aliases a recycled address.
+/// ledger and sweeps again. The oracle (`vm_oracle`) asserts that the
+/// VM quiesced and that no stale tag aliases a recycled address.
 ///
-/// The broken-table mutants cannot be mounted behind a VM (the scheme
-/// builds its own table), so they map to their real counterparts here;
-/// the mutation self-check exercises them through [`run_schedule`].
+/// The MTE VM runs without a fallback under the default
+/// [`FaultPolicy::Abort`](jni_rt::FaultPolicy::Abort); the guarded VM is
+/// [`Backend::build_vm`]'s. The broken-table mutants map to their real
+/// counterparts ([`SchemeKind::backend`]).
 pub fn run_lifecycle_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> ScheduleResult {
-    let memory = MemoryConfig {
-        base: BASE,
-        size: MEM_SIZE,
-    };
-    type LifecycleVm = (Vm, Box<dyn Fn() -> usize>, Option<Arc<Mte4Jni>>);
-    let (vm, tracked, mte): LifecycleVm = match kind {
-        SchemeKind::Guarded => {
-            let p = Arc::new(GuardedCopy::new());
-            let vm = Vm::builder()
-                .heap_config(HeapConfig {
-                    memory,
-                    ..HeapConfig::stock_art()
-                })
-                .protection(Arc::clone(&p) as Arc<dyn Protection>)
-                .build();
-            (vm, Box::new(move || p.tracked_shadows()), None)
-        }
-        _ => {
+    let (vm, schemes) = match kind.backend().table() {
+        None => Backend::Guarded.build_vm(MEMORY),
+        Some(backend) => {
             let p = Arc::new(Mte4Jni::with_config(TableConfig {
-                backend: vm_backend(kind),
+                backend,
                 ..TableConfig::default()
             }));
             let vm = Vm::builder()
                 .heap_config(HeapConfig {
-                    memory,
+                    memory: MEMORY,
                     ..HeapConfig::mte4jni()
                 })
                 .check_mode(TcfMode::Sync)
                 .protection(Arc::clone(&p) as Arc<dyn Protection>)
                 .build();
-            let probe = Arc::clone(&p);
-            (vm, Box::new(move || probe.table().tracked_objects()), Some(p))
+            (vm, VmSchemes { mte: Some(p), guarded: None })
         }
     };
     let tallies = Arc::new(Tallies::default());
@@ -422,54 +429,7 @@ pub fn run_lifecycle_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -
         .map(|(t, msg)| format!("t{t}: {msg}"))
         .collect();
     if report.clean() {
-        // Run a GC safepoint first: the sweep purges any entry a
-        // worker abandoned after persistent release faults, so the
-        // quiescence checks below see the post-safepoint state the
-        // "tracked ⇒ pinned" invariant is defined at.
-        let _ = vm.heap().sweep();
-        let left = tracked();
-        if left != 0 {
-            violations.push(format!("oracle: {left} scheme entries leaked after quiescence"));
-        }
-        let hs = vm.heap().stats();
-        if hs.pinned_objects != 0 {
-            violations.push(format!(
-                "oracle: {} objects still pinned after quiescence",
-                hs.pinned_objects
-            ));
-        }
-        if hs.pins_total != hs.unpins_total {
-            violations.push(format!(
-                "oracle: {} pins but {} unpins after quiescence",
-                hs.pins_total, hs.unpins_total
-            ));
-        }
-        // Funnel-level conservation law: every fresh acquire's entry is
-        // eventually freed by a release or a GC-safepoint purge.
-        // Shared acquires reuse an entry and free nothing.
-        if let Some(scheme) = &mte {
-            if let Some(v) = funnel_conservation_violation(scheme) {
-                violations.push(v);
-            }
-        }
-        // No tag aliasing on recycled addresses: blocks reclaimed during
-        // the schedule must come back untagged, or a fresh object at the
-        // same address would appear borrowed (and fault checking threads)
-        // through no act of its own.
-        let oracle = vm.attach_thread("lifecycle-oracle");
-        for _ in 0..cfg.objects.max(4) {
-            match vm.env(&oracle).new_int_array(16) {
-                Ok(a) => match vm.heap().memory().raw_tag_at(a.data_addr()) {
-                    Ok(tag) if tag.is_untagged() => {}
-                    Ok(tag) => violations.push(format!(
-                        "oracle: recycled address {:#x} still tagged {tag:?}",
-                        a.data_addr()
-                    )),
-                    Err(e) => violations.push(format!("oracle: tag read failed: {e}")),
-                },
-                Err(e) => violations.push(format!("oracle: post-quiescence alloc failed: {e}")),
-            }
-        }
+        violations.extend(vm_oracle(&vm, &schemes, cfg));
     }
     ScheduleResult {
         report,
@@ -583,41 +543,17 @@ fn lifecycle_worker(vm: &Vm, worker: usize, seed: u64, cfg: &StressConfig, talli
     inject::clear();
 }
 
-/// Runs one seeded **containment** schedule: an MTE4JNI VM (two-tier or
-/// global locking per `kind`) under [`FaultPolicy::Contain`] with a
-/// guarded-copy fallback, a low quarantine threshold, and workers that
-/// deliberately go out of bounds on some rounds. The containment oracle
-/// asserts the VM survives every schedule — contained faults, quarantine
-/// degradations, and injected failures included — with zero stale table
-/// entries, zero leaked shadows or native bytes, balanced pins, and no
-/// residual tags.
+/// Runs one seeded **containment** schedule: the contained MTE4JNI VM of
+/// [`Backend::build_vm`] over `kind`'s table (a guarded-copy fallback, a
+/// low quarantine threshold, [`FaultPolicy::Contain`]) and workers that
+/// deliberately go out of bounds on some rounds. The oracle
+/// (`vm_oracle`) asserts the VM survives every schedule — contained
+/// faults, quarantine degradations, and injected failures included —
+/// quiescent and with no residual tags.
+///
+/// [`FaultPolicy::Contain`]: jni_rt::FaultPolicy::Contain
 pub fn run_containment_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> ScheduleResult {
-    let memory = MemoryConfig {
-        base: BASE,
-        size: MEM_SIZE,
-    };
-    let scheme = Arc::new(Mte4Jni::with_config(TableConfig {
-        backend: vm_backend(kind),
-        ..TableConfig::default()
-    }));
-    let fallback = Arc::new(GuardedCopy::new());
-    let vm = Vm::builder()
-        .heap_config(HeapConfig {
-            memory,
-            ..HeapConfig::mte4jni()
-        })
-        .check_mode(TcfMode::Sync)
-        .protection(Arc::clone(&scheme) as Arc<dyn Protection>)
-        .fallback_protection(Arc::clone(&fallback) as Arc<dyn Protection>)
-        .fault_policy(FaultPolicy::Contain)
-        .containment_config(ContainmentConfig {
-            // Low threshold so quarantine transitions happen within one
-            // schedule's handful of rounds.
-            quarantine_threshold: 2,
-            transient_retries: 4,
-            ..ContainmentConfig::default()
-        })
-        .build();
+    let (vm, schemes) = kind.backend().build_vm(MEMORY);
     let tallies = Arc::new(Tallies::default());
 
     let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..cfg.threads)
@@ -637,58 +573,9 @@ pub fn run_containment_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig)
         .map(|(t, msg)| format!("t{t}: {msg}"))
         .collect();
     if report.clean() {
-        // Containment oracle: the VM survived the schedule, and every
-        // contained fault left it balanced. The sweep safepoint runs
-        // first, so its purge retires any entry a release abandoned
-        // after persistent faults.
-        let _ = vm.heap().sweep();
-        let tracked = scheme.table().tracked_objects();
-        if tracked != 0 {
-            violations.push(format!(
-                "oracle: {tracked} table entries stale after contained faults"
-            ));
-        }
-        if let Some(v) = funnel_conservation_violation(&scheme) {
-            violations.push(v);
-        }
-        let shadows = fallback.tracked_shadows();
-        if shadows != 0 {
-            violations.push(format!("oracle: {shadows} fallback shadows leaked"));
-        }
-        let in_use = vm.heap().native_alloc().stats().bytes_in_use;
-        if in_use != 0 {
-            violations.push(format!("oracle: {in_use} native bytes leaked"));
-        }
-        let hs = vm.heap().stats();
-        if hs.pinned_objects != 0 {
-            violations.push(format!(
-                "oracle: {} objects still pinned after contained faults",
-                hs.pinned_objects
-            ));
-        }
-        if hs.pins_total != hs.unpins_total {
-            violations.push(format!(
-                "oracle: {} pins but {} unpins after contained faults",
-                hs.pins_total, hs.unpins_total
-            ));
-        }
-        // Every force-released borrow must have zeroed its tags: fresh
-        // allocations on recycled addresses (reclaimed by the safepoint
-        // sweep above) come back untagged.
-        let oracle = vm.attach_thread("containment-oracle");
-        for _ in 0..cfg.objects.max(4) {
-            match vm.env(&oracle).new_int_array(16) {
-                Ok(a) => match vm.heap().memory().raw_tag_at(a.data_addr()) {
-                    Ok(tag) if tag.is_untagged() => {}
-                    Ok(tag) => violations.push(format!(
-                        "oracle: recycled address {:#x} still tagged {tag:?}",
-                        a.data_addr()
-                    )),
-                    Err(e) => violations.push(format!("oracle: tag read failed: {e}")),
-                },
-                Err(e) => violations.push(format!("oracle: post-quiescence alloc failed: {e}")),
-            }
-        }
+        // Every force-released borrow must have zeroed its tags, which
+        // the recycled-address probe checks.
+        violations.extend(vm_oracle(&vm, &schemes, cfg));
     }
     let cs = vm.containment_stats();
     ScheduleResult {
@@ -784,17 +671,8 @@ fn containment_worker(vm: &Vm, worker: usize, seed: u64, cfg: &StressConfig, tal
 }
 
 fn run_guarded_schedule(seed: u64, cfg: &StressConfig) -> ScheduleResult {
-    let protection = Arc::new(GuardedCopy::new());
-    let vm = Vm::builder()
-        .heap_config(HeapConfig {
-            memory: MemoryConfig {
-                base: BASE,
-                size: MEM_SIZE,
-            },
-            ..HeapConfig::stock_art()
-        })
-        .protection(Arc::clone(&protection) as Arc<dyn Protection>)
-        .build();
+    let (vm, schemes) = Backend::Guarded.build_vm(MEMORY);
+    let protection = schemes.guarded.as_deref().expect("a guarded VM runs guarded copy");
     let setup = vm.attach_thread("stress-setup");
     let arrays: Vec<_> = (0..cfg.objects)
         .map(|i| {
@@ -857,14 +735,7 @@ fn run_guarded_schedule(seed: u64, cfg: &StressConfig) -> ScheduleResult {
         .map(|(t, msg)| format!("t{t}: {msg}"))
         .collect();
     if report.clean() {
-        let shadows = protection.tracked_shadows();
-        if shadows != 0 {
-            violations.push(format!("oracle: {shadows} shadow copies leaked"));
-        }
-        let in_use = vm.heap().native_alloc().stats().bytes_in_use;
-        if in_use != 0 {
-            violations.push(format!("oracle: {in_use} native bytes leaked"));
-        }
+        violations.extend(vm_oracle(&vm, &schemes, cfg));
         let stats = protection.stats();
         if stats.corruptions_detected != 0 {
             violations.push(format!(
@@ -910,16 +781,8 @@ pub const SERVING_TENANTS: u32 = 3;
 /// pin books, and zero stale table entries, no matter what tenant 0
 /// does. Same `(kind, seed, cfg)` ⇒ identical trace and counts.
 pub fn run_serving_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> ScheduleResult {
-    use server::{Tenant, TenantConfig, TenantScheme, TrafficConfig};
+    use server::{Tenant, TenantConfig, TrafficConfig};
 
-    let scheme = match kind {
-        SchemeKind::TwoTier => TenantScheme::TwoTier,
-        SchemeKind::BrokenTwoTier => TenantScheme::TwoTier,
-        SchemeKind::Global => TenantScheme::Global,
-        SchemeKind::BrokenGlobal => TenantScheme::Global,
-        SchemeKind::Guarded => TenantScheme::Guarded,
-        _ => TenantScheme::LockFree,
-    };
     // Enough traffic per tenant for containment, quarantine and
     // shedding to all happen inside one schedule, scaled by the same
     // knob as the other workloads.
@@ -927,7 +790,7 @@ pub fn run_serving_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> 
     let tenants: Vec<Tenant> = (0..SERVING_TENANTS)
         .map(|id| {
             let mut tc = TenantConfig::new(id);
-            tc.scheme = scheme;
+            tc.scheme = kind.backend();
             if id == 0 && cfg.fault_plan.is_active() {
                 tc.fault_plan = Some(cfg.fault_plan);
             }

@@ -96,8 +96,6 @@ pub struct TenantStats {
     pub degraded_quarantine: u64,
     /// Transient-error retries spent across all requests.
     pub retries: u64,
-    /// Tombstones emitted for this tenant.
-    pub tombstones: u64,
 }
 
 /// A fleet-wide snapshot: one [`TenantStats`] per tenant plus the
@@ -165,7 +163,6 @@ impl FleetRollup {
             row.insert("degraded_exhaust", s.degraded_exhaust);
             row.insert("degraded_quarantine", s.degraded_quarantine);
             row.insert("retries", s.retries);
-            row.insert("tombstones", s.tombstones);
             let mut lat = JsonValue::object();
             lat.insert("count", l.count);
             lat.insert("p50_ns", l.p50_ns);

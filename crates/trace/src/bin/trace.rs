@@ -10,9 +10,8 @@
 
 use std::process::ExitCode;
 
-use trace::{
-    diff, record_oob_contain, record_spurious, record_workload, replay, Backend, Trace,
-};
+use trace::{diff, record_oob_contain, record_spurious, record_workload, replay, Trace};
+use workloads::Backend;
 
 const USAGE: &str = "\
 usage: trace <command> [options]

@@ -14,20 +14,27 @@
 //!    documented allowance. Traces recorded under a fault-injection plan
 //!    skip this tier: injected spurious faults only exist where tag
 //!    checks exist.
-//! 3. **Conservation** — every replay individually must end with
-//!    balanced pins, zero stale scheme entries, and zero unreleased
-//!    borrows.
+//! 3. **Conservation** — every replay individually must pass the
+//!    quiescence oracle (no stale entries, the funnel conservation law,
+//!    no leaked shadows or native bytes, balanced pins) and leave no
+//!    unreleased borrows.
 
 use std::fmt;
 
+use workloads::Backend;
+
 use crate::codec::Trace;
-use crate::replay::{replay, Backend, Digest, ReplayError};
+use crate::replay::{replay, Digest, ReplayError};
+
+/// The MTE table backends in replay order: the paper's two-tier table
+/// first, as the strict tier's baseline.
+const MTE_BACKENDS: [Backend; 3] = [Backend::TwoTier, Backend::LockFree, Backend::Global];
 
 /// The outcome of replaying one trace across all backends.
 #[derive(Debug)]
 pub struct DiffReport {
-    /// One digest per replayed backend, in [`Backend::ALL`] order
-    /// (guarded last, absent when skipped).
+    /// One digest per replayed backend: the MTE backends, two-tier
+    /// first, then guarded (absent when skipped).
     pub digests: Vec<Digest>,
     /// Human-readable equivalence violations; empty means the oracle
     /// passed.
@@ -68,7 +75,7 @@ impl fmt::Display for DiffReport {
 /// diff; outcome mismatches land in the report.
 pub fn diff(trace: &Trace) -> Result<DiffReport, ReplayError> {
     let mut digests: Vec<Digest> = Vec::new();
-    for backend in Backend::MTE {
+    for backend in MTE_BACKENDS {
         digests.push(replay(trace, backend)?);
     }
     let mut mismatches = Vec::new();

@@ -33,4 +33,4 @@ pub use diff::{diff, DiffReport};
 pub use record::{
     record_oob_contain, record_spurious, record_workload, Recorder, RecordingSession,
 };
-pub use replay::{replay, Backend, Digest, FrameOutcome, ReplayError, SchemeHandles};
+pub use replay::{replay, Digest, FrameOutcome, ReplayError};

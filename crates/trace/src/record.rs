@@ -14,8 +14,10 @@ use mte_sim::inject::{self, FaultPlan, InjectCounters};
 use parking_lot::{Mutex, MutexGuard};
 use telemetry::trace::{self, TraceEvent, TraceSink};
 
+use workloads::Backend;
+
 use crate::codec::{Trace, TraceHeader, TraceRecord};
-use crate::replay::{self, Backend};
+use crate::replay;
 
 /// Collects emitted events in global order, assigning sequence numbers
 /// under its own lock (as the [`TraceSink`] contract requires).
@@ -109,7 +111,7 @@ pub fn record_workload(name: &str, seed: u64, scale: u32) -> Result<Trace, Strin
     let spec = workloads::find_workload(name)
         .ok_or_else(|| format!("unknown workload {name:?}"))?;
     let header = mte_header(&format!("workload:{}", spec.name), seed, None);
-    let (vm, _handles) =
+    let (vm, _schemes) =
         replay::build_vm(&header, Backend::TwoTier).map_err(|e| e.to_string())?;
     let session = RecordingSession::start();
     let thread = vm.attach_thread("recorder");
@@ -145,7 +147,7 @@ fn clean_frame(env: &JniEnv<'_>, name: &'static str, seed: u64, len: usize) -> j
 /// faulting borrow's attribution lands in the trace.
 pub fn record_oob_contain(seed: u64) -> Trace {
     let header = mte_header("oob-contain", seed, None);
-    let (vm, _handles) =
+    let (vm, _schemes) =
         replay::build_vm(&header, Backend::TwoTier).expect("header is well-formed");
     let session = RecordingSession::start();
     let thread = vm.attach_thread("recorder");
@@ -177,7 +179,7 @@ pub fn record_oob_contain(seed: u64) -> Trace {
 pub fn record_spurious(seed: u64) -> Trace {
     let plan = FaultPlan { spurious_check_ppm: 25_000, ..FaultPlan::default() };
     let header = mte_header("spurious-inject", seed, Some(plan));
-    let (vm, _handles) =
+    let (vm, _schemes) =
         replay::build_vm(&header, Backend::TwoTier).expect("header is well-formed");
     let session = RecordingSession::start();
     inject::install(plan, seed, Arc::new(InjectCounters::default()));

@@ -36,93 +36,18 @@ use jni_rt::tracecode;
 use jni_rt::{
     FaultPolicy, JniEnv, JniError, NativeArray, NativeUtf, Protection, ReleaseMode, Vm,
 };
-use mte4jni::{Mte4Jni, TableBackend, TableConfig};
+use mte4jni::{Mte4Jni, TableConfig};
 use mte_sim::inject::{FaultPlan, InjectCounters};
 use mte_sim::{MemError, TcfMode};
 use parking_lot::Mutex;
 use telemetry::trace::{outcome, TraceEvent};
 use telemetry::JniInterface;
+use workloads::{Backend, VmSchemes};
 
 use crate::codec::{
     Trace, TraceHeader, TraceRecord, K_ACCESS, K_ACQUIRE, K_ALLOC_ARRAY, K_ALLOC_STRING,
     K_CALL_ENTER, K_CALL_EXIT, K_COMPACT, K_CSTR, K_REGION, K_RELEASE, K_SWEEP,
 };
-
-/// The replay axis: which scheme/table the trace is driven through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// MTE4JNI over the paper's two-tier locking table.
-    TwoTier,
-    /// MTE4JNI over the lock-free atomic-entry table.
-    LockFree,
-    /// MTE4JNI over the global-lock baseline table.
-    Global,
-    /// The guarded-copy scheme as the primary (no MTE).
-    Guarded,
-}
-
-impl Backend {
-    /// Every backend, MTE tables first.
-    pub const ALL: [Backend; 4] =
-        [Backend::TwoTier, Backend::LockFree, Backend::Global, Backend::Guarded];
-
-    /// The three MTE table backends (the strict-equivalence set).
-    pub const MTE: [Backend; 3] = [Backend::TwoTier, Backend::LockFree, Backend::Global];
-
-    /// Stable command-line label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::TwoTier => "two-tier",
-            Backend::LockFree => "lock-free",
-            Backend::Global => "global",
-            Backend::Guarded => "guarded",
-        }
-    }
-
-    /// Parses [`Self::label`] (case-insensitive).
-    pub fn parse(s: &str) -> Option<Backend> {
-        Backend::ALL.into_iter().find(|b| b.label().eq_ignore_ascii_case(s))
-    }
-
-    /// Whether this backend runs the MTE4JNI scheme (vs guarded copy).
-    pub fn is_mte(self) -> bool {
-        self != Backend::Guarded
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Concrete handles onto the replay VM's schemes, retained so the digest
-/// can read their tracking state after the run (the `Vm` itself only
-/// exposes `Arc<dyn Protection>`).
-pub enum SchemeHandles {
-    /// MTE4JNI primary with the guarded-copy degradation fallback.
-    Mte {
-        /// The tag-table scheme under test.
-        primary: Arc<Mte4Jni>,
-        /// The fallback quarantined methods degrade to.
-        fallback: Arc<GuardedCopy>,
-    },
-    /// Guarded copy as the primary scheme.
-    Guarded(Arc<GuardedCopy>),
-}
-
-impl SchemeHandles {
-    /// Entries still tracked by the scheme(s) after the run — the
-    /// "zero stale entries" conservation law.
-    pub fn stale_entries(&self) -> usize {
-        match self {
-            SchemeHandles::Mte { primary, fallback } => {
-                primary.stats().tracked_objects + fallback.tracked_shadows()
-            }
-            SchemeHandles::Guarded(g) => g.tracked_shadows(),
-        }
-    }
-}
 
 /// A structural problem with the trace that prevents replay (distinct
 /// from divergent *outcomes*, which land in the digest).
@@ -170,12 +95,11 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// Builds the replay VM described by `header` with `backend` as the
-/// scheme axis. The recorder uses the same factory (with
-/// [`Backend::TwoTier`]) so recorded heap addresses match replayed ones.
-pub fn build_vm(
-    header: &TraceHeader,
-    backend: Backend,
-) -> Result<(Vm, SchemeHandles), ReplayError> {
+/// scheme axis: an MTE backend runs MTE4JNI with a guarded-copy
+/// fallback, guarded runs guarded copy alone. The recorder uses the
+/// same factory (with [`Backend::TwoTier`]) so recorded heap addresses
+/// match replayed ones.
+pub fn build_vm(header: &TraceHeader, backend: Backend) -> Result<(Vm, VmSchemes), ReplayError> {
     let tcf = match header.tcf_mode {
         0 => TcfMode::None,
         1 => TcfMode::Sync,
@@ -187,40 +111,29 @@ pub fn build_vm(
         1 => FaultPolicy::Contain,
         c => return Err(ReplayError::BadHeader { what: format!("fault policy code {c}") }),
     };
-    match backend {
-        Backend::Guarded => {
-            let guarded = Arc::new(GuardedCopy::new());
-            let vm = Vm::builder()
-                .heap_config(HeapConfig::stock_art())
-                .check_jni(header.check_jni)
-                .fault_policy(policy)
-                .protection(guarded.clone() as Arc<dyn Protection>)
-                .build();
-            Ok((vm, SchemeHandles::Guarded(guarded)))
-        }
-        mte => {
-            let table = match mte {
-                Backend::TwoTier => TableBackend::TwoTier,
-                Backend::LockFree => TableBackend::LockFree,
-                Backend::Global => TableBackend::Global,
-                Backend::Guarded => unreachable!("handled above"),
-            };
-            let primary = Arc::new(Mte4Jni::with_config(TableConfig {
-                backend: table,
-                ..TableConfig::default()
-            }));
-            let fallback = Arc::new(GuardedCopy::new());
-            let vm = Vm::builder()
-                .heap_config(HeapConfig::mte4jni())
-                .check_mode(tcf)
-                .check_jni(header.check_jni)
-                .fault_policy(policy)
-                .protection(primary.clone() as Arc<dyn Protection>)
-                .fallback_protection(fallback.clone() as Arc<dyn Protection>)
-                .build();
-            Ok((vm, SchemeHandles::Mte { primary, fallback }))
-        }
-    }
+    let guarded = Arc::new(GuardedCopy::new());
+    let Some(table) = backend.table() else {
+        let vm = Vm::builder()
+            .heap_config(HeapConfig::stock_art())
+            .check_jni(header.check_jni)
+            .fault_policy(policy)
+            .protection(guarded.clone() as Arc<dyn Protection>)
+            .build();
+        return Ok((vm, VmSchemes { mte: None, guarded: Some(guarded) }));
+    };
+    let mte = Arc::new(Mte4Jni::with_config(TableConfig {
+        backend: table,
+        ..TableConfig::default()
+    }));
+    let vm = Vm::builder()
+        .heap_config(HeapConfig::mte4jni())
+        .check_mode(tcf)
+        .check_jni(header.check_jni)
+        .fault_policy(policy)
+        .protection(mte.clone() as Arc<dyn Protection>)
+        .fallback_protection(guarded.clone() as Arc<dyn Protection>)
+        .build();
+    Ok((vm, VmSchemes { mte: Some(mte), guarded: Some(guarded) }))
 }
 
 /// Outcome of one replayed native frame.
@@ -262,6 +175,9 @@ pub struct Digest {
     pub stale_entries: usize,
     /// Replay-side borrows never closed (conservation: must be 0).
     pub outstanding: usize,
+    /// What the quiescence oracle ([`VmSchemes::quiesce`]) found wrong
+    /// with the replay VM after the run (conservation: must be empty).
+    pub quiescence: Vec<String>,
 }
 
 impl Digest {
@@ -342,16 +258,10 @@ impl Digest {
         d
     }
 
-    /// Violated conservation laws for this run in isolation: balanced
-    /// pins, no stale scheme entries, no unreleased replay borrows.
+    /// Violated conservation laws for this run in isolation: everything
+    /// the quiescence oracle reports, plus unreleased replay borrows.
     pub fn conservation_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if self.pinned_objects != 0 {
-            v.push(format!("{} object(s) still pinned", self.pinned_objects));
-        }
-        if self.stale_entries != 0 {
-            v.push(format!("{} stale scheme entr(ies)", self.stale_entries));
-        }
+        let mut v = self.quiescence.clone();
         if self.outstanding != 0 {
             v.push(format!("{} borrow(s) never closed", self.outstanding));
         }
@@ -538,7 +448,7 @@ impl Drop for InjectGuard {
 /// [`ReplayError`] for structurally broken traces; divergent *outcomes*
 /// are data, not errors, and land in the digest.
 pub fn replay(trace: &Trace, backend: Backend) -> Result<Digest, ReplayError> {
-    let (vm, handles) = build_vm(&trace.header, backend)?;
+    let (vm, schemes) = build_vm(&trace.header, backend)?;
     let ntids = trace
         .events
         .iter()
@@ -559,11 +469,14 @@ pub fn replay(trace: &Trace, backend: Backend) -> Result<Digest, ReplayError> {
         run_events(&rt, &mut st)?;
     }
     // A trace may end without a GC event. The digest's stale-entry and
-    // conservation laws are defined at a safepoint, so run one: the
-    // sweep purges any entry a release abandoned after persistent
-    // faults. (Injection is disarmed again — the guard dropped with the
-    // block above — so the purge cannot fault.)
-    let _ = vm.heap().sweep();
+    // conservation laws are defined at a safepoint, which the oracle
+    // runs first: the sweep purges any entry a release abandoned after
+    // persistent faults. (Injection is disarmed again — the guard
+    // dropped with the block above — so the purge cannot fault.)
+    let quiescence = schemes.quiesce(&vm);
+    let stale_entries = schemes.mte.as_ref().map_or(0, |m| m.stats().tracked_objects)
+        + schemes.guarded.as_ref().map_or(0, |g| g.tracked_shadows());
+    let pinned_objects = vm.heap().stats().pinned_objects;
 
     let mut payload_hash = FNV_BASIS;
     let mut entries: Vec<(&u64, &Handle)> = st.objects.iter().collect();
@@ -612,9 +525,10 @@ pub fn replay(trace: &Trace, backend: Backend) -> Result<Digest, ReplayError> {
         contained_faults: cs.contained_faults,
         tombstones,
         quarantined,
-        pinned_objects: vm.heap().stats().pinned_objects,
-        stale_entries: handles.stale_entries(),
+        pinned_objects,
+        stale_entries,
         outstanding: st.borrows.len(),
+        quiescence,
     })
 }
 
@@ -1140,15 +1054,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_labels_round_trip() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.label()), Some(b));
-            assert_eq!(Backend::parse(&b.label().to_uppercase()), Some(b));
-        }
-        assert_eq!(Backend::parse("nope"), None);
-    }
-
-    #[test]
     fn string_synthesis_matches_recorded_footprint() {
         for (units, bytes) in [(0u64, 0u64), (5, 5), (5, 7), (4, 12), (3, 4), (2, 6)] {
             let s = synthesize_string(units, bytes);
@@ -1173,7 +1078,7 @@ mod tests {
             seed: 0,
             plan: None,
         };
-        let err = build_vm(&header, Backend::TwoTier).err().expect("must reject");
+        let err = build_vm(&header, Backend::TwoTier).expect_err("must reject");
         assert!(err.to_string().contains("tcf mode code 7"), "{err}");
     }
 

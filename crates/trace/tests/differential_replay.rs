@@ -4,7 +4,8 @@
 
 use std::path::PathBuf;
 
-use trace::{diff, replay, Backend, Trace};
+use trace::{diff, replay, Trace};
+use workloads::Backend;
 
 fn corpus(name: &str) -> Trace {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))

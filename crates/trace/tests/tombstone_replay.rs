@@ -4,7 +4,8 @@
 //! attribution — method, interface, and faulting address.
 
 use telemetry::trace::TraceEvent;
-use trace::{record_oob_contain, replay, Backend};
+use trace::{record_oob_contain, replay};
+use workloads::Backend;
 
 #[test]
 fn replay_reproduces_the_recorded_tombstone_attribution() {

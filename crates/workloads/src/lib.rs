@@ -28,7 +28,7 @@ mod scheme;
 mod synth;
 
 pub use runner::{run_multi_core, run_single_core, MultiCoreResult, WorkloadResult};
-pub use scheme::Scheme;
+pub use scheme::{Backend, Scheme, VmSchemes};
 pub use synth::{gen_bytes, gen_c_source, gen_graph, gen_image, gen_text, Graph};
 
 use jni_rt::JniEnv;
