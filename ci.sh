@@ -85,6 +85,9 @@ assert cur["speedup_element_rw"] >= elem_floor, (
 )
 print("throughput gate:", ", ".join(f"{k}={cur[k]:.2f}" for k in sorted(gates)),
       f"speedup_element_rw={cur['speedup_element_rw']:.3f}")
+# Pin + unpin on one small array (world-gate hold + pin ledger):
+# report-only, no gate.
+print(f"throughput report: pin_unpin_ns={cur['pin_unpin_ns']:.1f}")
 PY
 else
     # No python3: at least require the report and its headline fields.
