@@ -85,8 +85,8 @@ assert cur["speedup_element_rw"] >= elem_floor, (
 )
 print("throughput gate:", ", ".join(f"{k}={cur[k]:.2f}" for k in sorted(gates)),
       f"speedup_element_rw={cur['speedup_element_rw']:.3f}")
-# Pin + unpin on one small array (world-gate hold + pin ledger):
-# report-only, no gate.
+# Pin + unpin on one small array (world-gate hold + the object's
+# atomic pin count): report-only, no gate.
 print(f"throughput report: pin_unpin_ns={cur['pin_unpin_ns']:.1f}")
 PY
 else
@@ -273,11 +273,16 @@ echo "== pin-aware lifecycle: fixed-seed stress gate =="
 # sweep, release — DESIGN.md §11): 1000 schedules per scheme under fault
 # injection. Any reclaimed-while-borrowed object, unbalanced pin, stale
 # table entry, or recycled-address tag alias fails the run.
+# Bit-reproducible like the other fixed-seed stress gates.
+lifecycle_flags=(--lifecycle --seed 0xC1 --schedules 1000 --fault-ppm 2000)
 cargo run --offline -q -p stress --bin stress -- \
-    --lifecycle --seed 0xC1 --schedules 1000 --fault-ppm 2000 \
-    --json "$out/lifecycle"
-test -s "$out/lifecycle/STRESS.json"
-grep -q '"workload": "lifecycle"' "$out/lifecycle/STRESS.json"
+    "${lifecycle_flags[@]}" --json "$out/lifecycle1"
+test -s "$out/lifecycle1/STRESS.json"
+grep -q '"workload": "lifecycle"' "$out/lifecycle1/STRESS.json"
+cargo run --offline -q -p stress --bin stress -- \
+    "${lifecycle_flags[@]}" --json "$out/lifecycle2" >/dev/null
+cmp "$out/lifecycle1/STRESS.json" "$out/lifecycle2/STRESS.json"
+echo "lifecycle STRESS.json bit-reproducible across runs"
 
 echo "== fault containment: fixed-seed stress gate =="
 # Containment schedules (DESIGN.md §12): MTE4JNI VMs under

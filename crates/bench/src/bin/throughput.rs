@@ -11,10 +11,10 @@
 //! `store_u32` pairs over a tagged 4 KiB region — the access pattern of
 //! a JNI native element loop — and records `element_rw_ns` and
 //! `speedup_element_rw`, a within-run ratio CI gates so the host's speed
-//! cancels out. A report-only `pin_unpin_ns` row times `Heap::pin` +
-//! `Heap::unpin` on one small array: one world-gate hold plus two
-//! pin-ledger lock round trips. `--quick` shrinks the measured volume
-//! for CI.
+//! cancels out. A report-only `pin_unpin_ns` row times `Heap::pin` and
+//! dropping its guard on one small array: one world-gate hold plus the
+//! object's atomic pin count. `--quick` shrinks the measured volume for
+//! CI.
 
 use std::time::{Duration, Instant};
 
@@ -278,15 +278,14 @@ fn main() {
     report.summary("scalar_element_rw_ns", scalar_element_rw_ns);
     report.summary("speedup_element_rw", speedup_element_rw);
 
-    // Pin ledger view: the bookkeeping every JNI acquire/release pair
-    // does before any tag work. Report-only.
+    // Pin view: the bookkeeping every JNI acquire/release pair does
+    // before any tag work. Report-only.
     let heap = Heap::new(HeapConfig::default());
     let pinned = heap.alloc_int_array(4).unwrap().as_object();
     let pin_iters: u32 = if quick { 100_000 } else { 1_000_000 };
     let best = measure(repeats, || {
         for _ in 0..pin_iters {
-            heap.pin(&pinned);
-            heap.unpin(pinned.addr());
+            drop(heap.pin(&pinned));
         }
     });
     let pin_unpin_ns = best.as_nanos() as f64 / f64::from(pin_iters);

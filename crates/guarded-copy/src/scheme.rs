@@ -465,14 +465,13 @@ mod tests {
         let vm = Vm::builder().protection(scheme.clone()).build();
         let t = vm.attach_thread("main");
         let env = vm.env(&t);
-        let (elems, obj_addr) = {
+        let elems = {
             let a = env.new_int_array_from(&[1, 2, 3]).unwrap();
-            let e = env.get_primitive_array_critical(&a).unwrap();
-            (e, a.addr())
+            env.get_primitive_array_critical(&a).unwrap()
             // The only Java handle drops here, mid-borrow.
         };
         let stats = vm.heap().sweep();
-        assert_eq!(stats.swept, 0, "pin ledger holds the borrowed object");
+        assert_eq!(stats.swept, 0, "the borrow's pin holds the object");
         assert_eq!(stats.pinned, 1);
         assert_eq!(scheme.tracked_shadows(), 1, "shadow survives the sweep");
         // Native code keeps writing through the shadow copy...
@@ -480,10 +479,9 @@ mod tests {
         elems.write_i32(&mem, 1, 42).unwrap();
         // ...and the final release copies back into the *original* object,
         // which the sweep left in place instead of recycling its block.
-        let a = vm
-            .heap()
-            .pinned_handle(obj_addr)
-            .expect("borrowed object is pinned")
+        let a = env
+            .borrowed_object(elems.ptr())
+            .expect("the borrow is live")
             .as_array()
             .unwrap();
         env.release_primitive_array_critical(&a, elems, ReleaseMode::CopyBack)

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -20,7 +20,6 @@ use crate::block_alloc::BlockAllocator;
 use crate::error::HeapError;
 use crate::jstring::utf16_units;
 use crate::object::{ArrayRef, LiveToken, ObjKind, ObjectRef, StringRef};
-use crate::pin::PinLedger;
 use crate::thread::JavaThread;
 use crate::world::WorldGate;
 use crate::types::PrimitiveType;
@@ -125,8 +124,11 @@ struct HeapInner {
     native: NativeAllocator,
     config: HeapConfig,
     objects: Mutex<HashMap<u64, ObjectMeta>>,
-    /// Natively-borrowed objects: never swept, never moved.
-    pins: PinLedger,
+    /// Objects with at least one open [`PinGuard`]: never swept, never
+    /// moved. The counts themselves live on each object's token.
+    pinned_objects: AtomicUsize,
+    pins_total: AtomicU64,
+    unpins_total: AtomicU64,
     /// The stop-the-world gate for the compacting collector: object
     /// relocation holds it exclusively; payload accessors and pin
     /// insertion hold it shared (recursively — an accessor may nest
@@ -208,7 +210,9 @@ impl Heap {
                 memory,
                 config,
                 objects: Mutex::new(HashMap::new()),
-                pins: PinLedger::default(),
+                pinned_objects: AtomicUsize::new(0),
+                pins_total: AtomicU64::new(0),
+                unpins_total: AtomicU64::new(0),
                 world: WorldGate::default(),
                 safepoint_hook: Mutex::new(None),
                 sweep_serial: SchedMutex::new(()),
@@ -408,40 +412,35 @@ impl Heap {
     // Pinning (the JNI critical-section contract)
     // ------------------------------------------------------------------
 
-    /// Pins `obj` against collection and relocation, returning the new pin
-    /// count. Every acquire through a protection scheme pins; the final
-    /// `Release*` unpins. While pinned, [`Heap::sweep`] never reclaims and
-    /// [`Heap::compact`] never moves the object — even after the last Java
-    /// handle dies mid-borrow.
-    pub fn pin(&self, obj: &ObjectRef) -> u32 {
-        // Shared world-gate hold: a pin can never land on an address the
-        // collector is concurrently rewriting.
+    /// Pins `obj` against collection and relocation until the returned
+    /// guard drops. Every acquire through a protection scheme pins, and
+    /// the JNI borrow record owns the guard, so the borrow's final
+    /// `Release*` unpins. While pinned, [`Heap::sweep`] never reclaims
+    /// and [`Heap::compact`] never moves the object — even after the last
+    /// Java handle dies mid-borrow, because the guard holds a handle too.
+    /// Pins on one object nest.
+    pub fn pin(&self, obj: &ObjectRef) -> PinGuard<'_> {
+        // Shared world-gate hold: a pin can never land on an object the
+        // collector is concurrently relocating.
         let _gate = self.inner.world.read_recursive();
-        self.inner.pins.pin(&obj.token)
+        if obj.token.take_pin() {
+            self.inner.pinned_objects.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.pins_total.fetch_add(1, Ordering::Relaxed);
+        PinGuard {
+            heap: self,
+            obj: obj.clone(),
+        }
     }
 
-    /// Drops one pin from the object at header address `addr`, returning
-    /// the remaining count (`Some(0)` means the borrow fully ended), or
-    /// `None` if the address was not pinned.
-    pub fn unpin(&self, addr: u64) -> Option<u32> {
-        self.inner.pins.unpin(addr)
-    }
-
-    /// Whether the object at header address `addr` is currently pinned.
-    pub fn is_pinned(&self, addr: u64) -> bool {
-        self.inner.pins.is_pinned(addr)
+    /// Whether `obj` is currently pinned.
+    pub fn is_pinned(&self, obj: &ObjectRef) -> bool {
+        obj.token.pin_count() > 0
     }
 
     /// Number of distinct currently-pinned objects.
     pub fn pinned_count(&self) -> usize {
-        self.inner.pins.pinned_objects()
-    }
-
-    /// Resurrects a handle to the pinned object at header address `addr` —
-    /// how a `Release*` reaches an object whose last Java handle died
-    /// during the native borrow.
-    pub fn pinned_handle(&self, addr: u64) -> Option<ObjectRef> {
-        self.inner.pins.token(addr).map(|token| ObjectRef { token })
+        self.inner.pinned_objects.load(Ordering::Relaxed)
     }
 
     /// Installs the GC safepoint callback. Replaces any previous hook.
@@ -457,10 +456,11 @@ impl Heap {
     /// blocks to the allocator and clearing their memory tags so a stale
     /// tag can never alias a future allocation.
     ///
-    /// Pinned objects are never reclaimed: an object borrowed by native
-    /// code through a critical interface survives — at a stable address,
-    /// with its tag-table entry intact — until the final `Release*`
-    /// unpins it, per the JNI pinning contract.
+    /// Pinned objects are never reclaimed: a [`PinGuard`] holds a handle,
+    /// so an object borrowed by native code through a critical interface
+    /// survives — at a stable address, with its tag-table entry intact —
+    /// until the final `Release*` drops the pin, per the JNI pinning
+    /// contract.
     pub fn sweep(&self) -> GcStats {
         // Shared world hold for the whole sweep: a concurrent compaction
         // (the exclusive holder) cannot invalidate the candidate
@@ -482,9 +482,7 @@ impl Heap {
             let objects = self.inner.objects.lock();
             objects
                 .iter()
-                .filter(|(&addr, m)| {
-                    m.live.strong_count() == 0 && !self.inner.pins.is_pinned(addr)
-                })
+                .filter(|(_, m)| m.live.strong_count() == 0)
                 .map(|(&addr, m)| (addr, m.block_len, m.byte_len))
                 .collect()
         };
@@ -517,11 +515,9 @@ impl Heap {
             // serialized nothing else reclaims candidates, but keeping
             // reclamation idempotent costs one map probe and guards any
             // future caller that bypasses the serialization.
-            let still_dead = objects.get(&addr).is_some_and(|m| {
-                m.block_len == block_len
-                    && m.live.strong_count() == 0
-                    && !self.inner.pins.is_pinned(addr)
-            });
+            let still_dead = objects
+                .get(&addr)
+                .is_some_and(|m| m.block_len == block_len && m.live.strong_count() == 0);
             if !still_dead {
                 continue;
             }
@@ -545,7 +541,7 @@ impl Heap {
             swept,
             bytes_freed: bytes,
             live,
-            pinned: self.inner.pins.pinned_objects(),
+            pinned: self.pinned_count(),
         };
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Sweep {
             swept: stats.swept as u64,
@@ -569,20 +565,34 @@ impl Heap {
         let timing = telemetry::start_timing();
         let t0 = std::time::Instant::now();
         let world = self.inner.world.write();
+        // Every pin count is read once, here: no pin can start while the
+        // exclusive hold lasts, and an unpin racing the pass only keeps
+        // one more object in place. The safepoint candidates and the
+        // slide below share this one decision, so nothing moves that the
+        // hook was not shown.
+        let mut pinned: Vec<u64> = self
+            .inner
+            .objects
+            .lock()
+            .iter()
+            .filter(|(_, m)| m.live.upgrade().is_some_and(|t| t.pin_count() > 0))
+            .map(|(&addr, _)| addr)
+            .collect();
+        pinned.sort_unstable();
+        let is_pinned = |addr: &u64| pinned.binary_search(addr).is_ok();
         // With the world stopped, notify the protection scheme before
         // anything moves: every unpinned object is a move (or reclaim)
         // candidate, and any table entry still tracking one — an
         // abandoned release, since pinning is what a live borrow
         // implies — must be retired before its address is
-        // re-tagged or handed to another object. No mutator can pin
-        // while the exclusive hold lasts, so the candidate set is stable.
+        // re-tagged or handed to another object.
         let safepoint = self.inner.safepoint_hook.lock().clone();
         if let Some(safepoint) = safepoint {
             let mut candidates: Vec<(u64, u64)> = {
                 let objects = self.inner.objects.lock();
                 objects
                     .iter()
-                    .filter(|(&addr, _)| !self.inner.pins.is_pinned(addr))
+                    .filter(|(addr, _)| !is_pinned(addr))
                     .map(|(&addr, m)| {
                         let payload = addr + HEADER_SIZE as u64;
                         (payload, payload + m.byte_len as u64)
@@ -616,23 +626,7 @@ impl Heap {
         let mut buf = Vec::new();
         for (addr, meta) in entries {
             let block_len = meta.block_len as u64;
-            let Some(token) = meta.live.upgrade() else {
-                if self.inner.pins.is_pinned(addr) {
-                    // Unreachable in practice — the ledger holds a strong
-                    // token — but the contract is stated defensively.
-                    stats.pinned_skipped += 1;
-                    cursor = cursor.max(addr + block_len);
-                    layout.push((addr, block_len));
-                    objects.insert(addr, meta);
-                    continue;
-                }
-                // Dead: reclaiming is simply not carrying the block into
-                // the new layout; its tags are zeroed with the free space.
-                stats.reclaimed_dead += 1;
-                stats.bytes_freed += meta.block_len;
-                continue;
-            };
-            if self.inner.pins.is_pinned(addr) {
+            if is_pinned(&addr) {
                 // Natively borrowed: the raw pointer handed out by the
                 // protection scheme must stay valid, so the object is an
                 // obstacle the slide flows around.
@@ -642,6 +636,13 @@ impl Heap {
                 objects.insert(addr, meta);
                 continue;
             }
+            let Some(token) = meta.live.upgrade() else {
+                // Dead: reclaiming is simply not carrying the block into
+                // the new layout; its tags are zeroed with the free space.
+                stats.reclaimed_dead += 1;
+                stats.bytes_freed += meta.block_len;
+                continue;
+            };
             let new_addr = cursor;
             cursor += block_len;
             layout.push((new_addr, block_len));
@@ -809,13 +810,42 @@ impl Heap {
             allocated_total: self.inner.allocated_total.load(Ordering::Relaxed),
             swept_total: self.inner.swept_total.load(Ordering::Relaxed),
             sweeps: self.inner.sweeps.load(Ordering::Relaxed),
-            pinned_objects: self.inner.pins.pinned_objects(),
-            pins_total: self.inner.pins.pins_total(),
-            unpins_total: self.inner.pins.unpins_total(),
+            pinned_objects: self.pinned_count(),
+            pins_total: self.inner.pins_total.load(Ordering::Relaxed),
+            unpins_total: self.inner.unpins_total.load(Ordering::Relaxed),
             compactions: self.inner.compactions.load(Ordering::Relaxed),
             moved_objects_total: self.inner.moved_objects_total.load(Ordering::Relaxed),
             moved_bytes_total: self.inner.moved_bytes_total.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One pin on a heap object, from [`Heap::pin`]; dropping it unpins.
+///
+/// The guard owns a handle to the object, so a pinned object stays live
+/// after its last Java handle dies, and [`PinGuard::object`] still
+/// reaches it for the final `Release*`.
+#[must_use = "dropping a PinGuard unpins the object at once"]
+pub struct PinGuard<'h> {
+    heap: &'h Heap,
+    obj: ObjectRef,
+}
+
+impl PinGuard<'_> {
+    /// The pinned object.
+    pub fn object(&self) -> &ObjectRef {
+        &self.obj
+    }
+}
+
+impl Drop for PinGuard<'_> {
+    fn drop(&mut self) {
+        // No world-gate hold: an unpin that races a compaction only makes
+        // the collector keep one more object in place.
+        if self.obj.token.release_pin() {
+            self.heap.inner.pinned_objects.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.heap.inner.unpins_total.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -837,7 +867,7 @@ pub struct GcStats {
     pub bytes_freed: usize,
     /// Objects still live after the sweep.
     pub live: usize,
-    /// Objects held back by the pin ledger (natively borrowed).
+    /// Objects pinned (natively borrowed) when the sweep finished.
     pub pinned: usize,
 }
 
@@ -1279,6 +1309,46 @@ mod tests {
         assert!(s.bytes_in_use >= 56);
     }
 
+    #[test]
+    fn pin_counts_nest() {
+        let h = heap();
+        let a = h.alloc_int_array(4).unwrap().as_object();
+        let outer = h.pin(&a);
+        let inner = h.pin(&a);
+        assert!(h.is_pinned(&a));
+        assert_eq!(h.pinned_count(), 1, "one object, two pins");
+        drop(inner);
+        assert!(h.is_pinned(&a), "still borrowed once");
+        drop(outer);
+        assert!(!h.is_pinned(&a));
+        let s = h.stats();
+        assert_eq!((s.pins_total, s.unpins_total, s.pinned_objects), (2, 2, 0));
+    }
+
+    #[test]
+    fn pinned_objects_counts_distinct_objects() {
+        let h = heap();
+        let a = h.alloc_int_array(4).unwrap().as_object();
+        let b = h.alloc_int_array(4).unwrap().as_object();
+        let pins = [h.pin(&a), h.pin(&a), h.pin(&b)];
+        assert_eq!(h.stats().pinned_objects, 2);
+        drop(pins);
+        assert_eq!(h.stats().pinned_objects, 0);
+    }
+
+    #[test]
+    fn a_pin_keeps_its_object_alive() {
+        let h = heap();
+        let a = h.alloc_int_array(4).unwrap();
+        let weak = Arc::downgrade(&a.token);
+        let pin = h.pin(&a.as_object());
+        drop(a); // the last Java handle dies
+        assert!(weak.upgrade().is_some(), "the pin keeps the token alive");
+        assert_eq!(pin.object().len(), 4);
+        drop(pin);
+        assert!(weak.upgrade().is_none(), "unpinned and unreferenced: dead");
+    }
+
     /// The headline regression: a dead-but-borrowed object survives sweep
     /// until its last release.
     #[test]
@@ -1287,20 +1357,18 @@ mod tests {
         let t = JavaThread::new("main");
         let a = h.alloc_int_array_from(&[11, 22, 33]).unwrap();
         let addr = a.addr();
-        assert_eq!(h.pin(&a.as_object()), 1);
+        let pin = h.pin(&a.as_object());
         drop(a); // the last Java handle dies mid-borrow
         let stats = h.sweep();
         assert_eq!(stats.swept, 0, "pinned object must survive the sweep");
         assert_eq!(stats.pinned, 1);
-        // Native code can still reach the object through the pin ledger.
-        let resurrected = h.pinned_handle(addr).expect("still pinned");
-        let arr = resurrected.as_array().unwrap();
+        // Native code can still reach the object through its pin.
+        let arr = pin.object().as_array().unwrap();
+        assert_eq!(arr.addr(), addr);
         assert_eq!(h.int_array_as_vec(&t, &arr).unwrap(), vec![11, 22, 33]);
-        assert_eq!(h.unpin(addr), Some(0)); // the final Release*
         drop(arr);
-        drop(resurrected);
+        drop(pin); // the final Release*
         assert_eq!(h.sweep().swept, 1, "collected after the final release");
-        assert!(h.pinned_handle(addr).is_none());
         let s = h.stats();
         assert_eq!((s.pins_total, s.unpins_total, s.pinned_objects), (1, 1, 0));
     }
@@ -1362,7 +1430,7 @@ mod tests {
         let mover = h.alloc_int_array_from(&[4; 16]).unwrap();
         let pinned_addr = pinned.addr();
         let mover_old = mover.addr();
-        h.pin(&pinned.as_object());
+        let pin = h.pin(&pinned.as_object());
         drop(garbage);
         let stats = h.compact();
         assert_eq!(pinned.addr(), pinned_addr, "pinned object is an obstacle");
@@ -1373,7 +1441,7 @@ mod tests {
         assert_eq!(mover.addr(), mover_old);
         assert_eq!(stats.moved_objects, 0);
         // Unpin, then compact again: now everything slides down.
-        h.unpin(pinned_addr);
+        drop(pin);
         let stats = h.compact();
         assert_eq!(stats.pinned_skipped, 0);
         assert_eq!(stats.moved_objects, 2);

@@ -27,7 +27,6 @@ mod gc;
 mod heap;
 mod jstring;
 mod object;
-mod pin;
 mod thread;
 mod types;
 mod world;
@@ -36,8 +35,8 @@ pub use block_alloc::BlockAllocator;
 pub use error::HeapError;
 pub use gc::{GcReport, GcScanner, GcScannerConfig, GcStats, ScanOutcome};
 pub use heap::{
-    CompactStats, Heap, HeapConfig, HeapStats, Safepoint, SafepointHook, SafepointPhase,
-    HEADER_SIZE,
+    CompactStats, Heap, HeapConfig, HeapStats, PinGuard, Safepoint, SafepointHook,
+    SafepointPhase, HEADER_SIZE,
 };
 pub use jstring::{decode_modified_utf8, encode_modified_utf8, utf16_units, Utf8Error};
 pub use object::{ArrayRef, ObjKind, ObjectRef, StringRef};

@@ -7,7 +7,7 @@
 //! [`Heap::sweep`]: crate::Heap::sweep
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::heap::HEADER_SIZE;
@@ -40,6 +40,11 @@ impl ObjKind {
 #[derive(Debug)]
 pub(crate) struct LiveToken {
     addr: AtomicU64,
+    /// Open pins on the object: one per live [`PinGuard`], each of
+    /// which also holds a strong reference to this token.
+    ///
+    /// [`PinGuard`]: crate::PinGuard
+    pins: AtomicU32,
     pub(crate) kind: ObjKind,
     pub(crate) len: usize,
 }
@@ -48,6 +53,7 @@ impl LiveToken {
     pub(crate) fn new(addr: u64, kind: ObjKind, len: usize) -> LiveToken {
         LiveToken {
             addr: AtomicU64::new(addr),
+            pins: AtomicU32::new(0),
             kind,
             len,
         }
@@ -61,6 +67,21 @@ impl LiveToken {
     /// Rewrites the header address after the collector moved the object.
     pub(crate) fn relocate(&self, new_addr: u64) {
         self.addr.store(new_addr, Ordering::Release);
+    }
+
+    /// Open pins on the object.
+    pub(crate) fn pin_count(&self) -> u32 {
+        self.pins.load(Ordering::Acquire)
+    }
+
+    /// Takes one pin; true when it is the object's first.
+    pub(crate) fn take_pin(&self) -> bool {
+        self.pins.fetch_add(1, Ordering::AcqRel) == 0
+    }
+
+    /// Drops one pin; true when it was the object's last.
+    pub(crate) fn release_pin(&self) -> bool {
+        self.pins.fetch_sub(1, Ordering::AcqRel) == 1
     }
 }
 

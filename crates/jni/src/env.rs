@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::Arc;
 
-use art_heap::{ArrayRef, HeapError, JavaThread, ObjectRef, PrimitiveType, StringRef};
+use art_heap::{ArrayRef, HeapError, JavaThread, ObjectRef, PinGuard, PrimitiveType, StringRef};
 use art_heap::{encode_modified_utf8, Heap};
 use mte_sim::sync::yield_point;
 use mte_sim::{FaultAttribution, MemError, TaggedPtr};
@@ -28,23 +28,24 @@ use crate::Result;
 const CONTAIN_RELEASE_RETRIES: u32 = 64;
 
 /// One raw pointer currently handed out to native code through this
-/// environment — the borrow's only record in the JNI layer. The
+/// environment — the borrow's only record in the JNI layer. It owns the
+/// borrow's pin, so the borrow and the pin start and end together. The
 /// containment pass uses it to clean up after a fault, releases use it
 /// to route back to the scheme that performed the acquire, and CheckJNI
 /// validates releases against it and reports it while outstanding.
-#[derive(Clone)]
-struct LiveBorrow {
+struct LiveBorrow<'a> {
     ptr: TaggedPtr,
-    obj: ObjectRef,
-    /// Address of the Java object the caller named: `obj` itself, except
-    /// for `GetStringUTFChars`, where it is the source string and `obj`
-    /// the hidden transcoding buffer.
+    /// The pin on the object the scheme guards.
+    pin: PinGuard<'a>,
+    /// Address of the Java object the caller named: the pinned object
+    /// itself, except for `GetStringUTFChars`, where it is the source
+    /// string and the pinned object the hidden transcoding buffer.
     identity: u64,
     interface: JniInterface,
     via_fallback: bool,
 }
 
-impl LiveBorrow {
+impl LiveBorrow<'_> {
     fn outstanding(&self) -> Outstanding {
         Outstanding {
             pointer: self.ptr.raw(),
@@ -70,7 +71,7 @@ pub struct JniEnv<'a> {
     thread: &'a JavaThread,
     critical_depth: Cell<u32>,
     ledger: Ledger,
-    borrows: RefCell<Vec<LiveBorrow>>,
+    borrows: RefCell<Vec<LiveBorrow<'a>>>,
     current_native: Cell<Option<&'static str>>,
 }
 
@@ -192,7 +193,7 @@ impl<'a> JniEnv<'a> {
         // valid for the whole borrow (the JNI pinning contract). The pin
         // is held across retries — a transient failure must not let the
         // object move between attempts.
-        self.vm.heap().pin(scheme_obj);
+        let pin = self.vm.heap().pin(scheme_obj);
         let started = telemetry::start_timing();
         let mut retries = 0u32;
         let out = loop {
@@ -218,7 +219,7 @@ impl<'a> JniEnv<'a> {
                 Err(e) => {
                     // Nothing was handed to native code: the borrow never
                     // started.
-                    self.vm.heap().unpin(scheme_obj.addr());
+                    drop(pin);
                     trace::emit(|| TraceEvent::Acquire {
                         obj: identity,
                         interface: interface.index(),
@@ -241,7 +242,7 @@ impl<'a> JniEnv<'a> {
         telemetry::record(Event::Acquire { interface });
         self.borrows.borrow_mut().push(LiveBorrow {
             ptr: out.ptr,
-            obj: scheme_obj.clone(),
+            pin,
             identity,
             interface,
             via_fallback,
@@ -280,6 +281,16 @@ impl<'a> JniEnv<'a> {
             .borrow()
             .iter()
             .rposition(|b| b.ptr.raw() == ptr.raw())
+    }
+
+    /// The object pinned by the live borrow that `ptr` names — how a
+    /// `Release*` reaches an object whose last Java handle died during
+    /// the native borrow. For `GetStringUTFChars` this is the hidden
+    /// transcoding buffer. `None` for a pointer this environment has not
+    /// handed out or has already released.
+    pub fn borrowed_object(&self, ptr: TaggedPtr) -> Option<ObjectRef> {
+        let slot = self.borrow_slot(ptr)?;
+        Some(self.borrows.borrow()[slot].pin.object().clone())
     }
 
     /// [`Self::borrow_slot`], validated under CheckJNI against the
@@ -364,20 +375,19 @@ impl<'a> JniEnv<'a> {
             );
         }
         telemetry::record(Event::Release { interface });
-        // The borrow ends — and the pin with it — when the scheme tore
-        // its tracking down: on success, or on a CheckJNI abort (the
-        // buffer is gone either way). `JNI_COMMIT` keeps the borrow, and
-        // a transient failure (e.g. an injected tag-store fault) leaves
-        // the pointer handed out, so the pin must survive the retry.
+        // The borrow ends — and its record drops the pin — when the
+        // scheme tore its tracking down: on success, or on a CheckJNI
+        // abort (the buffer is gone either way). `JNI_COMMIT` keeps the
+        // borrow, and a transient failure (e.g. an injected tag-store
+        // fault) leaves the pointer handed out, so the pin must survive
+        // the retry. A release with no record unpins nothing: the pins
+        // on `scheme_obj` belong to other borrows.
         let ends_borrow = mode != ReleaseMode::Commit
             && matches!(result, Ok(()) | Err(JniError::CheckJniAbort(_)));
-        if ends_borrow {
+        if let Some(i) = slot.filter(|_| ends_borrow) {
             // The scheme call cannot touch this environment's borrow
             // list, so `slot` still names the same borrow.
-            if let Some(i) = slot {
-                self.borrows.borrow_mut().remove(i);
-            }
-            self.vm.heap().unpin(scheme_obj.addr());
+            self.borrows.borrow_mut().remove(i);
         }
         result
     }
@@ -388,17 +398,22 @@ impl<'a> JniEnv<'a> {
     /// contained fault. These are runtime releases, not app calls, so
     /// CheckJNI does not validate them.
     fn release_leaked_borrows(&self, mark: usize) -> u32 {
-        let leaked: Vec<LiveBorrow> = {
+        let leaked: Vec<(TaggedPtr, ObjectRef, JniInterface)> = {
             let borrows = self.borrows.borrow();
-            borrows.get(mark..).unwrap_or(&[]).to_vec()
+            borrows
+                .get(mark..)
+                .unwrap_or(&[])
+                .iter()
+                .map(|b| (b.ptr, b.pin.object().clone(), b.interface))
+                .collect()
         };
         let mut released = 0u32;
-        for b in leaked {
-            let slot = self.borrow_slot(b.ptr);
+        for (ptr, obj, interface) in leaked {
+            let slot = self.borrow_slot(ptr);
             let mut attempts = 0u32;
             loop {
                 let result =
-                    self.release_scheme(slot, &b.obj, b.ptr, b.interface, ReleaseMode::Abort);
+                    self.release_scheme(slot, &obj, ptr, interface, ReleaseMode::Abort);
                 match result {
                     Err(e) if e.is_transient() && attempts < CONTAIN_RELEASE_RETRIES => {
                         attempts += 1;
@@ -416,10 +431,9 @@ impl<'a> JniEnv<'a> {
     /// `JNI_ABORT` semantics, through the same retry funnel a contained
     /// fault uses, and resets the critical-section depth. This is the
     /// teardown path for a tenant evicted mid-flight or a thread
-    /// detached inside a critical section: after it returns, the pin
-    /// ledger, tag tables, and refcounts are balanced again and the
-    /// heap can be swept or dropped safely. Returns the number of
-    /// borrows reclaimed.
+    /// detached inside a critical section: after it returns, pins, tag
+    /// tables, and refcounts are balanced again and the heap can be
+    /// swept or dropped safely. Returns the number of borrows reclaimed.
     pub fn force_release_borrows(&self) -> u32 {
         let released = self.release_leaked_borrows(0);
         self.critical_depth.set(0);

@@ -98,7 +98,7 @@ pub trait Protection: Send + Sync + fmt::Debug {
     /// Notifies the scheme of a GC safepoint *before* the collector
     /// acts: a sweep about to reclaim dead, unpinned candidates, or a
     /// compaction about to move every unpinned object. Schemes whose
-    /// bookkeeping can outlive the pin ledger — an MTE4JNI tag-table
+    /// bookkeeping can outlive the borrow's pin — an MTE4JNI tag-table
     /// entry whose release was abandoned after persistent faults — must
     /// retire it here, restoring "tracked ⇒ pinned" at the only moments
     /// the collector consults it. Runs on the collector's thread under

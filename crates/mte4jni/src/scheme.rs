@@ -447,25 +447,23 @@ mod tests {
         let vm = sync_vm();
         let t = vm.attach_thread("main");
         let env = vm.env(&t);
-        let (elems, obj_addr) = {
+        let elems = {
             let a = env.new_int_array_from(&[9, 8, 7]).unwrap();
-            let elems = env.get_primitive_array_critical(&a).unwrap();
-            (elems, a.addr())
+            env.get_primitive_array_critical(&a).unwrap()
             // The only Java handle drops here: the object is dead to the
             // GC but still borrowed by native code.
         };
         let ptr = elems.ptr();
         let stats = vm.heap().sweep();
-        assert_eq!(stats.swept, 0, "pin ledger holds the borrowed object");
+        assert_eq!(stats.swept, 0, "the borrow's pin holds the object");
         assert_eq!(stats.pinned, 1);
         // The memory tag is still live at the payload.
         assert_eq!(vm.heap().memory().raw_tag_at(ptr.addr()).unwrap(), ptr.tag());
-        // The final release, through a handle resurrected from the pin
-        // ledger, ends the borrow and frees the tags...
-        let a = vm
-            .heap()
-            .pinned_handle(obj_addr)
-            .expect("borrowed object is pinned")
+        // The final release, through the handle the borrow record holds,
+        // ends the borrow and frees the tags...
+        let a = env
+            .borrowed_object(ptr)
+            .expect("the borrow is live")
             .as_array()
             .unwrap();
         env.release_primitive_array_critical(&a, elems, ReleaseMode::CopyBack)

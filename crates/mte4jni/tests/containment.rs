@@ -86,7 +86,7 @@ fn contained_sync_fault_keeps_vm_alive_and_balanced() {
     assert!(err.as_tag_check().is_none());
 
     // The leaked borrow was force-released, restoring the quiescent
-    // state the pin ledger, tag table, and tags all agree on.
+    // state the pin counts, tag table, and tags all agree on.
     assert_eq!(t.scheme.stats().tracked_objects, 0);
     assert_eq!(t.vm.heap().pinned_count(), 0);
     assert_eq!(

@@ -1,6 +1,6 @@
 //! Satellite regression: evicting a tenant with a live
 //! `GetPrimitiveArrayCritical` borrow must force-release the borrow
-//! through the pin-ledger funnel before the heap drops, keeping the
+//! through the release funnel before the heap drops, keeping the
 //! three-term conservation law and the pin books balanced.
 
 use server::{Tenant, TenantConfig};

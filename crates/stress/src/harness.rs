@@ -383,9 +383,10 @@ fn vm_oracle(vm: &Vm, schemes: &VmSchemes, cfg: &StressConfig) -> Vec<String> {
 /// Runs one seeded **object-lifecycle** schedule: each worker repeatedly
 /// allocates an array, acquires it through the scheme, drops the last
 /// Java handle, runs a sweep (which must spare the dead-but-borrowed
-/// object), then releases through a handle resurrected from the pin
-/// ledger and sweeps again. The oracle (`vm_oracle`) asserts that the
-/// VM quiesced and that no stale tag aliases a recycled address.
+/// object), checks that the borrow record still pins the object in
+/// place, releases through the handle that record holds and sweeps
+/// again. The oracle (`vm_oracle`) asserts that the VM quiesced and
+/// that no stale tag aliases a recycled address.
 ///
 /// The MTE VM runs without a fallback under the default
 /// [`FaultPolicy::Abort`](jni_rt::FaultPolicy::Abort); the guarded VM is
@@ -499,9 +500,12 @@ fn lifecycle_worker(vm: &Vm, worker: usize, seed: u64, cfg: &StressConfig, talli
         // The headline bug: a sweep here used to reclaim the object (its
         // last Java handle is gone) while native code still held `elems`.
         let _ = sweep_disarmed(mix(0x5EED_0001, (worker * cfg.rounds + round) as u64));
-        let Some(resurrected) = vm.heap().pinned_handle(obj_addr) else {
-            panic!("VIOLATION: sweep reclaimed a natively borrowed object at {obj_addr:#x}")
+        let Some(resurrected) = env.borrowed_object(elems.ptr()) else {
+            panic!("VIOLATION: the borrow of {obj_addr:#x} lost its record")
         };
+        if !vm.heap().is_pinned(&resurrected) || resurrected.addr() != obj_addr {
+            panic!("VIOLATION: the borrowed object at {obj_addr:#x} is not pinned in place")
+        }
         let array = resurrected.as_array().expect("lifecycle objects are arrays");
         match vm.heap().int_at(&thread, &array, 0) {
             Ok(v) if v == marker => {}

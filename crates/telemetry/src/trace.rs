@@ -176,7 +176,7 @@ pub enum TraceEvent {
     Sweep {
         /// Objects reclaimed.
         swept: u64,
-        /// Objects spared by the pin ledger.
+        /// Objects pinned (natively borrowed) when the sweep finished.
         pinned: u64,
     },
     /// A compacting collection completed.

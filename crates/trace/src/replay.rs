@@ -332,10 +332,10 @@ struct Borrowed {
 }
 
 /// Immutable replay context.
-struct Rt<'v> {
+struct Rt<'v, 'e> {
     events: &'v [TraceRecord],
     vm: &'v Vm,
-    envs: &'v [JniEnv<'v>],
+    envs: &'v [JniEnv<'e>],
 }
 
 /// Mutable replay state.
@@ -532,7 +532,7 @@ pub fn replay(trace: &Trace, backend: Backend) -> Result<Digest, ReplayError> {
     })
 }
 
-fn run_events(rt: &Rt<'_>, st: &mut St) -> Result<(), ReplayError> {
+fn run_events(rt: &Rt<'_, '_>, st: &mut St) -> Result<(), ReplayError> {
     while st.pos < rt.events.len() {
         let rec = &rt.events[st.pos];
         st.pos += 1;
@@ -564,13 +564,13 @@ fn run_events(rt: &Rt<'_>, st: &mut St) -> Result<(), ReplayError> {
     Ok(())
 }
 
-fn apply_sweep(rt: &Rt<'_>, st: &mut St, seq: u64) {
+fn apply_sweep(rt: &Rt<'_, '_>, st: &mut St, seq: u64) {
     let stats = rt.vm.heap().sweep();
     st.fold_event(seq, K_SWEEP, outcome::OK);
     st.fold_value(stats.swept as u64);
 }
 
-fn apply_compact(rt: &Rt<'_>, st: &mut St, seq: u64) {
+fn apply_compact(rt: &Rt<'_, '_>, st: &mut St, seq: u64) {
     let stats = rt.vm.heap().compact();
     st.fold_event(seq, K_COMPACT, outcome::OK);
     st.fold_value(stats.moved_objects as u64);
@@ -578,7 +578,7 @@ fn apply_compact(rt: &Rt<'_>, st: &mut St, seq: u64) {
 }
 
 fn run_frame(
-    rt: &Rt<'_>,
+    rt: &Rt<'_, '_>,
     st: &mut St,
     tid: usize,
     enter_seq: u64,
@@ -683,7 +683,7 @@ fn run_frame(
 
 /// Consumes the rest of the current recorded frame (tracking nesting)
 /// and returns the recorded exit `(seq, outcome)`.
-fn skip_to_exit(rt: &Rt<'_>, st: &mut St, method: &str) -> Result<(u64, u8), ReplayError> {
+fn skip_to_exit(rt: &Rt<'_, '_>, st: &mut St, method: &str) -> Result<(u64, u8), ReplayError> {
     let mut depth = 0usize;
     while st.pos < rt.events.len() {
         let rec = &rt.events[st.pos];
@@ -706,7 +706,7 @@ fn skip_to_exit(rt: &Rt<'_>, st: &mut St, method: &str) -> Result<(u64, u8), Rep
 /// hash; returns `Err` **only** for live tag-check faults, which must
 /// unwind the enclosing `call_native` closure for containment to run.
 fn apply_event(
-    rt: &Rt<'_>,
+    rt: &Rt<'_, '_>,
     st: &mut St,
     tid: usize,
     seq: u64,

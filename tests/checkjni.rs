@@ -119,7 +119,7 @@ fn failed_release_stays_outstanding_until_retried() {
         matches!(result, Err(JniError::Mem(MemError::Injected { .. }))),
         "{result:?}"
     );
-    assert!(vm.heap().is_pinned(a.addr()), "the pointer is still handed out");
+    assert!(vm.heap().is_pinned(&a.as_object()), "the pointer is still handed out");
     let outstanding = env.outstanding_acquisitions();
     assert_eq!(outstanding.len(), 1);
     assert_eq!(outstanding[0].pointer, ptr.raw());
@@ -128,7 +128,7 @@ fn failed_release_stays_outstanding_until_retried() {
     let elems = jni_rt::NativeArray::new(ptr, 4, PrimitiveType::Int, false);
     env.release_int_array_elements(&a, elems, ReleaseMode::Abort).unwrap();
     assert!(env.outstanding_acquisitions().is_empty());
-    assert!(!vm.heap().is_pinned(a.addr()));
+    assert!(!vm.heap().is_pinned(&a.as_object()));
 }
 
 #[test]
@@ -150,6 +150,37 @@ fn validation_is_off_by_default() {
     })
     .unwrap();
     assert!(env.guard_drops().is_empty(), "guard drops go unrecorded");
+}
+
+/// Regression: without CheckJNI, a release whose pointer this
+/// environment no longer has on record still reaches the scheme, and
+/// `NoProtection` accepts it. It used to unpin the object by address,
+/// dropping another thread's pin, so compaction moved an object whose
+/// raw pointer was still handed out.
+#[test]
+fn an_unmatched_release_leaves_another_borrows_pin_in_place() {
+    let vm = Vm::builder().build();
+    let (ta, tb) = (vm.attach_thread("a"), vm.attach_thread("b"));
+    let (env_a, env_b) = (vm.env(&ta), vm.env(&tb));
+    let garbage = env_a.new_int_array(16).unwrap();
+    let a = env_a.new_int_array_from(&[7; 16]).unwrap();
+    let addr = a.addr();
+    let held = env_a.get_int_array_elements(&a).unwrap();
+    let elems = env_b.get_int_array_elements(&a).unwrap();
+    let ptr = elems.ptr();
+    env_b.release_int_array_elements(&a, elems, ReleaseMode::Abort).unwrap();
+    let again = jni_rt::NativeArray::new(ptr, 16, PrimitiveType::Int, false);
+    env_b
+        .release_int_array_elements(&a, again, ReleaseMode::Abort)
+        .expect("no CheckJNI: the unmatched release reaches the scheme");
+    drop(garbage);
+    vm.heap().compact();
+    assert_eq!(a.addr(), addr, "A's pointer is still handed out");
+    assert_eq!(vm.heap().pinned_count(), 1, "A's pin survives B's extra release");
+    env_a.release_int_array_elements(&a, held, ReleaseMode::Abort).unwrap();
+    let schemes = workloads::VmSchemes { mte: None, guarded: None };
+    let report = schemes.quiesce(&vm);
+    assert!(report.is_empty(), "{report:?}");
 }
 
 #[test]
