@@ -229,6 +229,13 @@ ratios = {k: v for k, v in doc["summary"].items() if k.startswith("noisy_p99_rat
 assert ratios, "summary carries no noisy p99 ratios"
 for key, ratio in ratios.items():
     assert ratio <= 1.5, f"{key} above the 1.5x acceptance bound: {ratio:.2f}"
+# Request histograms carry the tenant as a typed label (schema 3), never
+# folded into the scheme string.
+hists = doc["telemetry"]["histograms"]
+requests = [h for h in hists if h["op"] == "request"]
+assert requests, "telemetry carries no request histograms"
+assert all(type(h.get("tenant")) is int for h in requests), requests
+assert not any("/" in h["scheme"] for h in hists), "a scheme label embeds a tenant"
 print("serving gate: peak %.0f req/s, %s" % (
     peak, ", ".join(f"{k.removeprefix('noisy_p99_ratio_')}={v:.2f}x"
                     for k, v in sorted(ratios.items()))))
@@ -405,7 +412,7 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/BENCH_fig5.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema_version"] == 2, doc["schema_version"]
+assert doc["schema_version"] == 3, doc["schema_version"]
 assert doc["bench"] == "fig5"
 assert doc["rows"], "rows must be non-empty"
 assert "avg_mte_sync_ratio" in doc["summary"], sorted(doc["summary"])
@@ -426,7 +433,7 @@ print("BENCH_fig5.json sane:", len(doc["rows"]), "rows (with degraded column),",
 PY
 else
     # No python3: at least require the schema marker in the raw text.
-    grep -q '"schema_version": 2' "$out/BENCH_fig5.json"
+    grep -q '"schema_version": 3' "$out/BENCH_fig5.json"
     echo "BENCH_fig5.json sane (schema marker present)"
 fi
 

@@ -4,12 +4,15 @@
 //!
 //! Also prints the §5.3.1 headline averages (paper: guarded copy 26.58×,
 //! MTE4JNI+Sync 2.36×, MTE4JNI+Async 2.24×) and the abstract's
-//! single-thread overhead-reduction factor (paper: ~11×).
+//! single-thread overhead-reduction factor (paper: ~11×), and a
+//! report-only row with the cost of telemetry recording itself: the
+//! 2-int no-protection copy timed with recording off and on.
 
 use bench::{
     json_output, log_bar_chart, print_environment, ratio, time_copy, time_copy_degraded, Args,
     BenchReport,
 };
+use std::time::Duration;
 use telemetry::json::JsonValue;
 use workloads::Scheme;
 
@@ -26,6 +29,13 @@ fn main() {
         .param("degraded", degraded);
 
     print_environment("Figure 5 — single-thread JNI copy overhead");
+
+    // Runs first: the reset then leaves the report's telemetry snapshot
+    // to the figure's own runs.
+    let recording = telemetry::enabled();
+    let [telemetry_off, telemetry_on] = telemetry_cost(repeats);
+    telemetry::set_enabled(recording);
+    telemetry::reset();
 
     let schemes = [Scheme::GuardedCopy, Scheme::Mte4JniSync, Scheme::Mte4JniAsync];
     if degraded {
@@ -106,7 +116,14 @@ fn main() {
         .summary("avg_mte_sync_ratio", avg[1])
         .summary("avg_mte_async_ratio", avg[2])
         .summary("reduction_sync", reduction_sync)
-        .summary("reduction_async", reduction_async);
+        .summary("reduction_async", reduction_async)
+        .summary("telemetry_off_copy_ns", telemetry_off)
+        .summary("telemetry_on_copy_ns", telemetry_on);
+    println!(
+        "telemetry recording, 2-int No_Protection copy: off {telemetry_off:.0} ns, \
+         on {telemetry_on:.0} ns ({:.2}x; medians of {repeats}, report only)",
+        telemetry_on / telemetry_off.max(f64::EPSILON)
+    );
     if degraded {
         // The cost of quarantine: the same kernel through the guarded-copy
         // fallback, relative to baseline and to healthy MTE4JNI+Sync.
@@ -133,4 +150,22 @@ fn main() {
     if let Some(path) = json_path {
         bench::write_report(&report, &path);
     }
+}
+
+/// Median time of one 2-int No_Protection copy, in nanoseconds, with
+/// telemetry recording off and then on: `rounds` fresh VMs each,
+/// alternating the two settings.
+fn telemetry_cost(rounds: u32) -> [f64; 2] {
+    const ITERS: u32 = 4096;
+    let mut samples: [Vec<Duration>; 2] = Default::default();
+    for _ in 0..rounds.max(1) {
+        for (on, times) in samples.iter_mut().enumerate() {
+            telemetry::set_enabled(on == 1);
+            times.push(time_copy(Scheme::NoProtection, 2, ITERS, 1));
+        }
+    }
+    samples.map(|mut times| {
+        times.sort_unstable();
+        times[times.len() / 2].as_nanos() as f64 / f64::from(ITERS)
+    })
 }

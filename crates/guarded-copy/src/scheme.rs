@@ -126,7 +126,7 @@ impl fmt::Debug for GuardedCopy {
 }
 
 impl Protection for GuardedCopy {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "guarded-copy"
     }
 

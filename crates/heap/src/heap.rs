@@ -734,13 +734,15 @@ impl Heap {
             .fetch_add(stats.moved_bytes as u64, Ordering::Relaxed);
         telemetry::record(telemetry::Event::GcCompact);
         if let Some(start) = timing {
-            telemetry::record_latency(
-                "heap",
-                "Compact",
-                telemetry::SizeClass::from_bytes(stats.moved_bytes as u64),
-                telemetry::LatencyOp::GcPause,
-                start,
-            );
+            let pause = start.elapsed();
+            telemetry::histogram(telemetry::HistKey {
+                tenant: None,
+                scheme: "heap",
+                interface: "Compact",
+                size_class: telemetry::SizeClass::from_bytes(stats.moved_bytes as u64),
+                op: telemetry::LatencyOp::GcPause,
+            })
+            .record(pause);
         }
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Compact {
             moved: stats.moved_objects as u64,

@@ -11,7 +11,7 @@
 //!
 //! The interface vocabulary itself ([`JniInterface`]) lives in the
 //! `telemetry` crate so protection schemes and events can share it; this
-//! crate re-exports it under the historical `InterfaceKind` name.
+//! crate re-exports it.
 //!
 //! [`VmBuilder::check_jni`]: crate::VmBuilder::check_jni
 

@@ -231,13 +231,11 @@ impl<'a> JniEnv<'a> {
             }
         };
         if let Some(t0) = started {
-            telemetry::record_latency(
-                self.scheme_for(via_fallback).name(),
-                interface.label(),
-                SizeClass::from_bytes(scheme_obj.byte_len() as u64),
-                LatencyOp::Acquire,
-                t0,
-            );
+            let elapsed = t0.elapsed();
+            let size = SizeClass::from_bytes(scheme_obj.byte_len() as u64);
+            self.vm
+                .borrow_latency(via_fallback, LatencyOp::Acquire, interface, size)
+                .record(elapsed);
         }
         telemetry::record(Event::Acquire { interface });
         self.borrows.borrow_mut().push(LiveBorrow {
@@ -366,13 +364,11 @@ impl<'a> JniEnv<'a> {
             }
         };
         if let Some(t0) = started {
-            telemetry::record_latency(
-                scheme.name(),
-                interface.label(),
-                SizeClass::from_bytes(scheme_obj.byte_len() as u64),
-                LatencyOp::Release,
-                t0,
-            );
+            let elapsed = t0.elapsed();
+            let size = SizeClass::from_bytes(scheme_obj.byte_len() as u64);
+            self.vm
+                .borrow_latency(via_fallback, LatencyOp::Release, interface, size)
+                .record(elapsed);
         }
         telemetry::record(Event::Release { interface });
         // The borrow ends — and its record drops the pin — when the
@@ -870,15 +866,8 @@ impl<'a> JniEnv<'a> {
         // code ran: surface any latched asynchronous fault here.
         let pending = mte.syscall("art_jni_method_end");
         if let Some(t0) = started {
-            // Trampolines carry no payload; everything lands in one
-            // size-class bucket per native-method kind.
-            telemetry::record_latency(
-                self.vm.protection().name(),
-                kind.label(),
-                SizeClass::Tiny,
-                LatencyOp::Trampoline,
-                t0,
-            );
+            let elapsed = t0.elapsed();
+            self.vm.trampoline_latency(kind).record(elapsed);
         }
         let result = match (result, pending) {
             (Err(e), _) => Err(self.handle_native_error(name, e, borrow_mark, depth_mark)),

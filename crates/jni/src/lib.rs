@@ -47,9 +47,6 @@ pub use trampoline::NativeKind;
 pub use vm::{Vm, VmBuilder, VmConfig};
 
 pub use telemetry::JniInterface;
-/// Historical name for [`JniInterface`], kept for callers that predate the
-/// telemetry crate.
-pub type InterfaceKind = telemetry::JniInterface;
 
 /// Convenience alias for results whose error type is [`JniError`].
 pub type Result<T> = std::result::Result<T, JniError>;

@@ -61,8 +61,9 @@ pub struct AcquireOutcome {
 /// release the same objects from many threads concurrently, and Figure 6
 /// of the paper measures exactly that contention.
 pub trait Protection: Send + Sync + fmt::Debug {
-    /// Short scheme name for reports (e.g. `"guarded-copy"`).
-    fn name(&self) -> &str;
+    /// Short scheme name for reports and telemetry keys (e.g.
+    /// `"guarded-copy"`).
+    fn name(&self) -> &'static str;
 
     /// Interposes a `Get*` interface about to expose `obj`'s payload.
     ///
@@ -132,7 +133,7 @@ impl NoProtection {
 }
 
 impl Protection for NoProtection {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "no-protection"
     }
 

@@ -1,15 +1,24 @@
 //! The simulated runtime instance.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use art_heap::{GcScanner, GcScannerConfig, Heap, HeapConfig, JavaThread};
 use mte_sim::TcfMode;
+use telemetry::{HistKey, JniInterface, LatencyHistogram, LatencyOp, SizeClass};
 
 use crate::containment::{Containment, ContainmentConfig, ContainmentStats, FaultPolicy, Tombstone};
 use crate::env::JniEnv;
 use crate::protection::{NoProtection, Protection};
+use crate::trampoline::NativeKind;
+
+/// Acquire and release histogram slots: (primary or fallback scheme) ×
+/// (acquire or release) × interface × payload size class.
+const BORROW_SLOTS: usize = 2 * 2 * JniInterface::ALL.len() * (SizeClass::Large as usize + 1);
+
+/// A latency histogram handle, resolved on its first sample.
+type Slot = OnceLock<Arc<LatencyHistogram>>;
 
 /// Runtime configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,6 +80,8 @@ pub struct Vm {
     fallback: Option<Arc<dyn Protection>>,
     containment: Containment,
     config: VmConfig,
+    borrow_latency: [Slot; BORROW_SLOTS],
+    trampoline_latency: [Slot; 3],
 }
 
 impl Vm {
@@ -190,6 +201,53 @@ impl Vm {
     pub fn telemetry_snapshot(&self) -> telemetry::Snapshot {
         self.publish_counters();
         telemetry::Snapshot::collect()
+    }
+
+    /// The histogram an acquire or release (`op`) on `interface` of a
+    /// `size`-class payload records into, through the primary scheme or
+    /// the fallback.
+    pub(crate) fn borrow_latency(
+        &self,
+        via_fallback: bool,
+        op: LatencyOp,
+        interface: JniInterface,
+        size: SizeClass,
+    ) -> &LatencyHistogram {
+        debug_assert!(matches!(op, LatencyOp::Acquire | LatencyOp::Release));
+        let row = usize::from(via_fallback) * 2 + usize::from(op == LatencyOp::Release);
+        let slot = (row * JniInterface::ALL.len() + usize::from(interface.index()))
+            * (SizeClass::Large as usize + 1)
+            + size as usize;
+        self.borrow_latency[slot].get_or_init(|| {
+            let scheme = if via_fallback {
+                self.fallback
+                    .as_ref()
+                    .expect("fallback routing requires a fallback scheme")
+            } else {
+                &self.protection
+            };
+            telemetry::histogram(HistKey {
+                tenant: None,
+                scheme: scheme.name(),
+                interface: interface.label(),
+                size_class: size,
+                op,
+            })
+        })
+    }
+
+    /// The histogram a `kind` trampoline records into (no payload, so
+    /// one size class).
+    pub(crate) fn trampoline_latency(&self, kind: NativeKind) -> &LatencyHistogram {
+        self.trampoline_latency[kind as usize].get_or_init(|| {
+            telemetry::histogram(HistKey {
+                tenant: None,
+                scheme: self.protection.name(),
+                interface: kind.label(),
+                size_class: SizeClass::Tiny,
+                op: LatencyOp::Trampoline,
+            })
+        })
     }
 
     /// Starts a correctly configured background GC scanner: it inherits
@@ -337,6 +395,8 @@ impl VmBuilder {
                 check_jni: self.check_jni,
                 fault_policy: self.fault_policy,
             },
+            borrow_latency: [const { Slot::new() }; BORROW_SLOTS],
+            trampoline_latency: [const { Slot::new() }; 3],
         }
     }
 }

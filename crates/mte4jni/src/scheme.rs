@@ -112,7 +112,7 @@ impl Protection for Mte4Jni {
     // backends (lock-free and the paper's two-tier reference — which
     // backend served a run is visible in the table's own counters);
     // only the deliberately naive global-lock ablation is called out.
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         match self.config.backend {
             TableBackend::LockFree | TableBackend::TwoTier => "mte4jni",
             TableBackend::Global => "mte4jni+global-lock",

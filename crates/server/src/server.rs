@@ -137,11 +137,7 @@ impl Server {
     /// The fleet telemetry rollup (per-tenant counters + request
     /// latency quantiles).
     pub fn rollup(&self) -> FleetRollup {
-        let mut r = FleetRollup::new();
-        for t in &self.tenants {
-            r.push(t.stats());
-        }
-        r
+        self.tenants.iter().map(Tenant::stats).collect()
     }
 }
 

@@ -13,14 +13,15 @@
 //! containment telemetry into admission decisions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
 use jni_rt::{ContainmentStats, JniEnv, JniError, NativeKind, ReleaseMode, Vm};
 use mte4jni::Mte4Jni;
 use mte_sim::inject::{self, FaultPlan, InjectCounters};
 use mte_sim::sync::yield_point;
 use mte_sim::{MemError, MemoryConfig};
+use telemetry::fleet::{RequestLatency, TenantStats};
+use telemetry::{HistKey, LatencyHistogram, LatencyOp, SizeClass};
 use workloads::{Backend, VmSchemes};
 
 use crate::admission::{Admission, Rejected};
@@ -106,6 +107,7 @@ pub struct Tenant {
     admission: Admission,
     counters: Counters,
     inject_counters: Arc<InjectCounters>,
+    request_latency: OnceLock<Arc<LatencyHistogram>>,
 }
 
 impl Tenant {
@@ -122,6 +124,7 @@ impl Tenant {
             health: HealthTracker::default(),
             counters: Counters::default(),
             inject_counters: Arc::new(InjectCounters::default()),
+            request_latency: OnceLock::new(),
             cfg,
             vm,
             schemes,
@@ -135,10 +138,6 @@ impl Tenant {
 
     /// The tenant VM.
     pub fn vm(&self) -> &Vm {
-        self.vm_ref()
-    }
-
-    fn vm_ref(&self) -> &Vm {
         &self.vm
     }
 
@@ -191,11 +190,7 @@ impl Tenant {
         if admitted.is_multiple_of(SWEEP_EVERY) {
             let _ = self.vm.heap().sweep();
         }
-        let t0 = if telemetry::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let t0 = telemetry::start_timing();
         let thread = self.vm.attach_thread("serve");
         let env = self.vm.env(&thread);
         let mut attempt = 0u32;
@@ -231,11 +226,18 @@ impl Tenant {
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(t0) = t0 {
-            telemetry::fleet::record_request_latency(
-                self.cfg.id,
-                self.cfg.scheme.label(),
-                t0.elapsed(),
-            );
+            let elapsed = t0.elapsed();
+            self.request_latency
+                .get_or_init(|| {
+                    telemetry::histogram(HistKey {
+                        tenant: Some(self.cfg.id),
+                        scheme: self.cfg.scheme.label(),
+                        interface: "Request",
+                        size_class: SizeClass::Tiny,
+                        op: LatencyOp::Request,
+                    })
+                })
+                .record(elapsed);
         }
         Ok(outcome)
     }
@@ -356,10 +358,10 @@ impl Tenant {
     }
 
     /// This tenant's row for the fleet rollup.
-    pub fn stats(&self) -> telemetry::fleet::TenantStats {
+    pub fn stats(&self) -> TenantStats {
         let cs = self.vm.containment_stats();
         let c = &self.counters;
-        telemetry::fleet::TenantStats {
+        TenantStats {
             tenant: self.cfg.id,
             scheme: self.cfg.scheme.label().to_owned(),
             health: self.health().label().to_owned(),
@@ -372,6 +374,11 @@ impl Tenant {
             degraded_exhaust: cs.degraded_tag_exhaustion,
             degraded_quarantine: cs.degraded_quarantine,
             retries: c.retries.load(Ordering::Relaxed),
+            latency: self
+                .request_latency
+                .get()
+                .map(|h| RequestLatency::of(h))
+                .unwrap_or_default(),
         }
     }
 

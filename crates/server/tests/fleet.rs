@@ -89,7 +89,7 @@ fn rollup_reports_every_tenant_with_schema_version() {
     let (server, stream) = noisy_fleet(Backend::LockFree);
     server.run_timed(&stream);
     let rollup = server.rollup();
-    assert_eq!(rollup.tenants().count(), 3);
+    assert_eq!(rollup.tenants().len(), 3);
     let (admitted, completed, shed, contained) = rollup.totals();
     assert!(admitted > 0 && completed > 0 && shed > 0 && contained > 0);
     let json = rollup.snapshot_json().to_pretty_string();

@@ -1,26 +1,16 @@
 //! Fleet-level telemetry rollup for the multi-tenant serving layer.
 //!
-//! The serving harness (`crates/server`) hosts many tenant VMs, each
-//! recording request latencies under a tenant-qualified scheme key
-//! ([`tenant_scheme`], e.g. `"tenant3/lock-free"`). This module merges
-//! those per-tenant histograms back out of the global registry and
-//! combines them with the server's per-tenant counters into one
-//! schema-versioned JSON document ([`FleetRollup::snapshot_json`]).
+//! The serving harness (`crates/server`) hosts many tenant VMs. Each
+//! tenant records its request latencies through one histogram handle
+//! keyed by its own id (`HistKey::tenant`) and reports the histogram's
+//! quantiles in its [`TenantStats`]. This module combines those rows into
+//! one schema-versioned JSON document ([`FleetRollup::snapshot_json`]).
 
-use crate::hist::{self, LatencyOp};
+use crate::hist::LatencyHistogram;
 use crate::json::JsonValue;
 use crate::snapshot::SCHEMA_VERSION;
 
-/// The histogram scheme key for one tenant: `"tenant<id>/<scheme>"`.
-/// Keeping the tenant id inside the existing `HistKey::scheme` string
-/// means per-tenant latency distributions need no registry schema
-/// change and remain visible to [`crate::Snapshot::collect`].
-pub fn tenant_scheme(tenant: u32, scheme: &str) -> String {
-    format!("tenant{tenant}/{scheme}")
-}
-
-/// Merged request-latency summary for one tenant, combined across all
-/// size classes and interfaces recorded under its scheme key.
+/// Request-latency summary for one tenant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequestLatency {
     /// Completed-request samples.
@@ -35,35 +25,16 @@ pub struct RequestLatency {
     pub mean_ns: u64,
 }
 
-/// Merges every [`LatencyOp::Request`] histogram registered under
-/// `scheme_key` (across size classes and interface labels) into one
-/// quantile summary. Returns the zero summary when nothing recorded.
-pub fn request_latency(scheme_key: &str) -> RequestLatency {
-    let mut buckets: Vec<u64> = Vec::new();
-    let mut count = 0u64;
-    let mut sum = 0u64;
-    let mut max = 0u64;
-    for (key, h) in hist::all_histograms() {
-        if key.op != LatencyOp::Request || key.scheme != scheme_key {
-            continue;
+impl RequestLatency {
+    /// The summary of one request histogram.
+    pub fn of(h: &LatencyHistogram) -> RequestLatency {
+        RequestLatency {
+            count: h.count(),
+            p50_ns: h.quantile_ns(0.50),
+            p99_ns: h.quantile_ns(0.99),
+            max_ns: h.max_ns(),
+            mean_ns: h.mean_ns(),
         }
-        let b = h.bucket_counts();
-        if buckets.len() < b.len() {
-            buckets.resize(b.len(), 0);
-        }
-        for (slot, n) in buckets.iter_mut().zip(&b) {
-            *slot += n;
-        }
-        count += h.count();
-        sum = sum.saturating_add(h.mean_ns().saturating_mul(h.count()));
-        max = max.max(h.max_ns());
-    }
-    RequestLatency {
-        count,
-        p50_ns: hist::bucket_quantile(buckets.iter().copied(), count, max, 0.50),
-        p99_ns: hist::bucket_quantile(buckets.iter().copied(), count, max, 0.99),
-        max_ns: max,
-        mean_ns: sum.checked_div(count).unwrap_or(0),
     }
 }
 
@@ -96,37 +67,34 @@ pub struct TenantStats {
     pub degraded_quarantine: u64,
     /// Transient-error retries spent across all requests.
     pub retries: u64,
+    /// Request-latency quantiles (all zero while telemetry is off).
+    pub latency: RequestLatency,
 }
 
-/// A fleet-wide snapshot: one [`TenantStats`] per tenant plus the
-/// merged request-latency quantiles pulled from the histogram registry.
+/// A fleet-wide snapshot: one [`TenantStats`] per tenant.
 #[derive(Clone, Debug, Default)]
 pub struct FleetRollup {
-    tenants: Vec<(TenantStats, RequestLatency)>,
+    tenants: Vec<TenantStats>,
+}
+
+impl FromIterator<TenantStats> for FleetRollup {
+    fn from_iter<I: IntoIterator<Item = TenantStats>>(rows: I) -> FleetRollup {
+        FleetRollup {
+            tenants: rows.into_iter().collect(),
+        }
+    }
 }
 
 impl FleetRollup {
-    /// An empty rollup.
-    pub fn new() -> FleetRollup {
-        FleetRollup::default()
-    }
-
-    /// Adds one tenant, resolving its request-latency quantiles from
-    /// the histograms registered under its [`tenant_scheme`] key.
-    pub fn push(&mut self, stats: TenantStats) {
-        let latency = request_latency(&tenant_scheme(stats.tenant, &stats.scheme));
-        self.tenants.push((stats, latency));
-    }
-
     /// The per-tenant rows in insertion order.
-    pub fn tenants(&self) -> impl Iterator<Item = (&TenantStats, &RequestLatency)> {
-        self.tenants.iter().map(|(s, l)| (s, l))
+    pub fn tenants(&self) -> &[TenantStats] {
+        &self.tenants
     }
 
     /// Fleet totals: (admitted, completed, shed, contained faults).
     pub fn totals(&self) -> (u64, u64, u64, u64) {
         let mut t = (0, 0, 0, 0);
-        for (s, _) in &self.tenants {
+        for s in &self.tenants {
             t.0 += s.admitted;
             t.1 += s.completed;
             t.2 += s.shed_queue_full + s.shed_budget + s.shed_quarantined;
@@ -149,7 +117,7 @@ impl FleetRollup {
         totals.insert("contained_faults", contained);
         doc.insert("totals", totals);
         let mut rows = Vec::new();
-        for (s, l) in &self.tenants {
+        for s in &self.tenants {
             let mut row = JsonValue::object();
             row.insert("tenant", u64::from(s.tenant));
             row.insert("scheme", s.scheme.as_str());
@@ -163,6 +131,7 @@ impl FleetRollup {
             row.insert("degraded_exhaust", s.degraded_exhaust);
             row.insert("degraded_quarantine", s.degraded_quarantine);
             row.insert("retries", s.retries);
+            let l = &s.latency;
             let mut lat = JsonValue::object();
             lat.insert("count", l.count);
             lat.insert("p50_ns", l.p50_ns);
@@ -177,86 +146,84 @@ impl FleetRollup {
     }
 }
 
-/// Records one completed request's latency under the tenant's
-/// histogram key (no-op when telemetry is disabled, like every other
-/// recording entry point).
-pub fn record_request_latency(tenant: u32, scheme: &str, elapsed: std::time::Duration) {
-    crate::record_latency_duration(
-        &tenant_scheme(tenant, scheme),
-        "Request",
-        crate::SizeClass::Tiny,
-        LatencyOp::Request,
-        elapsed,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{histogram, HistKey, LatencyOp, SizeClass, Snapshot};
     use std::time::Duration;
 
     #[test]
-    fn rollup_merges_histograms_and_exports_json() {
+    fn tenants_on_one_scheme_get_their_own_histograms_and_rows() {
         let _serial = crate::GLOBAL_STATE_TESTS
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         crate::set_enabled(true);
-        assert_eq!(tenant_scheme(7, "lock-free"), "tenant7/lock-free");
-        // Two size classes under one tenant key merge into one summary.
-        let scheme = "rollup-test";
-        let tenant = 42;
-        for ns in [100u64, 200, 300, 400] {
-            crate::record_latency_duration(
-                &tenant_scheme(tenant, scheme),
-                "Request",
-                crate::SizeClass::Tiny,
-                LatencyOp::Request,
-                Duration::from_nanos(ns),
-            );
-        }
-        crate::record_latency_duration(
-            &tenant_scheme(tenant, scheme),
-            "Request",
-            crate::SizeClass::Large,
-            LatencyOp::Request,
-            Duration::from_nanos(70_000),
-        );
+        let key = |tenant| HistKey {
+            tenant: Some(tenant),
+            scheme: "rollup-test",
+            interface: "Request",
+            size_class: SizeClass::Tiny,
+            op: LatencyOp::Request,
+        };
+        let rollup: FleetRollup = [(41u32, 3u64), (42, 5)]
+            .into_iter()
+            .map(|(tenant, samples)| {
+                let h = histogram(key(tenant));
+                for i in 0..samples {
+                    h.record(Duration::from_nanos(100 * (i + 1)));
+                }
+                TenantStats {
+                    tenant,
+                    scheme: "rollup-test".into(),
+                    health: "healthy".into(),
+                    admitted: samples + 1,
+                    completed: samples,
+                    shed_queue_full: 1,
+                    latency: RequestLatency::of(&h),
+                    ..TenantStats::default()
+                }
+            })
+            .collect();
 
-        let lat = request_latency(&tenant_scheme(tenant, scheme));
-        assert_eq!(lat.count, 5);
-        assert!(lat.p50_ns >= 100 && lat.p50_ns < 70_000, "p50: {}", lat.p50_ns);
-        assert_eq!(lat.max_ns, 70_000);
-        assert!(lat.p99_ns <= 131_071 && lat.p99_ns >= 1000, "p99: {}", lat.p99_ns);
-
-        let mut rollup = FleetRollup::new();
-        rollup.push(TenantStats {
-            tenant,
-            scheme: scheme.into(),
-            health: "healthy".into(),
-            admitted: 6,
-            completed: 5,
-            shed_queue_full: 1,
-            ..TenantStats::default()
-        });
         let json = rollup.snapshot_json();
         assert_eq!(
             json.get("schema_version").and_then(JsonValue::as_u64),
             Some(u64::from(SCHEMA_VERSION))
         );
-        let row = &json.get("tenants").unwrap().as_array().unwrap()[0];
-        assert_eq!(row.get("tenant").and_then(JsonValue::as_u64), Some(42));
-        assert_eq!(
-            row.get("request_latency")
-                .and_then(|l| l.get("count"))
-                .and_then(JsonValue::as_u64),
-            Some(5)
-        );
+        let rows = json.get("tenants").unwrap().as_array().unwrap();
+        for (row, (tenant, count)) in rows.iter().zip([(41, 3), (42, 5)]) {
+            assert_eq!(row.get("tenant").and_then(JsonValue::as_u64), Some(tenant));
+            let lat = row.get("request_latency").unwrap();
+            assert_eq!(lat.get("count").and_then(JsonValue::as_u64), Some(count));
+            assert_eq!(lat.get("max_ns").and_then(JsonValue::as_u64), Some(100 * count));
+        }
         assert_eq!(
             json.get("totals")
                 .and_then(|t| t.get("shed"))
                 .and_then(JsonValue::as_u64),
-            Some(1)
+            Some(2)
         );
+
+        // The two histograms differ only in `tenant`, and the snapshot
+        // JSON carries it as a number next to the bare scheme name.
+        let text = Snapshot::collect().to_json().to_pretty_string();
+        let back = crate::json::parse(&text).unwrap();
+        let mine: Vec<_> = back
+            .get("histograms")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .iter()
+            .filter(|h| h.get("scheme").and_then(JsonValue::as_str) == Some("rollup-test"))
+            .map(|h| {
+                assert_eq!(h.get("interface").and_then(JsonValue::as_str), Some("Request"));
+                assert_eq!(h.get("op").and_then(JsonValue::as_str), Some("request"));
+                (
+                    h.get("tenant").and_then(JsonValue::as_u64),
+                    h.get("count").and_then(JsonValue::as_u64),
+                )
+            })
+            .collect();
+        assert_eq!(mine, [(Some(41), Some(3)), (Some(42), Some(5))]);
         crate::set_enabled(false);
     }
 }

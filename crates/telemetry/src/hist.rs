@@ -1,9 +1,9 @@
 //! Log-bucketed latency histograms (HDR-style) keyed by
-//! `(scheme, interface, payload-size-class, operation)`.
+//! `(tenant, scheme, interface, payload-size-class, operation)`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Number of power-of-two buckets: bucket `i` holds durations in
@@ -77,11 +77,15 @@ impl LatencyOp {
 
 /// A histogram registry key. `interface` is a display label rather than
 /// [`crate::JniInterface`] so trampolines can key by native-call kind
-/// (`"Normal"`, `"FastNative"`, …) through the same table.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// (`"Normal"`, `"FastNative"`, …) through the same table. The derived
+/// order is the snapshot order: `tenant` leads, so the untenanted
+/// histograms (`None`) come first and the serving layer's sort last.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HistKey {
+    /// Serving-layer tenant id, for per-tenant request histograms.
+    pub tenant: Option<u32>,
     /// Protection scheme name (e.g. `"mte4jni"`).
-    pub scheme: String,
+    pub scheme: &'static str,
     /// Interface label (a [`crate::JniInterface::label`] or a native
     /// kind name for trampoline timings).
     pub interface: &'static str,
@@ -119,33 +123,6 @@ fn bucket_for(ns: u64) -> usize {
     }
 }
 
-/// An upper-bound estimate of the `q`-quantile, `q` in `[0, 1]`, over
-/// log-2 bucket counts totalling `total` samples: the ceiling of the
-/// bucket holding the rank, `2^i − 1` ns (bucket 0 is "≤ 1 ns"),
-/// clamped to the observed max so p99 never exceeds it. Returns 0 when
-/// `total` is 0.
-pub(crate) fn bucket_quantile(
-    buckets: impl IntoIterator<Item = u64>,
-    total: u64,
-    max_ns: u64,
-    q: f64,
-) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0;
-    for (i, n) in buckets.into_iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            let ceiling = if i == 0 { 1 } else { (1u64 << i) - 1 };
-            return ceiling.min(max_ns);
-        }
-    }
-    max_ns
-}
-
 impl LatencyHistogram {
     /// Records one duration.
     pub fn record(&self, d: Duration) {
@@ -161,15 +138,26 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// An upper-bound estimate (bucket ceiling) of the `q`-quantile,
-    /// `q` in `[0, 1]`. Returns 0 for an empty histogram.
+    /// An upper-bound estimate of the `q`-quantile, `q` in `[0, 1]`: the
+    /// ceiling of the bucket holding the rank, `2^i − 1` ns (bucket 0 is
+    /// "≤ 1 ns"), clamped to the observed max so p99 never exceeds it.
+    /// Returns 0 for an empty histogram.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        bucket_quantile(
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
-            self.count(),
-            self.max_ns(),
-            q,
-        )
+        let total = self.count();
+        if total == 0 {
+            return 0;
+        }
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (i, b) in self.buckets.iter().enumerate() {
+            seen += b.load(Ordering::Relaxed);
+            if seen >= rank {
+                let ceiling = if i == 0 { 1 } else { (1u64 << i) - 1 };
+                return ceiling.min(self.max_ns());
+            }
+        }
+        self.max_ns()
     }
 
     /// Largest recorded duration in nanoseconds.
@@ -192,47 +180,46 @@ impl LatencyHistogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
     }
+
+    /// Zeroes every bucket and summary, in place.
+    fn clear(&self) {
+        for a in self
+            .buckets
+            .iter()
+            .chain([&self.count, &self.sum_ns, &self.max_ns])
+        {
+            a.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
-fn registry() -> &'static Mutex<HashMap<HistKey, Arc<LatencyHistogram>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<HistKey, Arc<LatencyHistogram>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
+static REGISTRY: Mutex<BTreeMap<HistKey, Arc<LatencyHistogram>>> = Mutex::new(BTreeMap::new());
 
-/// The histogram for `key`, created on first use.
-pub fn histogram(key: HistKey) -> Arc<LatencyHistogram> {
-    let mut map = registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    Arc::clone(map.entry(key).or_default())
-}
-
-/// Every registered histogram, sorted by key for stable output.
-pub(crate) fn all_histograms() -> Vec<(HistKey, Arc<LatencyHistogram>)> {
-    let map = registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut v: Vec<_> = map
-        .iter()
-        .map(|(k, h)| (k.clone(), Arc::clone(h)))
-        .collect();
-    v.sort_by(|a, b| {
-        (&a.0.scheme, a.0.interface, a.0.size_class, a.0.op).cmp(&(
-            &b.0.scheme,
-            b.0.interface,
-            b.0.size_class,
-            b.0.op,
-        ))
-    });
-    v
-}
-
-/// Drops every registered histogram (tests and bench warm-up).
-pub(crate) fn reset_all() {
-    registry()
+fn registry() -> std::sync::MutexGuard<'static, BTreeMap<HistKey, Arc<LatencyHistogram>>> {
+    REGISTRY
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
+}
+
+/// The histogram for `key`, created on first use. This takes the
+/// registry lock: a recording site resolves its handle once and keeps
+/// it, so each later sample is just [`LatencyHistogram::record`].
+pub fn histogram(key: HistKey) -> Arc<LatencyHistogram> {
+    Arc::clone(registry().entry(key).or_default())
+}
+
+/// Every registered histogram, in key order.
+pub(crate) fn all_histograms() -> Vec<(HistKey, Arc<LatencyHistogram>)> {
+    registry()
+        .iter()
+        .map(|(&k, h)| (k, Arc::clone(h)))
+        .collect()
+}
+
+/// Zeroes every registered histogram in place. The entries stay, so a
+/// handle resolved before the reset keeps feeding the registry.
+pub(crate) fn reset_all() {
+    registry().values().for_each(|h| h.clear());
 }
 
 #[cfg(test)]
@@ -277,12 +264,13 @@ mod tests {
     #[test]
     fn registry_reuses_histograms() {
         let key = HistKey {
-            scheme: "test-scheme".into(),
+            tenant: None,
+            scheme: "test-scheme",
             interface: "ArrayElements",
             size_class: SizeClass::Tiny,
             op: LatencyOp::Acquire,
         };
-        let a = histogram(key.clone());
+        let a = histogram(key);
         a.record(Duration::from_nanos(5));
         let b = histogram(key);
         assert_eq!(b.count(), 1);

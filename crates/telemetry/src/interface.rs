@@ -7,8 +7,7 @@
 /// This lives in the telemetry crate — the bottom of the dependency
 /// stack — so that `jni-rt` can carry it in `JniContext`, protection
 /// schemes can branch on it, and events can be attributed to it, all
-/// without a dependency cycle. `jni-rt` re-exports it (and keeps the
-/// old `InterfaceKind` name as an alias).
+/// without a dependency cycle. `jni-rt` re-exports it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum JniInterface {
     /// `Get/ReleaseStringCritical` (Table 1, row 1).

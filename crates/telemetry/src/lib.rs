@@ -8,8 +8,8 @@
 //!   toggles, GC passes, contained faults, degradations), counted where
 //!   they happen;
 //! * **Latency histograms** — log-bucketed (HDR-style) distributions
-//!   keyed by `(scheme, interface, payload-size-class, op)` with
-//!   p50/p90/p99/max summaries;
+//!   under a typed, `Copy` [`HistKey`] (`tenant`, `scheme`, `interface`,
+//!   payload size class, `op`) with p50/p90/p99/max summaries;
 //! * **Counters** — a process-wide named-counter registry that absorbs
 //!   `MteStats` (the exact `irg`/`ldg`/`stg` and fault counts) and the
 //!   per-scheme counters behind one [`Snapshot`];
@@ -25,7 +25,9 @@
 //! relaxed atomic. Benches that export JSON call [`set_enabled`]`(true)`;
 //! the paper-calibration hot paths (Fig. 5 no-protection baseline) leave
 //! it off and pay a branch-on-load per operation. Enabled, an event
-//! costs one or two relaxed atomic adds.
+//! costs one or two relaxed atomic adds, and a latency sample two
+//! `Instant::now` reads plus four relaxed atomics on a handle its owner
+//! (the VM, a serving tenant) resolved once through [`histogram`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +48,7 @@ pub use interface::JniInterface;
 pub use snapshot::{EventSummary, HistogramSummary, Snapshot, SCHEMA_VERSION};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -72,44 +74,17 @@ pub fn record(event: Event) {
 }
 
 /// Starts a latency measurement: `None` (skip the timing entirely) when
-/// telemetry is disabled. Pair with [`record_latency`].
+/// telemetry is disabled. Pair with [`LatencyHistogram::record`] on a
+/// handle from [`histogram`].
 #[inline]
 pub fn start_timing() -> Option<Instant> {
     enabled().then(Instant::now)
 }
 
-/// Records a latency sample into the `(scheme, interface, size-class,
-/// op)` histogram. Callers obtain `started` from [`start_timing`].
-pub fn record_latency(
-    scheme: &str,
-    interface: &'static str,
-    size_class: SizeClass,
-    op: LatencyOp,
-    started: Instant,
-) {
-    let elapsed = started.elapsed();
-    record_latency_duration(scheme, interface, size_class, op, elapsed);
-}
-
-/// As [`record_latency`], with an explicit duration.
-pub fn record_latency_duration(
-    scheme: &str,
-    interface: &'static str,
-    size_class: SizeClass,
-    op: LatencyOp,
-    elapsed: Duration,
-) {
-    hist::histogram(HistKey {
-        scheme: scheme.to_owned(),
-        interface,
-        size_class,
-        op,
-    })
-    .record(elapsed);
-}
-
-/// Clears event counts, histograms, and counters — the boundary between
-/// two measured phases (benches call this after warm-up).
+/// Clears event counts and counters and zeroes every histogram in place
+/// (handles resolved before the call keep recording into the registry).
+/// The boundary between two measured phases; tests call it between
+/// cases, and `fig5` after its telemetry on/off row.
 pub fn reset() {
     event::reset();
     hist::reset_all();
@@ -147,7 +122,14 @@ mod tests {
             class: FaultClass::Sync,
         });
         let t0 = start_timing().expect("enabled");
-        record_latency("test-scheme", "PrimitiveArrayCritical", SizeClass::Small, LatencyOp::Acquire, t0);
+        histogram(HistKey {
+            tenant: None,
+            scheme: "test-scheme",
+            interface: "PrimitiveArrayCritical",
+            size_class: SizeClass::Small,
+            op: LatencyOp::Acquire,
+        })
+        .record(t0.elapsed());
         counters().add("test.counter", 2);
 
         let snap = Snapshot::collect();
@@ -157,15 +139,23 @@ mod tests {
         assert_eq!(snap.events.by_kind["acquire"], 1);
         assert_eq!(snap.events.by_kind["contained_sync"], 1);
         assert_eq!(snap.events.by_interface["PrimitiveArrayCritical"], 1);
-        let h = &snap.histograms[0];
+        let mine = |snap: &Snapshot| {
+            snap.histograms
+                .iter()
+                .find(|h| h.key.scheme == "test-scheme" && h.key.interface == "PrimitiveArrayCritical")
+                .cloned()
+        };
+        let h = mine(&snap).expect("recorded histogram");
         assert_eq!(h.count, 1);
-        assert_eq!(h.op, LatencyOp::Acquire);
+        assert_eq!(h.key.op, LatencyOp::Acquire);
 
         // Collecting does not consume: counts are cumulative like the
         // counters and histograms, until `reset`.
         assert_eq!(Snapshot::collect().events, snap.events);
         reset();
-        assert_eq!(Snapshot::collect().events, EventSummary::default());
+        let after = Snapshot::collect();
+        assert_eq!(after.events, EventSummary::default());
+        assert_eq!(mine(&after), None, "a zeroed histogram is omitted");
 
         set_enabled(false);
     }

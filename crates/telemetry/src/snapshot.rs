@@ -3,25 +3,19 @@
 
 use std::collections::BTreeMap;
 
-use crate::hist::{HistKey, LatencyOp, SizeClass};
+use crate::hist::HistKey;
 use crate::json::JsonValue;
 
 /// Version of the JSON schema emitted by [`Snapshot::to_json`] and the
 /// bench `--json` exports. Bump on any breaking shape change and
 /// document the migration in DESIGN.md §8.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Percentile summary of one registered latency histogram.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSummary {
-    /// Protection scheme name.
-    pub scheme: String,
-    /// Interface (or trampoline-kind) label.
-    pub interface: &'static str,
-    /// Payload size class.
-    pub size_class: SizeClass,
-    /// Timed operation.
-    pub op: LatencyOp,
+    /// The histogram's registry key.
+    pub key: HistKey,
     /// Samples recorded.
     pub count: u64,
     /// Mean nanoseconds.
@@ -41,10 +35,13 @@ pub struct HistogramSummary {
 impl HistogramSummary {
     fn to_json(&self) -> JsonValue {
         let mut o = JsonValue::object();
-        o.insert("scheme", self.scheme.as_str())
-            .insert("interface", self.interface)
-            .insert("size_class", self.size_class.label())
-            .insert("op", self.op.label())
+        if let Some(tenant) = self.key.tenant {
+            o.insert("tenant", tenant);
+        }
+        o.insert("scheme", self.key.scheme)
+            .insert("interface", self.key.interface)
+            .insert("size_class", self.key.size_class.label())
+            .insert("op", self.key.op.label())
             .insert("count", self.count)
             .insert("mean_ns", self.mean_ns)
             .insert("p50_ns", self.p50_ns)
@@ -88,7 +85,7 @@ pub struct Snapshot {
     pub schema_version: u32,
     /// All named counters, sorted.
     pub counters: BTreeMap<String, u64>,
-    /// All latency histograms, sorted by key.
+    /// Every latency histogram with at least one sample, sorted by key.
     pub histograms: Vec<HistogramSummary>,
     /// Event counts.
     pub events: EventSummary,
@@ -101,7 +98,17 @@ impl Snapshot {
     pub fn collect() -> Snapshot {
         let histograms = crate::hist::all_histograms()
             .into_iter()
-            .map(|(key, h)| summarize(&key, &h))
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(key, h)| HistogramSummary {
+                key,
+                count: h.count(),
+                mean_ns: h.mean_ns(),
+                p50_ns: h.quantile_ns(0.50),
+                p90_ns: h.quantile_ns(0.90),
+                p99_ns: h.quantile_ns(0.99),
+                max_ns: h.max_ns(),
+                buckets: h.bucket_counts(),
+            })
             .collect();
         Snapshot {
             schema_version: SCHEMA_VERSION,
@@ -122,22 +129,6 @@ impl Snapshot {
             )
             .insert("events", self.events.to_json());
         o
-    }
-}
-
-fn summarize(key: &HistKey, h: &crate::hist::LatencyHistogram) -> HistogramSummary {
-    HistogramSummary {
-        scheme: key.scheme.clone(),
-        interface: key.interface,
-        size_class: key.size_class,
-        op: key.op,
-        count: h.count(),
-        mean_ns: h.mean_ns(),
-        p50_ns: h.quantile_ns(0.50),
-        p90_ns: h.quantile_ns(0.90),
-        p99_ns: h.quantile_ns(0.99),
-        max_ns: h.max_ns(),
-        buckets: h.bucket_counts(),
     }
 }
 

@@ -60,8 +60,8 @@ fn leaked_acquisitions_are_reported() {
     let outstanding = env.outstanding_acquisitions();
     assert_eq!(outstanding.len(), 2);
     let kinds: Vec<_> = outstanding.iter().map(|o| o.interface).collect();
-    assert!(kinds.contains(&jni_rt::InterfaceKind::ArrayElements));
-    assert!(kinds.contains(&jni_rt::InterfaceKind::StringChars));
+    assert!(kinds.contains(&jni_rt::JniInterface::ArrayElements));
+    assert!(kinds.contains(&jni_rt::JniInterface::StringChars));
 }
 
 #[test]

@@ -77,12 +77,9 @@ fn oob_scenario_attributes_events_to_primitive_array_critical() {
     assert!(
         snap.histograms
             .iter()
-            .any(|h| h.scheme == "mte4jni" && h.interface == "PrimitiveArrayCritical"),
+            .any(|h| h.key.scheme == "mte4jni" && h.key.interface == "PrimitiveArrayCritical"),
         "histogram keyed to the interface: {:?}",
-        snap.histograms
-            .iter()
-            .map(|h| (&h.scheme, &h.interface))
-            .collect::<Vec<_>>()
+        snap.histograms.iter().map(|h| h.key).collect::<Vec<_>>()
     );
 
     telemetry::set_enabled(false);

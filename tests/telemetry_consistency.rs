@@ -1,7 +1,9 @@
 //! Concurrent telemetry writers must produce an internally consistent
 //! [`telemetry::Snapshot`]: per-kind and per-interface event counts that
 //! match what was recorded, exact counter totals, and a histogram
-//! population equal to the recorded samples.
+//! population equal to the recorded samples. The writers share one
+//! histogram handle, resolved once before they start, the way the VM
+//! and the serving tenants hold theirs.
 //!
 //! Telemetry state is process-global (one set of event counts, one
 //! counter registry), so this file holds exactly one test: sharing a
@@ -9,7 +11,7 @@
 
 use std::time::Duration;
 
-use telemetry::{Event, JniInterface, LatencyOp, SizeClass, Snapshot};
+use telemetry::{Event, HistKey, JniInterface, LatencyOp, SizeClass, Snapshot};
 
 const WRITERS: usize = 8;
 /// Far past any fixed per-thread buffer: every event must be counted.
@@ -20,9 +22,18 @@ const SAMPLES_PER_WRITER: u64 = 50;
 fn concurrent_writers_yield_a_consistent_snapshot() {
     telemetry::reset();
     telemetry::set_enabled(true);
+    let key = HistKey {
+        tenant: None,
+        scheme: "consistency-test",
+        interface: "GetPrimitiveArrayCritical",
+        size_class: SizeClass::Small,
+        op: LatencyOp::Acquire,
+    };
+    let histogram = telemetry::histogram(key);
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
+            let histogram = &histogram;
             scope.spawn(move || {
                 let interfaces = JniInterface::ALL;
                 for i in 0..ACQUIRES_PER_WRITER {
@@ -32,13 +43,7 @@ fn concurrent_writers_yield_a_consistent_snapshot() {
                     telemetry::counters().add("test.acquires", 1);
                 }
                 for i in 0..SAMPLES_PER_WRITER {
-                    telemetry::record_latency_duration(
-                        "consistency-test",
-                        "GetPrimitiveArrayCritical",
-                        SizeClass::Small,
-                        LatencyOp::Acquire,
-                        Duration::from_nanos(100 + i),
-                    );
+                    histogram.record(Duration::from_nanos(100 + i));
                 }
             });
         }
@@ -77,12 +82,7 @@ fn concurrent_writers_yield_a_consistent_snapshot() {
     let h = snap
         .histograms
         .iter()
-        .find(|h| {
-            h.scheme == "consistency-test"
-                && h.interface == "GetPrimitiveArrayCritical"
-                && h.size_class == SizeClass::Small
-                && h.op == LatencyOp::Acquire
-        })
+        .find(|h| h.key == key)
         .expect("the writers' histogram must be registered");
     assert_eq!(h.count, writers * SAMPLES_PER_WRITER);
     assert!(h.max_ns >= 100, "samples of ≥100ns were recorded");
