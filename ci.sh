@@ -20,6 +20,44 @@ echo "== build (benchmark harness) =="
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --release --manifest-path perfbench/Cargo.toml --no-run
 
+echo "== perfbench: exact per-op count gate =="
+# A traced perfbench run reads each layer's work per op from the
+# program's own stats. Counts do not depend on host speed, so this gate
+# is exact: one more tag instruction, table acquire or pin per op fails
+# it, however fast the host. Each run measures for one second.
+for spec in copy-small:4 copy-large:4096; do
+    workload="${spec%%:*}"
+    granules="${spec##*:}"
+    line="$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+    if command -v python3 >/dev/null 2>&1; then
+        python3 - "$workload" "$granules" "$line" <<'PY'
+import json, sys
+workload, granules, doc = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
+assert doc["correct"] is True, f"{workload}: run not correct"
+assert doc["failed"] == 0, f"{workload}: {doc['failed']} failed ops"
+want = {
+    "mte-sim.irg_per_op": 2,
+    "mte-sim.ldg_per_op": 0,
+    "mte-sim.stg_granules_per_op": granules,
+    "mte4jni.acquires_per_op": 2,
+    "mte4jni.tag_frees_per_op": 2,
+    "heap.pins_per_op": 2,
+    "mte4jni.cas_retries_per_op": 0,
+}
+got = {k: doc["metrics"][k]["value"] for k in want}
+bad = {k: (got[k], v) for k, v in want.items() if got[k] != v}
+assert not bad, f"{workload}: per-op counts (got, want) {bad}"
+print(f"count gate {workload}:", ", ".join(f"{k}={v:g}" for k, v in got.items()))
+PY
+    else
+        # No python3: at least require a correct run with no failed op.
+        echo "$line" | grep -q '"correct": *true'
+        echo "$line" | grep -q '"failed": *0[,}]'
+        echo "count gate $workload: run correct (python3 unavailable; counts not checked)"
+    fi
+done
+
 echo "== test (workspace) =="
 cargo test --offline --workspace -q
 

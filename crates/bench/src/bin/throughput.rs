@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use art_heap::{Heap, HeapConfig};
+use art_heap::{Heap, HeapConfig, ObjectRef};
 use bench::{json_output, measure, print_environment, time_copy, Args, BenchReport};
 use mte_sim::{
     MemoryConfig, MteThread, ScalarMemory, Tag, TaggedMemory, TaggedPtr, TcfMode, PAGE_SIZE,
@@ -281,7 +281,7 @@ fn main() {
     // Pin view: the bookkeeping every JNI acquire/release pair does
     // before any tag work. Report-only.
     let heap = Heap::new(HeapConfig::default());
-    let pinned = heap.alloc_int_array(4).unwrap().as_object();
+    let pinned = ObjectRef::from(heap.alloc_int_array(4).unwrap());
     let pin_iters: u32 = if quick { 100_000 } else { 1_000_000 };
     let best = measure(repeats, || {
         for _ in 0..pin_iters {

@@ -2,13 +2,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 // Via the `sync` facade so the stress harness can schedule around the
 // shadow-ledger lock; plain `parking_lot` on threads it does not drive.
 use mte_sim::sync::Mutex;
 
-use jni_rt::{AbortReport, AcquireOutcome, JniContext, JniError, Protection, ReleaseMode};
+use jni_rt::{AbortReport, AcquireOutcome, JniContext, JniError, Protection, ReleaseMode, Tally};
 use mte_sim::{Backtrace, Frame, TaggedPtr};
 
 use crate::adler::adler32;
@@ -48,13 +47,16 @@ struct Shadow {
 pub struct GuardedCopy {
     config: GuardedCopyConfig,
     shadows: Mutex<HashMap<u64, Shadow>>,
-    acquires: AtomicU64,
-    releases: AtomicU64,
-    corruptions: AtomicU64,
-    abandoned_writes: AtomicU64,
-    shadow_bytes: AtomicU64,
-    canary_verifies: AtomicU64,
+    /// The scheme's counters, indexed by the constants below.
+    counts: Tally<6>,
 }
+
+const ACQUIRES: usize = 0;
+const RELEASES: usize = 1;
+const CORRUPTIONS: usize = 2;
+const ABANDONED_WRITES: usize = 3;
+const SHADOW_BYTES: usize = 4;
+const CANARY_VERIFIES: usize = 5;
 
 impl GuardedCopy {
     /// Creates the scheme with the default red-zone length.
@@ -67,12 +69,7 @@ impl GuardedCopy {
         GuardedCopy {
             config,
             shadows: Mutex::new(HashMap::new()),
-            acquires: AtomicU64::new(0),
-            releases: AtomicU64::new(0),
-            corruptions: AtomicU64::new(0),
-            abandoned_writes: AtomicU64::new(0),
-            shadow_bytes: AtomicU64::new(0),
-            canary_verifies: AtomicU64::new(0),
+            counts: Tally::new(),
         }
     }
 
@@ -90,10 +87,10 @@ impl GuardedCopy {
     /// Operation counters.
     pub fn stats(&self) -> GuardedCopyStats {
         GuardedCopyStats {
-            acquires: self.acquires.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            corruptions_detected: self.corruptions.load(Ordering::Relaxed),
-            abandoned_writes: self.abandoned_writes.load(Ordering::Relaxed),
+            acquires: self.counts.get(ACQUIRES),
+            releases: self.counts.get(RELEASES),
+            corruptions_detected: self.counts.get(CORRUPTIONS),
+            abandoned_writes: self.counts.get(ABANDONED_WRITES),
         }
     }
 
@@ -164,8 +161,8 @@ impl Protection for GuardedCopy {
                 checksum,
             },
         );
-        self.acquires.fetch_add(1, Ordering::Relaxed);
-        self.shadow_bytes.fetch_add(total as u64, Ordering::Relaxed);
+        self.counts.bump(ACQUIRES);
+        self.counts.add(SHADOW_BYTES, total as u64);
         Ok(AcquireOutcome {
             ptr: user_ptr,
             is_copy: true,
@@ -211,15 +208,15 @@ impl Protection for GuardedCopy {
             if mode != ReleaseMode::Commit {
                 cx.heap.native_alloc().free(shadow.block, shadow.block_len);
             }
-            gc.releases.fetch_add(1, Ordering::Relaxed);
+            gc.counts.bump(RELEASES);
         };
 
         // (2) of Figure 2: verify both red zones still hold the canary.
-        self.canary_verifies.fetch_add(2, Ordering::Relaxed); // front + rear
+        self.counts.add(CANARY_VERIFIES, 2); // front + rear
         let front = first_corruption(&block[..rz], 0);
         let rear = first_corruption(&block[rz + shadow.payload_len..], 0);
         if front.is_some() || rear.is_some() {
-            self.corruptions.fetch_add(1, Ordering::Relaxed);
+            self.counts.bump(CORRUPTIONS);
             let offset = match (front, rear) {
                 (Some(i), _) => i as isize - rz as isize,
                 (None, Some(i)) => (shadow.payload_len + i) as isize,
@@ -250,7 +247,7 @@ impl Protection for GuardedCopy {
             ReleaseMode::Abort => {
                 // JNI_ABORT discards changes; ART logs if there were any.
                 if adler32(payload) != shadow.checksum {
-                    self.abandoned_writes.fetch_add(1, Ordering::Relaxed);
+                    self.counts.bump(ABANDONED_WRITES);
                 }
             }
         }
@@ -265,8 +262,8 @@ impl Protection for GuardedCopy {
             ("releases", s.releases),
             ("corruptions_detected", s.corruptions_detected),
             ("abandoned_writes", s.abandoned_writes),
-            ("shadow_bytes", self.shadow_bytes.load(Ordering::Relaxed)),
-            ("canary_verifies", self.canary_verifies.load(Ordering::Relaxed)),
+            ("shadow_bytes", self.counts.get(SHADOW_BYTES)),
+            ("canary_verifies", self.counts.get(CANARY_VERIFIES)),
         ]
     }
 }

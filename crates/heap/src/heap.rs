@@ -2,11 +2,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use telemetry::Tally;
 
 use mte_sim::{
     MemoryConfig, MteThread, NativeAllocator, TagCheckFault, Tag, TaggedMemory, TaggedPtr, GRANULE,
@@ -124,11 +124,6 @@ struct HeapInner {
     native: NativeAllocator,
     config: HeapConfig,
     objects: Mutex<HashMap<u64, ObjectMeta>>,
-    /// Objects with at least one open [`PinGuard`]: never swept, never
-    /// moved. The counts themselves live on each object's token.
-    pinned_objects: AtomicUsize,
-    pins_total: AtomicU64,
-    unpins_total: AtomicU64,
     /// The stop-the-world gate for the compacting collector: object
     /// relocation holds it exclusively; payload accessors and pin
     /// insertion hold it shared (recursively — an accessor may nest
@@ -147,12 +142,28 @@ struct HeapInner {
     /// facade mutex, because it is held across the safepoint hook's
     /// schedule points.
     sweep_serial: SchedMutex<()>,
-    allocated_total: AtomicU64,
-    swept_total: AtomicU64,
-    sweeps: AtomicU64,
-    compactions: AtomicU64,
-    moved_objects_total: AtomicU64,
-    moved_bytes_total: AtomicU64,
+    /// The cumulative [`HeapStats`] totals, indexed by the constants
+    /// below. Pure statistics: nothing in the heap reads them back.
+    totals: Tally<8>,
+}
+
+const PINS: usize = 0;
+const UNPINS: usize = 1;
+const ALLOCATED: usize = 2;
+const SWEPT: usize = 3;
+const SWEEPS: usize = 4;
+const COMPACTIONS: usize = 5;
+const MOVED_OBJECTS: usize = 6;
+const MOVED_BYTES: usize = 7;
+
+/// Objects with at least one open [`PinGuard`] among `objects`, read
+/// from the pin counts on their tokens. A pinned object is never dead —
+/// its guard holds a handle — so the upgrade succeeds for every one.
+fn count_pinned(objects: &HashMap<u64, ObjectMeta>) -> usize {
+    objects
+        .values()
+        .filter(|m| m.live.upgrade().is_some_and(|t| t.pin_count() > 0))
+        .count()
 }
 
 /// A simulated ART-style Java heap.
@@ -210,18 +221,10 @@ impl Heap {
                 memory,
                 config,
                 objects: Mutex::new(HashMap::new()),
-                pinned_objects: AtomicUsize::new(0),
-                pins_total: AtomicU64::new(0),
-                unpins_total: AtomicU64::new(0),
                 world: WorldGate::default(),
                 safepoint_hook: Mutex::new(None),
                 sweep_serial: SchedMutex::new(()),
-                allocated_total: AtomicU64::new(0),
-                swept_total: AtomicU64::new(0),
-                sweeps: AtomicU64::new(0),
-                compactions: AtomicU64::new(0),
-                moved_objects_total: AtomicU64::new(0),
-                moved_bytes_total: AtomicU64::new(0),
+                totals: Tally::new(),
             }),
         }
     }
@@ -283,7 +286,7 @@ impl Heap {
             },
         );
         drop(objects);
-        self.inner.allocated_total.fetch_add(1, Ordering::Relaxed);
+        self.inner.totals.bump(ALLOCATED);
         Ok(token)
     }
 
@@ -294,7 +297,7 @@ impl Heap {
     /// [`HeapError::OutOfMemory`] when the heap is exhausted.
     pub fn alloc_array(&self, ty: PrimitiveType, len: usize) -> Result<ArrayRef> {
         Ok(ArrayRef {
-            token: self.alloc_object(ObjKind::Array(ty), len)?,
+            obj: ObjectRef { token: self.alloc_object(ObjKind::Array(ty), len)? },
         })
     }
 
@@ -324,7 +327,7 @@ impl Heap {
             TaggedPtr::from_addr(token.addr() + HEADER_SIZE as u64),
             &bytes,
         )?;
-        Ok(StringRef { token })
+        Ok(StringRef { obj: ObjectRef { token } })
     }
 
     /// Reads a string object back into a Rust `String` (managed-side read,
@@ -423,10 +426,8 @@ impl Heap {
         // Shared world-gate hold: a pin can never land on an object the
         // collector is concurrently relocating.
         let _gate = self.inner.world.read_recursive();
-        if obj.token.take_pin() {
-            self.inner.pinned_objects.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.pins_total.fetch_add(1, Ordering::Relaxed);
+        obj.token.take_pin();
+        self.inner.totals.bump(PINS);
         PinGuard {
             heap: self,
             obj: obj.clone(),
@@ -438,9 +439,10 @@ impl Heap {
         obj.token.pin_count() > 0
     }
 
-    /// Number of distinct currently-pinned objects.
+    /// Number of distinct currently-pinned objects, counted from the
+    /// objects' own pin counts under the objects lock.
     pub fn pinned_count(&self) -> usize {
-        self.inner.pinned_objects.load(Ordering::Relaxed)
+        count_pinned(&self.inner.objects.lock())
     }
 
     /// Installs the GC safepoint callback. Replaces any previous hook.
@@ -534,14 +536,15 @@ impl Heap {
             swept += 1;
         }
         let live = objects.len();
+        let pinned = count_pinned(&objects);
         drop(objects);
-        self.inner.swept_total.fetch_add(swept as u64, Ordering::Relaxed);
-        self.inner.sweeps.fetch_add(1, Ordering::Relaxed);
+        self.inner.totals.add(SWEPT, swept as u64);
+        self.inner.totals.bump(SWEEPS);
         let stats = GcStats {
             swept,
             bytes_freed: bytes,
             live,
-            pinned: self.pinned_count(),
+            pinned,
         };
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Sweep {
             swept: stats.swept as u64,
@@ -722,16 +725,11 @@ impl Heap {
         drop(objects);
         drop(world);
         stats.pause = t0.elapsed();
-        self.inner
-            .swept_total
-            .fetch_add(stats.reclaimed_dead as u64, Ordering::Relaxed);
-        self.inner.compactions.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .moved_objects_total
-            .fetch_add(stats.moved_objects as u64, Ordering::Relaxed);
-        self.inner
-            .moved_bytes_total
-            .fetch_add(stats.moved_bytes as u64, Ordering::Relaxed);
+        let totals = &self.inner.totals;
+        totals.add(SWEPT, stats.reclaimed_dead as u64);
+        totals.bump(COMPACTIONS);
+        totals.add(MOVED_OBJECTS, stats.moved_objects as u64);
+        totals.add(MOVED_BYTES, stats.moved_bytes as u64);
         telemetry::record(telemetry::Event::GcCompact);
         if let Some(start) = timing {
             let pause = start.elapsed();
@@ -809,15 +807,15 @@ impl Heap {
             live_objects: self.live_count(),
             bytes_in_use: self.inner.blocks.bytes_in_use(),
             fragmentation_bytes: self.inner.blocks.fragmentation_bytes(),
-            allocated_total: self.inner.allocated_total.load(Ordering::Relaxed),
-            swept_total: self.inner.swept_total.load(Ordering::Relaxed),
-            sweeps: self.inner.sweeps.load(Ordering::Relaxed),
+            allocated_total: self.inner.totals.get(ALLOCATED),
+            swept_total: self.inner.totals.get(SWEPT),
+            sweeps: self.inner.totals.get(SWEEPS),
             pinned_objects: self.pinned_count(),
-            pins_total: self.inner.pins_total.load(Ordering::Relaxed),
-            unpins_total: self.inner.unpins_total.load(Ordering::Relaxed),
-            compactions: self.inner.compactions.load(Ordering::Relaxed),
-            moved_objects_total: self.inner.moved_objects_total.load(Ordering::Relaxed),
-            moved_bytes_total: self.inner.moved_bytes_total.load(Ordering::Relaxed),
+            pins_total: self.inner.totals.get(PINS),
+            unpins_total: self.inner.totals.get(UNPINS),
+            compactions: self.inner.totals.get(COMPACTIONS),
+            moved_objects_total: self.inner.totals.get(MOVED_OBJECTS),
+            moved_bytes_total: self.inner.totals.get(MOVED_BYTES),
         }
     }
 }
@@ -844,10 +842,8 @@ impl Drop for PinGuard<'_> {
     fn drop(&mut self) {
         // No world-gate hold: an unpin that races a compaction only makes
         // the collector keep one more object in place.
-        if self.obj.token.release_pin() {
-            self.heap.inner.pinned_objects.fetch_sub(1, Ordering::Relaxed);
-        }
-        self.heap.inner.unpins_total.fetch_add(1, Ordering::Relaxed);
+        self.obj.token.release_pin();
+        self.heap.inner.totals.bump(UNPINS);
     }
 }
 
@@ -1062,6 +1058,7 @@ element_accessors!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn heap() -> Heap {
         Heap::new(HeapConfig::default())
@@ -1314,7 +1311,7 @@ mod tests {
     #[test]
     fn pin_counts_nest() {
         let h = heap();
-        let a = h.alloc_int_array(4).unwrap().as_object();
+        let a = ObjectRef::from(h.alloc_int_array(4).unwrap());
         let outer = h.pin(&a);
         let inner = h.pin(&a);
         assert!(h.is_pinned(&a));
@@ -1330,8 +1327,8 @@ mod tests {
     #[test]
     fn pinned_objects_counts_distinct_objects() {
         let h = heap();
-        let a = h.alloc_int_array(4).unwrap().as_object();
-        let b = h.alloc_int_array(4).unwrap().as_object();
+        let a = ObjectRef::from(h.alloc_int_array(4).unwrap());
+        let b = ObjectRef::from(h.alloc_int_array(4).unwrap());
         let pins = [h.pin(&a), h.pin(&a), h.pin(&b)];
         assert_eq!(h.stats().pinned_objects, 2);
         drop(pins);
@@ -1339,11 +1336,41 @@ mod tests {
     }
 
     #[test]
+    fn a_pin_dropped_on_another_thread_unpins() {
+        // The gauge is read from the object's own pin count, so a guard
+        // taken on one thread and dropped on another balances it.
+        let h = heap();
+        let a = ObjectRef::from(h.alloc_int_array(4).unwrap());
+        let pin = std::thread::scope(|s| s.spawn(|| h.pin(&a)).join().unwrap());
+        assert_eq!(h.stats().pinned_objects, 1);
+        std::thread::scope(|s| {
+            s.spawn(move || drop(pin));
+        });
+        let st = h.stats();
+        assert_eq!(st.pinned_objects, 0);
+        assert_eq!((st.pins_total, st.unpins_total), (1, 1));
+    }
+
+    #[test]
+    fn sweep_reports_the_pinned_gauge() {
+        let h = heap();
+        let a = ObjectRef::from(h.alloc_int_array(4).unwrap());
+        let _other = h.alloc_int_array(4).unwrap();
+        drop(h.alloc_int_array(4).unwrap()); // garbage for the sweep
+        let pin = h.pin(&a);
+        let gc = h.sweep();
+        assert_eq!((gc.swept, gc.pinned), (1, 1));
+        assert_eq!(gc.pinned, h.stats().pinned_objects);
+        drop(pin);
+        assert_eq!(h.sweep().pinned, 0);
+    }
+
+    #[test]
     fn a_pin_keeps_its_object_alive() {
         let h = heap();
         let a = h.alloc_int_array(4).unwrap();
-        let weak = Arc::downgrade(&a.token);
-        let pin = h.pin(&a.as_object());
+        let weak = Arc::downgrade(&a.as_object().token);
+        let pin = h.pin(a.as_object());
         drop(a); // the last Java handle dies
         assert!(weak.upgrade().is_some(), "the pin keeps the token alive");
         assert_eq!(pin.object().len(), 4);
@@ -1359,7 +1386,7 @@ mod tests {
         let t = JavaThread::new("main");
         let a = h.alloc_int_array_from(&[11, 22, 33]).unwrap();
         let addr = a.addr();
-        let pin = h.pin(&a.as_object());
+        let pin = h.pin(a.as_object());
         drop(a); // the last Java handle dies mid-borrow
         let stats = h.sweep();
         assert_eq!(stats.swept, 0, "pinned object must survive the sweep");
@@ -1432,7 +1459,7 @@ mod tests {
         let mover = h.alloc_int_array_from(&[4; 16]).unwrap();
         let pinned_addr = pinned.addr();
         let mover_old = mover.addr();
-        let pin = h.pin(&pinned.as_object());
+        let pin = h.pin(pinned.as_object());
         drop(garbage);
         let stats = h.compact();
         assert_eq!(pinned.addr(), pinned_addr, "pinned object is an obstacle");

@@ -74,14 +74,14 @@ impl LiveToken {
         self.pins.load(Ordering::Acquire)
     }
 
-    /// Takes one pin; true when it is the object's first.
-    pub(crate) fn take_pin(&self) -> bool {
-        self.pins.fetch_add(1, Ordering::AcqRel) == 0
+    /// Takes one pin.
+    pub(crate) fn take_pin(&self) {
+        self.pins.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Drops one pin; true when it was the object's last.
-    pub(crate) fn release_pin(&self) -> bool {
-        self.pins.fetch_sub(1, Ordering::AcqRel) == 1
+    /// Drops one pin.
+    pub(crate) fn release_pin(&self) {
+        self.pins.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -124,16 +124,12 @@ impl ObjectRef {
 
     /// Downcasts to an array handle if this is a primitive array.
     pub fn as_array(&self) -> Option<ArrayRef> {
-        matches!(self.token.kind, ObjKind::Array(_)).then(|| ArrayRef {
-            token: Arc::clone(&self.token),
-        })
+        matches!(self.token.kind, ObjKind::Array(_)).then(|| ArrayRef { obj: self.clone() })
     }
 
     /// Downcasts to a string handle if this is a string.
     pub fn as_string(&self) -> Option<StringRef> {
-        matches!(self.token.kind, ObjKind::String).then(|| StringRef {
-            token: Arc::clone(&self.token),
-        })
+        matches!(self.token.kind, ObjKind::String).then(|| StringRef { obj: self.clone() })
     }
 }
 
@@ -154,57 +150,49 @@ impl fmt::Debug for ObjectRef {
 macro_rules! typed_handle {
     ($(#[$doc:meta])* $name:ident, $kind_pat:pat) => {
         $(#[$doc])*
-        #[derive(Clone)]
+        #[derive(Clone, PartialEq, Eq)]
         pub struct $name {
-            pub(crate) token: Arc<LiveToken>,
+            pub(crate) obj: ObjectRef,
         }
 
         impl $name {
             /// Address of the object header.
             pub fn addr(&self) -> u64 {
-                self.token.addr()
+                self.obj.addr()
             }
 
             /// Address of the first payload byte.
             pub fn data_addr(&self) -> u64 {
-                self.token.addr() + HEADER_SIZE as u64
+                self.obj.data_addr()
             }
 
             /// Element count.
             pub fn len(&self) -> usize {
-                self.token.len
+                self.obj.len()
             }
 
             /// Whether the payload is empty.
             pub fn is_empty(&self) -> bool {
-                self.token.len == 0
+                self.obj.is_empty()
             }
 
             /// Payload size in bytes.
             pub fn byte_len(&self) -> usize {
-                self.token.len * self.element_type().size()
+                self.obj.byte_len()
             }
 
             /// Element type of the payload.
             pub fn element_type(&self) -> PrimitiveType {
-                self.token.kind.element_type()
+                self.obj.kind().element_type()
             }
 
-            /// Upcasts to an untyped object reference.
-            pub fn as_object(&self) -> ObjectRef {
-                ObjectRef {
-                    token: Arc::clone(&self.token),
-                }
-            }
-        }
-
-        impl PartialEq for $name {
-            fn eq(&self, other: &Self) -> bool {
-                Arc::ptr_eq(&self.token, &other.token)
+            /// Upcasts to an untyped object reference, by borrow: no
+            /// reference-count change. Clone it, or use the `From`
+            /// conversion, where the upcast must own a handle.
+            pub fn as_object(&self) -> &ObjectRef {
+                &self.obj
             }
         }
-
-        impl Eq for $name {}
 
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -220,7 +208,7 @@ macro_rules! typed_handle {
 
         impl From<$name> for ObjectRef {
             fn from(h: $name) -> ObjectRef {
-                ObjectRef { token: h.token }
+                h.obj
             }
         }
     };
@@ -242,13 +230,13 @@ typed_handle!(
 mod tests {
     use super::*;
 
-    fn token(kind: ObjKind, len: usize) -> Arc<LiveToken> {
-        Arc::new(LiveToken::new(0x7a00_0000_1000, kind, len))
+    fn obj(kind: ObjKind, len: usize) -> ObjectRef {
+        ObjectRef { token: Arc::new(LiveToken::new(0x7a00_0000_1000, kind, len)) }
     }
 
     #[test]
     fn array_handle_geometry() {
-        let a = ArrayRef { token: token(ObjKind::Array(PrimitiveType::Int), 18) };
+        let a = ArrayRef { obj: obj(ObjKind::Array(PrimitiveType::Int), 18) };
         assert_eq!(a.len(), 18);
         assert_eq!(a.byte_len(), 72);
         assert_eq!(a.data_addr(), a.addr() + HEADER_SIZE as u64);
@@ -258,35 +246,35 @@ mod tests {
 
     #[test]
     fn string_is_char_payload() {
-        let s = StringRef { token: token(ObjKind::String, 5) };
+        let s = StringRef { obj: obj(ObjKind::String, 5) };
         assert_eq!(s.element_type(), PrimitiveType::Char);
         assert_eq!(s.byte_len(), 10);
     }
 
     #[test]
     fn clones_are_equal_distinct_objects_are_not() {
-        let a = ArrayRef { token: token(ObjKind::Array(PrimitiveType::Byte), 4) };
+        let a = ArrayRef { obj: obj(ObjKind::Array(PrimitiveType::Byte), 4) };
         let b = a.clone();
         assert_eq!(a, b);
-        let c = ArrayRef { token: token(ObjKind::Array(PrimitiveType::Byte), 4) };
+        let c = ArrayRef { obj: obj(ObjKind::Array(PrimitiveType::Byte), 4) };
         assert_ne!(a, c, "equality is identity, not structure");
     }
 
     #[test]
     fn downcasts_respect_kind() {
-        let o = ObjectRef { token: token(ObjKind::Array(PrimitiveType::Long), 2) };
+        let o = obj(ObjKind::Array(PrimitiveType::Long), 2);
         assert!(o.as_array().is_some());
         assert!(o.as_string().is_none());
-        let s = ObjectRef { token: token(ObjKind::String, 2) };
+        let s = obj(ObjKind::String, 2);
         assert!(s.as_string().is_some());
         assert!(s.as_array().is_none());
     }
 
     #[test]
     fn relocation_updates_every_handle() {
-        let a = ArrayRef { token: token(ObjKind::Array(PrimitiveType::Int), 4) };
-        let o = a.as_object();
-        a.token.relocate(0x7a00_0000_2000);
+        let a = ArrayRef { obj: obj(ObjKind::Array(PrimitiveType::Int), 4) };
+        let o = a.as_object().clone();
+        a.obj.token.relocate(0x7a00_0000_2000);
         assert_eq!(a.addr(), 0x7a00_0000_2000);
         assert_eq!(o.addr(), 0x7a00_0000_2000, "clones share the token");
         assert_eq!(o.data_addr(), 0x7a00_0000_2000 + HEADER_SIZE as u64);
@@ -294,7 +282,7 @@ mod tests {
 
     #[test]
     fn upcast_round_trips() {
-        let a = ArrayRef { token: token(ObjKind::Array(PrimitiveType::Int), 1) };
+        let a = ArrayRef { obj: obj(ObjKind::Array(PrimitiveType::Int), 1) };
         let o = a.as_object();
         assert_eq!(o.as_array().unwrap(), a);
         assert_eq!(o.byte_len(), a.byte_len());

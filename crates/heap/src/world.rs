@@ -113,7 +113,7 @@ impl Drop for WriteGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GcScanner, GcScannerConfig, Heap, HeapConfig};
+    use crate::{GcScanner, GcScannerConfig, Heap, HeapConfig, ObjectRef};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::sync::Arc;
@@ -281,8 +281,8 @@ mod tests {
                         .map(|i| {
                             let _garbage = heap.alloc_int_array(24).unwrap();
                             let a = heap.alloc_int_array(6).unwrap();
-                            heap.write_payload(&a.as_object(), &payload(i)).unwrap();
-                            a.as_object()
+                            heap.write_payload(a.as_object(), &payload(i)).unwrap();
+                            ObjectRef::from(a)
                         })
                         .collect();
                     let mut buf = vec![0u8; 24];

@@ -565,7 +565,7 @@ impl<'a> JniEnv<'a> {
     fn string_units(&self, s: &StringRef) -> Result<Vec<u16>> {
         let obj = s.as_object();
         let mut bytes = vec![0u8; obj.byte_len()];
-        self.vm.heap().read_payload(&obj, &mut bytes)?;
+        self.vm.heap().read_payload(obj, &mut bytes)?;
         Ok(bytes
             .chunks_exact(2)
             .map(|c| u16::from_le_bytes([c[0], c[1]]))
@@ -584,7 +584,7 @@ impl<'a> JniEnv<'a> {
     ///
     /// Scheme-specific acquisition failures.
     pub fn get_primitive_array_critical(&self, a: &ArrayRef) -> Result<NativeArray> {
-        let out = self.acquire_raw(&a.as_object(), a.addr(), JniInterface::PrimitiveArrayCritical)?;
+        let out = self.acquire_raw(a.as_object(), a.addr(), JniInterface::PrimitiveArrayCritical)?;
         self.critical_depth.set(self.critical_depth.get() + 1);
         Ok(NativeArray::new(out.ptr, a.len(), a.element_type(), out.is_copy))
     }
@@ -640,7 +640,7 @@ impl<'a> JniEnv<'a> {
             };
         let result = self.release_scheme(
             slot,
-            &a.as_object(),
+            a.as_object(),
             elems.ptr(),
             JniInterface::PrimitiveArrayCritical,
             mode,
@@ -665,7 +665,7 @@ impl<'a> JniEnv<'a> {
     ///
     /// See [`Self::get_primitive_array_critical`].
     pub fn get_string_critical(&self, s: &StringRef) -> Result<NativeArray> {
-        let out = self.acquire_raw(&s.as_object(), s.addr(), JniInterface::StringCritical)?;
+        let out = self.acquire_raw(s.as_object(), s.addr(), JniInterface::StringCritical)?;
         self.critical_depth.set(self.critical_depth.get() + 1);
         Ok(NativeArray::new(out.ptr, s.len(), PrimitiveType::Char, out.is_copy))
     }
@@ -690,7 +690,7 @@ impl<'a> JniEnv<'a> {
         };
         let result = self.release_scheme(
             slot,
-            &s.as_object(),
+            s.as_object(),
             chars.ptr(),
             JniInterface::StringCritical,
             ReleaseMode::Abort, // strings are immutable: never copy back
@@ -718,7 +718,7 @@ impl<'a> JniEnv<'a> {
     /// Scheme acquisition failure, or use inside a critical section.
     pub fn get_string_chars(&self, s: &StringRef) -> Result<NativeArray> {
         self.ensure_not_critical("GetStringChars")?;
-        let out = self.acquire_raw(&s.as_object(), s.addr(), JniInterface::StringChars)?;
+        let out = self.acquire_raw(s.as_object(), s.addr(), JniInterface::StringChars)?;
         Ok(NativeArray::new(out.ptr, s.len(), PrimitiveType::Char, out.is_copy))
     }
 
@@ -730,7 +730,7 @@ impl<'a> JniEnv<'a> {
     pub fn release_string_chars(&self, s: &StringRef, chars: NativeArray) -> Result<()> {
         self.ensure_not_critical("ReleaseStringChars")?;
         self.release_raw(
-            &s.as_object(),
+            s.as_object(),
             s.addr(),
             chars.ptr(),
             JniInterface::StringChars,
@@ -753,11 +753,11 @@ impl<'a> JniEnv<'a> {
         utf.push(0); // C string terminator
         let heap = self.vm.heap();
         let backing = heap.alloc_byte_array(utf.len())?;
-        heap.write_payload(&backing.as_object(), &utf)?;
+        heap.write_payload(backing.as_object(), &utf)?;
         // The scheme guards the transcoding buffer, but the borrow records
         // the *source string* as its identity so CheckJNI can validate the
         // string the caller passes back.
-        let out = self.acquire_raw(&backing.as_object(), s.addr(), JniInterface::StringUtfChars)?;
+        let out = self.acquire_raw(backing.as_object(), s.addr(), JniInterface::StringUtfChars)?;
         Ok(NativeUtf::new(out.ptr, utf_len, out.is_copy, backing))
     }
 
@@ -771,9 +771,8 @@ impl<'a> JniEnv<'a> {
     /// See [`Self::release_primitive_array_critical`].
     pub fn release_string_utf_chars(&self, s: &StringRef, utf: NativeUtf) -> Result<()> {
         self.ensure_not_critical("ReleaseStringUTFChars")?;
-        let backing = utf.backing.clone();
         let result = self.release_raw(
-            &backing.as_object(),
+            utf.backing.as_object(),
             s.addr(),
             utf.ptr(),
             JniInterface::StringUtfChars,
@@ -1038,7 +1037,7 @@ macro_rules! typed_array_interfaces {
                         interface: concat!("Get", $get_name, "ArrayElements"),
                     });
                 }
-                let out = self.acquire_raw(&a.as_object(), a.addr(), JniInterface::ArrayElements)?;
+                let out = self.acquire_raw(a.as_object(), a.addr(), JniInterface::ArrayElements)?;
                 Ok(NativeArray::new(out.ptr, a.len(), $prim, out.is_copy))
             }
 
@@ -1055,7 +1054,7 @@ macro_rules! typed_array_interfaces {
             ) -> Result<()> {
                 self.ensure_not_critical(concat!("Release", $get_name, "ArrayElements"))?;
                 self.release_raw(
-                    &a.as_object(),
+                    a.as_object(),
                     a.addr(),
                     elems.ptr(),
                     JniInterface::ArrayElements,

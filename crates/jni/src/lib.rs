@@ -47,6 +47,9 @@ pub use trampoline::NativeKind;
 pub use vm::{Vm, VmBuilder, VmConfig};
 
 pub use telemetry::JniInterface;
+/// The counter a [`Protection`] scheme keeps its
+/// [`counters`](Protection::counters) in.
+pub use telemetry::Tally;
 
 /// Convenience alias for results whose error type is [`JniError`].
 pub type Result<T> = std::result::Result<T, JniError>;

@@ -171,12 +171,12 @@ mod tests {
         };
         let a = heap.alloc_int_array(8).unwrap();
         let obj = a.as_object();
-        let out = NoProtection::new().on_acquire(&cx, &obj).unwrap();
+        let out = NoProtection::new().on_acquire(&cx, obj).unwrap();
         assert_eq!(out.ptr.addr(), a.data_addr());
         assert!(out.ptr.tag().is_untagged());
         assert!(!out.is_copy);
         NoProtection::new()
-            .on_release(&cx, &obj, out.ptr, ReleaseMode::CopyBack)
+            .on_release(&cx, obj, out.ptr, ReleaseMode::CopyBack)
             .unwrap();
     }
 

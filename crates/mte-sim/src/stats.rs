@@ -1,6 +1,14 @@
 //! Operation counters for experiments and tests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use telemetry::Tally;
+
+const LOADS: usize = 0;
+const STORES: usize = 1;
+const SYNC_FAULTS: usize = 2;
+const ASYNC_FAULTS: usize = 3;
+const IRG_OPS: usize = 4;
+const LDG_OPS: usize = 5;
+const STG_OPS: usize = 6;
 
 /// Monotonic counters maintained by [`TaggedMemory`].
 ///
@@ -11,58 +19,54 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Counts are per *operation* (one `read_bytes` of any length is one
 /// load; one `set_tag_range` adds its granule count once), so the wide
 /// kernels (DESIGN.md §10) and the scalar reference report identical
-/// deltas — the differential suite asserts exactly that.
+/// deltas — the differential suite asserts exactly that. They live in a
+/// [`Tally`]: a count is a plain load and store to the calling thread's
+/// own row, not a locked read-modify-write.
 ///
 /// [`TaggedMemory`]: crate::TaggedMemory
 #[derive(Debug, Default)]
 pub struct MteStats {
-    loads: AtomicU64,
-    stores: AtomicU64,
-    sync_faults: AtomicU64,
-    async_faults: AtomicU64,
-    irg_ops: AtomicU64,
-    ldg_ops: AtomicU64,
-    stg_ops: AtomicU64,
+    counts: Tally<7>,
 }
 
 impl MteStats {
     #[inline]
     pub(crate) fn count_load(&self) {
-        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(LOADS);
     }
     #[inline]
     pub(crate) fn count_store(&self) {
-        self.stores.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(STORES);
     }
     pub(crate) fn count_sync_fault(&self) {
-        self.sync_faults.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(SYNC_FAULTS);
     }
     pub(crate) fn count_async_fault(&self) {
-        self.async_faults.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(ASYNC_FAULTS);
     }
     #[inline]
     pub(crate) fn count_irg(&self) {
-        self.irg_ops.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(IRG_OPS);
     }
     #[inline]
     pub(crate) fn count_ldg(&self) {
-        self.ldg_ops.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(LDG_OPS);
     }
     #[inline]
     pub(crate) fn count_stg(&self, granules: u64) {
-        self.stg_ops.fetch_add(granules, Ordering::Relaxed);
+        self.counts.add(STG_OPS, granules);
     }
 
     /// Takes a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> MteStatsSnapshot {
         MteStatsSnapshot {
-            loads: self.loads.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            sync_faults: self.sync_faults.load(Ordering::Relaxed),
-            async_faults: self.async_faults.load(Ordering::Relaxed),
-            irg_ops: self.irg_ops.load(Ordering::Relaxed),
-            ldg_ops: self.ldg_ops.load(Ordering::Relaxed),
-            stg_ops: self.stg_ops.load(Ordering::Relaxed),
+            loads: self.counts.get(LOADS),
+            stores: self.counts.get(STORES),
+            sync_faults: self.counts.get(SYNC_FAULTS),
+            async_faults: self.counts.get(ASYNC_FAULTS),
+            irg_ops: self.counts.get(IRG_OPS),
+            ldg_ops: self.counts.get(LDG_OPS),
+            stg_ops: self.counts.get(STG_OPS),
         }
     }
 }
@@ -70,9 +74,9 @@ impl MteStats {
 /// A point-in-time copy of [`MteStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MteStatsSnapshot {
-    /// Bulk data reads performed (`read_bytes*`). Scalar accesses are
-    /// not counted to keep the per-access hot path free of shared-counter
-    /// traffic.
+    /// Bulk data reads performed (`read_bytes*`). Scalar accesses
+    /// (`load_*`/`store_*`) are not counted, so the per-element path
+    /// carries no bookkeeping at all.
     pub loads: u64,
     /// Bulk data writes performed (`write_bytes*`/`fill*`).
     pub stores: u64,

@@ -22,6 +22,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use jni_rt::Tally;
 use mte_sim::sync::yield_point;
 use mte_sim::{MemError, MteThread, Tag, TaggedMemory, TaggedPtr, GRANULE};
 
@@ -71,36 +72,51 @@ impl Slab {
     fn allocated_chunks(&self) -> u64 {
         self.chunks.iter().filter(|c| c.get().is_some()).count() as u64
     }
+
+    /// Entries holding at least one borrow — `Live`, or `Busy` in a
+    /// teardown that has not finished — counted in the materialized
+    /// chunks. A fresh acquire's `Busy` claim holds none yet.
+    fn tracked(&self) -> usize {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|chunk| chunk.iter())
+            .filter(|slot| entry::refcount(slot.load(Ordering::Relaxed)) > 0)
+            .count()
+    }
 }
+
+const CAS_RETRIES: usize = 0;
+const SHARED_FAST_ACQUIRES: usize = 1;
+const PURGE_FREES: usize = 2;
+const PURGE_TAG_LEAKS: usize = 3;
 
 /// The table's state once bound to a region: the slab plus counters.
 struct Core {
     slab: Slab,
-    /// Live entries (maintained incrementally; the slab is never
-    /// scanned on the fast path).
-    tracked: AtomicU64,
-    /// CAS attempts that lost a race (or met a `Busy` slot) and
-    /// retried — the lock-free analogue of the two-tier scheme's
-    /// `table_lock_acquisitions` contention metric.
-    cas_retries: AtomicU64,
-    /// Shared acquires completed on the no-lock CAS path.
-    shared_fast_acquires: AtomicU64,
-    /// Entries force-freed by [`TagTable::purge`] at a GC safepoint.
-    /// The funnel accumulates purge returns itself
-    /// (`safepoint_purge_frees`), the second term of its conservation
-    /// law `acquires - shared == tag_frees + purge_frees`.
-    purge_frees: AtomicU64,
-    /// Purges whose tag-store zeroing failed persistently: the entry was
-    /// torn down regardless (a Live entry keyed to a reclaimed address
-    /// is the worse evil), leaving the range tagged until the heap's own
-    /// reclaim/vacate zeroing covers it. Lets the conservation oracle
-    /// attribute any tag-state imbalance under injected faults.
-    purge_tag_leaks: AtomicU64,
+    /// Indexed by the constants above:
+    ///
+    /// * `CAS_RETRIES` — CAS attempts that lost a race (or met a `Busy`
+    ///   slot) and retried: the lock-free analogue of the two-tier
+    ///   scheme's `table_lock_acquisitions` contention metric;
+    /// * `SHARED_FAST_ACQUIRES` — shared acquires completed on the
+    ///   no-lock CAS path;
+    /// * `PURGE_FREES` — entries force-freed by [`TagTable::purge`] at a
+    ///   GC safepoint. The funnel accumulates purge returns itself
+    ///   (`safepoint_purge_frees`), the second term of its conservation
+    ///   law `acquires - shared == tag_frees + purge_frees`;
+    /// * `PURGE_TAG_LEAKS` — purges whose tag-store zeroing failed
+    ///   persistently: the entry was torn down regardless (a Live entry
+    ///   keyed to a reclaimed address is the worse evil), leaving the
+    ///   range tagged until the heap's own reclaim/vacate zeroing covers
+    ///   it. Lets the conservation oracle attribute any tag-state
+    ///   imbalance under injected faults.
+    counts: Tally<4>,
 }
 
 impl Core {
     fn contended(&self, label: &'static str) {
-        self.cas_retries.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(CAS_RETRIES);
         yield_point(label);
         std::hint::spin_loop();
         // On an oversubscribed host a `Busy` holder may be descheduled;
@@ -142,11 +158,7 @@ impl AtomicEntryTable {
     fn core_for(&self, mem: &TaggedMemory) -> &Core {
         self.core.get_or_init(|| Core {
             slab: Slab::new(mem),
-            tracked: AtomicU64::new(0),
-            cas_retries: AtomicU64::new(0),
-            shared_fast_acquires: AtomicU64::new(0),
-            purge_frees: AtomicU64::new(0),
-            purge_tag_leaks: AtomicU64::new(0),
+            counts: Tally::new(),
         })
     }
 }
@@ -196,7 +208,7 @@ impl TagTable for AtomicEntryTable {
                         .compare_exchange(word, next, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        core.shared_fast_acquires.fetch_add(1, Ordering::Relaxed);
+                        core.counts.bump(SHARED_FAST_ACQUIRES);
                         return Ok((entry::tag(word), true));
                     }
                     core.contended("lockfree-acquire-shared-retry");
@@ -224,7 +236,6 @@ impl TagTable for AtomicEntryTable {
                     };
                     match applied {
                         Ok(()) => {
-                            core.tracked.fetch_add(1, Ordering::Relaxed);
                             slot.store(entry::commit_fresh(busy, tag), Ordering::Release);
                             return Ok((tag, false));
                         }
@@ -299,7 +310,6 @@ impl TagTable for AtomicEntryTable {
                         }
                     }
                     slot.store(entry::complete_teardown(busy), Ordering::Release);
-                    core.tracked.fetch_sub(1, Ordering::Relaxed);
                     return Ok(ReleaseOutcome::Freed);
                 }
             }
@@ -350,15 +360,14 @@ impl TagTable for AtomicEntryTable {
                                 // the range left tagged; the heap's own
                                 // reclaim/vacate zeroing is the cleanup
                                 // of last resort.
-                                core.purge_tag_leaks.fetch_add(1, Ordering::Relaxed);
+                                core.counts.bump(PURGE_TAG_LEAKS);
                                 break;
                             }
                             retries += 1;
                         }
                     }
                     slot.store(entry::pack(0, Tag::UNTAGGED, EntryState::Free), Ordering::Release);
-                    core.tracked.fetch_sub(1, Ordering::Relaxed);
-                    core.purge_frees.fetch_add(1, Ordering::Relaxed);
+                    core.counts.bump(PURGE_FREES);
                     return 1;
                 }
             }
@@ -366,7 +375,7 @@ impl TagTable for AtomicEntryTable {
     }
 
     fn tracked_objects(&self) -> usize {
-        self.core.get().map_or(0, |c| c.tracked.load(Ordering::Relaxed) as usize)
+        self.core.get().map_or(0, |c| c.slab.tracked())
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -380,16 +389,10 @@ impl TagTable for AtomicEntryTable {
             ];
         };
         vec![
-            ("atomic_cas_retries", core.cas_retries.load(Ordering::Relaxed)),
-            (
-                "atomic_shared_fast_acquires",
-                core.shared_fast_acquires.load(Ordering::Relaxed),
-            ),
-            ("atomic_purge_frees", core.purge_frees.load(Ordering::Relaxed)),
-            (
-                "atomic_purge_tag_leaks",
-                core.purge_tag_leaks.load(Ordering::Relaxed),
-            ),
+            ("atomic_cas_retries", core.counts.get(CAS_RETRIES)),
+            ("atomic_shared_fast_acquires", core.counts.get(SHARED_FAST_ACQUIRES)),
+            ("atomic_purge_frees", core.counts.get(PURGE_FREES)),
+            ("atomic_purge_tag_leaks", core.counts.get(PURGE_TAG_LEAKS)),
             ("atomic_slab_chunks", core.slab.allocated_chunks()),
         ]
     }

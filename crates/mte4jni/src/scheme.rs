@@ -1,11 +1,10 @@
 //! The MTE4JNI [`Protection`] implementation and VM factory.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use art_heap::{HeapConfig, ObjectRef, Safepoint};
-use jni_rt::{AcquireOutcome, JniContext, Protection, ReleaseMode, Vm};
+use jni_rt::{AcquireOutcome, JniContext, Protection, ReleaseMode, Tally, Vm};
 use mte_sim::{TaggedMemory, TaggedPtr, TcfMode};
 
 use crate::table::{ReleaseOutcome, TableBackend, TableConfig, TagTable};
@@ -19,12 +18,15 @@ use crate::table::{ReleaseOutcome, TableBackend, TableConfig, TagTable};
 pub struct Mte4Jni {
     config: TableConfig,
     table: Box<dyn TagTable>,
-    acquires: AtomicU64,
-    shared_acquires: AtomicU64,
-    releases: AtomicU64,
-    tag_frees: AtomicU64,
-    safepoint_frees: AtomicU64,
+    /// The funnel counters, indexed by the constants below.
+    counts: Tally<5>,
 }
+
+const ACQUIRES: usize = 0;
+const SHARED_ACQUIRES: usize = 1;
+const RELEASES: usize = 2;
+const TAG_FREES: usize = 3;
+const SAFEPOINT_FREES: usize = 4;
 
 impl Mte4Jni {
     /// Creates the scheme with the default configuration (lock-free
@@ -38,11 +40,7 @@ impl Mte4Jni {
         Mte4Jni {
             config,
             table: config.build(),
-            acquires: AtomicU64::new(0),
-            shared_acquires: AtomicU64::new(0),
-            releases: AtomicU64::new(0),
-            tag_frees: AtomicU64::new(0),
-            safepoint_frees: AtomicU64::new(0),
+            counts: Tally::new(),
         }
     }
 
@@ -59,10 +57,10 @@ impl Mte4Jni {
     /// Operation counters.
     pub fn stats(&self) -> Mte4JniStats {
         Mte4JniStats {
-            acquires: self.acquires.load(Ordering::Relaxed),
-            shared_acquires: self.shared_acquires.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            tag_frees: self.tag_frees.load(Ordering::Relaxed),
+            acquires: self.counts.get(ACQUIRES),
+            shared_acquires: self.counts.get(SHARED_ACQUIRES),
+            releases: self.counts.get(RELEASES),
+            tag_frees: self.counts.get(TAG_FREES),
             tracked_objects: self.table.tracked_objects(),
         }
     }
@@ -73,9 +71,9 @@ impl Mte4Jni {
     /// Returns the broken law as a message; `None` when it holds. Only
     /// meaningful at quiescence, with no acquire or release in flight.
     pub fn funnel_violation(&self) -> Option<String> {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let (acquires, shared) = (load(&self.acquires), load(&self.shared_acquires));
-        let (frees, purges) = (load(&self.tag_frees), load(&self.safepoint_frees));
+        let get = |i| self.counts.get(i);
+        let (acquires, shared) = (get(ACQUIRES), get(SHARED_ACQUIRES));
+        let (frees, purges) = (get(TAG_FREES), get(SAFEPOINT_FREES));
         (acquires - shared != frees + purges).then(|| {
             format!(
                 "funnel conservation broken: {acquires} acquires - {shared} shared != \
@@ -124,9 +122,9 @@ impl Protection for Mte4Jni {
         let (tag, shared) = self
             .table
             .acquire(cx.heap.memory(), cx.thread.mte(), begin, end)?;
-        self.acquires.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(ACQUIRES);
         if shared {
-            self.shared_acquires.fetch_add(1, Ordering::Relaxed);
+            self.counts.bump(SHARED_ACQUIRES);
         }
         Ok(AcquireOutcome {
             ptr: begin.with_tag(tag),
@@ -149,9 +147,9 @@ impl Protection for Mte4Jni {
         // Algorithm 2, keyed by the object's start address.
         let (begin, end) = Self::payload_range(cx, obj);
         let outcome = self.table.release(cx.heap.memory(), begin, end)?;
-        self.releases.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(RELEASES);
         if outcome == ReleaseOutcome::Freed {
-            self.tag_frees.fetch_add(1, Ordering::Relaxed);
+            self.counts.bump(TAG_FREES);
         }
         Ok(())
     }
@@ -170,7 +168,7 @@ impl Protection for Mte4Jni {
             .iter()
             .map(|&(begin, end)| self.table.purge(mem, begin, end))
             .sum();
-        self.safepoint_frees.fetch_add(purged, Ordering::Relaxed);
+        self.counts.add(SAFEPOINT_FREES, purged);
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -184,7 +182,7 @@ impl Protection for Mte4Jni {
             // Entries force-freed by a GC-safepoint purge. Closes the
             // funnel conservation law on every backend:
             //   acquires - shared_acquires == tag_frees + safepoint_purge_frees
-            ("safepoint_purge_frees", self.safepoint_frees.load(Ordering::Relaxed)),
+            ("safepoint_purge_frees", self.counts.get(SAFEPOINT_FREES)),
         ];
         out.extend(self.table.counters());
         out

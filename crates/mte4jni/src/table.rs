@@ -14,9 +14,9 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use jni_rt::Tally;
 // Every lock operation on the `sync` facade is a schedule point for the
 // deterministic scheduler in `crates/stress` (DESIGN.md §9); threads
 // without a scheduler take the plain `parking_lot` path.
@@ -240,13 +240,16 @@ const POOL_CAP: usize = 64;
 pub struct TwoTierTable {
     tables: Vec<Mutex<Table>>,
     release_tags: bool,
-    /// Table-lock acquisitions on the acquire/release paths — the §5.3.2
-    /// contention metric the two-tier design minimizes the hold time of.
-    lock_acquisitions: AtomicU64,
-    /// First-acquires served from the recycled entry pool instead of a
+    /// Indexed by `LOCK_ACQUISITIONS` — table-lock acquisitions on the
+    /// acquire/release paths, the §5.3.2 contention metric the two-tier
+    /// design minimizes the hold time of — and `POOL_HITS` —
+    /// first-acquires served from the recycled entry pool instead of a
     /// fresh allocation.
-    pool_hits: AtomicU64,
+    counts: Tally<2>,
 }
+
+const LOCK_ACQUISITIONS: usize = 0;
+const POOL_HITS: usize = 1;
 
 impl TwoTierTable {
     /// Creates a table set with `table_count` hash tables (the paper uses
@@ -274,8 +277,7 @@ impl TwoTierTable {
         TwoTierTable {
             tables: (0..config.table_count).map(|_| Mutex::new(Table::default())).collect(),
             release_tags: config.release_tags,
-            lock_acquisitions: AtomicU64::new(0),
-            pool_hits: AtomicU64::new(0),
+            counts: Tally::new(),
         }
     }
 
@@ -313,14 +315,14 @@ impl TagTable for TwoTierTable {
             // 2. Retrieve or create the reference count under the table
             //    lock, released as soon as the entry address is known.
             let entry = {
-                self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+                self.counts.bump(LOCK_ACQUISITIONS);
                 let mut t = table.lock();
                 match t.map.get(&addr) {
                     Some(e) => Arc::clone(e),
                     None => {
                         let recycled = t.pool.pop();
                         if recycled.is_some() {
-                            self.pool_hits.fetch_add(1, Ordering::Relaxed);
+                            self.counts.bump(POOL_HITS);
                         }
                         let e = recycled.unwrap_or_else(|| {
                             Arc::new(Mutex::new(ObjEntry {
@@ -351,7 +353,7 @@ impl TagTable for TwoTierTable {
                 // entry between our lookup and lock; help remove the dead
                 // mapping and retry with a fresh entry.
                 drop(obj);
-                self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+                self.counts.bump(LOCK_ACQUISITIONS);
                 let mut t = table.lock();
                 if t.map.get(&addr).is_some_and(|e| Arc::ptr_eq(e, &entry))
                     && entry.lock().dead
@@ -397,7 +399,7 @@ impl TagTable for TwoTierTable {
                     // acquire leaves no tracked object behind.
                     obj.dead = true;
                     drop(obj);
-                    self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+                    self.counts.bump(LOCK_ACQUISITIONS);
                     let mut t = table.lock();
                     // Same ABA re-check as the retry path: only withdraw
                     // the mapping if the entry is still the dead one we
@@ -431,7 +433,7 @@ impl TagTable for TwoTierTable {
         let table = &self.tables[self.table_index(addr)];
         // 2. Retrieve the reference count; absent entry → nothing to do.
         let entry = {
-            self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+            self.counts.bump(LOCK_ACQUISITIONS);
             let t = table.lock();
             match t.map.get(&addr) {
                 Some(e) => Arc::clone(e),
@@ -460,7 +462,7 @@ impl TagTable for TwoTierTable {
         drop(obj);
         // Remove the dead entry so the table does not grow without bound,
         // recycling it into the pool for the next first-acquire.
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.counts.bump(LOCK_ACQUISITIONS);
         let mut t = table.lock();
         // ABA re-check (see the acquire retry path): the entry may already
         // have been helper-removed, pooled, and recycled for this same
@@ -481,8 +483,8 @@ impl TagTable for TwoTierTable {
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
-            ("table_lock_acquisitions", self.lock_acquisitions.load(Ordering::Relaxed)),
-            ("entry_pool_hits", self.pool_hits.load(Ordering::Relaxed)),
+            ("table_lock_acquisitions", self.counts.get(LOCK_ACQUISITIONS)),
+            ("entry_pool_hits", self.counts.get(POOL_HITS)),
         ]
     }
 }
@@ -653,6 +655,29 @@ mod tests {
             assert!(second.1);
             assert_eq!(first.0, second.0, "{table:?}");
             assert_eq!(table.tracked_objects(), 1);
+        }
+    }
+
+    #[test]
+    fn release_on_another_thread_untracks() {
+        // `tracked_objects` is read off the entries themselves, so an
+        // acquire on one thread and a release on another balance it.
+        for table in tables() {
+            let m = mem();
+            let begin = TaggedPtr::from_addr(BASE + 0x280);
+            let end = begin.addr() + 32;
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let t = MteThread::with_seed("a", 15);
+                    table.acquire(&m, &t, begin, end).unwrap();
+                });
+            });
+            assert_eq!(table.tracked_objects(), 1, "{table:?}");
+            std::thread::scope(|s| {
+                s.spawn(|| table.release(&m, begin, end).unwrap());
+            });
+            assert_eq!(table.tracked_objects(), 0, "{table:?}");
+            assert_eq!(m.ldg(begin).unwrap(), Tag::UNTAGGED);
         }
     }
 

@@ -3,9 +3,10 @@
 //! Counters complement the events and histograms: they are exact, named
 //! freely, cheap to bump, and absorbed into [`crate::Snapshot`] under
 //! dotted names — `mte.sync_faults`, `scheme.mte4jni.pool_hits`,
-//! `jni.guard_drops`, … Sources that already keep their own atomics
-//! (like `MteStats`) publish them at snapshot time via
-//! [`CounterRegistry::set`] rather than double-counting on the hot path.
+//! `jni.guard_drops`, … Sources that already keep their own counts
+//! (like `MteStats`, a [`crate::Tally`]) publish them at snapshot time
+//! via [`CounterRegistry::set`] rather than double-counting on the hot
+//! path.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};

@@ -1,7 +1,7 @@
 //! Observability substrate for the MTE4JNI reproduction.
 //!
 //! Sits at the bottom of the workspace dependency stack (everything may
-//! depend on it, it depends on nothing) and provides four pieces:
+//! depend on it, it depends on nothing) and provides five pieces:
 //!
 //! * **Event counts** — exact per-kind and per-[`JniInterface`] tallies
 //!   of structured [`Event`]s (acquires, releases, guard drops, `TCO`
@@ -13,6 +13,10 @@
 //! * **Counters** — a process-wide named-counter registry that absorbs
 //!   `MteStats` (the exact `irg`/`ldg`/`stg` and fault counts) and the
 //!   per-scheme counters behind one [`Snapshot`];
+//! * **Tallies** — [`Tally`], exact per-thread-row counters whose bump
+//!   is a plain load and store, for the runtime's own statistics
+//!   (`MteStats`, the heap's pin and GC totals, the schemes' and tag
+//!   tables' counters);
 //! * **JSON** — a dependency-free writer/parser powering the bench
 //!   binaries' schema-versioned `BENCH_*.json` exports.
 //!
@@ -39,6 +43,7 @@ mod hist;
 mod interface;
 pub mod json;
 mod snapshot;
+mod tally;
 pub mod trace;
 
 pub use counters::{counters, CounterRegistry};
@@ -46,6 +51,7 @@ pub use event::{DegradeReason, Event, FaultClass};
 pub use hist::{histogram, HistKey, LatencyHistogram, LatencyOp, SizeClass};
 pub use interface::JniInterface;
 pub use snapshot::{EventSummary, HistogramSummary, Snapshot, SCHEMA_VERSION};
+pub use tally::Tally;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;

@@ -488,7 +488,7 @@ pub fn replay(trace: &Trace, backend: Backend) -> Result<Digest, ReplayError> {
             Handle::Str(s) => s.as_object(),
         };
         let mut buf = vec![0u8; obj.byte_len()];
-        match vm.heap().read_payload(&obj, &mut buf) {
+        match vm.heap().read_payload(obj, &mut buf) {
             Ok(()) => {
                 for b in &buf {
                     payload_hash = (payload_hash ^ u64::from(*b)).wrapping_mul(FNV_PRIME);

@@ -94,7 +94,7 @@ fn an_unreturned_pin_is_named() {
         let (vm, schemes) = build(backend);
         let t = vm.attach_thread("pin");
         let a = vm.env(&t).new_int_array(16).unwrap();
-        let _pin = vm.heap().pin(&a.as_object());
+        let _pin = vm.heap().pin(a.as_object());
         let report = schemes.quiesce(&vm);
         assert_names(backend, &report, "objects still pinned");
         assert_names(backend, &report, "1 pins but 0 unpins");

@@ -119,7 +119,7 @@ fn failed_release_stays_outstanding_until_retried() {
         matches!(result, Err(JniError::Mem(MemError::Injected { .. }))),
         "{result:?}"
     );
-    assert!(vm.heap().is_pinned(&a.as_object()), "the pointer is still handed out");
+    assert!(vm.heap().is_pinned(a.as_object()), "the pointer is still handed out");
     let outstanding = env.outstanding_acquisitions();
     assert_eq!(outstanding.len(), 1);
     assert_eq!(outstanding[0].pointer, ptr.raw());
@@ -128,7 +128,7 @@ fn failed_release_stays_outstanding_until_retried() {
     let elems = jni_rt::NativeArray::new(ptr, 4, PrimitiveType::Int, false);
     env.release_int_array_elements(&a, elems, ReleaseMode::Abort).unwrap();
     assert!(env.outstanding_acquisitions().is_empty());
-    assert!(!vm.heap().is_pinned(&a.as_object()));
+    assert!(!vm.heap().is_pinned(a.as_object()));
 }
 
 #[test]
