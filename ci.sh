@@ -188,6 +188,44 @@ else
     echo "scaling report present (python3 unavailable; gate skipped)"
 fi
 
+# Exact reconciliation of a schema-4 bench report's independently kept
+# counts: the VMs' own counters, summed over every VM the report
+# measured (telemetry.counters), against the samples its latency
+# histograms timed. Every acquire pins its object once and every release
+# unpins it once, whichever scheme served the borrow, so the summed
+# heap.pins_total / heap.unpins_total equal the timed acquires /
+# releases; each scheme that counts its own acquires and releases counts
+# exactly its timed ones. Needs python3.
+reconcile_counts() {
+    python3 - "$1" <<'PY'
+import json, re, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["schema_version"] == 4, doc["schema_version"]
+hists = doc["telemetry"]["histograms"]
+per = {}
+for key, value in doc["telemetry"]["counters"].items():
+    m = re.fullmatch(r"scheme\.([^.]+)\.(.+)", key)
+    assert m, f"counter outside a scheme prefix: {key}"
+    per.setdefault(m[2], {})[m[1]] = value
+def timed(op, scheme=None):
+    return sum(h["count"] for h in hists
+               if h["op"] == op and scheme in (None, h["scheme"]))
+acquires, releases = timed("acquire"), timed("release")
+assert acquires > 0, "no timed acquires"
+pins = sum(per["heap.pins_total"].values())
+unpins = sum(per["heap.unpins_total"].values())
+assert pins == acquires, f"{pins} pins counted != {acquires} acquires timed"
+assert unpins == releases, f"{unpins} unpins counted != {releases} releases timed"
+for scheme, n in sorted(per.get("acquires", {}).items()):
+    want = (timed("acquire", scheme), timed("release", scheme))
+    got = (n, per["releases"][scheme])
+    assert got == want, f"{scheme}: counted (acquires, releases) {got} != timed {want}"
+print(f"{doc['bench']} counts reconcile exactly: {pins} pins == timed acquires, "
+      f"{unpins} unpins == timed releases; per-scheme acquires/releases for "
+      + ", ".join(sorted(per.get("acquires", {}))))
+PY
+}
+
 echo "== bench smoke: fig6 end-to-end contention gate =="
 # The default-backend switch's regression gate (DESIGN.md §15): a
 # reduced fig6 run at 16 contended threads through the full JNI funnel,
@@ -226,6 +264,8 @@ if not enforce:
     print(f"fig6 gate: single-core host (nproc={ncpu}) serializes the "
           "contention; ratios reported, not enforced")
 PY
+    # 16 threads bump their own tally rows while sharing the histograms.
+    reconcile_counts BENCH_fig6.json
 else
     grep -q '"lock-free sync"' BENCH_fig6.json
     echo "fig6 report present (python3 unavailable; gate skipped)"
@@ -450,28 +490,19 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/BENCH_fig5.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema_version"] == 3, doc["schema_version"]
+assert doc["schema_version"] == 4, doc["schema_version"]
 assert doc["bench"] == "fig5"
 assert doc["rows"], "rows must be non-empty"
 assert "avg_mte_sync_ratio" in doc["summary"], sorted(doc["summary"])
 assert "avg_degraded_guarded_ratio" in doc["summary"], sorted(doc["summary"])
 assert doc["summary"]["degraded_fallback_ratio"] > 0, doc["summary"]
 assert all("degraded_guarded_ratio" in row for row in doc["rows"])
-assert "counters" in doc["telemetry"]
-# Event counts are exact: every release is timed at the site that counts
-# it, and every timed acquire is counted (region copies count as
-# acquires but carry no timing).
-kinds = doc["telemetry"]["events"]["by_kind"]
-def timed(op):
-    return sum(h["count"] for h in doc["telemetry"]["histograms"] if h["op"] == op)
-assert kinds.get("release", 0) == timed("release"), (kinds, timed("release"))
-assert kinds.get("acquire", 0) >= timed("acquire") > 0, (kinds, timed("acquire"))
-print("BENCH_fig5.json sane:", len(doc["rows"]), "rows (with degraded column),",
-      kinds["acquire"], "acquires,", kinds["release"], "releases counted exactly")
+print("BENCH_fig5.json sane:", len(doc["rows"]), "rows (with degraded column)")
 PY
+    reconcile_counts "$out/BENCH_fig5.json"
 else
     # No python3: at least require the schema marker in the raw text.
-    grep -q '"schema_version": 3' "$out/BENCH_fig5.json"
+    grep -q '"schema_version": 4' "$out/BENCH_fig5.json"
     echo "BENCH_fig5.json sane (schema marker present)"
 fi
 

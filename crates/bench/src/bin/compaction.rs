@@ -195,9 +195,7 @@ fn run_mode(
         "release must drop the last pin"
     );
 
-    if telemetry::enabled() {
-        vm.publish_counters();
-    }
+    report.count_vm(&vm);
     result
 }
 

@@ -30,8 +30,8 @@ fn main() {
 
     print_environment("Figure 5 — single-thread JNI copy overhead");
 
-    // Runs first: the reset then leaves the report's telemetry snapshot
-    // to the figure's own runs.
+    // Runs first: the reset then leaves the report's histograms to the
+    // figure's own runs, and the row's VMs never reach its counter sums.
     let recording = telemetry::enabled();
     let [telemetry_off, telemetry_on] = telemetry_cost(repeats);
     telemetry::set_enabled(recording);
@@ -66,10 +66,10 @@ fn main() {
         // Keep per-cell work roughly constant across lengths.
         let iters = (1u32 << 14) / len as u32;
         let iters = iters.clamp(4, 4096);
-        let baseline = time_copy(Scheme::NoProtection, len, iters, repeats);
+        let baseline = time_copy(&mut report, Scheme::NoProtection, len, iters, repeats);
         let mut row = [0.0f64; 3];
         for (i, &scheme) in schemes.iter().enumerate() {
-            row[i] = ratio(time_copy(scheme, len, iters, repeats), baseline);
+            row[i] = ratio(time_copy(&mut report, scheme, len, iters, repeats), baseline);
             sums[i] += row[i];
         }
         rows += 1;
@@ -82,7 +82,7 @@ fn main() {
             ("mte_async_ratio", JsonValue::from(row[2])),
         ];
         if degraded {
-            let d = ratio(time_copy_degraded(len, iters, repeats), baseline);
+            let d = ratio(time_copy_degraded(&mut report, len, iters, repeats), baseline);
             degraded_sum += d;
             fields.push(("degraded_guarded_ratio", JsonValue::from(d)));
             println!(
@@ -154,14 +154,16 @@ fn main() {
 
 /// Median time of one 2-int No_Protection copy, in nanoseconds, with
 /// telemetry recording off and then on: `rounds` fresh VMs each,
-/// alternating the two settings.
+/// alternating the two settings. The VMs' counters go to a report that
+/// is never written.
 fn telemetry_cost(rounds: u32) -> [f64; 2] {
     const ITERS: u32 = 4096;
+    let mut unwritten = BenchReport::new("telemetry_cost");
     let mut samples: [Vec<Duration>; 2] = Default::default();
     for _ in 0..rounds.max(1) {
         for (on, times) in samples.iter_mut().enumerate() {
             telemetry::set_enabled(on == 1);
-            times.push(time_copy(Scheme::NoProtection, 2, ITERS, 1));
+            times.push(time_copy(&mut unwritten, Scheme::NoProtection, 2, ITERS, 1));
         }
     }
     samples.map(|mut times| {

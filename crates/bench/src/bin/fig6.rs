@@ -56,8 +56,14 @@ fn main() {
         (SharingMode::SameArray, "Same Array", "1.21x / 1.39x / 32.9x"),
         (SharingMode::DifferentArrays, "Different Array", "1.21x / 2.20x / 34.0x"),
     ] {
-        let baseline =
-            time_multithread_read(Scheme::NoProtection, sharing, threads, reads, array_len);
+        let baseline = time_multithread_read(
+            &mut report,
+            Scheme::NoProtection,
+            sharing,
+            threads,
+            reads,
+            array_len,
+        );
         println!("--- {title} (paper two-tier/global/guarded: {paper}) ---");
         println!("{:>26}  {:>10}  {:>8}", "scheme", "time", "ratio");
         println!(
@@ -77,7 +83,7 @@ fn main() {
             ("ratio", JsonValue::from(1.0)),
         ]);
         for &(scheme, name) in &schemes {
-            let t = time_multithread_read(scheme, sharing, threads, reads, array_len);
+            let t = time_multithread_read(&mut report, scheme, sharing, threads, reads, array_len);
             println!(
                 "{:>26}  {:>10}  {:>7.2}x",
                 name,
@@ -97,6 +103,7 @@ fn main() {
     if args.flag("--sweep-tables") {
         println!("--- Ablation: hash-table count k (two-tier sync, different arrays) ---");
         let baseline = time_multithread_read(
+            &mut report,
             Scheme::NoProtection,
             SharingMode::DifferentArrays,
             threads,
@@ -105,7 +112,7 @@ fn main() {
         );
         println!("{:>6}  {:>10}  {:>8}", "k", "time", "ratio");
         for k in [1usize, 2, 4, 8, 16, 32, 64] {
-            let vm_time = time_with_tables(k, threads, reads, array_len);
+            let vm_time = time_with_tables(&mut report, k, threads, reads, array_len);
             println!(
                 "{:>6}  {:>10}  {:>7.2}x",
                 k,
@@ -126,7 +133,13 @@ fn main() {
     }
 }
 
-fn time_with_tables(k: usize, threads: usize, reads: u32, array_len: usize) -> Duration {
+fn time_with_tables(
+    report: &mut BenchReport,
+    k: usize,
+    threads: usize,
+    reads: u32,
+    array_len: usize,
+) -> Duration {
     use art_heap::ArrayRef;
     use std::time::Instant;
 
@@ -148,7 +161,9 @@ fn time_with_tables(k: usize, threads: usize, reads: u32, array_len: usize) -> D
             });
         }
     });
-    start.elapsed()
+    let elapsed = start.elapsed();
+    report.count_vm(&vm);
+    elapsed
 }
 
 fn format_duration(d: Duration) -> String {

@@ -80,7 +80,7 @@ fn main() {
         .summary("avg_mte_async_pct", sums[2] / n);
     if let Some(path) = json_path {
         for vm in vms.iter().chain(std::iter::once(&base_vm)) {
-            vm.publish_counters();
+            report.count_vm(vm);
         }
         bench::write_report(&report, &path);
     }

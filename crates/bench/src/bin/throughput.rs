@@ -298,7 +298,7 @@ fn main() {
     println!("scheme-level (Fig.5 copy kernel, 1024-int arrays):");
     let iters = if quick { 32 } else { 256 };
     for scheme in [Scheme::GuardedCopy, Scheme::Mte4JniSync] {
-        let d = time_copy(scheme, 1024, iters, repeats);
+        let d = time_copy(&mut report, scheme, 1024, iters, repeats);
         let bytes = 1024 * 4 * u64::from(iters) * 2; // read + write per copy
         let g = gbps(bytes, d);
         println!("{:>24}: {:>8.3} GB/s", scheme.label(), g);

@@ -9,6 +9,7 @@
 //! * `effectiveness` — the §5.2 out-of-bounds detection comparison with
 //!   Figure 4's three report styles.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -19,8 +20,9 @@ use workloads::Scheme;
 
 /// Machine-readable result sink for the harness binaries' `--json`
 /// option: a named report of parameters, table rows, and summary
-/// figures, serialized alongside the full [`telemetry::Snapshot`] under
-/// one [`telemetry::SCHEMA_VERSION`]ed document.
+/// figures, serialized alongside the latency [`telemetry::Snapshot`]
+/// and the summed counters of the VMs it measured under one
+/// [`telemetry::SCHEMA_VERSION`]ed document.
 ///
 /// The printed table and the JSON rows are built from the same values,
 /// so the two outputs can never drift apart.
@@ -29,6 +31,7 @@ pub struct BenchReport {
     params: JsonValue,
     rows: Vec<JsonValue>,
     summary: JsonValue,
+    counters: BTreeMap<String, u64>,
 }
 
 impl BenchReport {
@@ -39,6 +42,7 @@ impl BenchReport {
             params: JsonValue::object(),
             rows: Vec::new(),
             summary: JsonValue::object(),
+            counters: BTreeMap::new(),
         }
     }
 
@@ -64,16 +68,28 @@ impl BenchReport {
         self
     }
 
+    /// Adds `vm`'s counters ([`Vm::counters`]) to the report's sums.
+    /// Call it once per VM whose latency samples reach the report's
+    /// histograms, after its measured section; the timing helpers below
+    /// do so for the VMs they build.
+    pub fn count_vm(&mut self, vm: &Vm) {
+        for (key, value) in vm.counters() {
+            *self.counters.entry(key).or_default() += value;
+        }
+    }
+
     /// Assembles the schema-versioned document, collecting the telemetry
-    /// snapshot.
+    /// snapshot and adding the summed counters to it.
     pub fn to_json(&self) -> JsonValue {
+        let mut telemetry = telemetry::Snapshot::collect().to_json();
+        telemetry.insert("counters", JsonValue::from(&self.counters));
         let mut o = JsonValue::object();
         o.insert("schema_version", telemetry::SCHEMA_VERSION)
             .insert("bench", self.name.as_str())
             .insert("params", self.params.clone())
             .insert("rows", JsonValue::Array(self.rows.clone()))
             .insert("summary", self.summary.clone())
-            .insert("telemetry", telemetry::Snapshot::collect().to_json());
+            .insert("telemetry", telemetry);
         o
     }
 
@@ -95,9 +111,9 @@ impl BenchReport {
 }
 
 /// Handles the shared `--json <path>` option: when it is present, turns
-/// telemetry recording on (so the report captures histograms, event
-/// counts, and counters) and returns the output path. Benches call this
-/// before their measured section.
+/// telemetry recording on (so the report captures latency histograms)
+/// and returns the output path. Benches call this before their measured
+/// section.
 pub fn json_output(args: &Args) -> Option<PathBuf> {
     let path: String = args.value("--json", String::new());
     if path.is_empty() {
@@ -137,15 +153,6 @@ pub fn write_report(report: &BenchReport, path: &Path) {
     }
 }
 
-/// Publishes `vm`'s counters into the telemetry registry if recording is
-/// on — helpers that build VMs internally call this before dropping them
-/// so `--json` reports include per-scheme counters.
-fn publish_if_recording(vm: &Vm) {
-    if telemetry::enabled() {
-        vm.publish_counters();
-    }
-}
-
 /// Runs `f` once for warm-up, then `repeats` times, returning the
 /// smallest observed duration (robust to scheduler noise).
 pub fn measure(repeats: u32, mut f: impl FnMut()) -> Duration {
@@ -179,8 +186,14 @@ pub fn copy_kernel(env: &JniEnv<'_>, src: &ArrayRef, dst: &ArrayRef) {
 }
 
 /// Times `iters` invocations of the Figure 5 copy for `len`-int arrays on
-/// a fresh VM of the given scheme.
-pub fn time_copy(scheme: Scheme, len: usize, iters: u32, repeats: u32) -> Duration {
+/// a fresh VM of the given scheme, whose counters `report` then sums.
+pub fn time_copy(
+    report: &mut BenchReport,
+    scheme: Scheme,
+    len: usize,
+    iters: u32,
+    repeats: u32,
+) -> Duration {
     let vm = scheme.build_vm();
     let thread = vm.attach_thread("fig5");
     let env = vm.env(&thread);
@@ -192,7 +205,7 @@ pub fn time_copy(scheme: Scheme, len: usize, iters: u32, repeats: u32) -> Durati
             copy_kernel(&env, &src, &dst);
         }
     });
-    publish_if_recording(&vm);
+    report.count_vm(&vm);
     best
 }
 
@@ -200,8 +213,14 @@ pub fn time_copy(scheme: Scheme, len: usize, iters: u32, repeats: u32) -> Durati
 /// MTE4JNI VM whose `array_copy` method has been quarantined, so every
 /// acquire routes through the guarded-copy fallback. The ratio against
 /// [`time_copy`]'s healthy MTE4JNI run is the throughput cost of
-/// degrading a single method to guarded copy.
-pub fn time_copy_degraded(len: usize, iters: u32, repeats: u32) -> Duration {
+/// degrading a single method to guarded copy. `report` sums the VM's
+/// counters, the fallback's included.
+pub fn time_copy_degraded(
+    report: &mut BenchReport,
+    len: usize,
+    iters: u32,
+    repeats: u32,
+) -> Duration {
     let vm = mte4jni::mte4jni_vm(
         mte_sim::TcfMode::Sync,
         mte4jni::TableConfig::default(),
@@ -217,7 +236,7 @@ pub fn time_copy_degraded(len: usize, iters: u32, repeats: u32) -> Duration {
             copy_kernel(&env, &src, &dst);
         }
     });
-    publish_if_recording(&vm);
+    report.count_vm(&vm);
     best
 }
 
@@ -250,8 +269,9 @@ pub enum SharingMode {
 }
 
 /// Runs the Figure 6 multi-thread read test and returns the wall-clock
-/// duration for all threads to finish.
+/// duration for all threads to finish; `report` sums the VM's counters.
 pub fn time_multithread_read(
+    report: &mut BenchReport,
     scheme: Scheme,
     sharing: SharingMode,
     threads: usize,
@@ -283,7 +303,7 @@ pub fn time_multithread_read(
         }
     });
     let elapsed = start.elapsed();
-    publish_if_recording(&vm);
+    report.count_vm(&vm);
     elapsed
 }
 
@@ -411,10 +431,40 @@ mod tests {
     fn multithread_read_runs_all_schemes_and_modes() {
         for scheme in [Scheme::NoProtection, Scheme::Mte4JniSync, Scheme::Mte4JniSyncGlobalLock] {
             for sharing in [SharingMode::SameArray, SharingMode::DifferentArrays] {
-                let d = time_multithread_read(scheme, sharing, 4, 20, 64);
+                let mut report = BenchReport::new("t");
+                let d = time_multithread_read(&mut report, scheme, sharing, 4, 20, 64);
                 assert!(d > Duration::ZERO, "{scheme} {sharing:?}");
             }
         }
+    }
+
+    #[test]
+    fn report_sums_the_counters_of_every_vm_it_measured() {
+        // Each measured pass (one warm-up plus `repeats`) runs `iters`
+        // copies, and each copy acquires and releases two arrays.
+        let acquires = |iters: u64, repeats: u64| 2 * iters * (1 + repeats);
+        let mut report = BenchReport::new("sums");
+        time_copy(&mut report, Scheme::Mte4JniSync, 4, 3, 1);
+        time_copy(&mut report, Scheme::Mte4JniSync, 4, 5, 2);
+        time_copy_degraded(&mut report, 4, 7, 1);
+        let json = report.to_json();
+        let counter = |key: &str| {
+            json.get("telemetry")
+                .and_then(|t| t.get("counters"))
+                .and_then(|c| c.get(key))
+                .and_then(JsonValue::as_u64)
+        };
+        let healthy = acquires(3, 1) + acquires(5, 2);
+        let degraded = acquires(7, 1);
+        assert_eq!(counter("scheme.mte4jni.acquires"), Some(healthy), "both healthy VMs, summed");
+        assert_eq!(counter("scheme.mte4jni.releases"), Some(healthy));
+        // The quarantined VM's acquires all went to its fallback, whose
+        // counters carry the fallback's own name.
+        assert_eq!(counter("scheme.guarded-copy.acquires"), Some(degraded));
+        assert_eq!(counter("scheme.guarded-copy.releases"), Some(degraded));
+        assert_eq!(counter("scheme.mte4jni.containment.degraded_quarantine"), Some(degraded));
+        // Every VM pins once per acquire, whichever scheme served it.
+        assert_eq!(counter("scheme.mte4jni.heap.pins_total"), Some(healthy + degraded));
     }
 
     #[test]

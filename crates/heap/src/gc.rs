@@ -127,7 +127,6 @@ impl GcScanner {
                     mte.set_tco(config.tco);
                     while !stop.load(Ordering::Relaxed) {
                         let outcome = heap.scan_live(&mte);
-                        telemetry::record(telemetry::Event::GcScan);
                         if !outcome.faults.is_empty() {
                             let mut log = faults.lock();
                             for fault in outcome.faults {

@@ -730,7 +730,6 @@ impl Heap {
         totals.bump(COMPACTIONS);
         totals.add(MOVED_OBJECTS, stats.moved_objects as u64);
         totals.add(MOVED_BYTES, stats.moved_bytes as u64);
-        telemetry::record(telemetry::Event::GcCompact);
         if let Some(start) = timing {
             let pause = start.elapsed();
             telemetry::histogram(telemetry::HistKey {

@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mte_sim::sync::Mutex;
 use mte_sim::{FaultKind, TagCheckFault};
 use telemetry::json::JsonValue;
-use telemetry::DegradeReason;
 
 /// What the VM does when a tag-check fault crosses the `call_native`
 /// trampoline boundary.
@@ -35,6 +34,16 @@ pub enum FaultPolicy {
     /// [`JniError::ContainedFault`](crate::JniError::ContainedFault)
     /// while the VM keeps running.
     Contain,
+}
+
+/// Why an acquire was downgraded from the primary protection scheme to
+/// the guarded-copy fallback.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DegradeReason {
+    /// The native method is quarantined after repeated contained faults.
+    Quarantine,
+    /// `irg` tag-pool exhaustion left no usable tag for this acquire.
+    TagExhaustion,
 }
 
 /// Tuning for the containment subsystem.
@@ -253,7 +262,6 @@ impl Containment {
             DegradeReason::TagExhaustion => &self.degraded_exhaust,
         }
         .fetch_add(1, Ordering::Relaxed);
-        telemetry::record(telemetry::Event::Degraded { reason });
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Degraded {
             reason: match reason {
                 DegradeReason::Quarantine => 0,
@@ -273,12 +281,6 @@ impl Containment {
         released_borrows: u32,
     ) -> Tombstone {
         let seq = self.contained.fetch_add(1, Ordering::Relaxed);
-        telemetry::record(telemetry::Event::ContainedFault {
-            class: match fault.kind {
-                FaultKind::Sync => telemetry::FaultClass::Sync,
-                FaultKind::Async => telemetry::FaultClass::Async,
-            },
-        });
         let mut state = self.state.lock();
         let count = state.per_method.entry(method).or_insert(0);
         *count += 1;

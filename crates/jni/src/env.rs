@@ -9,11 +9,11 @@ use art_heap::{encode_modified_utf8, Heap};
 use mte_sim::sync::yield_point;
 use mte_sim::{FaultAttribution, MemError, TaggedPtr};
 use telemetry::trace::{self, TraceEvent};
-use telemetry::{DegradeReason, Event, JniInterface, LatencyOp, SizeClass};
+use telemetry::{JniInterface, LatencyOp, SizeClass};
 
 use crate::checkjni::{Ledger, Outstanding};
 use crate::tracecode;
-use crate::containment::FaultPolicy;
+use crate::containment::{DegradeReason, FaultPolicy};
 use crate::error::JniError;
 use crate::guard::CriticalGuard;
 use crate::native::{NativeArray, NativeMem, NativeUtf};
@@ -237,7 +237,6 @@ impl<'a> JniEnv<'a> {
                 .borrow_latency(via_fallback, LatencyOp::Acquire, interface, size)
                 .record(elapsed);
         }
-        telemetry::record(Event::Acquire { interface });
         self.borrows.borrow_mut().push(LiveBorrow {
             ptr: out.ptr,
             pin,
@@ -370,7 +369,6 @@ impl<'a> JniEnv<'a> {
                 .borrow_latency(via_fallback, LatencyOp::Release, interface, size)
                 .record(elapsed);
         }
-        telemetry::record(Event::Release { interface });
         // The borrow ends — and its record drops the pin — when the
         // scheme tore its tracking down: on success, or on a CheckJNI
         // abort (the buffer is gone either way). `JNI_COMMIT` keeps the
@@ -437,7 +435,6 @@ impl<'a> JniEnv<'a> {
     }
 
     pub(crate) fn note_guard_drop(&self, ptr: TaggedPtr, interface: JniInterface, object: u64) {
-        telemetry::record(Event::GuardDrop { interface });
         self.ledger.note_guard_drop(ptr, interface, object);
     }
 
@@ -518,7 +515,6 @@ impl<'a> JniEnv<'a> {
     /// string.
     pub fn get_string_region(&self, s: &StringRef, start: usize, out: &mut [u16]) -> Result<()> {
         self.ensure_not_critical("GetStringRegion")?;
-        telemetry::record(Event::Acquire { interface: JniInterface::StringRegion });
         let result = (|| {
             let end = start.checked_add(out.len());
             if end.is_none_or(|e| e > s.len()) {
@@ -822,7 +818,6 @@ impl<'a> JniEnv<'a> {
         }
         if tco_control {
             mte.set_tco(false); // enable tag checking for the native section
-            telemetry::record(Event::TcoToggle);
         }
         // Containment bookmarks: everything acquired past these marks
         // belongs to this native frame and is reclaimed if it faults.
@@ -845,7 +840,6 @@ impl<'a> JniEnv<'a> {
                 let mte = self.env.thread.mte();
                 if self.tco_control {
                     mte.set_tco(true); // back to unchecked managed execution
-                    telemetry::record(Event::TcoToggle);
                 }
                 if self.transitions {
                     self.env.thread.transition_to_managed();
@@ -1078,7 +1072,6 @@ macro_rules! typed_array_interfaces {
                 self.ensure_not_critical(concat!("Get", $get_name, "ArrayRegion"))?;
                 let result = (|| {
                     self.region_bounds(a, $prim, start, out.len(), concat!("Get", $get_name, "ArrayRegion"))?;
-                    telemetry::record(Event::Acquire { interface: JniInterface::ArrayRegion });
                     let mut bytes = vec![0u8; out.len() * $size];
                     let ptr = TaggedPtr::from_addr(a.data_addr() + (start * $size) as u64);
                     self.vm
@@ -1116,7 +1109,6 @@ macro_rules! typed_array_interfaces {
                 self.ensure_not_critical(concat!("Set", $get_name, "ArrayRegion"))?;
                 let result = (|| {
                     self.region_bounds(a, $prim, start, values.len(), concat!("Set", $get_name, "ArrayRegion"))?;
-                    telemetry::record(Event::Acquire { interface: JniInterface::ArrayRegion });
                     let mut bytes = Vec::with_capacity(values.len() * $size);
                     for v in values {
                         bytes.extend_from_slice(&v.to_le_bytes());

@@ -33,9 +33,8 @@ enum GuardTarget {
 ///   back but the borrow stays open, so the guard is handed back to the
 ///   caller; any other mode consumes it.
 /// * [`abort`](Self::abort) — release discarding writes (`JNI_ABORT`).
-/// * dropping the guard — releases with [`ReleaseMode::Abort`], records a
-///   `GuardDrop` telemetry event, and (under CheckJNI) notes the leak in
-///   [`JniEnv::guard_drops`]. The scheme stays consistent, but relying on
+/// * dropping the guard — releases with [`ReleaseMode::Abort`] and
+///   (under CheckJNI) notes the leak in [`JniEnv::guard_drops`]. The scheme stays consistent, but relying on
 ///   this path is a usage bug.
 pub struct CriticalGuard<'e, 'a> {
     env: &'e JniEnv<'a>,

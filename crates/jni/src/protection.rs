@@ -106,11 +106,13 @@ pub trait Protection: Send + Sync + fmt::Debug {
     /// its world hold; the default is a no-op.
     fn on_safepoint(&self, _mem: &TaggedMemory, _sp: &Safepoint<'_>) {}
 
-    /// Scheme-specific counters for the telemetry registry, as
-    /// `(name, value)` pairs. [`Vm::telemetry_snapshot`] publishes them
-    /// under `scheme.<name>.<counter>`.
+    /// Scheme-specific counters, as `(name, value)` pairs read from the
+    /// scheme's own tallies. [`Vm::counters`] returns them under
+    /// `scheme.<name>.<counter>`, for the primary scheme and the
+    /// fallback alike, and bench reports sum them over the VMs they
+    /// measured.
     ///
-    /// [`Vm::telemetry_snapshot`]: crate::Vm::telemetry_snapshot
+    /// [`Vm::counters`]: crate::Vm::counters
     fn counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }

@@ -1,5 +1,6 @@
 //! The simulated runtime instance.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -146,16 +147,20 @@ impl Vm {
         JniEnv::new(self, thread)
     }
 
-    /// Publishes this VM's counter sources into the process-wide
-    /// telemetry registry under `scheme.<name>.…` keys: the simulated
-    /// MTE hardware counters (`…mte.loads`, `…mte.sync_faults`, …) and
-    /// whatever [`Protection::counters`] reports. Values are absolute
-    /// (`set`, not `add`), so republishing is idempotent.
-    pub fn publish_counters(&self) {
-        let scheme = self.protection.name();
-        let reg = telemetry::counters();
+    /// This VM's counters, read from the owners that keep them, under
+    /// `scheme.<name>.…` keys: the simulated MTE hardware counters
+    /// (`…mte.loads`, `…mte.sync_faults`, …), whatever
+    /// [`Protection::counters`] reports, the heap's pin and GC totals
+    /// (`…heap.pins_total`, …) and the containment counters, all under
+    /// the primary scheme's name; and the fallback scheme's own
+    /// [`Protection::counters`], if one is installed, under the
+    /// fallback's name. A pure read: every call sums the owners' exact
+    /// tallies afresh.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
         let mte = self.heap.memory().stats().snapshot();
-        for (key, value) in [
+        let hs = self.heap.stats();
+        let cs = self.containment.stats();
+        let own = [
             ("mte.loads", mte.loads),
             ("mte.stores", mte.stores),
             ("mte.sync_faults", mte.sync_faults),
@@ -163,44 +168,34 @@ impl Vm {
             ("mte.irg_ops", mte.irg_ops),
             ("mte.ldg_ops", mte.ldg_ops),
             ("mte.stg_ops", mte.stg_ops),
-        ] {
-            reg.set(&format!("scheme.{scheme}.{key}"), value);
-        }
-        for (key, value) in self.protection.counters() {
-            reg.set(&format!("scheme.{scheme}.{key}"), value);
-        }
-        let hs = self.heap.stats();
-        for (key, value) in [
             ("heap.pinned_objects", hs.pinned_objects as u64),
             ("heap.pins_total", hs.pins_total),
             ("heap.unpins_total", hs.unpins_total),
             ("heap.compactions", hs.compactions),
             ("heap.moved_objects", hs.moved_objects_total),
             ("heap.moved_bytes", hs.moved_bytes_total),
-        ] {
-            reg.set(&format!("scheme.{scheme}.{key}"), value);
-        }
-        let cs = self.containment.stats();
-        for (key, value) in [
             ("containment.contained_faults", cs.contained_faults),
             ("containment.transient_retries", cs.transient_retries),
             ("containment.degraded_quarantine", cs.degraded_quarantine),
-            (
-                "containment.degraded_tag_exhaustion",
-                cs.degraded_tag_exhaustion,
-            ),
+            ("containment.degraded_tag_exhaustion", cs.degraded_tag_exhaustion),
             ("containment.quarantined_methods", cs.quarantined_methods),
-        ] {
-            reg.set(&format!("scheme.{scheme}.{key}"), value);
+        ];
+        let scheme = self.protection.name();
+        let mut out: BTreeMap<String, u64> = own
+            .into_iter()
+            .chain(self.protection.counters())
+            .map(|(key, value)| (format!("scheme.{scheme}.{key}"), value))
+            .collect();
+        if let Some(fallback) = &self.fallback {
+            let scheme = fallback.name();
+            out.extend(
+                fallback
+                    .counters()
+                    .into_iter()
+                    .map(|(key, value)| (format!("scheme.{scheme}.{key}"), value)),
+            );
         }
-    }
-
-    /// Publishes this VM's counters ([`Self::publish_counters`]) and
-    /// collects the full telemetry [`telemetry::Snapshot`] — counters,
-    /// latency histograms, and the event counts.
-    pub fn telemetry_snapshot(&self) -> telemetry::Snapshot {
-        self.publish_counters();
-        telemetry::Snapshot::collect()
+        out
     }
 
     /// The histogram an acquire or release (`op`) on `interface` of a

@@ -9,9 +9,8 @@
 //! from `(schedule seed, participant index)`, so the fault pattern a
 //! thread sees is deterministic regardless of how the scheduler
 //! interleaves it with other threads. Every injected fault bumps a
-//! shared [`InjectCounters`] slot and counts a
-//! [`telemetry::Event::InjectedFault`] so snapshots can attribute the
-//! failure to the injector rather than the scheme under test.
+//! shared [`InjectCounters`] slot, so a report can attribute the failure
+//! to the injector rather than the scheme under test.
 //!
 //! The hooks are compiled into every binary, figure benches included,
 //! so the disarmed case must cost nothing measurable: a process-wide
@@ -185,10 +184,9 @@ fn xorshift64star(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
-/// One injection decision at `point`; bumps the counters and emits the
-/// telemetry event when it fires. `false` whenever no injector is
-/// installed on this thread, and without a thread-local lookup when no
-/// thread in the process is armed.
+/// One injection decision at `point`; bumps the counters when it fires.
+/// `false` whenever no injector is installed on this thread, and without
+/// a thread-local lookup when no thread in the process is armed.
 #[inline]
 pub(crate) fn should_fail(point: InjectPoint) -> bool {
     if ARMED_THREADS.load(Ordering::Relaxed) == 0 {
@@ -213,7 +211,6 @@ fn should_fail_armed(point: InjectPoint) -> bool {
         let draw = xorshift64star(&mut inj.rng) % 1_000_000;
         if draw < u64::from(rate) {
             inj.counters.bump(point);
-            telemetry::record(telemetry::Event::InjectedFault);
             true
         } else {
             false

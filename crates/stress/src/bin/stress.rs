@@ -384,8 +384,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Keep the run single-variable: telemetry events would add cross-test
-    // interference without changing what the oracle can see.
+    // Keep the run single-variable: telemetry recording would add
+    // cross-test interference without changing what the oracle can see.
     telemetry::set_enabled(false);
 
     let schemes: Vec<SchemeKind> = match o.scheme {

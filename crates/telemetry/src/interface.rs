@@ -1,13 +1,14 @@
 //! The Table-1 interface vocabulary shared by the JNI layer, the
-//! protection schemes, and the telemetry events.
+//! protection schemes, and the latency histograms' keys.
 
 /// One row of the paper's Table 1: the JNI get/release (or region)
 /// family through which native code touches a Java object's payload.
 ///
 /// This lives in the telemetry crate — the bottom of the dependency
 /// stack — so that `jni-rt` can carry it in `JniContext`, protection
-/// schemes can branch on it, and events can be attributed to it, all
-/// without a dependency cycle. `jni-rt` re-exports it.
+/// schemes can branch on it, and latency samples and trace events can
+/// be attributed to it, all without a dependency cycle. `jni-rt`
+/// re-exports it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum JniInterface {
     /// `Get/ReleaseStringCritical` (Table 1, row 1).
@@ -20,8 +21,8 @@ pub enum JniInterface {
     StringUtfChars,
     /// `Get/Release<Type>ArrayElements` (row 5).
     ArrayElements,
-    /// `Get/Set<Type>ArrayRegion` (row 6) — bounds-checked copies; they
-    /// never reach a protection scheme but still show up in events.
+    /// `Get/Set<Type>ArrayRegion` (row 6) — bounds-checked copies that
+    /// never reach a protection scheme.
     ArrayRegion,
     /// `GetStringRegion` / `GetStringUTFRegion` — ditto.
     StringRegion,

@@ -1,7 +1,4 @@
-//! The unified observability snapshot: counters + histogram summaries +
-//! an event digest, with a schema-versioned JSON form.
-
-use std::collections::BTreeMap;
+//! The latency-histogram snapshot, with a schema-versioned JSON form.
 
 use crate::hist::HistKey;
 use crate::json::JsonValue;
@@ -9,7 +6,7 @@ use crate::json::JsonValue;
 /// Version of the JSON schema emitted by [`Snapshot::to_json`] and the
 /// bench `--json` exports. Bump on any breaking shape change and
 /// document the migration in DESIGN.md §8.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Percentile summary of one registered latency histogram.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,45 +53,20 @@ impl HistogramSummary {
     }
 }
 
-/// Exact event counts since the last [`crate::reset`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct EventSummary {
-    /// Events recorded.
-    pub total: u64,
-    /// Count per event-kind label.
-    pub by_kind: BTreeMap<String, u64>,
-    /// Acquire/release/guard-drop count per interface label.
-    pub by_interface: BTreeMap<String, u64>,
-}
-
-impl EventSummary {
-    fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.insert("total", self.total)
-            .insert("by_kind", JsonValue::from(&self.by_kind))
-            .insert("by_interface", JsonValue::from(&self.by_interface));
-        o
-    }
-}
-
-/// One coherent view of everything the telemetry layer knows: the
-/// counter registry, every latency histogram, and the event counts.
+/// Every process-wide latency histogram with at least one sample. The
+/// runtime's counts are not here: each is kept by its owner and read
+/// through the VM (`jni_rt::Vm::counters`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
     /// The JSON schema version this snapshot serializes as.
     pub schema_version: u32,
-    /// All named counters, sorted.
-    pub counters: BTreeMap<String, u64>,
     /// Every latency histogram with at least one sample, sorted by key.
     pub histograms: Vec<HistogramSummary>,
-    /// Event counts.
-    pub events: EventSummary,
 }
 
 impl Snapshot {
     /// Collects the process-wide snapshot. Collecting reads without
-    /// consuming: counters, histograms and event counts all stay
-    /// cumulative until [`crate::reset`].
+    /// consuming: histograms stay cumulative until [`crate::reset`].
     pub fn collect() -> Snapshot {
         let histograms = crate::hist::all_histograms()
             .into_iter()
@@ -112,22 +84,17 @@ impl Snapshot {
             .collect();
         Snapshot {
             schema_version: SCHEMA_VERSION,
-            counters: crate::counters().snapshot(),
             histograms,
-            events: crate::event::summary(),
         }
     }
 
     /// The schema-versioned JSON form.
     pub fn to_json(&self) -> JsonValue {
         let mut o = JsonValue::object();
-        o.insert("schema_version", self.schema_version)
-            .insert("counters", JsonValue::from(&self.counters))
-            .insert(
-                "histograms",
-                JsonValue::Array(self.histograms.iter().map(HistogramSummary::to_json).collect()),
-            )
-            .insert("events", self.events.to_json());
+        o.insert("schema_version", self.schema_version).insert(
+            "histograms",
+            JsonValue::Array(self.histograms.iter().map(HistogramSummary::to_json).collect()),
+        );
         o
     }
 }
@@ -135,14 +102,29 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::{LatencyOp, SizeClass};
 
     #[test]
     fn snapshot_json_has_the_schema_version() {
+        let key = HistKey {
+            tenant: None,
+            scheme: "json-test",
+            interface: "PrimitiveArrayCritical",
+            size_class: SizeClass::Tiny,
+            op: LatencyOp::Release,
+        };
         let snap = Snapshot {
             schema_version: SCHEMA_VERSION,
-            counters: BTreeMap::from([("a.b".to_owned(), 3u64)]),
-            histograms: vec![],
-            events: EventSummary::default(),
+            histograms: vec![HistogramSummary {
+                key,
+                count: 3,
+                mean_ns: 10,
+                p50_ns: 8,
+                p90_ns: 16,
+                p99_ns: 16,
+                max_ns: 12,
+                buckets: vec![0, 3],
+            }],
         };
         let json = snap.to_json();
         assert_eq!(
@@ -151,9 +133,9 @@ mod tests {
         );
         let text = json.to_pretty_string();
         let back = crate::json::parse(&text).unwrap();
-        assert_eq!(
-            back.get("counters").and_then(|c| c.get("a.b")).and_then(JsonValue::as_u64),
-            Some(3)
-        );
+        let h = &back.get("histograms").and_then(JsonValue::as_array).unwrap()[0];
+        assert_eq!(h.get("scheme").and_then(JsonValue::as_str), Some("json-test"));
+        assert_eq!(h.get("op").and_then(JsonValue::as_str), Some("release"));
+        assert_eq!(h.get("count").and_then(JsonValue::as_u64), Some(3));
     }
 }

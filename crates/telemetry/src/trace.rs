@@ -1,7 +1,7 @@
 //! Trace record hook: a process-wide sink for deterministic JNI event
 //! logs (DESIGN §14).
 //!
-//! Unlike the per-kind event counts, this is an ordered stream. It is
+//! Unlike the latency histograms, this is an ordered stream. It is
 //! **off by default**: every `emit` call pays one relaxed atomic load
 //! when no recorder is installed. The runtime layers
 //! (jni trampoline/env funnel, heap GC, containment) call [`emit`] at
@@ -207,7 +207,7 @@ pub enum TraceEvent {
     /// An acquire degraded to the fallback scheme (0 = quarantine
     /// routing, 1 = tag exhaustion).
     Degraded {
-        /// `DegradeReason` code.
+        /// The reason code: 0 quarantine, 1 tag exhaustion.
         reason: u8,
     },
 }

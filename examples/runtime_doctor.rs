@@ -253,7 +253,8 @@ fn main() {
         );
     }
 
-    // --- 4. The counter feed telemetry snapshots carry. ---
+    // --- 4. The scheme's own counters (`Vm::counters` reports them
+    // under `scheme.<name>.…`). ---
     // `safepoint_purge_frees` counts entries a GC safepoint force-freed,
     // the second term of the funnel conservation law
     //   acquires - shared_acquires == tag_frees + safepoint_purge_frees.

@@ -1,7 +1,8 @@
 //! A tour of the telemetry layer: turn it on, drive some JNI traffic
 //! through an MTE4JNI VM (including one caught out-of-bounds write), and
-//! print the resulting schema-versioned snapshot — the same document the
-//! bench binaries attach to `BENCH_<name>.json` under `--json`.
+//! print the resulting schema-versioned document — the latency snapshot
+//! plus the VM's counters, the same shape the bench binaries attach to
+//! `BENCH_<name>.json` under `--json`.
 //!
 //! Run with `cargo run --example telemetry_tour`.
 
@@ -46,18 +47,19 @@ fn main() {
     })
     .unwrap();
 
-    // One snapshot gathers everything: exact event counts per kind and
-    // interface, the scheme's counters published into the registry, and
-    // latency histograms with p50/p90/p99 per (scheme, interface, size
-    // class).
-    let snapshot = vm.telemetry_snapshot();
-    println!("{}", snapshot.to_json().to_pretty_string());
+    // The snapshot holds the latency histograms, with p50/p90/p99 per
+    // (scheme, interface, size class); the VM reads its exact counters
+    // from the owners that keep them.
+    let snapshot = telemetry::Snapshot::collect();
+    let counters = vm.counters();
+    let mut doc = snapshot.to_json();
+    doc.insert("counters", telemetry::json::JsonValue::from(&counters));
+    println!("{}", doc.to_pretty_string());
 
     eprintln!(
-        "-- {} events ({} kinds), {} counters, {} histograms --",
-        snapshot.events.total,
-        snapshot.events.by_kind.len(),
-        snapshot.counters.len(),
+        "-- {} counters, {} histograms ({} samples) --",
+        counters.len(),
         snapshot.histograms.len(),
+        snapshot.histograms.iter().map(|h| h.count).sum::<u64>(),
     );
 }

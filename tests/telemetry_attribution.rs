@@ -1,13 +1,15 @@
 //! End-to-end per-interface telemetry attribution for one MTE4JNI OOB
-//! scenario: acquire → tag ops → sync fault → release, all visible in a
-//! single [`telemetry::Snapshot`]: events keyed by `JniInterface`, tag
-//! instructions and faults in the scheme's published `MteStats`.
+//! scenario: acquire → tag ops → sync fault → release. The latency
+//! histograms attribute the borrow to its `JniInterface`; the VM's
+//! counter read carries the tag instructions, the fault and the
+//! scheme's own counts.
 //!
-//! Telemetry state is process-global (one set of event counts, one
-//! counter registry), so this file holds exactly one test: sharing a
-//! binary with other telemetry-enabling tests would race on the counts.
+//! Telemetry state is process-global (one histogram registry), so this
+//! file holds exactly one test: sharing a binary with other
+//! telemetry-enabling tests would race on the counts.
 
 use mte4jni_repro::prelude::*;
+use telemetry::LatencyOp;
 
 #[test]
 fn oob_scenario_attributes_events_to_primitive_array_critical() {
@@ -30,24 +32,31 @@ fn oob_scenario_attributes_events_to_primitive_array_critical() {
     })
     .unwrap();
 
-    let snap = vm.telemetry_snapshot();
+    let snap = telemetry::Snapshot::collect();
     assert_eq!(snap.schema_version, telemetry::SCHEMA_VERSION);
 
     // Interface attribution: the borrow opened and closed under
-    // PrimitiveArrayCritical.
-    let by_if = &snap.events.by_interface;
-    assert!(
-        by_if["PrimitiveArrayCritical"] >= 2,
-        "acquire + release both attributed: {by_if:?}"
+    // PrimitiveArrayCritical, one timed acquire and one timed release
+    // keyed by (scheme, interface).
+    let timed = |op| {
+        snap.histograms
+            .iter()
+            .filter(|h| h.key.op == op)
+            .map(|h| (h.key.scheme, h.key.interface, h.count))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        timed(LatencyOp::Acquire),
+        [("mte4jni", "PrimitiveArrayCritical", 1)],
+        "{:?}",
+        snap.histograms.iter().map(|h| h.key).collect::<Vec<_>>()
     );
+    assert_eq!(timed(LatencyOp::Release), [("mte4jni", "PrimitiveArrayCritical", 1)]);
 
-    // The whole causal chain is visible in one snapshot: the borrow's
-    // events, and the tag instructions and fault the scheme's MteStats
-    // counted exactly.
-    let kinds = &snap.events.by_kind;
-    assert!(kinds["acquire"] >= 1);
-    assert!(kinds["release"] >= 1);
-    let counters = &snap.counters;
+    // The whole causal chain is visible in the VM's counter read: the
+    // tag instructions and fault its MteStats counted exactly, and the
+    // scheme's own counts, under one prefix.
+    let counters = vm.counters();
     assert!(
         counters["scheme.mte4jni.mte.irg_ops"] >= 1,
         "acquire drew a random tag: {counters:?}"
@@ -56,30 +65,21 @@ fn oob_scenario_attributes_events_to_primitive_array_critical() {
         counters["scheme.mte4jni.mte.stg_ops"] >= 1,
         "tags were written to granules: {counters:?}"
     );
-    assert!(
-        counters["scheme.mte4jni.mte.sync_faults"] >= 1,
-        "the OOB write tripped a synchronous fault: {counters:?}"
+    assert_eq!(
+        counters["scheme.mte4jni.mte.sync_faults"], 1,
+        "the OOB write tripped one synchronous fault: {counters:?}"
     );
-
-    // Scheme counters flow through the shared registry under one prefix.
-    assert!(counters["scheme.mte4jni.acquires"] >= 1);
-    assert!(counters["scheme.mte4jni.releases"] >= 1);
+    assert_eq!(counters["scheme.mte4jni.acquires"], 1);
+    assert_eq!(counters["scheme.mte4jni.releases"], 1);
+    assert_eq!(counters["scheme.mte4jni.heap.pins_total"], 1);
+    assert_eq!(counters["scheme.mte4jni.heap.unpins_total"], 1);
     // The lock-free default has no table mutex to count; the slab
     // materialized at least one chunk for the first acquire, and each
     // last release freed its tag at once (no safepoint needed).
-    assert!(snap.counters["scheme.mte4jni.atomic_slab_chunks"] >= 1);
+    assert!(counters["scheme.mte4jni.atomic_slab_chunks"] >= 1);
     assert_eq!(
-        snap.counters["scheme.mte4jni.acquires"] - snap.counters["scheme.mte4jni.shared_acquires"],
-        snap.counters["scheme.mte4jni.tag_frees"]
-    );
-
-    // Latency histograms are keyed by (scheme, interface, size class).
-    assert!(
-        snap.histograms
-            .iter()
-            .any(|h| h.key.scheme == "mte4jni" && h.key.interface == "PrimitiveArrayCritical"),
-        "histogram keyed to the interface: {:?}",
-        snap.histograms.iter().map(|h| h.key).collect::<Vec<_>>()
+        counters["scheme.mte4jni.acquires"] - counters["scheme.mte4jni.shared_acquires"],
+        counters["scheme.mte4jni.tag_frees"]
     );
 
     telemetry::set_enabled(false);

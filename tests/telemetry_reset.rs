@@ -50,7 +50,6 @@ fn reset_keeps_a_live_vms_handles_recording() {
     };
     assert_eq!(count(LatencyOp::Acquire), Some(1), "{:?}", snap.histograms);
     assert_eq!(count(LatencyOp::Release), Some(1));
-    assert_eq!(snap.events.by_kind["acquire"], 1);
 
     telemetry::set_enabled(false);
     telemetry::reset();
