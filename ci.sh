@@ -61,6 +61,21 @@ done
 echo "== test (workspace) =="
 cargo test --offline --workspace -q
 
+echo "== test: world gate and pin handshake, repeated =="
+# Pins take no world-gate hold: they check the gate's compaction flag
+# after their increment (DESIGN.md §11). A lost handshake shows as a
+# rare interleaving, so the gate's tests (`world::`, with the
+# mutator/compactor race) and the pin back-off test run 20 times in
+# release, where the race is tightest. Any failed run fails CI.
+for run in $(seq 1 20); do
+    if ! cargo test --offline -q --release -p art-heap --lib -- \
+        world:: a_pin_waits_out_an_active_compaction_pass >/dev/null; then
+        echo "world gate tests failed on run $run of 20" >&2
+        exit 1
+    fi
+done
+echo "world gate tests: 20 of 20 runs passed"
+
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -123,8 +138,9 @@ assert cur["speedup_element_rw"] >= elem_floor, (
 )
 print("throughput gate:", ", ".join(f"{k}={cur[k]:.2f}" for k in sorted(gates)),
       f"speedup_element_rw={cur['speedup_element_rw']:.3f}")
-# Pin + unpin on one small array (world-gate hold + the object's
-# atomic pin count): report-only, no gate.
+# Pin + unpin on one small array (the object's atomic pin count and
+# one load of the world gate's compaction flag; no gate hold):
+# report-only, no gate.
 print(f"throughput report: pin_unpin_ns={cur['pin_unpin_ns']:.1f}")
 PY
 else

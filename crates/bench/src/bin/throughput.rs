@@ -12,9 +12,9 @@
 //! a JNI native element loop — and records `element_rw_ns` and
 //! `speedup_element_rw`, a within-run ratio CI gates so the host's speed
 //! cancels out. A report-only `pin_unpin_ns` row times `Heap::pin` and
-//! dropping its guard on one small array: one world-gate hold plus the
-//! object's atomic pin count. `--quick` shrinks the measured volume for
-//! CI.
+//! dropping its guard on one small array: the object's atomic pin count
+//! up and down and one load of the world gate's compaction flag, with
+//! no gate hold. `--quick` shrinks the measured volume for CI.
 
 use std::time::{Duration, Instant};
 

@@ -31,8 +31,8 @@ pub enum SafepointPhase {
     /// A sweep is about to reclaim its dead, unpinned candidates.
     Sweep,
     /// The compacting collector has just taken its exclusive world
-    /// hold and is about to move every unpinned object; no mutator can
-    /// pin until the hold ends.
+    /// hold and is about to move every unpinned object; a mutator's pin
+    /// that races it backs off, so none succeeds until the hold ends.
     CompactBegin,
 }
 
@@ -125,9 +125,10 @@ struct HeapInner {
     config: HeapConfig,
     objects: Mutex<HashMap<u64, ObjectMeta>>,
     /// The stop-the-world gate for the compacting collector: object
-    /// relocation holds it exclusively; payload accessors and pin
-    /// insertion hold it shared (recursively — an accessor may nest
-    /// inside another gated section on the same thread).
+    /// relocation holds it exclusively; payload accessors, allocation
+    /// and sweeps hold it shared (recursively — an accessor may nest
+    /// inside another gated section on the same thread). Pins hold
+    /// nothing: they check its `compacting` flag after their increment.
     world: WorldGate,
     /// Notified at GC safepoints (sweep, compaction begin) before the
     /// collector acts, so protection schemes can purge entries for the
@@ -423,10 +424,18 @@ impl Heap {
     /// Java handle dies mid-borrow, because the guard holds a handle too.
     /// Pins on one object nest.
     pub fn pin(&self, obj: &ObjectRef) -> PinGuard<'_> {
-        // Shared world-gate hold: a pin can never land on an object the
-        // collector is concurrently relocating.
-        let _gate = self.inner.world.read_recursive();
+        // No world-gate hold: the increment and the flag load below are
+        // one side of the store-buffer handshake with `compact` (see
+        // `world.rs`). A pin that finds a pass running undoes itself and
+        // waits the pass out, so a pin never lands on an object the
+        // collector is relocating; only a pin that succeeds counts.
+        let world = &self.inner.world;
         obj.token.take_pin();
+        while world.compacting() {
+            obj.token.release_pin();
+            world.wait_out_compaction();
+            obj.token.take_pin();
+        }
         self.inner.totals.bump(PINS);
         PinGuard {
             heap: self,
@@ -563,16 +572,20 @@ impl Heap {
     /// critical-section pinning.
     ///
     /// Runs stop-the-world: payload accessors block on the world gate for
-    /// the duration.
+    /// the duration, and pins back off and wait until it ends.
     pub fn compact(&self) -> CompactStats {
         let timing = telemetry::start_timing();
         let t0 = std::time::Instant::now();
         let world = self.inner.world.write();
-        // Every pin count is read once, here: no pin can start while the
-        // exclusive hold lasts, and an unpin racing the pass only keeps
-        // one more object in place. The safepoint candidates and the
-        // slide below share this one decision, so nothing moves that the
-        // hook was not shown.
+        // Every pin count is read once, here, after `write` raised the
+        // gate's `compacting` flag. Both are `SeqCst`, as are a pin's
+        // increment and its flag load, so a pin racing this read is
+        // either seen here or sees the flag and backs off before it
+        // returns (the handshake in `world.rs`). A transient pin seen
+        // here, like an unpin racing the pass, only keeps one more
+        // object in place. The safepoint candidates and the slide below
+        // share this one decision, so nothing moves that the hook was
+        // not shown.
         let mut pinned: Vec<u64> = self
             .inner
             .objects
@@ -815,6 +828,7 @@ impl Heap {
             compactions: self.inner.totals.get(COMPACTIONS),
             moved_objects_total: self.inner.totals.get(MOVED_OBJECTS),
             moved_bytes_total: self.inner.totals.get(MOVED_BYTES),
+            world_gate_waits: self.inner.world.waits(),
         }
     }
 }
@@ -927,6 +941,10 @@ pub struct HeapStats {
     pub moved_objects_total: u64,
     /// Block bytes ever relocated by compaction.
     pub moved_bytes_total: u64,
+    /// Pins that backed off from an active compaction pass plus shared
+    /// world-gate holds (allocation, payload copies, sweeps) that waited
+    /// for one.
+    pub world_gate_waits: u64,
 }
 
 macro_rules! element_accessors {
@@ -1321,6 +1339,35 @@ mod tests {
         assert!(!h.is_pinned(&a));
         let s = h.stats();
         assert_eq!((s.pins_total, s.unpins_total, s.pinned_objects), (2, 2, 0));
+    }
+
+    #[test]
+    fn a_pin_waits_out_an_active_compaction_pass() {
+        let h = heap();
+        let a = ObjectRef::from(h.alloc_int_array(4).unwrap());
+        let before = h.stats();
+        std::thread::scope(|s| {
+            let world = h.inner.world.write();
+            let pinner = s.spawn(|| h.pin(&a));
+            // Wait until the pinner has backed off (or, wrongly, returned).
+            while h.inner.world.waits() == 0 && !pinner.is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                !pinner.is_finished(),
+                "a pin returned while the exclusive hold lasts"
+            );
+            assert_eq!(a.token.pin_count(), 0, "the backed-off pin undid itself");
+            drop(world);
+            let pin = pinner.join().unwrap();
+            assert_eq!(a.token.pin_count(), 1);
+            let after = h.stats();
+            assert_eq!(after.pins_total - before.pins_total, 1);
+            assert_eq!(after.unpins_total, before.unpins_total);
+            assert_eq!(after.world_gate_waits, 1);
+            drop(pin);
+        });
     }
 
     #[test]

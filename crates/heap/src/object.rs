@@ -69,14 +69,17 @@ impl LiveToken {
         self.addr.store(new_addr, Ordering::Release);
     }
 
-    /// Open pins on the object.
+    /// Open pins on the object. `SeqCst`, like [`LiveToken::take_pin`]:
+    /// compaction's read of it is one side of the pin handshake
+    /// (`world.rs`).
     pub(crate) fn pin_count(&self) -> u32 {
-        self.pins.load(Ordering::Acquire)
+        self.pins.load(Ordering::SeqCst)
     }
 
-    /// Takes one pin.
+    /// Takes one pin. `SeqCst`: the world gate's flag load that follows
+    /// it in `Heap::pin` must not be ordered before it.
     pub(crate) fn take_pin(&self) {
-        self.pins.fetch_add(1, Ordering::AcqRel);
+        self.pins.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Drops one pin.

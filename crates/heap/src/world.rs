@@ -18,54 +18,112 @@
 //! before it first checks for readers. So the release that drops
 //! `readers` to zero either sees the writer counted and notifies, or
 //! runs before the writer's check, and the writer never sleeps.
+//!
+//! Pins take no hold at all. The exclusive holder publishes itself in
+//! the `compacting` flag, which [`WorldGate::write`] sets under the
+//! mutex once it is exclusive and [`WriteGuard`]'s drop clears under
+//! the mutex before it notifies. `Heap::pin` increments the object's
+//! pin count and then loads the flag; `Heap::compact` sets the flag and
+//! then reads every pin count. All four operations are `SeqCst`, so
+//! this is the store-buffer (Dekker) handshake: either the pinner sees
+//! the flag, undoes its increment and waits the pass out in
+//! [`WorldGate::wait_out_compaction`], or the compactor sees the pin
+//! and leaves the object in place. A transient pin the compactor sees
+//! keeps one more object in place, as an unpin racing the pass does.
+//! Waiting is done under the mutex on the one condvar, so the clear
+//! that ends the pass wakes a backed-off pin as it wakes a blocked
+//! shared hold.
 
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 #[derive(Default)]
 struct State {
     readers: usize,
-    writer: bool,
     /// Exclusive requests blocked in [`WorldGate::write`]: the only
     /// waiters a shared release can unblock.
     writers_waiting: usize,
+    /// Pins that backed off from an active exclusive hold and shared
+    /// holds that waited for one: counted only on those slow paths.
+    waits: u64,
 }
 
-/// The gate. Shared holds = mutator payload accesses and pins;
-/// the exclusive hold = a compaction pass.
+/// The gate. Shared holds = mutator payload accesses, allocation and
+/// sweeps; the exclusive hold = a compaction pass. Pins check
+/// [`WorldGate::compacting`] instead of holding the gate.
 #[derive(Default)]
 pub(crate) struct WorldGate {
     state: Mutex<State>,
     cond: Condvar,
+    /// Whether the exclusive hold is active. Written only under the
+    /// `state` mutex; read without it by pins.
+    compacting: AtomicBool,
 }
 
 impl WorldGate {
-    /// Acquires a shared hold; blocks only while an exclusive hold is
-    /// *active* (never for a merely queued one).
-    pub(crate) fn read_recursive(&self) -> ReadGuard<'_> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while state.writer {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks on the condvar while the exclusive hold is active.
+    fn wait_while_compacting<'a>(&self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        // Relaxed: under the mutex every write to the flag is ordered
+        // before this read.
+        while self.compacting.load(Ordering::Relaxed) {
             state = self
                 .cond
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        state
+    }
+
+    /// Acquires a shared hold; blocks only while an exclusive hold is
+    /// *active* (never for a merely queued one).
+    pub(crate) fn read_recursive(&self) -> ReadGuard<'_> {
+        let mut state = self.lock();
+        if self.compacting.load(Ordering::Relaxed) {
+            state.waits += 1;
+            state = self.wait_while_compacting(state);
+        }
         state.readers += 1;
         ReadGuard { gate: self }
     }
 
+    /// Whether an exclusive hold is active: the pin side of the
+    /// handshake in the module doc, loaded after the pin count's
+    /// increment.
+    pub(crate) fn compacting(&self) -> bool {
+        self.compacting.load(Ordering::SeqCst)
+    }
+
+    /// A pin that saw [`WorldGate::compacting`] and undid its increment
+    /// blocks here, counted as one wait, until the exclusive hold ends.
+    pub(crate) fn wait_out_compaction(&self) {
+        let mut state = self.lock();
+        state.waits += 1;
+        drop(self.wait_while_compacting(state));
+    }
+
+    /// Pins that backed off from an active exclusive hold plus shared
+    /// holds that waited for one.
+    pub(crate) fn waits(&self) -> u64 {
+        self.lock().waits
+    }
+
     /// Acquires the exclusive hold, blocking until every shared hold is
-    /// released.
+    /// released, and then raises the `compacting` flag.
     pub(crate) fn write(&self) -> WriteGuard<'_> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.lock();
         state.writers_waiting += 1;
-        while state.readers > 0 || state.writer {
+        while state.readers > 0 || self.compacting.load(Ordering::Relaxed) {
             state = self
                 .cond
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
         state.writers_waiting -= 1;
-        state.writer = true;
+        self.compacting.store(true, Ordering::SeqCst);
         WriteGuard { gate: self }
     }
 }
@@ -79,11 +137,7 @@ pub(crate) struct ReadGuard<'a> {
 
 impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
-        let mut state = self
-            .gate
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.gate.lock();
         state.readers -= 1;
         if state.readers == 0 && state.writers_waiting > 0 {
             self.gate.cond.notify_all();
@@ -91,21 +145,17 @@ impl Drop for ReadGuard<'_> {
     }
 }
 
-/// The exclusive hold on the [`WorldGate`]. Dropping it always notifies:
-/// readers blocked behind it and a second queued writer both wait on
-/// the one condvar.
+/// The exclusive hold on the [`WorldGate`]. Dropping it clears the
+/// `compacting` flag and always notifies: readers and pins blocked
+/// behind it and a second queued writer all wait on the one condvar.
 pub(crate) struct WriteGuard<'a> {
     gate: &'a WorldGate,
 }
 
 impl Drop for WriteGuard<'_> {
     fn drop(&mut self) {
-        let mut state = self
-            .gate
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        state.writer = false;
+        let _state = self.gate.lock();
+        self.gate.compacting.store(false, Ordering::SeqCst);
         self.gate.cond.notify_all();
     }
 }

@@ -174,6 +174,7 @@ impl Vm {
             ("heap.compactions", hs.compactions),
             ("heap.moved_objects", hs.moved_objects_total),
             ("heap.moved_bytes", hs.moved_bytes_total),
+            ("heap.world_gate_waits", hs.world_gate_waits),
             ("containment.contained_faults", cs.contained_faults),
             ("containment.transient_retries", cs.transient_retries),
             ("containment.degraded_quarantine", cs.degraded_quarantine),
