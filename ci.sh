@@ -93,18 +93,18 @@ trap 'rm -rf "$out"' EXIT
 
 echo "== bench smoke: kernel throughput regression gate =="
 # Reduced-scale throughput run of the wide-word kernels (DESIGN.md §10),
-# written at the repo root so the report is inspectable after CI. Release
-# profile: the committed baseline was measured with optimizations on, and
+# written to the temp dir so CI leaves the committed reports as they are.
+# Release profile: the committed baseline was measured with optimizations on, and
 # debug numbers would gate nothing. This stage runs *before* the long
 # stress gates: several minutes of sustained load ahead of it can push
 # the host off its boost clocks and fail the comparison for reasons that
 # have nothing to do with the kernels.
 cargo run --offline -q --release -p bench --bin throughput -- \
-    --quick --json . >/dev/null
-test -s BENCH_throughput.json
+    --quick --json "$out" >/dev/null
+test -s "$out/BENCH_throughput.json"
 baseline="crates/bench/baselines/BENCH_throughput.baseline.json"
 if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_throughput.json "$baseline" <<'PY'
+    python3 - "$out/BENCH_throughput.json" "$baseline" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 base = json.load(open(sys.argv[2]))
@@ -145,7 +145,7 @@ print(f"throughput report: pin_unpin_ns={cur['pin_unpin_ns']:.1f}")
 PY
 else
     # No python3: at least require the report and its headline fields.
-    grep -q '"speedup_read_4k"' BENCH_throughput.json
+    grep -q '"speedup_read_4k"' "$out/BENCH_throughput.json"
     echo "throughput report present (python3 unavailable; gate skipped)"
 fi
 
@@ -160,11 +160,11 @@ echo "== bench smoke: tag-table thread-scaling gate =="
 # Like the throughput stage this runs release and ahead of the long
 # stress gates (thermal drift).
 cargo run --offline -q --release -p bench --bin scaling -- \
-    --quick --pairs 20000 --json . >/dev/null
-test -s BENCH_scaling.json
+    --quick --pairs 20000 --json "$out" >/dev/null
+test -s "$out/BENCH_scaling.json"
 scaling_baseline="crates/bench/baselines/BENCH_scaling.baseline.json"
 if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_scaling.json "$scaling_baseline" "$(nproc)" <<'PY'
+    python3 - "$out/BENCH_scaling.json" "$scaling_baseline" "$(nproc)" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 base = json.load(open(sys.argv[2]))
@@ -200,7 +200,7 @@ print(f"scaling gate: contended-16 lock_free {speedup:.1f}x over two_tier "
       f"(floor {floor:.2f}x, nproc={ncpu})")
 PY
 else
-    grep -q '"contended_16_speedup"' BENCH_scaling.json
+    grep -q '"contended_16_speedup"' "$out/BENCH_scaling.json"
     echo "scaling report present (python3 unavailable; gate skipped)"
 fi
 
@@ -245,7 +245,7 @@ PY
 echo "== bench smoke: fig6 end-to-end contention gate =="
 # The default-backend switch's regression gate (DESIGN.md §15): a
 # reduced fig6 run at 16 contended threads through the full JNI funnel,
-# written at the repo root like the other bench smoke reports. The
+# written to the temp dir like the other bench smoke reports. The
 # acceptance target is lock-free <= two-tier on contended multicore
 # hardware. A single-core host serializes the contention the two-tier
 # mutexes lose to and run-to-run noise is ~+/-8%, so the ratio is only
@@ -254,10 +254,10 @@ echo "== bench smoke: fig6 end-to-end contention gate =="
 # shape and print the ratios for the record. Release profile, ahead of
 # the long stress gates (thermal drift), like the other perf smokes.
 cargo run --offline -q --release -p bench --bin fig6 -- \
-    --threads 16 --reads 2000 --json . >/dev/null
-test -s BENCH_fig6.json
+    --threads 16 --reads 2000 --json "$out" >/dev/null
+test -s "$out/BENCH_fig6.json"
 if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_fig6.json "$(nproc)" <<'PY'
+    python3 - "$out/BENCH_fig6.json" "$(nproc)" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 ncpu = int(sys.argv[2])
@@ -281,11 +281,20 @@ if not enforce:
           "contention; ratios reported, not enforced")
 PY
     # 16 threads bump their own tally rows while sharing the histograms.
-    reconcile_counts BENCH_fig6.json
+    reconcile_counts "$out/BENCH_fig6.json"
 else
-    grep -q '"lock-free sync"' BENCH_fig6.json
+    grep -q '"lock-free sync"' "$out/BENCH_fig6.json"
     echo "fig6 report present (python3 unavailable; gate skipped)"
 fi
+
+echo "== bench smoke: fig7 + fig8 checksum run =="
+# Run-only: both Figure 7/8 binaries assert that every scheme computes
+# the no-protection checksum in every pass, so reaching the end of a run
+# at the smallest scale with one round checks the sixteen kernels under
+# every scheme through the timing harness. No perf threshold.
+cargo run --offline -q --release -p bench --bin fig7 -- --scale 1 --iters 1 >/dev/null
+cargo run --offline -q --release -p bench --bin fig8 -- --scale 1 --repeats 1 >/dev/null
+echo "fig7 and fig8: every scheme's checksums match no protection"
 
 echo "== bench smoke: multi-tenant serving gate =="
 # The serving layer's regression gate (DESIGN.md §16): quick fleet run
@@ -298,11 +307,11 @@ echo "== bench smoke: multi-tenant serving gate =="
 # the noisy-neighbor p99 ratios are min-of-repeats on both sides of the
 # same arrival seed and gated at the 1.5x acceptance bound.
 cargo run --offline -q --release -p bench --bin serving -- \
-    --quick --json . >/dev/null
-test -s BENCH_serving.json
+    --quick --json "$out" >/dev/null
+test -s "$out/BENCH_serving.json"
 serving_baseline="crates/bench/baselines/BENCH_serving.baseline.json"
 if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_serving.json "$serving_baseline" <<'PY'
+    python3 - "$out/BENCH_serving.json" "$serving_baseline" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 base = json.load(open(sys.argv[2]))
@@ -335,7 +344,7 @@ print("serving gate: peak %.0f req/s, %s" % (
                     for k, v in sorted(ratios.items()))))
 PY
 else
-    grep -q '"peak_req_s"' BENCH_serving.json
+    grep -q '"peak_req_s"' "$out/BENCH_serving.json"
     echo "serving report present (python3 unavailable; gate skipped)"
 fi
 
@@ -470,13 +479,13 @@ echo "serving STRESS.json bit-reproducible across runs"
 echo "== bench smoke: compaction + pinning =="
 # Quick fragmentation-under-churn run (sweep-only vs mark-compact around
 # a pinned borrow). The binary itself asserts the pinned survivor was
-# treated as an obstacle in every compaction pass; the report lands at
-# the repo root like the other bench smoke outputs.
+# treated as an obstacle in every compaction pass; the report lands in
+# the temp dir like the other bench smoke outputs.
 cargo run --offline -q --release -p bench --bin compaction -- \
-    --quick --json . >/dev/null
-test -s BENCH_compaction.json
+    --quick --json "$out" >/dev/null
+test -s "$out/BENCH_compaction.json"
 if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_compaction.json <<'PY'
+    python3 - "$out/BENCH_compaction.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 s = doc["summary"]
@@ -491,7 +500,7 @@ print("compaction gate: recovery %.2fx, %d moved, %d pinned skips"
          s["pinned_skipped_total"]))
 PY
 else
-    grep -q '"pinned_skipped_total"' BENCH_compaction.json
+    grep -q '"pinned_skipped_total"' "$out/BENCH_compaction.json"
     echo "compaction report present (python3 unavailable; gate skipped)"
 fi
 

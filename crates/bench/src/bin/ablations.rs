@@ -10,17 +10,22 @@
 //!    paper's §4.1 change, which it calls "generally negligible".
 //! 4. **Hash-table count**: uncontended acquire/release cost across k
 //!    (the contended case needs a multi-core host; see fig6).
+//!
+//! The timed sections (2 and 4) run their rows round by round and
+//! report each row's median.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use art_heap::BlockAllocator;
-use bench::{json_output, print_environment, Args, BenchReport};
+use bench::{json_output, print_environment, spread, timed, Args, BenchReport, Rounds};
 use guarded_copy::{GuardedCopy, GuardedCopyConfig};
 use jni_rt::{NativeKind, ReleaseMode, Vm};
 use mte4jni::{TableConfig, TagTable, TwoTierTable};
 use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr, TcfMode};
 use telemetry::json::JsonValue;
+
+/// Timed rounds per table row (after one warm-up).
+const ROUNDS: u32 = 5;
 
 fn main() {
     let args = Args::parse();
@@ -106,29 +111,39 @@ fn red_zone_sweep(args: &Args, report: &mut BenchReport) {
     let iters: u32 = args.value("--rz-iters", 2000);
     println!("--- 2. guarded-copy red-zone sweep (int[4], {iters} get/release pairs) ---");
     println!("{:>10}  {:>12}  farthest detectable write (bytes past payload)", "zone (B)", "time");
-    for rz in [16usize, 64, 256, 512, 2048] {
-        let vm = Vm::builder()
+    let zones = [16usize, 64, 256, 512, 2048];
+    let vms = zones.map(|rz| {
+        Vm::builder()
             .protection(Arc::new(GuardedCopy::with_config(GuardedCopyConfig {
                 red_zone_len: rz,
             })))
-            .build();
+            .build()
+    });
+    let series = Rounds::new(ROUNDS).run(&vms, |vm| {
         let thread = vm.attach_thread("rz");
-        let env = vm.env(&thread);
-        let a = env.new_int_array(4).unwrap();
-        let start = Instant::now();
-        for _ in 0..iters {
-            let elems = env.get_primitive_array_critical(&a).unwrap();
-            env.release_primitive_array_critical(&a, elems, ReleaseMode::Abort)
-                .unwrap();
+        let a = vm.env(&thread).new_int_array(4).unwrap();
+        move || {
+            let env = vm.env(&thread);
+            timed(|| {
+                for _ in 0..iters {
+                    let elems = env.get_primitive_array_critical(&a).unwrap();
+                    env.release_primitive_array_critical(&a, elems, ReleaseMode::Abort)
+                        .unwrap();
+                }
+            })
         }
-        let elapsed = start.elapsed();
-        println!("{:>10}  {:>10.1}µs  {}", rz, elapsed.as_secs_f64() * 1e6 / f64::from(iters) * 1.0, rz);
-        report.row(vec![
+    });
+    for (rz, s) in zones.into_iter().zip(&series) {
+        let per_pair_ns = s.median().as_nanos() as u64 / u64::from(iters);
+        println!("{:>10}  {:>10.1}µs  {}", rz, per_pair_ns as f64 / 1e3, rz);
+        let mut fields = vec![
             ("section", JsonValue::from("red_zone_sweep")),
             ("red_zone_len", JsonValue::from(rz)),
-            ("per_pair_ns", JsonValue::from(elapsed.as_nanos() as u64 / u128::from(iters) as u64)),
+            ("per_pair_ns", JsonValue::from(per_pair_ns)),
             ("reach_bytes", JsonValue::from(rz)),
-        ]);
+        ];
+        fields.extend(spread(&series[0], &[("guarded_copy", s)]));
+        report.row(fields);
     }
     println!("(MTE4JNI detects at ANY distance; guarded copy only within the zone)");
     println!();
@@ -180,20 +195,29 @@ fn table_count_cost(args: &Args, report: &mut BenchReport) {
     let thread = MteThread::with_seed("ablation", 5);
     let begin = TaggedPtr::from_addr(mem.base());
     let end = begin.addr() + 1024;
-    for k in [1usize, 4, 16, 64] {
+    let ks = [1usize, 4, 16, 64];
+    let series = Rounds::new(ROUNDS).run(ks, |k| {
+        let (mem, thread) = (&mem, &thread);
         let table = TwoTierTable::new(k);
-        let start = Instant::now();
-        for _ in 0..iters {
-            table.acquire(&mem, &thread, begin, end).unwrap();
-            table.release(&mem, begin, end).unwrap();
+        move || {
+            timed(|| {
+                for _ in 0..iters {
+                    table.acquire(mem, thread, begin, end).unwrap();
+                    table.release(mem, begin, end).unwrap();
+                }
+            })
         }
-        let per_pair = start.elapsed().as_secs_f64() / f64::from(iters) * 1e9;
+    });
+    for (k, s) in ks.into_iter().zip(&series) {
+        let per_pair = s.median().as_secs_f64() / f64::from(iters) * 1e9;
         println!("k = {k:>3}: {per_pair:>7.1} ns per acquire+release pair");
-        report.row(vec![
+        let mut fields = vec![
             ("section", JsonValue::from("table_count")),
             ("k", JsonValue::from(k)),
             ("per_pair_ns", JsonValue::from(per_pair)),
-        ]);
+        ];
+        fields.extend(spread(&series[0], &[("two_tier", s)]));
+        report.row(fields);
     }
     println!();
 }

@@ -195,7 +195,7 @@ fn run_mode(
         "release must drop the last pin"
     );
 
-    report.count_vm(&vm);
+    report.count_vms([&vm]);
     result
 }
 

@@ -7,12 +7,17 @@
 //! single-thread overhead-reduction factor (paper: ~11×), and a
 //! report-only row with the cost of telemetry recording itself: the
 //! 2-int no-protection copy timed with recording off and on.
+//!
+//! Each length is one table row: its schemes' VMs are built, then timed
+//! round by round. The ratio columns are each scheme's fastest pass over
+//! the baseline's; the JSON rows add every column's median, range and
+//! median per-round ratio.
 
 use bench::{
-    json_output, log_bar_chart, print_environment, ratio, time_copy, time_copy_degraded, Args,
-    BenchReport,
+    copy_row, degraded_vm, json_output, log_bar_chart, ns, print_environment, ratio, spread, Args,
+    BenchReport, Rounds,
 };
-use std::time::Duration;
+use jni_rt::Vm;
 use telemetry::json::JsonValue;
 use workloads::Scheme;
 
@@ -30,76 +35,78 @@ fn main() {
 
     print_environment("Figure 5 — single-thread JNI copy overhead");
 
+    let rounds = Rounds::new(repeats);
     // Runs first: the reset then leaves the report's histograms to the
     // figure's own runs, and the row's VMs never reach its counter sums.
+    // Each row sets the recording state before its own clock read.
+    const TELEMETRY_ITERS: u32 = 4096;
     let recording = telemetry::enabled();
-    let [telemetry_off, telemetry_on] = telemetry_cost(repeats);
+    let vms = [Scheme::NoProtection.build_vm(), Scheme::NoProtection.build_vm()];
+    let cost = rounds.run([false, true].iter().zip(&vms), |(&on, vm)| {
+        let mut pass = copy_row(vm, 2, TELEMETRY_ITERS);
+        move || {
+            telemetry::set_enabled(on);
+            pass()
+        }
+    });
+    drop(vms);
+    let [telemetry_off, telemetry_on] =
+        [0, 1].map(|i| cost[i].median().as_nanos() as f64 / f64::from(TELEMETRY_ITERS));
     telemetry::set_enabled(recording);
     telemetry::reset();
 
-    let schemes = [Scheme::GuardedCopy, Scheme::Mte4JniSync, Scheme::Mte4JniAsync];
+    // The columns after the no-protection baseline: JSON key, header,
+    // and the VM each table row builds for it.
+    type Column = (&'static str, &'static str, fn() -> Vm);
+    let mut columns: Vec<Column> = vec![
+        ("guarded_copy", Scheme::GuardedCopy.label(), || Scheme::GuardedCopy.build_vm()),
+        ("mte_sync", Scheme::Mte4JniSync.label(), || Scheme::Mte4JniSync.build_vm()),
+        ("mte_async", Scheme::Mte4JniAsync.label(), || Scheme::Mte4JniAsync.build_vm()),
+    ];
     if degraded {
-        println!(
-            "{:>10}  {:>14}  {:>14}  {:>14}  {:>14}",
-            "len(ints)",
-            schemes[0].label(),
-            schemes[1].label(),
-            schemes[2].label(),
-            "degraded"
-        );
-    } else {
-        println!(
-            "{:>10}  {:>14}  {:>14}  {:>14}",
-            "len(ints)",
-            schemes[0].label(),
-            schemes[1].label(),
-            schemes[2].label()
-        );
+        columns.push(("degraded_guarded", "degraded", degraded_vm));
     }
+    let ratio_keys: Vec<String> = columns.iter().map(|c| format!("{}_ratio", c.0)).collect();
+    let labels: Vec<&str> = std::iter::once("no_protection").chain(columns.iter().map(|c| c.0)).collect();
+    print!("{:>10}", "len(ints)");
+    for (_, header, _) in &columns {
+        print!("  {header:>14}");
+    }
+    println!();
 
-    let mut sums = [0.0f64; 3];
-    let mut degraded_sum = 0.0f64;
-    let mut rows = 0u32;
+    let mut sums = vec![0.0f64; columns.len()];
     let mut chart_rows: Vec<(String, Vec<f64>)> = Vec::new();
     for pow in 1..=max_pow {
         let len = 1usize << pow;
         // Keep per-cell work roughly constant across lengths.
         let iters = (1u32 << 14) / len as u32;
         let iters = iters.clamp(4, 4096);
-        let baseline = time_copy(&mut report, Scheme::NoProtection, len, iters, repeats);
-        let mut row = [0.0f64; 3];
-        for (i, &scheme) in schemes.iter().enumerate() {
-            row[i] = ratio(time_copy(&mut report, scheme, len, iters, repeats), baseline);
-            sums[i] += row[i];
-        }
-        rows += 1;
+        let vms: Vec<Vm> = std::iter::once(Scheme::NoProtection.build_vm())
+            .chain(columns.iter().map(|c| (c.2)()))
+            .collect();
+        let series = rounds.run(&vms, |vm| copy_row(vm, len, iters));
+        report.count_vms(&vms);
+        let baseline = series[0].min();
+        let ratios: Vec<f64> = series[1..].iter().map(|s| ratio(s.min(), baseline)).collect();
         let mut fields = vec![
             ("len", JsonValue::from(len)),
             ("iters", JsonValue::from(iters)),
-            ("baseline_ns", JsonValue::from(baseline.as_nanos() as u64)),
-            ("guarded_copy_ratio", JsonValue::from(row[0])),
-            ("mte_sync_ratio", JsonValue::from(row[1])),
-            ("mte_async_ratio", JsonValue::from(row[2])),
+            ("baseline_ns", ns(baseline)),
         ];
-        if degraded {
-            let d = ratio(time_copy_degraded(&mut report, len, iters, repeats), baseline);
-            degraded_sum += d;
-            fields.push(("degraded_guarded_ratio", JsonValue::from(d)));
-            println!(
-                "{:>10}  {:>13.2}x  {:>13.2}x  {:>13.2}x  {:>13.2}x",
-                len, row[0], row[1], row[2], d
-            );
-        } else {
-            println!(
-                "{:>10}  {:>13.2}x  {:>13.2}x  {:>13.2}x",
-                len, row[0], row[1], row[2]
-            );
+        print!("{len:>10}");
+        for ((key, &r), sum) in ratio_keys.iter().zip(&ratios).zip(&mut sums) {
+            *sum += r;
+            print!("  {r:>13.2}x");
+            fields.push((key, JsonValue::from(r)));
         }
+        println!();
+        let spread_columns: Vec<_> = labels.iter().copied().zip(&series).collect();
+        fields.extend(spread(&series[0], &spread_columns));
         report.row(fields);
-        chart_rows.push((len.to_string(), row.to_vec()));
+        chart_rows.push((len.to_string(), ratios[..3].to_vec()));
     }
 
-    let avg: Vec<f64> = sums.iter().map(|s| s / f64::from(rows)).collect();
+    let avg: Vec<f64> = sums.iter().map(|s| s / f64::from(max_pow)).collect();
     println!();
     println!(
         "{:>10}  {:>13.2}x  {:>13.2}x  {:>13.2}x   (paper: 26.58x / 2.36x / 2.24x)",
@@ -111,10 +118,10 @@ fn main() {
         "overhead reduction vs guarded copy: sync {reduction_sync:.1}x, async {reduction_async:.1}x \
          (paper abstract: ~11x single-threaded)"
     );
+    for ((key, _, _), a) in columns.iter().zip(&avg) {
+        report.summary(&format!("avg_{key}_ratio"), *a);
+    }
     report
-        .summary("avg_guarded_copy_ratio", avg[0])
-        .summary("avg_mte_sync_ratio", avg[1])
-        .summary("avg_mte_async_ratio", avg[2])
         .summary("reduction_sync", reduction_sync)
         .summary("reduction_async", reduction_async)
         .summary("telemetry_off_copy_ns", telemetry_off)
@@ -127,47 +134,22 @@ fn main() {
     if degraded {
         // The cost of quarantine: the same kernel through the guarded-copy
         // fallback, relative to baseline and to healthy MTE4JNI+Sync.
-        let avg_degraded = degraded_sum / f64::from(rows);
-        let fallback_ratio = avg_degraded / avg[1].max(f64::EPSILON);
+        let fallback_ratio = avg[3] / avg[1].max(f64::EPSILON);
         println!(
-            "quarantined (guarded-copy fallback) average: {avg_degraded:.2}x; \
-             {fallback_ratio:.2}x the healthy MTE4JNI+Sync cost"
+            "quarantined (guarded-copy fallback) average: {:.2}x; \
+             {fallback_ratio:.2}x the healthy MTE4JNI+Sync cost",
+            avg[3]
         );
-        report
-            .summary("avg_degraded_guarded_ratio", avg_degraded)
-            .summary("degraded_fallback_ratio", fallback_ratio);
+        report.summary("degraded_fallback_ratio", fallback_ratio);
     }
     println!();
     println!("Copy time ratios (cf. the paper's Figure 5, log scale):");
     print!(
         "{}",
-        log_bar_chart(
-            &[schemes[0].label(), schemes[1].label(), schemes[2].label()],
-            &chart_rows
-        )
+        log_bar_chart(&columns[..3].iter().map(|c| c.1).collect::<Vec<_>>(), &chart_rows)
     );
 
     if let Some(path) = json_path {
         bench::write_report(&report, &path);
     }
-}
-
-/// Median time of one 2-int No_Protection copy, in nanoseconds, with
-/// telemetry recording off and then on: `rounds` fresh VMs each,
-/// alternating the two settings. The VMs' counters go to a report that
-/// is never written.
-fn telemetry_cost(rounds: u32) -> [f64; 2] {
-    const ITERS: u32 = 4096;
-    let mut unwritten = BenchReport::new("telemetry_cost");
-    let mut samples: [Vec<Duration>; 2] = Default::default();
-    for _ in 0..rounds.max(1) {
-        for (on, times) in samples.iter_mut().enumerate() {
-            telemetry::set_enabled(on == 1);
-            times.push(time_copy(&mut unwritten, Scheme::NoProtection, 2, ITERS, 1));
-        }
-    }
-    samples.map(|mut times| {
-        times.sort_unstable();
-        times[times.len() / 2].as_nanos() as f64 / f64::from(ITERS)
-    })
 }

@@ -13,11 +13,20 @@
 //! The headline MTE4JNI rows run the library-default lock-free table;
 //! the `two-tier` rows keep the paper's §4.3 hash tables as the
 //! paper-faithful ablation.
+//!
+//! Each sharing mode is one table row: every scheme's VM, arrays and
+//! worker threads are set up outside the clock, and the schemes are
+//! timed round by round. A row reports its median time and the median
+//! of its per-round ratios to no protection.
 
-use bench::{json_output, print_environment, ratio, time_multithread_read, Args, BenchReport, SharingMode};
+use bench::{json_output, ns, print_environment, read_row, spread, Args, BenchReport, Rounds, SharingMode};
+use jni_rt::Vm;
 use std::time::Duration;
 use telemetry::json::JsonValue;
 use workloads::Scheme;
+
+/// Timed rounds per table row (after one warm-up).
+const ROUNDS: u32 = 5;
 
 fn main() {
     let args = Args::parse();
@@ -42,7 +51,31 @@ fn main() {
     }
     println!();
 
+    // Times one table row, whose first row is the baseline, round by
+    // round; prints and reports each row's median time, its range and
+    // its median per-round ratio to the baseline.
+    let rounds = Rounds::new(ROUNDS);
+    let table = |report: &mut BenchReport, sharing: SharingMode, label: &str, rows: Vec<(String, Vm)>| {
+        let series = rounds.run(&rows, |(_, vm)| read_row(vm, sharing, threads, reads, array_len));
+        report.count_vms(rows.iter().map(|(_, vm)| vm));
+        println!("{:>26}  {:>10}  {:>8}  {:>21}", "scheme", "time", "ratio", "range");
+        for ((name, _), s) in rows.iter().zip(&series) {
+            let ratio = s.median_ratio(&series[0]);
+            let range = format!("{}-{}", format_duration(s.min()), format_duration(s.max()));
+            println!("{name:>26}  {:>10}  {ratio:>7.2}x  {range:>21}", format_duration(s.median()));
+            let mut fields = vec![
+                ("sharing", JsonValue::from(label)),
+                ("scheme", JsonValue::from(name.as_str())),
+                ("time_ns", ns(s.median())),
+                ("ratio", JsonValue::from(ratio)),
+            ];
+            fields.extend(spread(&series[0], &[(name, s)]));
+            report.row(fields);
+        }
+    };
+
     let schemes = [
+        (Scheme::NoProtection, "no_protection"),
         (Scheme::Mte4JniSync, "lock-free sync"),
         (Scheme::Mte4JniAsync, "lock-free async"),
         (Scheme::Mte4JniSyncTwoTier, "two-tier sync"),
@@ -51,119 +84,29 @@ fn main() {
         (Scheme::Mte4JniAsyncGlobalLock, "global-lock async"),
         (Scheme::GuardedCopy, "guarded copy"),
     ];
-
-    for (sharing, title, paper) in [
-        (SharingMode::SameArray, "Same Array", "1.21x / 1.39x / 32.9x"),
-        (SharingMode::DifferentArrays, "Different Array", "1.21x / 2.20x / 34.0x"),
+    for (sharing, label, title, paper) in [
+        (SharingMode::SameArray, "same_array", "Same Array", "1.21x / 1.39x / 32.9x"),
+        (SharingMode::DifferentArrays, "different_arrays", "Different Array", "1.21x / 2.20x / 34.0x"),
     ] {
-        let baseline = time_multithread_read(
-            &mut report,
-            Scheme::NoProtection,
-            sharing,
-            threads,
-            reads,
-            array_len,
-        );
         println!("--- {title} (paper two-tier/global/guarded: {paper}) ---");
-        println!("{:>26}  {:>10}  {:>8}", "scheme", "time", "ratio");
-        println!(
-            "{:>26}  {:>10}  {:>7.2}x",
-            "No_Protection",
-            format_duration(baseline),
-            1.0
-        );
-        let sharing_label = match sharing {
-            SharingMode::SameArray => "same_array",
-            SharingMode::DifferentArrays => "different_arrays",
-        };
-        report.row(vec![
-            ("sharing", JsonValue::from(sharing_label)),
-            ("scheme", JsonValue::from("no_protection")),
-            ("time_ns", JsonValue::from(baseline.as_nanos() as u64)),
-            ("ratio", JsonValue::from(1.0)),
-        ]);
-        for &(scheme, name) in &schemes {
-            let t = time_multithread_read(&mut report, scheme, sharing, threads, reads, array_len);
-            println!(
-                "{:>26}  {:>10}  {:>7.2}x",
-                name,
-                format_duration(t),
-                ratio(t, baseline)
-            );
-            report.row(vec![
-                ("sharing", JsonValue::from(sharing_label)),
-                ("scheme", JsonValue::from(name)),
-                ("time_ns", JsonValue::from(t.as_nanos() as u64)),
-                ("ratio", JsonValue::from(ratio(t, baseline))),
-            ]);
-        }
+        let rows = schemes.map(|(scheme, name)| (name.to_owned(), scheme.build_vm()));
+        table(&mut report, sharing, label, rows.into());
         println!();
     }
 
     if args.flag("--sweep-tables") {
         println!("--- Ablation: hash-table count k (two-tier sync, different arrays) ---");
-        let baseline = time_multithread_read(
-            &mut report,
-            Scheme::NoProtection,
-            SharingMode::DifferentArrays,
-            threads,
-            reads,
-            array_len,
-        );
-        println!("{:>6}  {:>10}  {:>8}", "k", "time", "ratio");
-        for k in [1usize, 2, 4, 8, 16, 32, 64] {
-            let vm_time = time_with_tables(&mut report, k, threads, reads, array_len);
-            println!(
-                "{:>6}  {:>10}  {:>7.2}x",
-                k,
-                format_duration(vm_time),
-                ratio(vm_time, baseline)
-            );
-            report.row(vec![
-                ("sharing", JsonValue::from("table_sweep")),
-                ("scheme", JsonValue::from(format!("two_tier_k{k}"))),
-                ("time_ns", JsonValue::from(vm_time.as_nanos() as u64)),
-                ("ratio", JsonValue::from(ratio(vm_time, baseline))),
-            ]);
-        }
+        let rows = std::iter::once(("no_protection".to_owned(), Scheme::NoProtection.build_vm()))
+            .chain([1usize, 2, 4, 8, 16, 32, 64].map(|k| {
+                (format!("two_tier_k{k}"), Scheme::Mte4JniSyncTwoTier.build_vm_with_tables(k))
+            }))
+            .collect();
+        table(&mut report, SharingMode::DifferentArrays, "table_sweep", rows);
     }
 
     if let Some(path) = json_path {
         bench::write_report(&report, &path);
     }
-}
-
-fn time_with_tables(
-    report: &mut BenchReport,
-    k: usize,
-    threads: usize,
-    reads: u32,
-    array_len: usize,
-) -> Duration {
-    use art_heap::ArrayRef;
-    use std::time::Instant;
-
-    let vm = Scheme::Mte4JniSyncTwoTier.build_vm_with_tables(k);
-    let setup = vm.attach_thread("sweep-setup");
-    let env = vm.env(&setup);
-    let data: Vec<i32> = (0..array_len as i32).collect();
-    let arrays: Vec<ArrayRef> = (0..threads)
-        .map(|_| env.new_int_array_from(&data).expect("alloc"))
-        .collect();
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for (i, array) in arrays.iter().enumerate() {
-            let vm = &vm;
-            s.spawn(move || {
-                let thread = vm.attach_thread(format!("sweep-{i}"));
-                let env = vm.env(&thread);
-                bench::read_loop_kernel(&env, array, reads);
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    report.count_vm(&vm);
-    elapsed
 }
 
 fn format_duration(d: Duration) -> String {

@@ -16,10 +16,9 @@
 //! just those thread counts with a smaller op budget for CI.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::Duration;
 
-use bench::{json_output, print_environment, Args, BenchReport};
+use bench::{crew, json_output, print_environment, spread, Args, BenchReport, Rounds};
 use mte4jni::{ReleaseOutcome, TableBackend, TableConfig, TagTable};
 use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 use telemetry::json::JsonValue;
@@ -53,84 +52,59 @@ fn backend_label(backend: TableBackend) -> &'static str {
     }
 }
 
-/// One measurement: `threads` real OS threads each run `pairs`
-/// acquire/release pairs against a fresh table; returns pairs/s across
-/// all threads (best of `repeats`).
-fn measure_ops(
+/// One row: a fresh table over fresh memory, timed by a crew of
+/// `threads` OS threads each running `pairs` acquire/release pairs per
+/// pass.
+fn table_row(
     backend: TableBackend,
     sharing: Sharing,
     threads: usize,
     pairs: u32,
-    repeats: u32,
-) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mem = TaggedMemory::new(MemoryConfig {
-            base: BASE,
-            size: MEM_SIZE,
+) -> impl FnMut() -> Duration {
+    let mem = TaggedMemory::new(MemoryConfig {
+        base: BASE,
+        size: MEM_SIZE,
+    });
+    mem.mprotect_mte(BASE, MEM_SIZE, true).expect("tag the region");
+    let table: Box<dyn TagTable> = TableConfig {
+        backend,
+        ..TableConfig::default()
+    }
+    .build();
+    move || {
+        let failed = AtomicBool::new(false);
+        let elapsed = crew(threads, |t, start| {
+            let thread = MteThread::with_seed("scaling", 0x5CA1E ^ t as u64);
+            let addr = match sharing {
+                Sharing::Contended => BASE,
+                Sharing::Disjoint => BASE + OBJ_STRIDE * t as u64,
+            };
+            let begin = TaggedPtr::from_addr(addr);
+            let end = addr + OBJ_LEN;
+            start.wait();
+            for _ in 0..pairs {
+                if table.acquire(&mem, &thread, begin, end).is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                    return;
+                }
+                // The borrow just acquired must still be tracked.
+                if !matches!(
+                    table.release(&mem, begin, end),
+                    Ok(outcome) if outcome != ReleaseOutcome::NotTracked
+                ) {
+                    failed.store(true, Ordering::Relaxed);
+                    return;
+                }
+            }
         });
-        mem.mprotect_mte(BASE, MEM_SIZE, true).unwrap();
-        let table: Arc<dyn TagTable> = Arc::from(
-            TableConfig {
-                backend,
-                ..TableConfig::default()
-            }
-            .build(),
-        );
-        let barrier = Arc::new(Barrier::new(threads + 1));
-        let failed = Arc::new(AtomicBool::new(false));
-        let elapsed = std::thread::scope(|scope| {
-            for t in 0..threads {
-                let (mem, table) = (Arc::clone(&mem), Arc::clone(&table));
-                let (barrier, failed) = (Arc::clone(&barrier), Arc::clone(&failed));
-                scope.spawn(move || {
-                    let thread = MteThread::with_seed("scaling", 0x5CA1E ^ t as u64);
-                    let addr = match sharing {
-                        Sharing::Contended => BASE,
-                        Sharing::Disjoint => BASE + OBJ_STRIDE * t as u64,
-                    };
-                    let begin = TaggedPtr::from_addr(addr);
-                    let end = addr + OBJ_LEN;
-                    barrier.wait();
-                    for _ in 0..pairs {
-                        if table.acquire(&mem, &thread, begin, end).is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        // The borrow just acquired must still be tracked.
-                        if !matches!(
-                            table.release(&mem, begin, end),
-                            Ok(outcome) if outcome != ReleaseOutcome::NotTracked
-                        ) {
-                            failed.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                });
-            }
-            // Read the clock *before* releasing the workers: on an
-            // oversubscribed host the main thread may not run again
-            // until the workers are already done, so a start stamp
-            // taken after the barrier can miss the whole work phase.
-            // `scope` joins every worker before returning, so
-            // start → scope-return brackets barrier-release → last join
-            // (plus any spawn tail still short of the barrier, which the
-            // op budget dwarfs).
-            let start = Instant::now();
-            barrier.wait();
-            start
-        })
-        .elapsed();
         assert!(
             !failed.load(Ordering::Relaxed),
             "{} {} x{threads}: acquire/release failed",
             backend_label(backend),
             sharing.label()
         );
-        let ops = f64::from(pairs) * threads as f64;
-        best = best.max(ops / elapsed.as_secs_f64().max(1e-12));
+        elapsed
     }
-    best
 }
 
 fn main() {
@@ -163,6 +137,7 @@ fn main() {
         TableBackend::TwoTier,
         TableBackend::Global,
     ];
+    let rounds = Rounds::new(repeats);
     let mut contended_16: Vec<(&str, f64)> = Vec::new();
     for sharing in [Sharing::Contended, Sharing::Disjoint] {
         for &threads in thread_counts {
@@ -170,15 +145,21 @@ fn main() {
                 ("mode", JsonValue::from(sharing.label())),
                 ("threads", JsonValue::from(threads)),
             ];
-            let mut cells = Vec::new();
-            for backend in backends {
-                let ops = measure_ops(backend, sharing, threads, pairs, repeats);
-                row.push((backend_label(backend), JsonValue::from(ops)));
-                cells.push(ops);
+            let series = rounds.run(backends, |backend| table_row(backend, sharing, threads, pairs));
+            // Best of the rounds: the fastest pass's ops/s.
+            let ops = f64::from(pairs) * threads as f64;
+            let cells: Vec<f64> = series
+                .iter()
+                .map(|s| ops / s.min().as_secs_f64().max(1e-12))
+                .collect();
+            for (&backend, &cell) in backends.iter().zip(&cells) {
+                row.push((backend_label(backend), JsonValue::from(cell)));
                 if sharing == Sharing::Contended && threads == 16 {
-                    contended_16.push((backend_label(backend), ops));
+                    contended_16.push((backend_label(backend), cell));
                 }
             }
+            let columns: Vec<_> = backends.iter().map(|&b| backend_label(b)).zip(&series).collect();
+            row.extend(spread(&series[0], &columns));
             println!(
                 "{:>10}  {:>8}  {:>12.0}/s  {:>12.0}/s  {:>12.0}/s",
                 sharing.label(),

@@ -18,7 +18,9 @@
 //! `crates/bench/baselines/BENCH_serving.baseline.json` (≤ 20% req/s
 //! regression) and bounds the lock-free noisy p99 ratio.
 
-use bench::{json_output, print_environment, Args, BenchReport};
+use std::time::Duration;
+
+use bench::{json_output, print_environment, spread, Args, BenchReport, Rounds};
 use mte_sim::inject::FaultPlan;
 use server::{Server, ServerConfig};
 use server::traffic::TrafficConfig;
@@ -31,11 +33,13 @@ const NOISY_TENANTS: u32 = 4;
 /// containment stress gate (≥ 2000 ppm on every fault point).
 const NOISY_PPM: u32 = 2_000;
 
-/// One measured fleet configuration (best-of-repeats).
-struct Measurement {
-    /// Fleet requests/s over the whole stream (max across repeats).
+/// One pass of a fleet configuration on a fresh fleet.
+struct Pass {
+    /// The fleet's wall time for the whole stream.
+    elapsed: Duration,
+    /// Fleet requests/s over the whole stream.
     req_s: f64,
-    /// Exact whole-fleet latency quantiles, ns (min across repeats).
+    /// Exact whole-fleet latency quantiles, ns.
     p50_ns: u64,
     p99_ns: u64,
     /// p99 over the non-noisy tenants only (tenants 1.., or tenant 0
@@ -59,15 +63,11 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-fn measure(
-    scheme: Backend,
-    tenants: u32,
-    noisy: bool,
-    per_tenant: u64,
-    repeats: u32,
-) -> Measurement {
-    let mut best: Option<Measurement> = None;
-    for _ in 0..repeats.max(1) {
+/// One row: each pass builds a fresh fleet and its arrival stream
+/// (untimed), serves the stream (timed by the fleet itself), and checks
+/// the fleet afterwards.
+fn fleet_row(scheme: Backend, tenants: u32, noisy: bool, per_tenant: u64) -> impl FnMut() -> Pass {
+    move || {
         let workers = (tenants as usize).min(8);
         let mut cfg = ServerConfig::with_tenants(tenants, workers);
         for t in &mut cfg.tenants {
@@ -106,7 +106,8 @@ fn measure(
         };
         neighbor.sort_unstable();
         let t0 = server.tenant(0).stats();
-        let m = Measurement {
+        Pass {
+            elapsed: summary.elapsed,
             req_s: summary.served as f64 / summary.elapsed.as_secs_f64().max(1e-12),
             p50_ns: quantile(&all, 0.50),
             p99_ns: quantile(&all, 0.99),
@@ -115,22 +116,8 @@ fn measure(
             shed: summary.shed,
             contained: t0.contained_faults,
             health: t0.health,
-        };
-        best = Some(match best {
-            None => m,
-            // Best-of-repeats per metric: max throughput, min tails —
-            // both directions reject scheduler noise, never hide a
-            // real regression present in every repeat.
-            Some(b) => Measurement {
-                req_s: b.req_s.max(m.req_s),
-                p50_ns: b.p50_ns.min(m.p50_ns),
-                p99_ns: b.p99_ns.min(m.p99_ns),
-                neighbor_p99_ns: b.neighbor_p99_ns.min(m.neighbor_p99_ns),
-                ..m
-            },
-        });
+        }
     }
-    best.expect("repeats >= 1")
 }
 
 fn scheme_key(scheme: Backend) -> String {
@@ -161,61 +148,73 @@ fn main() {
     // Per-row req/s on a loaded single-core host swings ±25% run to
     // run, but the run's peak is stable within ~10%.
     let mut peak_req_s = 0f64;
-    for scheme in Backend::ALL {
-        let mut quiet4_neighbor_p99 = 0u64;
-        for tenants in [1u32, 4, 16] {
-            let runs: &[bool] = if tenants == NOISY_TENANTS {
-                &[false, true]
-            } else {
-                &[false]
-            };
-            for &noisy in runs {
-                let m = measure(scheme, tenants, noisy, per_tenant, repeats);
-                peak_req_s = peak_req_s.max(m.req_s);
-                println!(
-                    "{:>10}  {:>7}  {:>5}  {:>10.0}/s  {:>8.1}us  {:>8.1}us  {:>6}  {:>11}",
-                    scheme.label(),
-                    tenants,
-                    if noisy { "on" } else { "off" },
-                    m.req_s,
-                    m.p50_ns as f64 / 1e3,
-                    m.p99_ns as f64 / 1e3,
-                    m.shed,
-                    m.health,
-                );
-                report.row(vec![
-                    ("scheme", JsonValue::from(scheme.label())),
-                    ("tenants", JsonValue::from(tenants)),
-                    ("noisy", JsonValue::from(noisy)),
-                    ("req_per_s", JsonValue::from(m.req_s)),
-                    ("p50_ns", JsonValue::from(m.p50_ns)),
-                    ("p99_ns", JsonValue::from(m.p99_ns)),
-                    ("neighbor_p99_ns", JsonValue::from(m.neighbor_p99_ns)),
-                    ("served", JsonValue::from(m.served)),
-                    ("shed", JsonValue::from(m.shed)),
-                    ("contained_faults_t0", JsonValue::from(m.contained)),
-                    ("t0_health", JsonValue::from(m.health.as_str())),
-                ]);
-                if tenants == NOISY_TENANTS {
-                    if noisy {
-                        // The acceptance figure: neighbors' p99 with a
-                        // faulting tenant over the same tenants' p99 on
-                        // the same arrival seed without one.
-                        let ratio = m.neighbor_p99_ns as f64
-                            / (quiet4_neighbor_p99 as f64).max(1.0);
-                        println!(
-                            "{:>10}  noisy-neighbor p99 ratio: {ratio:.2}x \
-                             (t0 {} with {} contained faults)",
-                            "", m.health, m.contained
-                        );
-                        report.summary(&format!("noisy_p99_ratio_{}", scheme_key(scheme)), ratio);
-                    } else {
-                        quiet4_neighbor_p99 = m.neighbor_p99_ns;
-                    }
+    let rounds = Rounds::new(repeats);
+    for tenants in [1u32, NOISY_TENANTS, 16] {
+        let noisy_runs: &[bool] = if tenants == NOISY_TENANTS { &[false, true] } else { &[false] };
+        let rows: Vec<(Backend, bool)> = Backend::ALL
+            .into_iter()
+            .flat_map(|scheme| noisy_runs.iter().map(move |&noisy| (scheme, noisy)))
+            .collect();
+        let series = rounds.run(rows.iter().copied(), |(scheme, noisy)| {
+            fleet_row(scheme, tenants, noisy, per_tenant)
+        });
+        let baseline = series[0].map(|p| p.elapsed);
+        let mut quiet_neighbor_p99 = 0u64;
+        for (&(scheme, noisy), s) in rows.iter().zip(&series) {
+            // Best of the rounds per metric: max throughput, min tails —
+            // both directions reject scheduler noise, never hide a real
+            // regression present in every round. The counts and health
+            // are the last round's.
+            let last = s.samples().last().expect("at least one round");
+            let req_s = s.map(|p| p.req_s).max();
+            let p50_ns = s.map(|p| p.p50_ns).min();
+            let p99_ns = s.map(|p| p.p99_ns).min();
+            let neighbor_p99_ns = s.map(|p| p.neighbor_p99_ns).min();
+            peak_req_s = peak_req_s.max(req_s);
+            println!(
+                "{:>10}  {:>7}  {:>5}  {:>10.0}/s  {:>8.1}us  {:>8.1}us  {:>6}  {:>11}",
+                scheme.label(),
+                tenants,
+                if noisy { "on" } else { "off" },
+                req_s,
+                p50_ns as f64 / 1e3,
+                p99_ns as f64 / 1e3,
+                last.shed,
+                last.health,
+            );
+            let mut fields = vec![
+                ("scheme", JsonValue::from(scheme.label())),
+                ("tenants", JsonValue::from(tenants)),
+                ("noisy", JsonValue::from(noisy)),
+                ("req_per_s", JsonValue::from(req_s)),
+                ("p50_ns", JsonValue::from(p50_ns)),
+                ("p99_ns", JsonValue::from(p99_ns)),
+                ("neighbor_p99_ns", JsonValue::from(neighbor_p99_ns)),
+                ("served", JsonValue::from(last.served)),
+                ("shed", JsonValue::from(last.shed)),
+                ("contained_faults_t0", JsonValue::from(last.contained)),
+                ("t0_health", JsonValue::from(last.health.as_str())),
+            ];
+            fields.extend(spread(&baseline, &[(scheme.label(), &s.map(|p| p.elapsed))]));
+            report.row(fields);
+            if tenants == NOISY_TENANTS {
+                if noisy {
+                    // The acceptance figure: neighbors' p99 with a
+                    // faulting tenant over the same tenants' p99 on the
+                    // same arrival seed without one.
+                    let ratio = neighbor_p99_ns as f64 / (quiet_neighbor_p99 as f64).max(1.0);
+                    println!(
+                        "{:>10}  noisy-neighbor p99 ratio: {ratio:.2}x \
+                         (t0 {} with {} contained faults)",
+                        "", last.health, last.contained
+                    );
+                    report.summary(&format!("noisy_p99_ratio_{}", scheme_key(scheme)), ratio);
+                } else {
+                    quiet_neighbor_p99 = neighbor_p99_ns;
                 }
-                if tenants == 16 && !noisy {
-                    report.summary(&format!("req_s_16_{}", scheme_key(scheme)), m.req_s);
-                }
+            }
+            if tenants == 16 {
+                report.summary(&format!("req_s_16_{}", scheme_key(scheme)), req_s);
             }
         }
     }

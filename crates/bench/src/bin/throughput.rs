@@ -16,10 +16,10 @@
 //! up and down and one load of the world gate's compaction flag, with
 //! no gate hold. `--quick` shrinks the measured volume for CI.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use art_heap::{Heap, HeapConfig, ObjectRef};
-use bench::{json_output, measure, print_environment, time_copy, Args, BenchReport};
+use bench::{copy_row, json_output, print_environment, spread, timed, Args, BenchReport, Rounds};
 use mte_sim::{
     MemoryConfig, MteThread, ScalarMemory, Tag, TaggedMemory, TaggedPtr, TcfMode, PAGE_SIZE,
 };
@@ -27,28 +27,43 @@ use telemetry::json::JsonValue;
 use workloads::Scheme;
 
 const BASE: u64 = 0x7a00_0000_0000;
-/// Alternating wide/scalar rounds of the per-element row.
-const ELEMENT_ROUNDS: usize = 31;
+/// Rounds of the per-element row (after one warm-up).
+const ELEMENT_ROUNDS: u32 = 31;
 
 /// GB/s moved given total bytes and the best measured duration.
 fn gbps(bytes: u64, d: Duration) -> f64 {
     (bytes as f64 / 1e9) / d.as_secs_f64().max(1e-12)
 }
 
-/// One measured kernel on one implementation: runs `iters` calls of a
-/// `size`-byte operation per sample, `repeats` samples, best-of.
-fn bench_kernel(
-    size: usize,
-    iters: u32,
-    repeats: u32,
-    mut op: impl FnMut(),
-) -> (Duration, f64) {
-    let best = measure(repeats, || {
-        for _ in 0..iters {
-            op();
-        }
-    });
-    (best, gbps(size as u64 * u64::from(iters), best))
+/// The measured kernels, in table order.
+const KERNELS: [&str; 6] = [
+    "read_bytes",
+    "write_bytes",
+    "fill",
+    "read_unchecked",
+    "write_unchecked",
+    "set_tag_range",
+];
+
+/// One call of kernel `k` (an index into [`KERNELS`]) on the wide or
+/// the scalar implementation, over `buf.len()` bytes of the region.
+fn op(s: &Setup, k: usize, wide: bool, buf: &mut [u8], payload: &[u8]) {
+    let (ptr, thread) = (s.ptr, &s.thread);
+    let end = ptr.addr() + buf.len() as u64;
+    match (k, wide) {
+        (0, true) => s.wide.read_bytes(thread, ptr, buf).unwrap(),
+        (0, false) => s.scalar.read_bytes(thread, ptr, buf).unwrap(),
+        (1, true) => s.wide.write_bytes(thread, ptr, payload).unwrap(),
+        (1, false) => s.scalar.write_bytes(thread, ptr, payload).unwrap(),
+        (2, true) => s.wide.fill(thread, ptr, buf.len(), 0x5A).unwrap(),
+        (2, false) => s.scalar.fill(thread, ptr, buf.len(), 0x5A).unwrap(),
+        (3, true) => s.wide.read_bytes_unchecked(ptr, buf).unwrap(),
+        (3, false) => s.scalar.read_bytes_unchecked(ptr, buf).unwrap(),
+        (4, true) => s.wide.write_bytes_unchecked(ptr, payload).unwrap(),
+        (4, false) => s.scalar.write_bytes_unchecked(ptr, payload).unwrap(),
+        (_, true) => s.wide.set_tag_range(ptr, end, s.tag).unwrap(),
+        (_, false) => s.scalar.set_tag_range(ptr, end, s.tag).unwrap(),
+    }
 }
 
 struct Setup {
@@ -117,87 +132,43 @@ fn main() {
     let mut speedup_write_4k = 0.0f64;
     let mut gate_figures: Vec<(String, f64)> = Vec::new();
 
+    let rounds = Rounds::new(repeats);
     for &size in sizes {
         let iters = (volume / size).clamp(1, 1 << 20) as u32;
-        let mut buf = vec![0u8; size];
         let payload: Vec<u8> = (0..size).map(|i| i as u8).collect();
-
-        // (label, wide result, scalar result) triples, measured in turn.
-        type Sample = (Duration, f64);
-        let end = s.ptr.addr() + size as u64;
-        let kernels: Vec<(&str, Sample, Sample)> = vec![
-            (
-                "read_bytes",
-                bench_kernel(size, iters, repeats, || {
-                    s.wide.read_bytes(&s.thread, s.ptr, &mut buf).unwrap();
-                }),
-                bench_kernel(size, iters, repeats, || {
-                    s.scalar.read_bytes(&s.thread, s.ptr, &mut buf).unwrap();
-                }),
-            ),
-            (
-                "write_bytes",
-                bench_kernel(size, iters, repeats, || {
-                    s.wide.write_bytes(&s.thread, s.ptr, &payload).unwrap();
-                }),
-                bench_kernel(size, iters, repeats, || {
-                    s.scalar.write_bytes(&s.thread, s.ptr, &payload).unwrap();
-                }),
-            ),
-            (
-                "fill",
-                bench_kernel(size, iters, repeats, || {
-                    s.wide.fill(&s.thread, s.ptr, size, 0x5A).unwrap();
-                }),
-                bench_kernel(size, iters, repeats, || {
-                    s.scalar.fill(&s.thread, s.ptr, size, 0x5A).unwrap();
-                }),
-            ),
-            (
-                "read_unchecked",
-                bench_kernel(size, iters, repeats, || {
-                    s.wide.read_bytes_unchecked(s.ptr, &mut buf).unwrap();
-                }),
-                bench_kernel(size, iters, repeats, || {
-                    s.scalar.read_bytes_unchecked(s.ptr, &mut buf).unwrap();
-                }),
-            ),
-            (
-                "write_unchecked",
-                bench_kernel(size, iters, repeats, || {
-                    s.wide.write_bytes_unchecked(s.ptr, &payload).unwrap();
-                }),
-                bench_kernel(size, iters, repeats, || {
-                    s.scalar.write_bytes_unchecked(s.ptr, &payload).unwrap();
-                }),
-            ),
-            (
-                "set_tag_range",
-                bench_kernel(size, iters, repeats, || {
-                    s.wide.set_tag_range(s.ptr, end, s.tag).unwrap();
-                }),
-                bench_kernel(size, iters, repeats, || {
-                    s.scalar.set_tag_range(s.ptr, end, s.tag).unwrap();
-                }),
-            ),
-        ];
-
-        for (kernel, (_, wide_gbps), (_, scalar_gbps)) in &kernels {
+        let bytes = size as u64 * u64::from(iters);
+        for (k, kernel) in KERNELS.into_iter().enumerate() {
+            let series = rounds.run([true, false], |wide| {
+                let (s, payload) = (&s, &payload);
+                let mut buf = vec![0u8; size];
+                move || {
+                    timed(|| {
+                        for _ in 0..iters {
+                            op(s, k, wide, &mut buf, payload);
+                        }
+                    })
+                }
+            });
+            // Best of the rounds on each side.
+            let wide_gbps = gbps(bytes, series[0].min());
+            let scalar_gbps = gbps(bytes, series[1].min());
             let speedup = wide_gbps / scalar_gbps.max(f64::EPSILON);
             println!(
                 "{:>9}  {:<16}  {:>10.3}  {:>10.3}  {:>7.1}x",
                 size, kernel, wide_gbps, scalar_gbps, speedup
             );
-            report.row(vec![
+            let mut fields = vec![
                 ("size", JsonValue::from(size)),
-                ("kernel", JsonValue::from(*kernel)),
+                ("kernel", JsonValue::from(kernel)),
                 ("iters", JsonValue::from(iters)),
-                ("wide_gbps", JsonValue::from(*wide_gbps)),
-                ("scalar_gbps", JsonValue::from(*scalar_gbps)),
+                ("wide_gbps", JsonValue::from(wide_gbps)),
+                ("scalar_gbps", JsonValue::from(scalar_gbps)),
                 ("speedup", JsonValue::from(speedup)),
-            ]);
+            ];
+            fields.extend(spread(&series[0], &[("wide", &series[0]), ("scalar", &series[1])]));
+            report.row(fields);
             if size == 4096 {
-                match *kernel {
+                match kernel {
                     "read_bytes" => speedup_read_4k = speedup,
                     "write_bytes" => speedup_write_4k = speedup,
                     "set_tag_range" => {
@@ -207,8 +178,8 @@ fn main() {
                 }
                 // Absolute checked-path figures the CI regression gate
                 // compares against the committed baseline.
-                if matches!(*kernel, "read_bytes" | "write_bytes" | "fill" | "set_tag_range") {
-                    gate_figures.push((format!("checked_{kernel}_gbps_4k"), *wide_gbps));
+                if matches!(kernel, "read_bytes" | "write_bytes" | "fill" | "set_tag_range") {
+                    gate_figures.push((format!("checked_{kernel}_gbps_4k"), wide_gbps));
                 }
             }
         }
@@ -226,49 +197,34 @@ fn main() {
     }
 
     // Per-element view: one checked u32 load and store per element of a
-    // tagged 4 KiB region, the scalar path native loops run on. Wide and
-    // scalar passes alternate, and the ratio is the median of the
-    // per-round ratios, so a host phase change hits both sides alike.
+    // tagged 4 KiB region, the scalar path native loops run on. The
+    // ratio is the median of the per-round ratios.
     const ELEMENTS: usize = 4096 / 4;
     let passes = (volume / 4096) as u32;
     let pairs = f64::from(ELEMENTS as u32 * passes);
     let elem = |i: usize| s.ptr.wrapping_add(4 * i as u64);
-    let wide_pass = || {
-        let start = Instant::now();
-        for _ in 0..passes {
-            for i in 0..ELEMENTS {
-                let v = s.wide.load_u32(&s.thread, elem(i)).unwrap();
-                s.wide
-                    .store_u32(&s.thread, elem(i), v.wrapping_add(1))
-                    .unwrap();
-            }
+    let s = &s;
+    let element = Rounds::new(ELEMENT_ROUNDS).run([true, false], |wide| {
+        move || {
+            timed(|| {
+                for _ in 0..passes {
+                    for i in 0..ELEMENTS {
+                        if wide {
+                            let v = s.wide.load_u32(&s.thread, elem(i)).unwrap();
+                            s.wide.store_u32(&s.thread, elem(i), v.wrapping_add(1)).unwrap();
+                        } else {
+                            let v = s.scalar.load_u32(&s.thread, elem(i)).unwrap();
+                            s.scalar.store_u32(&s.thread, elem(i), v.wrapping_add(1)).unwrap();
+                        }
+                    }
+                }
+            })
         }
-        start.elapsed().as_nanos() as f64 / pairs
-    };
-    let scalar_pass = || {
-        let start = Instant::now();
-        for _ in 0..passes {
-            for i in 0..ELEMENTS {
-                let v = s.scalar.load_u32(&s.thread, elem(i)).unwrap();
-                s.scalar
-                    .store_u32(&s.thread, elem(i), v.wrapping_add(1))
-                    .unwrap();
-            }
-        }
-        start.elapsed().as_nanos() as f64 / pairs
-    };
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    wide_pass();
-    scalar_pass();
-    let rounds: Vec<(f64, f64)> = (0..ELEMENT_ROUNDS)
-        .map(|_| (wide_pass(), scalar_pass()))
-        .collect();
-    let element_rw_ns = median(rounds.iter().map(|r| r.0).collect());
-    let scalar_element_rw_ns = median(rounds.iter().map(|r| r.1).collect());
-    let speedup_element_rw = median(rounds.iter().map(|r| r.1 / r.0).collect());
+    });
+    let per_pair = |d: Duration| d.as_nanos() as f64 / pairs;
+    let element_rw_ns = per_pair(element[0].median());
+    let scalar_element_rw_ns = per_pair(element[1].median());
+    let speedup_element_rw = element[1].median_ratio(&element[0]);
     println!(
         "element rw (checked u32 load+store, 4 KiB): {element_rw_ns:.2} ns wide, \
          {scalar_element_rw_ns:.2} ns scalar, {speedup_element_rw:.2}x"
@@ -283,12 +239,16 @@ fn main() {
     let heap = Heap::new(HeapConfig::default());
     let pinned = ObjectRef::from(heap.alloc_int_array(4).unwrap());
     let pin_iters: u32 = if quick { 100_000 } else { 1_000_000 };
-    let best = measure(repeats, || {
-        for _ in 0..pin_iters {
-            drop(heap.pin(&pinned));
+    let pin = rounds.run([()], |()| {
+        || {
+            timed(|| {
+                for _ in 0..pin_iters {
+                    drop(heap.pin(&pinned));
+                }
+            })
         }
     });
-    let pin_unpin_ns = best.as_nanos() as f64 / f64::from(pin_iters);
+    let pin_unpin_ns = pin[0].min().as_nanos() as f64 / f64::from(pin_iters);
     println!("pin + unpin (one small array): {pin_unpin_ns:.1} ns");
     println!();
     report.summary("pin_unpin_ns", pin_unpin_ns);
@@ -297,10 +257,13 @@ fn main() {
     // speedup end to end.
     println!("scheme-level (Fig.5 copy kernel, 1024-int arrays):");
     let iters = if quick { 32 } else { 256 };
-    for scheme in [Scheme::GuardedCopy, Scheme::Mte4JniSync] {
-        let d = time_copy(&mut report, scheme, 1024, iters, repeats);
+    let schemes = [Scheme::GuardedCopy, Scheme::Mte4JniSync];
+    let vms = schemes.map(Scheme::build_vm);
+    let series = rounds.run(&vms, |vm| copy_row(vm, 1024, iters));
+    report.count_vms(&vms);
+    for (scheme, s) in schemes.iter().zip(&series) {
         let bytes = 1024 * 4 * u64::from(iters) * 2; // read + write per copy
-        let g = gbps(bytes, d);
+        let g = gbps(bytes, s.min());
         println!("{:>24}: {:>8.3} GB/s", scheme.label(), g);
         report.row(vec![
             ("size", JsonValue::from(4096usize)),

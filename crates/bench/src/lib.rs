@@ -8,15 +8,21 @@
 //! * `fig7` / `fig8` — GeekBench-style sub-item ratios, single/multi core,
 //! * `effectiveness` — the §5.2 out-of-bounds detection comparison with
 //!   Figure 4's three report styles.
+//!
+//! Every timed figure runs its table rows through [`Rounds`].
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use art_heap::ArrayRef;
 use jni_rt::{JniEnv, NativeKind, ReleaseMode, Vm};
 use telemetry::json::JsonValue;
-use workloads::Scheme;
+use workloads::{all_workloads, thread_seed, Scheme, WorkloadSpec};
+
+mod rounds;
+pub use rounds::{crew, timed, Rounds, Series, Start};
 
 /// Machine-readable result sink for the harness binaries' `--json`
 /// option: a named report of parameters, table rows, and summary
@@ -68,12 +74,11 @@ impl BenchReport {
         self
     }
 
-    /// Adds `vm`'s counters ([`Vm::counters`]) to the report's sums.
+    /// Adds each VM's counters ([`Vm::counters`]) to the report's sums.
     /// Call it once per VM whose latency samples reach the report's
-    /// histograms, after its measured section; the timing helpers below
-    /// do so for the VMs they build.
-    pub fn count_vm(&mut self, vm: &Vm) {
-        for (key, value) in vm.counters() {
+    /// histograms, after its measured section.
+    pub fn count_vms<'a>(&mut self, vms: impl IntoIterator<Item = &'a Vm>) {
+        for (key, value) in vms.into_iter().flat_map(Vm::counters) {
             *self.counters.entry(key).or_default() += value;
         }
     }
@@ -153,19 +158,6 @@ pub fn write_report(report: &BenchReport, path: &Path) {
     }
 }
 
-/// Runs `f` once for warm-up, then `repeats` times, returning the
-/// smallest observed duration (robust to scheduler noise).
-pub fn measure(repeats: u32, mut f: impl FnMut()) -> Duration {
-    f();
-    let mut best = Duration::MAX;
-    for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
 /// The paper's Figure 5 native method: obtain raw pointers to two int
 /// arrays via `GetPrimitiveArrayCritical`, copy one into the other
 /// element-wise, release both.
@@ -185,59 +177,34 @@ pub fn copy_kernel(env: &JniEnv<'_>, src: &ArrayRef, dst: &ArrayRef) {
     .expect("in-bounds copy never faults");
 }
 
-/// Times `iters` invocations of the Figure 5 copy for `len`-int arrays on
-/// a fresh VM of the given scheme, whose counters `report` then sums.
-pub fn time_copy(
-    report: &mut BenchReport,
-    scheme: Scheme,
-    len: usize,
-    iters: u32,
-    repeats: u32,
-) -> Duration {
-    let vm = scheme.build_vm();
+/// One Figure 5 row on `vm`: allocates a `len`-int source and
+/// destination, then times `iters` copies per pass.
+pub fn copy_row(vm: &Vm, len: usize, iters: u32) -> impl FnMut() -> Duration + '_ {
     let thread = vm.attach_thread("fig5");
     let env = vm.env(&thread);
     let data: Vec<i32> = (0..len as i32).collect();
     let src = env.new_int_array_from(&data).expect("alloc src");
     let dst = env.new_int_array(len).expect("alloc dst");
-    let best = measure(repeats, || {
-        for _ in 0..iters {
-            copy_kernel(&env, &src, &dst);
-        }
-    });
-    report.count_vm(&vm);
-    best
+    drop(env);
+    move || {
+        let env = vm.env(&thread);
+        timed(|| {
+            for _ in 0..iters {
+                copy_kernel(&env, &src, &dst);
+            }
+        })
+    }
 }
 
-/// Times the copy kernel through the quarantine degradation path: an
-/// MTE4JNI VM whose `array_copy` method has been quarantined, so every
-/// acquire routes through the guarded-copy fallback. The ratio against
-/// [`time_copy`]'s healthy MTE4JNI run is the throughput cost of
-/// degrading a single method to guarded copy. `report` sums the VM's
-/// counters, the fallback's included.
-pub fn time_copy_degraded(
-    report: &mut BenchReport,
-    len: usize,
-    iters: u32,
-    repeats: u32,
-) -> Duration {
-    let vm = mte4jni::mte4jni_vm(
-        mte_sim::TcfMode::Sync,
-        mte4jni::TableConfig::default(),
-    );
+/// The quarantine degradation path as a VM: MTE4JNI+Sync whose
+/// `array_copy` method is quarantined, so every acquire of the copy
+/// kernel routes through the guarded-copy fallback. Its [`copy_row`]
+/// against a healthy MTE4JNI+Sync row is the cost of degrading one
+/// method; its counters carry the fallback's under its own name.
+pub fn degraded_vm() -> Vm {
+    let vm = mte4jni::mte4jni_vm(mte_sim::TcfMode::Sync, mte4jni::TableConfig::default());
     vm.quarantine_method("array_copy");
-    let thread = vm.attach_thread("fig5-degraded");
-    let env = vm.env(&thread);
-    let data: Vec<i32> = (0..len as i32).collect();
-    let src = env.new_int_array_from(&data).expect("alloc src");
-    let dst = env.new_int_array(len).expect("alloc dst");
-    let best = measure(repeats, || {
-        for _ in 0..iters {
-            copy_kernel(&env, &src, &dst);
-        }
-    });
-    report.count_vm(&vm);
-    best
+    vm
 }
 
 /// The paper's Figure 6 native method: `reads` iterations of
@@ -268,17 +235,16 @@ pub enum SharingMode {
     DifferentArrays,
 }
 
-/// Runs the Figure 6 multi-thread read test and returns the wall-clock
-/// duration for all threads to finish; `report` sums the VM's counters.
-pub fn time_multithread_read(
-    report: &mut BenchReport,
-    scheme: Scheme,
+/// One Figure 6 row on `vm`: allocates the arrays, then times one
+/// [`crew`] of `threads` workers per pass, each running
+/// [`read_loop_kernel`] on its array.
+pub fn read_row(
+    vm: &Vm,
     sharing: SharingMode,
     threads: usize,
     reads: u32,
     array_len: usize,
-) -> Duration {
-    let vm = scheme.build_vm();
+) -> impl FnMut() -> Duration + '_ {
     let setup = vm.attach_thread("fig6-setup");
     let env = vm.env(&setup);
     let data: Vec<i32> = (0..array_len as i32).collect();
@@ -291,20 +257,152 @@ pub fn time_multithread_read(
             .map(|_| env.new_int_array_from(&data).expect("alloc"))
             .collect(),
     };
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for (i, array) in arrays.iter().enumerate() {
-            let vm = &vm;
-            s.spawn(move || {
-                let thread = vm.attach_thread(format!("fig6-{i}"));
-                let env = vm.env(&thread);
-                read_loop_kernel(&env, array, reads);
-            });
+    move || {
+        crew(threads, |i, start| {
+            let thread = vm.attach_thread(format!("fig6-{i}"));
+            let env = vm.env(&thread);
+            start.wait();
+            read_loop_kernel(&env, &arrays[i], reads);
+        })
+    }
+}
+
+/// One Figure 7 or 8 pass: its time and the workload's checksum.
+pub type WorkloadPass<'v> = Box<dyn FnMut() -> (Duration, u64) + 'v>;
+
+/// One Figure 7 row on `vm`: attaches a thread, then times one run of
+/// `spec` on `seed` per pass. The heap is swept after each pass, outside
+/// the clock, so garbage from earlier passes does not skew allocation.
+pub fn single_core_row<'v>(vm: &'v Vm, spec: &'static WorkloadSpec, seed: u64, scale: u32) -> WorkloadPass<'v> {
+    let thread = vm.attach_thread(format!("bench-{}", spec.name));
+    Box::new(move || {
+        let env = vm.env(&thread);
+        let mut checksum = 0;
+        let time = timed(|| checksum = (spec.run)(&env, seed, scale).expect("workload run"));
+        vm.heap().sweep();
+        (time, checksum)
+    })
+}
+
+/// One Figure 8 row on `vm`: times one [`crew`] of `threads` workers per
+/// pass, worker `i` running `spec` on [`thread_seed`]`(seed, i)`; the
+/// pass's checksum is the XOR of the workers'. The heap is swept after
+/// each pass, outside the clock.
+pub fn multi_core_row<'v>(
+    vm: &'v Vm,
+    spec: &'static WorkloadSpec,
+    threads: usize,
+    seed: u64,
+    scale: u32,
+) -> WorkloadPass<'v> {
+    Box::new(move || {
+        let checksum = AtomicU64::new(0);
+        let time = crew(threads, |i, start| {
+            let thread = vm.attach_thread(format!("mc-{}-{i}", spec.name));
+            let env = vm.env(&thread);
+            start.wait();
+            let sum = (spec.run)(&env, thread_seed(seed, i), scale).expect("workload run");
+            checksum.fetch_xor(sum, Ordering::Relaxed);
+        });
+        vm.heap().sweep();
+        (time, checksum.into_inner())
+    })
+}
+
+/// Runs Figure 7 or 8. Each sub-item is one table row of no protection
+/// and the three schemes, on fresh VMs, whose passes `row` builds.
+/// Asserts that every pass of every scheme computes the baseline's
+/// checksum, and prints and reports each scheme's score: the baseline's
+/// fastest pass over the scheme's, in percent (higher is better).
+pub fn workload_figure(
+    report: &mut BenchReport,
+    rounds: Rounds,
+    paper: &str,
+    row: impl for<'v> Fn(&'v Vm, &'static WorkloadSpec) -> WorkloadPass<'v>,
+) {
+    let schemes = [Scheme::GuardedCopy, Scheme::Mte4JniSync, Scheme::Mte4JniAsync];
+    println!(
+        "{:<24} {:>14} {:>14} {:>14}",
+        "workload",
+        schemes[0].label(),
+        schemes[1].label(),
+        schemes[2].label()
+    );
+    let mut sums = [0.0f64; 3];
+    for spec in all_workloads() {
+        let vms: Vec<Vm> = std::iter::once(Scheme::NoProtection)
+            .chain(schemes)
+            .map(Scheme::build_vm)
+            .collect();
+        let series = rounds.run(&vms, |vm| row(vm, spec));
+        report.count_vms(&vms);
+        let checksums = series[0].map(|&(_, sum)| sum);
+        let times: Vec<Series<Duration>> = series.iter().map(|s| s.map(|&(t, _)| t)).collect();
+        let mut pct = [0.0f64; 3];
+        for (i, scheme) in schemes.iter().enumerate() {
+            assert_eq!(
+                series[i + 1].map(|&(_, sum)| sum).samples(),
+                checksums.samples(),
+                "{} must compute identical results under {}",
+                spec.name,
+                scheme.label()
+            );
+            pct[i] = 100.0 / ratio(times[i + 1].min(), times[0].min());
+            sums[i] += pct[i];
         }
-    });
-    let elapsed = start.elapsed();
-    report.count_vm(&vm);
-    elapsed
+        let marker = if spec.intensive { " *" } else { "" };
+        println!(
+            "{:<24} {:>13.1}% {:>13.1}% {:>13.1}%{marker}",
+            spec.name, pct[0], pct[1], pct[2]
+        );
+        let mut fields = vec![
+            ("workload", JsonValue::from(spec.name)),
+            ("intensive", JsonValue::from(spec.intensive)),
+            ("guarded_copy_pct", JsonValue::from(pct[0])),
+            ("mte_sync_pct", JsonValue::from(pct[1])),
+            ("mte_async_pct", JsonValue::from(pct[2])),
+        ];
+        let labels = ["no_protection", "guarded_copy", "mte_sync", "mte_async"];
+        let columns: Vec<_> = labels.into_iter().zip(&times).collect();
+        fields.extend(spread(&times[0], &columns));
+        report.row(fields);
+    }
+    let avg = sums.map(|s| s / all_workloads().len() as f64);
+    println!();
+    println!(
+        "{:<24} {:>13.1}% {:>13.1}% {:>13.1}%   (paper: {paper})",
+        "average", avg[0], avg[1], avg[2]
+    );
+    println!("(* = intensive in-place workloads, the paper's MTE+Sync exception group)");
+    report
+        .summary("avg_guarded_copy_pct", avg[0])
+        .summary("avg_mte_sync_pct", avg[1])
+        .summary("avg_mte_async_pct", avg[2]);
+}
+
+/// A table row's `median`, `min` and `max` fields, in nanoseconds per
+/// timed pass, and its `median_ratio` field against `baseline`, each an
+/// object keyed by the labels of the row's `columns` (one entry where a
+/// row reports one series), so every bench writes them in one shape.
+pub fn spread(baseline: &Series<Duration>, columns: &[(&str, &Series<Duration>)]) -> Vec<(&'static str, JsonValue)> {
+    let field = |stat: &dyn Fn(&Series<Duration>) -> JsonValue| {
+        let mut o = JsonValue::object();
+        for (label, series) in columns {
+            o.insert(label, stat(series));
+        }
+        o
+    };
+    vec![
+        ("median", field(&|s| ns(s.median()))),
+        ("min", field(&|s| ns(s.min()))),
+        ("max", field(&|s| ns(s.max()))),
+        ("median_ratio", field(&|s| JsonValue::from(s.median_ratio(baseline)))),
+    ]
+}
+
+/// A duration as whole nanoseconds, the unit of the reports' times.
+pub fn ns(d: Duration) -> JsonValue {
+    JsonValue::from(d.as_nanos() as u64)
 }
 
 /// Relative slowdown of `value` against `baseline`.
@@ -431,11 +529,35 @@ mod tests {
     fn multithread_read_runs_all_schemes_and_modes() {
         for scheme in [Scheme::NoProtection, Scheme::Mte4JniSync, Scheme::Mte4JniSyncGlobalLock] {
             for sharing in [SharingMode::SameArray, SharingMode::DifferentArrays] {
-                let mut report = BenchReport::new("t");
-                let d = time_multithread_read(&mut report, scheme, sharing, 4, 20, 64);
-                assert!(d > Duration::ZERO, "{scheme} {sharing:?}");
+                let vm = scheme.build_vm();
+                let d = Rounds::new(1).run([&vm], |vm| read_row(vm, sharing, 4, 20, 64));
+                assert!(d[0].min() > Duration::ZERO, "{scheme} {sharing:?}");
+                let pins: u64 = vm
+                    .counters()
+                    .iter()
+                    .filter(|(key, _)| key.ends_with(".heap.pins_total"))
+                    .map(|(_, n)| n)
+                    .sum();
+                assert_eq!(pins, 4 * 20 * 2, "four workers, one warm-up and one round");
             }
         }
+    }
+
+    #[test]
+    fn workload_rows_compute_the_runner_checksums() {
+        let vm = Scheme::Mte4JniAsync.build_vm();
+        let spec = workloads::find_workload("Photo Filter").unwrap();
+        let single = Rounds::new(2).run([&vm], |vm| single_core_row(vm, spec, 7, 1));
+        let expected = workloads::run_single_core(&vm, spec, 7, 1).unwrap();
+        assert!(single[0].samples().iter().all(|&(_, sum)| sum == expected));
+        let multi = Rounds::new(2).run([&vm], |vm| multi_core_row(vm, spec, 4, 7, 1));
+        let xor = (0..4)
+            .map(|i| workloads::run_single_core(&vm, spec, thread_seed(7, i), 1).unwrap())
+            .fold(0, |a, b| a ^ b);
+        assert!(
+            multi[0].samples().iter().all(|&(_, sum)| sum == xor),
+            "worker i runs on thread_seed(seed, i) and the pass XORs their checksums"
+        );
     }
 
     #[test]
@@ -444,9 +566,14 @@ mod tests {
         // copies, and each copy acquires and releases two arrays.
         let acquires = |iters: u64, repeats: u64| 2 * iters * (1 + repeats);
         let mut report = BenchReport::new("sums");
-        time_copy(&mut report, Scheme::Mte4JniSync, 4, 3, 1);
-        time_copy(&mut report, Scheme::Mte4JniSync, 4, 5, 2);
-        time_copy_degraded(&mut report, 4, 7, 1);
+        for (vm, iters, repeats) in [
+            (Scheme::Mte4JniSync.build_vm(), 3, 1),
+            (Scheme::Mte4JniSync.build_vm(), 5, 2),
+            (degraded_vm(), 7, 1),
+        ] {
+            Rounds::new(repeats).run([&vm], |vm| copy_row(vm, 4, iters));
+            report.count_vms([&vm]);
+        }
         let json = report.to_json();
         let counter = |key: &str| {
             json.get("telemetry")
@@ -465,12 +592,6 @@ mod tests {
         assert_eq!(counter("scheme.mte4jni.containment.degraded_quarantine"), Some(degraded));
         // Every VM pins once per acquire, whichever scheme served it.
         assert_eq!(counter("scheme.mte4jni.heap.pins_total"), Some(healthy + degraded));
-    }
-
-    #[test]
-    fn measure_returns_min_of_repeats() {
-        let d = measure(3, || std::thread::sleep(Duration::from_micros(200)));
-        assert!(d >= Duration::from_micros(150));
     }
 
     #[test]

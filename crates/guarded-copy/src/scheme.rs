@@ -139,7 +139,7 @@ impl Protection for GuardedCopy {
         // Copy the object payload out of the Java heap (runtime-internal
         // access) and compose [canary | payload | canary].
         let mut block = vec![0u8; total];
-        cx.heap.read_payload(obj, &mut block[rz..rz + payload_len])
+        cx.heap.read_payload(obj, 0, &mut block[rz..rz + payload_len])
             .map_err(JniError::from)?;
         let checksum = adler32(&block[rz..rz + payload_len]);
         fill_canary(&mut block[..rz], 0);
@@ -242,7 +242,7 @@ impl Protection for GuardedCopy {
         match mode {
             ReleaseMode::CopyBack | ReleaseMode::Commit => {
                 // (3) of Figure 2: zones intact — update the real object.
-                cx.heap.write_payload(obj, payload).map_err(JniError::from)?;
+                cx.heap.write_payload(obj, 0, payload).map_err(JniError::from)?;
             }
             ReleaseMode::Abort => {
                 // JNI_ABORT discards changes; ART logs if there were any.

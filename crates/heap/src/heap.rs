@@ -382,33 +382,36 @@ impl Heap {
     // Runtime-internal bulk access (no tag checks; TCO-set equivalent)
     // ------------------------------------------------------------------
 
-    /// Reads an object's entire payload without tag checks (runtime
-    /// internal, e.g. guarded copy's copy-out).
+    /// Reads `buf.len()` bytes of an object's payload, from byte offset
+    /// `at`, without tag checks (runtime internal: guarded copy's
+    /// copy-out, the JNI region copies). The world gate's shared hold
+    /// covers the address lookup and the copy, so a compaction pass
+    /// cannot move the object mid-copy.
     ///
     /// # Errors
     ///
-    /// Propagates [`HeapError::Mem`] range errors.
-    pub fn read_payload(&self, obj: &ObjectRef, buf: &mut [u8]) -> Result<()> {
-        debug_assert_eq!(buf.len(), obj.byte_len());
+    /// [`HeapError::IndexOutOfBounds`] when the range exceeds the
+    /// payload; [`HeapError::Mem`] range errors.
+    pub fn read_payload(&self, obj: &ObjectRef, at: usize, buf: &mut [u8]) -> Result<()> {
         let _gate = self.inner.world.read_recursive();
-        self.inner
-            .memory
-            .read_bytes_unchecked(TaggedPtr::from_addr(obj.data_addr()), buf)?;
+        let ptr = payload_range(obj, at, buf.len())?;
+        self.inner.memory.read_bytes_unchecked(ptr, buf)?;
         Ok(())
     }
 
-    /// Overwrites an object's entire payload without tag checks (runtime
-    /// internal, e.g. guarded copy's copy-back).
+    /// Overwrites `buf.len()` bytes of an object's payload, from byte
+    /// offset `at`, without tag checks (runtime internal: guarded copy's
+    /// copy-back, the JNI region copies), under the world gate's shared
+    /// hold like [`Heap::read_payload`].
     ///
     /// # Errors
     ///
-    /// Propagates [`HeapError::Mem`] range errors.
-    pub fn write_payload(&self, obj: &ObjectRef, buf: &[u8]) -> Result<()> {
-        debug_assert_eq!(buf.len(), obj.byte_len());
+    /// [`HeapError::IndexOutOfBounds`] when the range exceeds the
+    /// payload; [`HeapError::Mem`] range errors.
+    pub fn write_payload(&self, obj: &ObjectRef, at: usize, buf: &[u8]) -> Result<()> {
         let _gate = self.inner.world.read_recursive();
-        self.inner
-            .memory
-            .write_bytes_unchecked(TaggedPtr::from_addr(obj.data_addr()), buf)?;
+        let ptr = payload_range(obj, at, buf.len())?;
+        self.inner.memory.write_bytes_unchecked(ptr, buf)?;
         Ok(())
     }
 
@@ -1072,6 +1075,19 @@ element_accessors!(
     load_u64, store_u64, f64::from_bits, |v: f64| v.to_bits()
 );
 
+/// The untagged address of `len` payload bytes of `obj` from byte
+/// offset `at`; read it under a world-gate hold, since compaction moves
+/// payloads.
+fn payload_range(obj: &ObjectRef, at: usize, len: usize) -> Result<TaggedPtr> {
+    match at.checked_add(len) {
+        Some(end) if end <= obj.byte_len() => Ok(TaggedPtr::from_addr(obj.data_addr() + at as u64)),
+        _ => Err(HeapError::IndexOutOfBounds {
+            index: at.saturating_add(len),
+            length: obj.byte_len(),
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1368,6 +1384,43 @@ mod tests {
             assert_eq!(after.world_gate_waits, 1);
             drop(pin);
         });
+    }
+
+    #[test]
+    fn a_ranged_payload_read_waits_out_an_active_compaction_pass() {
+        let h = heap();
+        let a = ObjectRef::from(h.alloc_int_array_from(&[1, 2, 3, 4]).unwrap());
+        std::thread::scope(|s| {
+            let world = h.inner.world.write();
+            let reader = s.spawn(|| {
+                let mut buf = [0u8; 8];
+                h.read_payload(&a, 4, &mut buf).map(|()| buf)
+            });
+            // Wait until the reader has queued on the gate (or, wrongly,
+            // returned).
+            while h.inner.world.waits() == 0 && !reader.is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                !reader.is_finished(),
+                "a payload read returned while the exclusive hold lasts"
+            );
+            drop(world);
+            assert_eq!(reader.join().unwrap().unwrap(), [2, 0, 0, 0, 3, 0, 0, 0]);
+        });
+        assert_eq!(h.stats().world_gate_waits, 1);
+        assert!(
+            matches!(
+                h.read_payload(&a, 12, &mut [0u8; 8]),
+                Err(HeapError::IndexOutOfBounds { index: 20, length: 16 })
+            ),
+            "a range past the payload is refused"
+        );
+        h.write_payload(&a, 12, &9i32.to_le_bytes()).unwrap();
+        let mut all = [0u8; 16];
+        h.read_payload(&a, 0, &mut all).unwrap();
+        assert_eq!(all[8..], [3, 0, 0, 0, 9, 0, 0, 0]);
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl Drop for WriteGuard<'_> {
 mod tests {
     use super::*;
     use crate::{GcScanner, GcScannerConfig, Heap, HeapConfig, ObjectRef};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::sync::Arc;
     use std::time::Duration;
@@ -314,10 +314,11 @@ mod tests {
             },
         );
         let stop = Arc::new(AtomicBool::new(false));
+        let running = Arc::new(AtomicUsize::new(0));
         let mutators: Vec<_> = (0..2u8)
             .map(|m| {
                 let heap = heap.clone();
-                let stop = Arc::clone(&stop);
+                let (stop, running) = (Arc::clone(&stop), Arc::clone(&running));
                 std::thread::spawn(move || {
                     let payload = |i: u32| -> Vec<u8> {
                         [i32::from(m) << 24 | i as i32; 6]
@@ -331,7 +332,7 @@ mod tests {
                         .map(|i| {
                             let _garbage = heap.alloc_int_array(24).unwrap();
                             let a = heap.alloc_int_array(6).unwrap();
-                            heap.write_payload(a.as_object(), &payload(i)).unwrap();
+                            heap.write_payload(a.as_object(), 0, &payload(i)).unwrap();
                             ObjectRef::from(a)
                         })
                         .collect();
@@ -344,7 +345,7 @@ mod tests {
                         let pinned_at = obj.addr();
                         for _ in 0..4 {
                             let _garbage = heap.alloc_int_array(8).unwrap();
-                            heap.read_payload(obj, &mut buf).unwrap();
+                            heap.read_payload(obj, 0, &mut buf).unwrap();
                             assert_eq!(buf, payload(i), "payload intact");
                             assert_eq!(obj.addr(), pinned_at, "a pinned object never moves");
                         }
@@ -352,15 +353,24 @@ mod tests {
                         assert!(!heap.is_pinned(obj));
                         // Unpinned survivors may move; their payloads follow.
                         let j = ((iterations + 3) % 8) as u32;
-                        heap.read_payload(&survivors[j as usize], &mut buf).unwrap();
+                        heap.read_payload(&survivors[j as usize], 0, &mut buf).unwrap();
                         assert_eq!(buf, payload(j), "payload survives a slide");
                         iterations += 1;
+                        if iterations == 1 {
+                            running.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     iterations
                 })
             })
             .collect();
-        while scanner.cycles() < COMPACTIONS {
+        // Count the compactions from when both mutators are in their
+        // loops, so every counted pass races them.
+        while running.load(Ordering::Relaxed) < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let first = scanner.cycles();
+        while scanner.cycles() < first + COMPACTIONS {
             std::thread::sleep(Duration::from_millis(1));
         }
         stop.store(true, Ordering::Relaxed);

@@ -524,12 +524,7 @@ impl<'a> JniEnv<'a> {
                 }));
             }
             let mut bytes = vec![0u8; out.len() * 2];
-            let ptr = TaggedPtr::from_addr(s.data_addr() + (start * 2) as u64);
-            self.vm
-                .heap()
-                .memory()
-                .read_bytes_unchecked(ptr, &mut bytes)
-                .map_err(HeapError::from)?;
+            self.vm.heap().read_payload(s.as_object(), start * 2, &mut bytes)?;
             for (i, chunk) in bytes.chunks_exact(2).enumerate() {
                 out[i] = u16::from_le_bytes([chunk[0], chunk[1]]);
             }
@@ -561,7 +556,7 @@ impl<'a> JniEnv<'a> {
     fn string_units(&self, s: &StringRef) -> Result<Vec<u16>> {
         let obj = s.as_object();
         let mut bytes = vec![0u8; obj.byte_len()];
-        self.vm.heap().read_payload(obj, &mut bytes)?;
+        self.vm.heap().read_payload(obj, 0, &mut bytes)?;
         Ok(bytes
             .chunks_exact(2)
             .map(|c| u16::from_le_bytes([c[0], c[1]]))
@@ -749,7 +744,7 @@ impl<'a> JniEnv<'a> {
         utf.push(0); // C string terminator
         let heap = self.vm.heap();
         let backing = heap.alloc_byte_array(utf.len())?;
-        heap.write_payload(backing.as_object(), &utf)?;
+        heap.write_payload(backing.as_object(), 0, &utf)?;
         // The scheme guards the transcoding buffer, but the borrow records
         // the *source string* as its identity so CheckJNI can validate the
         // string the caller passes back.
@@ -1073,12 +1068,7 @@ macro_rules! typed_array_interfaces {
                 let result = (|| {
                     self.region_bounds(a, $prim, start, out.len(), concat!("Get", $get_name, "ArrayRegion"))?;
                     let mut bytes = vec![0u8; out.len() * $size];
-                    let ptr = TaggedPtr::from_addr(a.data_addr() + (start * $size) as u64);
-                    self.vm
-                        .heap()
-                        .memory()
-                        .read_bytes_unchecked(ptr, &mut bytes)
-                        .map_err(HeapError::from)?;
+                    self.vm.heap().read_payload(a.as_object(), start * $size, &mut bytes)?;
                     for (i, chunk) in bytes.chunks_exact($size).enumerate() {
                         out[i] = <$rust>::from_le_bytes(chunk.try_into().expect("chunk size"));
                     }
@@ -1113,12 +1103,7 @@ macro_rules! typed_array_interfaces {
                     for v in values {
                         bytes.extend_from_slice(&v.to_le_bytes());
                     }
-                    let ptr = TaggedPtr::from_addr(a.data_addr() + (start * $size) as u64);
-                    self.vm
-                        .heap()
-                        .memory()
-                        .write_bytes_unchecked(ptr, &bytes)
-                        .map_err(HeapError::from)?;
+                    self.vm.heap().write_payload(a.as_object(), start * $size, &bytes)?;
                     Ok(())
                 })();
                 trace::emit(|| TraceEvent::Region {

@@ -27,7 +27,7 @@ mod runner;
 mod scheme;
 mod synth;
 
-pub use runner::{run_multi_core, run_single_core, MultiCoreResult, WorkloadResult};
+pub use runner::{run_single_core, thread_seed};
 pub use scheme::{Backend, Scheme, VmSchemes};
 pub use synth::{gen_bytes, gen_c_source, gen_graph, gen_image, gen_text, Graph};
 

@@ -13,13 +13,13 @@ fn all_sixteen_workloads_agree_across_all_six_schemes() {
         let vm = Scheme::NoProtection.build_vm();
         all_workloads()
             .iter()
-            .map(|w| run_single_core(&vm, w, 99, 1, 1).unwrap().checksum)
+            .map(|w| run_single_core(&vm, w, 99, 1).unwrap())
             .collect()
     };
     for scheme in Scheme::ALL.iter().skip(1) {
         let vm = scheme.build_vm();
         for (w, &expect) in all_workloads().iter().zip(&baseline) {
-            let got = run_single_core(&vm, w, 99, 1, 1).unwrap().checksum;
+            let got = run_single_core(&vm, w, 99, 1).unwrap();
             assert_eq!(got, expect, "{} under {scheme}", w.name);
         }
     }
