@@ -73,3 +73,27 @@ fn report_written_to_disk_parses_back_with_matching_values() {
     // The on-disk text matches the in-memory document byte for byte.
     assert_eq!(text, report.to_json().to_pretty_string());
 }
+
+/// The committed reports at the repository root and the gate baselines
+/// under `baselines/` are what the CI gate reads: each must parse and
+/// carry an integer `schema_version`.
+#[test]
+fn committed_reports_and_baselines_parse_with_a_schema_version() {
+    let bench = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for dir in [bench.join("../.."), bench.join("baselines")] {
+        let mut reports = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let version = doc.get("schema_version").and_then(JsonValue::as_u64);
+            assert!(version.is_some(), "{name} has no integer schema_version");
+            reports += 1;
+        }
+        assert!(reports > 0, "no BENCH_*.json under {}", dir.display());
+    }
+}

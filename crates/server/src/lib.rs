@@ -23,7 +23,8 @@
 //! * [`tenant`] — one tenant end to end: VM construction, the serve
 //!   loop with bounded deterministic-backoff retry, the quiescence
 //!   oracle, eviction.
-//! * [`server`] — the shared worker pool and fleet rollup.
+//! * [`server`] — the shared worker pool; each tenant reports its own
+//!   counters and request-latency quantiles through [`Tenant::stats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,11 +7,10 @@
 //! (tenant counters, health latches, the cursor), so the same fleet
 //! runs unchanged under real threads or the deterministic scheduler.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
-
-use telemetry::fleet::FleetRollup;
 
 use crate::tenant::{Tenant, TenantConfig};
 use crate::traffic::Request;
@@ -42,7 +41,8 @@ pub struct RunSummary {
     pub served: u64,
     /// Requests shed at admission.
     pub shed: u64,
-    /// Wall-clock time for the whole stream.
+    /// Wall-clock time from the workers' common start to the last one
+    /// running out of stream; thread spawn and join are not timed.
     pub elapsed: Duration,
 }
 
@@ -92,26 +92,36 @@ impl Server {
                 .expect("tenant id out of range")
         };
         let sink: Mutex<Vec<Vec<u64>>> = Mutex::new(vec![Vec::new(); self.tenants.len()]);
-        let start = Instant::now();
+        // The workers meet at `ready` once spawned; the clock starts as
+        // `go` releases them and stops at `done`, before the join, so the
+        // elapsed time leaves out thread spawn and join. A worker that
+        // panics still meets `done`, and the panic resurfaces after it.
+        let [ready, go, done] = [(); 3].map(|()| Barrier::new(self.workers + 1));
+        let mut elapsed = Duration::ZERO;
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
                 scope.spawn(|| {
                     let mut local: Vec<Vec<u64>> = vec![Vec::new(); self.tenants.len()];
-                    loop {
+                    ready.wait();
+                    go.wait();
+                    let drained = catch_unwind(AssertUnwindSafe(|| loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(req) = requests.get(i) else { break };
                         let t0 = Instant::now();
                         match self.tenant(req.tenant).serve(req) {
                             Ok(_) => {
                                 served.fetch_add(1, Ordering::Relaxed);
-                                let ns = u64::try_from(t0.elapsed().as_nanos())
-                                    .unwrap_or(u64::MAX);
+                                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                                 local[slot_of(req.tenant)].push(ns);
                             }
                             Err(_) => {
                                 shed.fetch_add(1, Ordering::Relaxed);
                             }
                         }
+                    }));
+                    done.wait();
+                    if let Err(panic) = drained {
+                        resume_unwind(panic);
                     }
                     let mut merged = sink.lock().unwrap();
                     for (dst, src) in merged.iter_mut().zip(local) {
@@ -119,11 +129,16 @@ impl Server {
                     }
                 });
             }
+            ready.wait();
+            let start = Instant::now();
+            go.wait();
+            done.wait();
+            elapsed = start.elapsed();
         });
         let summary = RunSummary {
             served: served.load(Ordering::Relaxed) as u64,
             shed: shed.load(Ordering::Relaxed) as u64,
-            elapsed: start.elapsed(),
+            elapsed,
         };
         (summary, sink.into_inner().unwrap())
     }
@@ -132,12 +147,6 @@ impl Server {
     /// is sound.
     pub fn quiesce_all(&self) -> Vec<String> {
         self.tenants.iter().flat_map(Tenant::quiesce).collect()
-    }
-
-    /// The fleet telemetry rollup (per-tenant counters + request
-    /// latency quantiles).
-    pub fn rollup(&self) -> FleetRollup {
-        self.tenants.iter().map(Tenant::stats).collect()
     }
 }
 

@@ -357,7 +357,7 @@ impl Tenant {
             .collect()
     }
 
-    /// This tenant's row for the fleet rollup.
+    /// This tenant's counters and request-latency quantiles.
     pub fn stats(&self) -> TenantStats {
         let cs = self.vm.containment_stats();
         let c = &self.counters;

@@ -5,7 +5,8 @@
 //! books, and zero stale table entries.
 
 use mte_sim::inject::FaultPlan;
-use server::{Request, Server, ServerConfig, TrafficConfig};
+use server::{Request, Server, ServerConfig, Tenant, TrafficConfig};
+use telemetry::fleet::TenantStats;
 use workloads::Backend;
 
 fn noisy_fleet(scheme: Backend) -> (Server, Vec<Request>) {
@@ -85,17 +86,16 @@ fn isolation_holds_on_the_two_tier_backend() {
 }
 
 #[test]
-fn rollup_reports_every_tenant_with_schema_version() {
+fn tenant_stats_report_every_tenant() {
     let (server, stream) = noisy_fleet(Backend::LockFree);
     server.run_timed(&stream);
-    let rollup = server.rollup();
-    assert_eq!(rollup.tenants().len(), 3);
-    let (admitted, completed, shed, contained) = rollup.totals();
-    assert!(admitted > 0 && completed > 0 && shed > 0 && contained > 0);
-    let json = rollup.snapshot_json().to_pretty_string();
-    assert!(json.contains("\"schema_version\""), "{json}");
-    assert!(json.contains("\"fleet_rollup\""), "{json}");
-    assert!(json.contains("\"quarantined\""), "{json}");
+    let rows: Vec<_> = server.tenants().iter().map(Tenant::stats).collect();
+    assert_eq!(rows.len(), 3);
+    let sum = |count: fn(&TenantStats) -> u64| rows.iter().map(count).sum::<u64>();
+    assert!(sum(|s| s.admitted) > 0 && sum(|s| s.completed) > 0);
+    assert!(sum(|s| s.shed_queue_full + s.shed_budget + s.shed_quarantined) > 0);
+    assert!(sum(|s| s.contained_faults) > 0);
+    assert!(rows.iter().any(|s| s.health == "quarantined"), "{rows:?}");
 }
 
 #[test]

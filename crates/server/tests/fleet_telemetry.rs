@@ -1,12 +1,12 @@
 //! Per-tenant request telemetry: two tenants on the same backend record
 //! into two histograms that differ only in their typed `tenant` label,
-//! and each rollup row reports that tenant's own request count.
+//! and each tenant's stats report its own request count.
 //!
 //! Telemetry state is process-global, so this file holds exactly one
 //! test: sharing a binary with other telemetry-enabling tests would race
 //! on the counts.
 
-use server::{Server, ServerConfig, TrafficConfig};
+use server::{Server, ServerConfig, Tenant, TrafficConfig};
 use telemetry::json::JsonValue;
 use telemetry::LatencyOp;
 use workloads::Backend;
@@ -30,10 +30,9 @@ fn same_backend_tenants_get_typed_tenant_histograms() {
         .collect();
     server.run_timed(&stream);
 
-    let rollup = server.rollup();
-    let rows = rollup.tenants();
+    let rows: Vec<_> = server.tenants().iter().map(Tenant::stats).collect();
     assert_eq!(rows.len(), 2);
-    for s in rows {
+    for s in &rows {
         assert_eq!(s.scheme, Backend::LockFree.label());
         assert!(s.admitted > 0);
         assert_eq!(s.latency.count, s.admitted, "tenant {}: {s:?}", s.tenant);
@@ -53,7 +52,7 @@ fn same_backend_tenants_get_typed_tenant_histograms() {
         (b.scheme, b.interface, b.size_class)
     );
     assert_eq!(a.scheme, Backend::LockFree.label());
-    for (h, s) in requests.iter().zip(rows) {
+    for (h, s) in requests.iter().zip(&rows) {
         assert_eq!(h.count, s.latency.count);
     }
 

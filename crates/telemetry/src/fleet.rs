@@ -1,14 +1,12 @@
-//! Fleet-level telemetry rollup for the multi-tenant serving layer.
+//! Per-tenant statistics for the multi-tenant serving layer.
 //!
 //! The serving harness (`crates/server`) hosts many tenant VMs. Each
 //! tenant records its request latencies through one histogram handle
 //! keyed by its own id (`HistKey::tenant`) and reports the histogram's
-//! quantiles in its [`TenantStats`]. This module combines those rows into
-//! one schema-versioned JSON document ([`FleetRollup::snapshot_json`]).
+//! quantiles, with its admission and containment counters, as one
+//! [`TenantStats`] row.
 
 use crate::hist::LatencyHistogram;
-use crate::json::JsonValue;
-use crate::snapshot::SCHEMA_VERSION;
 
 /// Request-latency summary for one tenant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -38,8 +36,8 @@ impl RequestLatency {
     }
 }
 
-/// Per-tenant counters the serving layer feeds into the rollup. All
-/// counts are cumulative over the tenant's lifetime.
+/// One tenant's counters and request latency. All counts are cumulative
+/// over the tenant's lifetime.
 #[derive(Clone, Debug, Default)]
 pub struct TenantStats {
     /// Tenant index within the fleet.
@@ -71,84 +69,10 @@ pub struct TenantStats {
     pub latency: RequestLatency,
 }
 
-/// A fleet-wide snapshot: one [`TenantStats`] per tenant.
-#[derive(Clone, Debug, Default)]
-pub struct FleetRollup {
-    tenants: Vec<TenantStats>,
-}
-
-impl FromIterator<TenantStats> for FleetRollup {
-    fn from_iter<I: IntoIterator<Item = TenantStats>>(rows: I) -> FleetRollup {
-        FleetRollup {
-            tenants: rows.into_iter().collect(),
-        }
-    }
-}
-
-impl FleetRollup {
-    /// The per-tenant rows in insertion order.
-    pub fn tenants(&self) -> &[TenantStats] {
-        &self.tenants
-    }
-
-    /// Fleet totals: (admitted, completed, shed, contained faults).
-    pub fn totals(&self) -> (u64, u64, u64, u64) {
-        let mut t = (0, 0, 0, 0);
-        for s in &self.tenants {
-            t.0 += s.admitted;
-            t.1 += s.completed;
-            t.2 += s.shed_queue_full + s.shed_budget + s.shed_quarantined;
-            t.3 += s.contained_faults;
-        }
-        t
-    }
-
-    /// The schema-versioned JSON document for `FLEET.json`-style
-    /// exports and the serving bench report.
-    pub fn snapshot_json(&self) -> JsonValue {
-        let mut doc = JsonValue::object();
-        doc.insert("schema_version", SCHEMA_VERSION);
-        doc.insert("kind", "fleet_rollup");
-        let (admitted, completed, shed, contained) = self.totals();
-        let mut totals = JsonValue::object();
-        totals.insert("admitted", admitted);
-        totals.insert("completed", completed);
-        totals.insert("shed", shed);
-        totals.insert("contained_faults", contained);
-        doc.insert("totals", totals);
-        let mut rows = Vec::new();
-        for s in &self.tenants {
-            let mut row = JsonValue::object();
-            row.insert("tenant", u64::from(s.tenant));
-            row.insert("scheme", s.scheme.as_str());
-            row.insert("health", s.health.as_str());
-            row.insert("admitted", s.admitted);
-            row.insert("completed", s.completed);
-            row.insert("shed_queue_full", s.shed_queue_full);
-            row.insert("shed_budget", s.shed_budget);
-            row.insert("shed_quarantined", s.shed_quarantined);
-            row.insert("contained_faults", s.contained_faults);
-            row.insert("degraded_exhaust", s.degraded_exhaust);
-            row.insert("degraded_quarantine", s.degraded_quarantine);
-            row.insert("retries", s.retries);
-            let l = &s.latency;
-            let mut lat = JsonValue::object();
-            lat.insert("count", l.count);
-            lat.insert("p50_ns", l.p50_ns);
-            lat.insert("p99_ns", l.p99_ns);
-            lat.insert("max_ns", l.max_ns);
-            lat.insert("mean_ns", l.mean_ns);
-            row.insert("request_latency", lat);
-            rows.push(row);
-        }
-        doc.insert("tenants", JsonValue::Array(rows));
-        doc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
     use crate::{histogram, HistKey, LatencyOp, SizeClass, Snapshot};
     use std::time::Duration;
 
@@ -165,7 +89,7 @@ mod tests {
             size_class: SizeClass::Tiny,
             op: LatencyOp::Request,
         };
-        let rollup: FleetRollup = [(41u32, 3u64), (42, 5)]
+        let rows: Vec<TenantStats> = [(41u32, 3u64), (42, 5)]
             .into_iter()
             .map(|(tenant, samples)| {
                 let h = histogram(key(tenant));
@@ -174,35 +98,17 @@ mod tests {
                 }
                 TenantStats {
                     tenant,
-                    scheme: "rollup-test".into(),
-                    health: "healthy".into(),
-                    admitted: samples + 1,
-                    completed: samples,
-                    shed_queue_full: 1,
                     latency: RequestLatency::of(&h),
                     ..TenantStats::default()
                 }
             })
             .collect();
 
-        let json = rollup.snapshot_json();
-        assert_eq!(
-            json.get("schema_version").and_then(JsonValue::as_u64),
-            Some(u64::from(SCHEMA_VERSION))
-        );
-        let rows = json.get("tenants").unwrap().as_array().unwrap();
         for (row, (tenant, count)) in rows.iter().zip([(41, 3), (42, 5)]) {
-            assert_eq!(row.get("tenant").and_then(JsonValue::as_u64), Some(tenant));
-            let lat = row.get("request_latency").unwrap();
-            assert_eq!(lat.get("count").and_then(JsonValue::as_u64), Some(count));
-            assert_eq!(lat.get("max_ns").and_then(JsonValue::as_u64), Some(100 * count));
+            assert_eq!(row.tenant, tenant);
+            assert_eq!(row.latency.count, count);
+            assert_eq!(row.latency.max_ns, 100 * count);
         }
-        assert_eq!(
-            json.get("totals")
-                .and_then(|t| t.get("shed"))
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
 
         // The two histograms differ only in `tenant`, and the snapshot
         // JSON carries it as a number next to the bare scheme name.

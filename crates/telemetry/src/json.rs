@@ -51,6 +51,14 @@ impl JsonValue {
         }
     }
 
+    /// The value as `bool`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match *self {
+            JsonValue::Bool(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// The value as `f64` (integers widen).
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
