@@ -1,7 +1,9 @@
 //! Each stage passes its committed `<stage>.pass.json` fixture and
 //! rejects its `<stage>.planted.json` one (a single planted regression)
 //! with a message naming the regressed field. The fixtures are real
-//! reports trimmed to the fields their stage reads.
+//! reports trimmed to the fields their stage reads; the throughput,
+//! scaling and serving ones are judged against the committed baselines,
+//! so re-recording a baseline means re-checking its pass fixture.
 
 use super::*;
 

@@ -74,18 +74,21 @@ fn report_written_to_disk_parses_back_with_matching_values() {
     assert_eq!(text, report.to_json().to_pretty_string());
 }
 
-/// The committed reports at the repository root and the gate baselines
-/// under `baselines/` are what the CI gate reads: each must parse and
-/// carry an integer `schema_version`.
+/// The committed reports at the repository root and the CI gate's
+/// baselines under `baselines/` each parse with the parser the gate uses
+/// and carry an integer `schema_version`.
 #[test]
 fn committed_reports_and_baselines_parse_with_a_schema_version() {
     let bench = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    for dir in [bench.join("../.."), bench.join("baselines")] {
+    for (dir, prefix) in [
+        (bench.join("../.."), "BENCH_"),
+        (bench.join("baselines"), ""),
+    ] {
         let mut reports = 0;
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
             let name = path.file_name().unwrap().to_string_lossy();
-            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            if !(name.starts_with(prefix) && name.ends_with(".json")) {
                 continue;
             }
             let text = std::fs::read_to_string(&path).unwrap();
@@ -94,6 +97,6 @@ fn committed_reports_and_baselines_parse_with_a_schema_version() {
             assert!(version.is_some(), "{name} has no integer schema_version");
             reports += 1;
         }
-        assert!(reports > 0, "no BENCH_*.json under {}", dir.display());
+        assert!(reports > 0, "no {prefix}*.json under {}", dir.display());
     }
 }
