@@ -26,6 +26,15 @@ echo "== build (benchmark harness) =="
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --release --manifest-path perfbench/Cargo.toml --no-run
 
+echo "== perfbench: one-word access path inlined =="
+# A checked element access compiles into the native loop that makes it
+# (DESIGN.md §10): the benchmark's release binary, built without LTO,
+# may hold no out-of-line copy of a function on the one-word path, and
+# must hold the cold handlers it calls. Symbol names do not depend on
+# host speed, so this gate is exact.
+nm -C perfbench/target/release/perfbench >"$out/perfbench.nm"
+gate inlined "$out/perfbench.nm"
+
 echo "== perfbench: exact per-op count gate =="
 # A traced perfbench run reads each layer's work per op from the
 # program's own stats. Counts do not depend on host speed, so this gate

@@ -37,7 +37,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: gate counts <copy-small|copy-large> <trace line> | gate \
     <throughput|scaling|fig6|serving|containment|serving-isolation|compaction|fig5> <report> | \
-    gate effectiveness <effectiveness report> <ablations report>";
+    gate effectiveness <effectiveness report> <ablations report> | gate inlined <nm -C listing>";
 
 fn run(args: &[&str], cpus: usize) -> Verdict {
     match *args {
@@ -53,13 +53,17 @@ fn run(args: &[&str], cpus: usize) -> Verdict {
         ["compaction", report] => compaction(&read(report)?),
         ["fig5", report] => fig5(&read(report)?),
         ["effectiveness", eff, abl] => effectiveness(&read(eff)?, &read(abl)?),
+        ["inlined", listing] => inlined(&read_text(listing)?),
         _ => Err(USAGE.into()),
     }
 }
 
+fn read_text(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
 fn read(path: &str) -> Result<JsonValue, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse(&text).map_err(|e| format!("{path}: {e}"))
+    parse(&read_text(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// The committed report the stage's figures may not regress against.
@@ -131,6 +135,84 @@ fn counts(workload: &str, doc: &JsonValue) -> Verdict {
     Ok(())
 }
 
+/// The one-word checked access path (DESIGN.md §10), from the
+/// `NativeArray` element accessors down to the data word: each owner's
+/// functions on it, where a trailing `*` stands for an element width.
+const ONE_WORD_PATH: [(&str, &[&str]); 4] = [
+    ("jni_rt::native::NativeArray", &["read_*", "write_*"]),
+    ("jni_rt::native::NativeMem", &["read_*", "write_*"]),
+    (
+        "mte_sim::memory::TaggedMemory",
+        &[
+            "load_*",
+            "store_*",
+            "load_le",
+            "store_le",
+            "scalar_offset",
+            "check_word_access",
+            "page_is_mte",
+            "store_lanes",
+        ],
+    ),
+    ("mte_sim::inject", &["should_fail"]),
+];
+
+/// Element widths of the scalar accessors.
+const WIDTHS: [&str; 10] = [
+    "u8", "i8", "u16", "i16", "u32", "i32", "u64", "i64", "f32", "f64",
+];
+
+fn on_one_word_path(symbol: &str) -> bool {
+    let Some((owner, name)) = symbol.rsplit_once("::") else {
+        return false;
+    };
+    let matches = |pattern: &&str| match pattern.strip_suffix('*') {
+        Some(op) => name.strip_prefix(op).is_some_and(|w| WIDTHS.contains(&w)),
+        None => *pattern == name,
+    };
+    ONE_WORD_PATH
+        .iter()
+        .any(|(on, names)| *on == owner && names.iter().any(matches))
+}
+
+/// The cold handlers the one-word path calls; they stay out of line.
+const COLD: [&str; 5] = [
+    "mte_sim::memory::TaggedMemory::tag_mismatch",
+    "mte_sim::memory::TaggedMemory::spurious_fault",
+    "mte_sim::memory::out_of_range",
+    "mte_sim::inject::should_fail_armed",
+    "telemetry::trace::emit_slow",
+];
+
+/// An `nm -C` listing of the perfbench release binary holds no
+/// out-of-line copy of a function on the one-word checked access path,
+/// so a native element loop makes no call per access, and holds every
+/// cold handler that path calls. Symbol names do not depend on host
+/// speed, so the gate is exact.
+fn inlined(listing: &str) -> Verdict {
+    // `<address> <type> <name>`; a name may hold spaces.
+    let symbols: Vec<&str> = listing
+        .lines()
+        .filter_map(|line| line.splitn(3, ' ').nth(2))
+        .collect();
+    let outlined: BTreeSet<&str> = symbols
+        .iter()
+        .copied()
+        .filter(|s| on_one_word_path(s))
+        .collect();
+    let copies = symbols.iter().filter(|s| outlined.contains(*s)).count();
+    ensure!(
+        outlined.is_empty(),
+        "{copies} out-of-line copies of {outlined:?}"
+    );
+    for cold in COLD {
+        ensure!(symbols.contains(&cold), "no out-of-line {cold}");
+    }
+    let n = symbols.len();
+    println!("inlining gate: one-word access path fully inlined; {} cold handlers outlined ({n} symbols)", COLD.len());
+    Ok(())
+}
+
 fn throughput(doc: &JsonValue, base: &JsonValue) -> Verdict {
     let summary = |d, key: &str| num(d, &format!("summary.{key}"));
     // Checked-path throughput within 20% of the committed baseline.
@@ -157,9 +239,13 @@ fn throughput(doc: &JsonValue, base: &JsonValue) -> Verdict {
     ensure!(elem >= 0.75, "speedup_element_rw {elem:.3}");
     let line = line.join(", ");
     println!("throughput gate: {line} speedup_element_rw={elem:.3}");
-    // Pin + unpin on one small array: report-only.
-    let pin = summary(doc, "pin_unpin_ns")?;
-    println!("throughput report: pin_unpin_ns={pin:.1}");
+    // Report-only: pin + unpin on one small array, and the checked u32
+    // pair through `TaggedMemory` and through the JNI accessors.
+    let mut line = Vec::new();
+    for key in ["pin_unpin_ns", "element_rw_ns", "native_element_rw_ns"] {
+        line.push(format!("{key}={:.1}", summary(doc, key)?));
+    }
+    println!("throughput report: {}", line.join(" "));
     Ok(())
 }
 

@@ -131,3 +131,34 @@ fn a_missing_or_malformed_report_fails_its_stage() {
     rejects(compaction(&JsonValue::object()), "bench");
     rejects(run(&["no-such-stage", not_json], 2), "usage");
 }
+
+#[test]
+fn inlined_rejects_an_out_of_line_copy_of_the_one_word_path() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/gate");
+    let listing = |name| read_text(&format!("{dir}/inlined.{name}.nm")).unwrap();
+    let pass = listing("pass");
+    inlined(&pass).unwrap();
+    rejects(inlined(&listing("planted")), "check_word_access");
+    // The cold handlers stay out of line, and a listing without them is
+    // not of a binary that runs the path.
+    let hot = pass.replace("TaggedMemory::tag_mismatch", "TaggedMemory::other");
+    rejects(inlined(&hot), "tag_mismatch");
+    rejects(inlined(""), "no out-of-line");
+    // The bulk accessors, the span walk and the armed injection lookup
+    // are not on the one-word path.
+    for symbol in [
+        "jni_rt::native::NativeMem::read_bytes",
+        "jni_rt::native::NativeUtf::read_byte",
+        "mte_sim::memory::TaggedMemory::check_access",
+        "mte_sim::inject::should_fail_armed",
+    ] {
+        assert!(!on_one_word_path(symbol), "{symbol}");
+    }
+    for symbol in [
+        "jni_rt::native::NativeMem::write_f64",
+        "mte_sim::memory::TaggedMemory::store_u16",
+        "mte_sim::inject::should_fail",
+    ] {
+        assert!(on_one_word_path(symbol), "{symbol}");
+    }
+}

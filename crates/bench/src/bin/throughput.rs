@@ -11,15 +11,20 @@
 //! `store_u32` pairs over a tagged 4 KiB region — the access pattern of
 //! a JNI native element loop — and records `element_rw_ns` and
 //! `speedup_element_rw`, a within-run ratio CI gates so the host's speed
-//! cancels out. A report-only `pin_unpin_ns` row times `Heap::pin` and
-//! dropping its guard on one small array: the object's atomic pin count
-//! up and down and one load of the world gate's compaction flag, with
-//! no gate hold. `--quick` shrinks the measured volume for CI.
+//! cancels out. A report-only `native_element_rw_ns` row times the same
+//! pairs through `NativeArray::read_i32`/`write_i32` on an array
+//! borrowed under MTE4JNI+Sync, so it includes whatever the JNI
+//! accessors add over `TaggedMemory`'s own. A report-only
+//! `pin_unpin_ns` row times `Heap::pin` and dropping its guard on one
+//! small array: the object's atomic pin count up and down and one load
+//! of the world gate's compaction flag, with no gate hold. `--quick`
+//! shrinks the measured volume for CI.
 
 use std::time::Duration;
 
 use art_heap::{Heap, HeapConfig, ObjectRef};
 use bench::{copy_row, json_output, print_environment, spread, timed, Args, BenchReport, Rounds};
+use jni_rt::{NativeKind, ReleaseMode};
 use mte_sim::{
     MemoryConfig, MteThread, ScalarMemory, Tag, TaggedMemory, TaggedPtr, TcfMode, PAGE_SIZE,
 };
@@ -198,40 +203,72 @@ fn main() {
 
     // Per-element view: one checked u32 load and store per element of a
     // tagged 4 KiB region, the scalar path native loops run on. The
-    // ratio is the median of the per-round ratios.
+    // ratio is the median of the per-round ratios. The third row runs
+    // the same pairs through the JNI surface native code calls:
+    // `NativeArray::read_i32`/`write_i32` on an int array borrowed with
+    // `GetPrimitiveArrayCritical` under MTE4JNI+Sync, the borrow and its
+    // release outside the clock. It is report-only.
     const ELEMENTS: usize = 4096 / 4;
     let passes = (volume / 4096) as u32;
     let pairs = f64::from(ELEMENTS as u32 * passes);
     let elem = |i: usize| s.ptr.wrapping_add(4 * i as u64);
     let s = &s;
-    let element = Rounds::new(ELEMENT_ROUNDS).run([true, false], |wide| {
-        move || {
-            timed(|| {
-                for _ in 0..passes {
-                    for i in 0..ELEMENTS {
-                        if wide {
-                            let v = s.wide.load_u32(&s.thread, elem(i)).unwrap();
-                            s.wide.store_u32(&s.thread, elem(i), v.wrapping_add(1)).unwrap();
-                        } else {
-                            let v = s.scalar.load_u32(&s.thread, elem(i)).unwrap();
-                            s.scalar.store_u32(&s.thread, elem(i), v.wrapping_add(1)).unwrap();
-                        }
+    let vm = Scheme::Mte4JniSync.build_vm();
+    let jni_thread = vm.attach_thread("throughput");
+    let array = vm.env(&jni_thread).new_int_array(ELEMENTS).unwrap();
+    let tagged_memory_pass = |wide: bool| {
+        timed(|| {
+            for _ in 0..passes {
+                for i in 0..ELEMENTS {
+                    if wide {
+                        let v = s.wide.load_u32(&s.thread, elem(i)).unwrap();
+                        s.wide.store_u32(&s.thread, elem(i), v.wrapping_add(1)).unwrap();
+                    } else {
+                        let v = s.scalar.load_u32(&s.thread, elem(i)).unwrap();
+                        s.scalar.store_u32(&s.thread, elem(i), v.wrapping_add(1)).unwrap();
                     }
                 }
-            })
+            }
+        })
+    };
+    let native_pass = || {
+        let env = vm.env(&jni_thread);
+        env.call_native("element_rw", NativeKind::Normal, |env| {
+            let a = env.get_primitive_array_critical(&array)?;
+            let mem = env.native_mem();
+            let d = timed(|| {
+                for _ in 0..passes {
+                    for i in 0..ELEMENTS as isize {
+                        let v = a.read_i32(&mem, i).unwrap();
+                        a.write_i32(&mem, i, v.wrapping_add(1)).unwrap();
+                    }
+                }
+            });
+            env.release_primitive_array_critical(&array, a, ReleaseMode::CopyBack)?;
+            Ok(d)
+        })
+        .unwrap()
+    };
+    let element = Rounds::new(ELEMENT_ROUNDS).run([Some(true), Some(false), None], |row| {
+        move || match row {
+            Some(wide) => tagged_memory_pass(wide),
+            None => native_pass(),
         }
     });
     let per_pair = |d: Duration| d.as_nanos() as f64 / pairs;
     let element_rw_ns = per_pair(element[0].median());
     let scalar_element_rw_ns = per_pair(element[1].median());
+    let native_element_rw_ns = per_pair(element[2].median());
     let speedup_element_rw = element[1].median_ratio(&element[0]);
     println!(
         "element rw (checked u32 load+store, 4 KiB): {element_rw_ns:.2} ns wide, \
-         {scalar_element_rw_ns:.2} ns scalar, {speedup_element_rw:.2}x"
+         {scalar_element_rw_ns:.2} ns scalar, {speedup_element_rw:.2}x; \
+         {native_element_rw_ns:.2} ns through NativeArray (MTE4JNI+Sync)"
     );
     println!();
     report.summary("element_rw_ns", element_rw_ns);
     report.summary("scalar_element_rw_ns", scalar_element_rw_ns);
+    report.summary("native_element_rw_ns", native_element_rw_ns);
     report.summary("speedup_element_rw", speedup_element_rw);
 
     // Pin view: the bookkeeping every JNI acquire/release pair does

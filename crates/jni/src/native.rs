@@ -115,18 +115,23 @@ macro_rules! array_access {
         #[doc = concat!("Reads element `index` as `", $doc, "`.")]
         ///
         /// `index` is **not** bounds checked and may be negative — this is
-        /// raw pointer arithmetic, as in native C code.
+        /// raw pointer arithmetic, as in native C code, and it wraps: an
+        /// index whose byte offset overflows reaches some other address.
         ///
         /// # Errors
         ///
         /// [`MemError::TagCheck`] when the derived pointer's inherited tag
-        /// mismatches the accessed granule's memory tag (sync mode).
-        #[inline]
+        /// mismatches the accessed granule's memory tag (sync mode);
+        /// [`MemError::OutOfRange`] outside the simulated memory.
+        // Always inlined, with the one-word path below it, so a native
+        // element loop makes no call per access (DESIGN.md §10).
+        #[inline(always)]
         pub fn $read(&self, mem: &NativeMem<'_>, index: isize) -> Result<$ty, MemError> {
-            let r = mem.$mem_read(self.ptr.wrapping_offset(index as i64 * $size));
+            let offset = (index as i64).wrapping_mul($size);
+            let r = mem.$mem_read(self.ptr.wrapping_offset(offset));
             trace::emit(|| TraceEvent::Access {
                 base: self.ptr.raw(),
-                offset: index as i64 * $size,
+                offset,
                 width: $size as u8,
                 write: false,
                 value: 0,
@@ -140,17 +145,18 @@ macro_rules! array_access {
         /// # Errors
         ///
         /// See the corresponding read method.
-        #[inline]
+        #[inline(always)]
         pub fn $write(
             &self,
             mem: &NativeMem<'_>,
             index: isize,
             value: $ty,
         ) -> Result<(), MemError> {
-            let r = mem.$mem_write(self.ptr.wrapping_offset(index as i64 * $size), value);
+            let offset = (index as i64).wrapping_mul($size);
+            let r = mem.$mem_write(self.ptr.wrapping_offset(offset), value);
             trace::emit(|| TraceEvent::Access {
                 base: self.ptr.raw(),
-                offset: index as i64 * $size,
+                offset,
                 width: $size as u8,
                 write: true,
                 value: ($bits)(value),

@@ -263,7 +263,7 @@ impl TaggedMemory {
     /// lane `lane`: a plain store for a whole word, otherwise one atomic
     /// read-modify-write, so concurrent writers to sibling bytes of the
     /// same word cannot be clobbered.
-    #[inline]
+    #[inline(always)]
     fn store_lanes(&self, word_idx: usize, lane: usize, len: usize, value: u64) {
         debug_assert!(len > 0 && lane + len <= WORD);
         let word = &self.data[word_idx];
@@ -432,7 +432,7 @@ impl TaggedMemory {
     /// so inside one granule and one page (DESIGN.md §10): one
     /// `PROT_MTE` byte load and one nibble compare. Injection and
     /// mismatch handling are exactly [`Self::check_access`]'s.
-    #[inline]
+    #[inline(always)]
     fn check_word_access(
         &self,
         t: &MteThread,
@@ -624,7 +624,13 @@ impl TaggedMemory {
     /// Scalar load of `len` (1..=8) bytes. An access inside one data
     /// word takes one granule check and one word load; only a
     /// word-straddling access pays for the span check and byte copy.
-    #[inline]
+    ///
+    /// This, [`Self::store_le`], [`Self::check_word_access`] and
+    /// [`Self::store_lanes`] are always inlined, so a caller's element
+    /// loop holds the whole one-word path and calls only the cold
+    /// handlers: with plain `#[inline]`, a dependent crate built without
+    /// LTO kept them out of line (DESIGN.md §10).
+    #[inline(always)]
     fn load_le(&self, t: &MteThread, ptr: TaggedPtr, len: usize) -> Result<u64> {
         let offset = self.scalar_offset(ptr.addr(), len)?;
         let lane = offset % WORD;
@@ -645,7 +651,7 @@ impl TaggedMemory {
 
     /// Scalar store of the low `len` (1..=8) bytes of `value`; the
     /// one-word case is a plain store or a single masked RMW.
-    #[inline]
+    #[inline(always)]
     fn store_le(&self, t: &MteThread, ptr: TaggedPtr, len: usize, value: u64) -> Result<()> {
         let offset = self.scalar_offset(ptr.addr(), len)?;
         let lane = offset % WORD;
