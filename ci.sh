@@ -230,9 +230,9 @@ gate compaction "$out/BENCH_compaction.json"
 echo "== bench JSON sanity =="
 # A fast fig5 run must emit a parseable, schema-versioned report whose
 # summary carries the headline ratios (README "Regenerating" section),
-# including the quarantined guarded-copy-fallback column (--degraded).
+# including the quarantined guarded-copy-fallback column.
 cargo run --offline -q -p bench --bin fig5 -- \
-    --repeats 1 --max-pow 4 --degraded --json "$out" >/dev/null
+    --repeats 1 --max-pow 4 --json "$out" >/dev/null
 gate fig5 "$out/BENCH_fig5.json"
 
 echo "== effectiveness + ablations: detection verdict gate =="

@@ -16,12 +16,11 @@
 
 use std::sync::Arc;
 
-use art_heap::BlockAllocator;
 use bench::{json_output, print_environment, spread, timed, Args, BenchReport, Rounds};
 use guarded_copy::{GuardedCopy, GuardedCopyConfig};
 use jni_rt::{NativeKind, ReleaseMode, Vm};
 use mte4jni::{TableConfig, TagTable, TwoTierTable};
-use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr, TcfMode};
+use mte_sim::{BlockAllocator, MemoryConfig, MteThread, TaggedMemory, TaggedPtr, TcfMode};
 use telemetry::json::JsonValue;
 
 /// Timed rounds per table row (after one warm-up).

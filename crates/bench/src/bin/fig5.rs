@@ -6,7 +6,9 @@
 //! MTE4JNI+Sync 2.36×, MTE4JNI+Async 2.24×) and the abstract's
 //! single-thread overhead-reduction factor (paper: ~11×), and a
 //! report-only row with the cost of telemetry recording itself: the
-//! 2-int no-protection copy timed with recording off and on.
+//! 2-int no-protection copy timed with recording off and on. A fourth
+//! column, `degraded`, times the same kernel on an MTE4JNI+Sync VM that
+//! has quarantined it onto its guarded-copy fallback.
 //!
 //! Each length is one table row: its schemes' VMs are built, then timed
 //! round by round. The ratio columns are each scheme's fastest pass over
@@ -25,13 +27,11 @@ fn main() {
     let args = Args::parse();
     let repeats: u32 = args.value("--repeats", 3);
     let max_pow: u32 = args.value("--max-pow", 12);
-    let degraded = args.flag("--degraded");
     let json_path = json_output(&args);
     let mut report = BenchReport::new("fig5");
     report
         .param("repeats", repeats)
-        .param("max_pow", max_pow)
-        .param("degraded", degraded);
+        .param("max_pow", max_pow);
 
     print_environment("Figure 5 — single-thread JNI copy overhead");
 
@@ -58,14 +58,12 @@ fn main() {
     // The columns after the no-protection baseline: JSON key, header,
     // and the VM each table row builds for it.
     type Column = (&'static str, &'static str, fn() -> Vm);
-    let mut columns: Vec<Column> = vec![
+    let columns: [Column; 4] = [
         ("guarded_copy", Scheme::GuardedCopy.label(), || Scheme::GuardedCopy.build_vm()),
         ("mte_sync", Scheme::Mte4JniSync.label(), || Scheme::Mte4JniSync.build_vm()),
         ("mte_async", Scheme::Mte4JniAsync.label(), || Scheme::Mte4JniAsync.build_vm()),
+        ("degraded_guarded", "degraded", degraded_vm),
     ];
-    if degraded {
-        columns.push(("degraded_guarded", "degraded", degraded_vm));
-    }
     let ratio_keys: Vec<String> = columns.iter().map(|c| format!("{}_ratio", c.0)).collect();
     let labels: Vec<&str> = std::iter::once("no_protection").chain(columns.iter().map(|c| c.0)).collect();
     print!("{:>10}", "len(ints)");
@@ -131,17 +129,15 @@ fn main() {
          on {telemetry_on:.0} ns ({:.2}x; medians of {repeats}, report only)",
         telemetry_on / telemetry_off.max(f64::EPSILON)
     );
-    if degraded {
-        // The cost of quarantine: the same kernel through the guarded-copy
-        // fallback, relative to baseline and to healthy MTE4JNI+Sync.
-        let fallback_ratio = avg[3] / avg[1].max(f64::EPSILON);
-        println!(
-            "quarantined (guarded-copy fallback) average: {:.2}x; \
-             {fallback_ratio:.2}x the healthy MTE4JNI+Sync cost",
-            avg[3]
-        );
-        report.summary("degraded_fallback_ratio", fallback_ratio);
-    }
+    // The cost of quarantine: the same kernel through the guarded-copy
+    // fallback, relative to baseline and to healthy MTE4JNI+Sync.
+    let fallback_ratio = avg[3] / avg[1].max(f64::EPSILON);
+    println!(
+        "quarantined (guarded-copy fallback) average: {:.2}x; \
+         {fallback_ratio:.2}x the healthy MTE4JNI+Sync cost",
+        avg[3]
+    );
+    report.summary("degraded_fallback_ratio", fallback_ratio);
     println!();
     println!("Copy time ratios (cf. the paper's Figure 5, log scale):");
     print!(

@@ -111,6 +111,12 @@ fn fig5_counts_reconcile_exactly() {
 }
 
 #[test]
+fn the_committed_fig5_recording_passes_its_stage() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig5.json");
+    fig5(&read(path).expect("committed BENCH_fig5.json parses")).unwrap();
+}
+
+#[test]
 fn effectiveness_matches_every_section_5_2_verdict() {
     let ablations = fixture("ablations.pass");
     effectiveness(&fixture("effectiveness.pass"), &ablations).unwrap();

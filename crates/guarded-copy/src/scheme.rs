@@ -500,6 +500,6 @@ mod tests {
             env.release_primitive_array_critical(&a, elems, ReleaseMode::CopyBack)
                 .unwrap();
         }
-        assert_eq!(vm.heap().native_alloc().stats().bytes_in_use, 0);
+        assert_eq!(vm.heap().native_alloc().bytes_in_use(), 0);
     }
 }

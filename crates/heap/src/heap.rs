@@ -9,14 +9,14 @@ use parking_lot::Mutex;
 use telemetry::Tally;
 
 use mte_sim::{
-    MemoryConfig, MteThread, NativeAllocator, TagCheckFault, Tag, TaggedMemory, TaggedPtr, GRANULE,
+    BlockAllocator, MemoryConfig, MteThread, NativeAllocator, TagCheckFault, Tag, TaggedMemory,
+    TaggedPtr, GRANULE,
 };
 // The facade mutex participates in the deterministic stress scheduler;
 // required for any lock held across a schedule point (the safepoint
 // hook yields), or a blocked waiter would stall the whole schedule.
 use mte_sim::sync::Mutex as SchedMutex;
 
-use crate::block_alloc::BlockAllocator;
 use crate::error::HeapError;
 use crate::jstring::utf16_units;
 use crate::object::{ArrayRef, LiveToken, ObjKind, ObjectRef, StringRef};
@@ -218,7 +218,7 @@ impl Heap {
         Heap {
             inner: Arc::new(HeapInner {
                 blocks: BlockAllocator::new(heap_start, heap_len, config.alignment),
-                native: NativeAllocator::new(Arc::clone(&memory), native_start, native_len),
+                native: NativeAllocator::new(&memory, native_start, native_len),
                 memory,
                 config,
                 objects: Mutex::new(HashMap::new()),
@@ -577,7 +577,7 @@ impl Heap {
     /// Runs stop-the-world: payload accessors block on the world gate for
     /// the duration, and pins back off and wait until it ends.
     pub fn compact(&self) -> CompactStats {
-        let timing = telemetry::start_timing();
+        let recording = telemetry::enabled();
         let t0 = std::time::Instant::now();
         let world = self.inner.world.write();
         // Every pin count is read once, here, after `write` raised the
@@ -746,8 +746,7 @@ impl Heap {
         totals.bump(COMPACTIONS);
         totals.add(MOVED_OBJECTS, stats.moved_objects as u64);
         totals.add(MOVED_BYTES, stats.moved_bytes as u64);
-        if let Some(start) = timing {
-            let pause = start.elapsed();
+        if recording {
             telemetry::histogram(telemetry::HistKey {
                 tenant: None,
                 scheme: "heap",
@@ -755,7 +754,7 @@ impl Heap {
                 size_class: telemetry::SizeClass::from_bytes(stats.moved_bytes as u64),
                 op: telemetry::LatencyOp::GcPause,
             })
-            .record(pause);
+            .record(stats.pause);
         }
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Compact {
             moved: stats.moved_objects as u64,

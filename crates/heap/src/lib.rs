@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod block_alloc;
 mod error;
 mod gc;
 mod heap;
@@ -31,7 +30,6 @@ mod thread;
 mod types;
 mod world;
 
-pub use block_alloc::BlockAllocator;
 pub use error::HeapError;
 pub use gc::{GcReport, GcScanner, GcScannerConfig, GcStats, ScanOutcome};
 pub use heap::{

@@ -1,7 +1,7 @@
 //! Property-based tests for the heap substrate.
 
-use art_heap::{BlockAllocator, Heap, HeapConfig, JavaThread};
-use mte_sim::MemoryConfig;
+use art_heap::{Heap, HeapConfig, JavaThread};
+use mte_sim::{BlockAllocator, MemoryConfig};
 use proptest::prelude::*;
 
 fn small_heap() -> Heap {

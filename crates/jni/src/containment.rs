@@ -234,24 +234,6 @@ impl Containment {
         }
     }
 
-    /// The degradation-state snapshot as JSON (published alongside
-    /// telemetry counters so reports can carry the quarantine table).
-    pub fn snapshot_json(&self) -> JsonValue {
-        let stats = self.stats();
-        let mut doc = JsonValue::object();
-        doc.insert("contained_faults", stats.contained_faults);
-        doc.insert("transient_retries", stats.transient_retries);
-        doc.insert("degraded_quarantine", stats.degraded_quarantine);
-        doc.insert("degraded_tag_exhaustion", stats.degraded_tag_exhaustion);
-        let methods: Vec<JsonValue> = self
-            .quarantined_methods()
-            .into_iter()
-            .map(JsonValue::from)
-            .collect();
-        doc.insert("quarantined_methods", methods);
-        doc
-    }
-
     pub(crate) fn note_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }

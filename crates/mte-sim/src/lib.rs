@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block_alloc;
 mod error;
 mod fault;
 pub mod inject;
@@ -62,10 +63,11 @@ pub mod sync;
 mod tag;
 mod thread;
 
+pub use block_alloc::BlockAllocator;
 pub use error::MemError;
 pub use fault::{AccessKind, Backtrace, FaultAttribution, FaultKind, Frame, TagCheckFault};
 pub use memory::{MemoryConfig, TaggedMemory};
-pub use nalloc::{NativeAllocator, NativeAllocatorStats};
+pub use nalloc::NativeAllocator;
 pub use pointer::TaggedPtr;
 pub use reference::ScalarMemory;
 pub use stats::{MteStats, MteStatsSnapshot};

@@ -4,37 +4,29 @@
 //! native heap, *not* the Java heap. To keep the memory-access path uniform
 //! across protection schemes, those buffers must also live inside the
 //! simulated [`TaggedMemory`]; this module carves them out of a dedicated
-//! arena with a first-fit free list. Native-heap pages are never mapped
-//! with `PROT_MTE`, so accesses to them are never tag-checked — exactly
-//! like `malloc` memory on an MTE device with stock jemalloc/scudo tagging
-//! disabled.
+//! arena with a [`BlockAllocator`] at granule alignment. Native-heap pages
+//! are never mapped with `PROT_MTE`, so accesses to them are never
+//! tag-checked — exactly like `malloc` memory on an MTE device with stock
+//! jemalloc/scudo tagging disabled.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::block_alloc::BlockAllocator;
 use crate::error::MemError;
+use crate::inject::{should_fail, InjectPoint};
 use crate::memory::TaggedMemory;
 use crate::pointer::TaggedPtr;
 use crate::tag::GRANULE;
 use crate::Result;
 
-/// First-fit free-list allocator over a sub-range of a [`TaggedMemory`].
+/// The native arena: a sub-range of a [`TaggedMemory`] handed out in
+/// granule-aligned blocks.
 ///
 /// All allocations are 16-byte aligned (the default alignment of 64-bit
 /// `malloc` implementations, and the paper's observation in §4.1 that many
 /// 64-bit allocators already align to the MTE granule).
 pub struct NativeAllocator {
-    memory: Arc<TaggedMemory>,
-    start: u64,
-    end: u64,
-    free: Mutex<Vec<(u64, u64)>>,
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    in_use: AtomicU64,
-    peak: AtomicU64,
+    blocks: BlockAllocator,
 }
 
 impl NativeAllocator {
@@ -43,34 +35,12 @@ impl NativeAllocator {
     /// # Panics
     ///
     /// Panics if the range is not granule aligned or lies outside `memory`.
-    pub fn new(memory: Arc<TaggedMemory>, start: u64, len: usize) -> NativeAllocator {
-        assert_eq!(start % GRANULE as u64, 0, "arena start must be granule aligned");
+    pub fn new(memory: &TaggedMemory, start: u64, len: usize) -> NativeAllocator {
         assert_eq!(len % GRANULE, 0, "arena length must be granule aligned");
         assert!(memory.contains(start, len), "arena must lie inside the memory");
         NativeAllocator {
-            memory,
-            start,
-            end: start + len as u64,
-            free: Mutex::new(vec![(start, len as u64)]),
-            allocs: AtomicU64::new(0),
-            frees: AtomicU64::new(0),
-            in_use: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
+            blocks: BlockAllocator::new(start, len, GRANULE),
         }
-    }
-
-    /// Arena start address.
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-
-    /// One past the arena's last byte.
-    pub fn end(&self) -> u64 {
-        self.end
-    }
-
-    fn block_size(len: usize) -> u64 {
-        (len.max(1) as u64).div_ceil(GRANULE as u64) * GRANULE as u64
     }
 
     /// Allocates `len` bytes (rounded up to a granule), returning an
@@ -78,119 +48,63 @@ impl NativeAllocator {
     ///
     /// # Errors
     ///
-    /// [`MemError::OutOfNativeMemory`] when no free block is large enough.
+    /// [`MemError::OutOfNativeMemory`] when no free block is large enough,
+    /// or when an installed fault plan fails the allocation.
     pub fn alloc(&self, len: usize) -> Result<TaggedPtr> {
-        if crate::inject::should_fail(crate::inject::InjectPoint::Alloc) {
-            return Err(MemError::OutOfNativeMemory { requested: len });
+        let oom = MemError::OutOfNativeMemory { requested: len };
+        if should_fail(InjectPoint::Alloc) {
+            return Err(oom);
         }
-        let want = Self::block_size(len);
-        let mut free = self.free.lock();
-        let idx = free
-            .iter()
-            .position(|&(_, flen)| flen >= want)
-            .ok_or(MemError::OutOfNativeMemory { requested: len })?;
-        let (fstart, flen) = free[idx];
-        if flen == want {
-            free.remove(idx);
-        } else {
-            free[idx] = (fstart + want, flen - want);
-        }
-        drop(free);
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        let now = self.in_use.fetch_add(want, Ordering::Relaxed) + want;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        Ok(TaggedPtr::from_addr(fstart))
+        let (addr, _) = self.blocks.alloc(len).ok_or(oom)?;
+        Ok(TaggedPtr::from_addr(addr))
     }
 
     /// Returns `[ptr, ptr + len)` (same `len` passed to [`Self::alloc`]) to
-    /// the free list, coalescing with neighbours.
+    /// the arena, coalescing with neighbours.
     ///
     /// # Panics
     ///
     /// Panics if the block lies outside the arena or overlaps a free block
     /// (double free).
     pub fn free(&self, ptr: TaggedPtr, len: usize) {
-        let want = Self::block_size(len);
-        let addr = ptr.addr();
-        assert!(
-            addr >= self.start && addr + want <= self.end,
-            "freed block {addr:#x}+{want} outside arena"
-        );
-        let mut free = self.free.lock();
-        let pos = free.partition_point(|&(fstart, _)| fstart < addr);
-        if let Some(&(next, _)) = free.get(pos) {
-            assert!(addr + want <= next, "double free or overlap at {addr:#x}");
-        }
-        if pos > 0 {
-            let (pstart, plen) = free[pos - 1];
-            assert!(pstart + plen <= addr, "double free or overlap at {addr:#x}");
-        }
-        free.insert(pos, (addr, want));
-        // Coalesce with successor then predecessor.
-        if pos + 1 < free.len() && free[pos].0 + free[pos].1 == free[pos + 1].0 {
-            free[pos].1 += free[pos + 1].1;
-            free.remove(pos + 1);
-        }
-        if pos > 0 && free[pos - 1].0 + free[pos - 1].1 == free[pos].0 {
-            free[pos - 1].1 += free[pos].1;
-            free.remove(pos);
-        }
-        drop(free);
-        self.frees.fetch_add(1, Ordering::Relaxed);
-        self.in_use.fetch_sub(want, Ordering::Relaxed);
+        self.blocks.free(ptr.addr(), len);
     }
 
-    /// The backing memory.
-    pub fn memory(&self) -> &Arc<TaggedMemory> {
-        &self.memory
+    /// Bytes currently allocated (after granule rounding).
+    pub fn bytes_in_use(&self) -> u64 {
+        self.blocks.bytes_in_use()
     }
 
-    /// Current usage statistics.
-    pub fn stats(&self) -> NativeAllocatorStats {
-        NativeAllocatorStats {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
-            bytes_in_use: self.in_use.load(Ordering::Relaxed),
-            peak_bytes: self.peak.load(Ordering::Relaxed),
-        }
+    /// High-water mark of [`Self::bytes_in_use`].
+    pub fn peak_bytes(&self) -> u64 {
+        self.blocks.peak_bytes()
     }
 }
 
 impl fmt::Debug for NativeAllocator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NativeAllocator")
-            .field("start", &format_args!("{:#x}", self.start))
-            .field("end", &format_args!("{:#x}", self.end))
-            .field("stats", &self.stats())
+            .field("blocks", &self.blocks)
             .finish()
     }
 }
 
-/// Usage counters for a [`NativeAllocator`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NativeAllocatorStats {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Frees.
-    pub frees: u64,
-    /// Bytes currently allocated (after granule rounding).
-    pub bytes_in_use: u64,
-    /// High-water mark of `bytes_in_use`.
-    pub peak_bytes: u64,
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::inject::{self, FaultPlan, InjectCounters};
     use crate::memory::MemoryConfig;
+
+    const ARENA: usize = 0x10000;
 
     fn arena() -> NativeAllocator {
         let mem = TaggedMemory::new(MemoryConfig {
             base: 0x7a00_0000_0000,
             size: 1 << 20,
         });
-        let start = mem.base() + 0x10000;
-        NativeAllocator::new(mem, start, 0x10000)
+        NativeAllocator::new(&mem, mem.base() + 0x10000, ARENA)
     }
 
     #[test]
@@ -204,75 +118,55 @@ mod tests {
     }
 
     #[test]
-    fn distinct_live_allocations_do_not_overlap() {
-        let a = arena();
-        let p1 = a.alloc(40).unwrap();
-        let p2 = a.alloc(40).unwrap();
-        let d = p1.addr().abs_diff(p2.addr());
-        assert!(d >= 48, "40 bytes rounds to 48; blocks must not overlap");
-    }
-
-    #[test]
-    fn free_allows_reuse() {
-        let a = arena();
-        let p1 = a.alloc(64).unwrap();
-        a.free(p1, 64);
-        let p2 = a.alloc(64).unwrap();
-        assert_eq!(p1.addr(), p2.addr(), "first fit reuses the freed block");
-    }
-
-    #[test]
-    fn coalescing_reassembles_the_arena() {
-        let a = arena();
-        let ps: Vec<_> = (0..8).map(|_| a.alloc(1024).unwrap()).collect();
-        // Free in an interleaved order to exercise both coalesce branches.
-        for &i in &[1usize, 3, 5, 7, 0, 2, 4, 6] {
-            a.free(ps[i], 1024);
-        }
-        // A single huge allocation must now fit again.
-        let big = a.alloc(0x10000).unwrap();
-        assert_eq!(big.addr(), a.start());
-    }
-
-    #[test]
     fn exhaustion_errors() {
         let a = arena();
         assert!(matches!(
-            a.alloc(0x10001),
+            a.alloc(ARENA + 1),
             Err(MemError::OutOfNativeMemory { .. })
         ));
-        let _keep = a.alloc(0x10000).unwrap();
+        let _keep = a.alloc(ARENA).unwrap();
         assert!(a.alloc(16).is_err());
     }
 
     #[test]
-    #[should_panic(expected = "double free")]
-    fn double_free_panics() {
-        let a = arena();
-        let p = a.alloc(32).unwrap();
-        a.free(p, 32);
-        a.free(p, 32);
-    }
-
-    #[test]
-    fn stats_track_usage() {
+    fn bytes_in_use_counts_granules() {
         let a = arena();
         let p = a.alloc(100).unwrap();
-        let s = a.stats();
-        assert_eq!(s.allocs, 1);
-        assert_eq!(s.bytes_in_use, 112, "100 rounds to 7 granules");
+        assert_eq!(a.bytes_in_use(), 112, "100 rounds to 7 granules");
         a.free(p, 100);
-        let s = a.stats();
-        assert_eq!(s.frees, 1);
-        assert_eq!(s.bytes_in_use, 0);
-        assert_eq!(s.peak_bytes, 112);
+        assert_eq!(a.bytes_in_use(), 0);
+        assert_eq!(a.peak_bytes(), 112);
     }
 
     #[test]
     fn zero_length_alloc_gets_a_granule() {
         let a = arena();
         let p = a.alloc(0).unwrap();
-        assert!(a.stats().bytes_in_use >= 16);
+        assert_eq!(a.bytes_in_use(), GRANULE as u64);
         a.free(p, 0);
+        assert_eq!(a.bytes_in_use(), 0);
+    }
+
+    #[test]
+    fn an_injected_alloc_failure_is_transient_and_takes_nothing() {
+        let a = arena();
+        let _keep = a.alloc(32).unwrap();
+        let before = a.bytes_in_use();
+        let plan = FaultPlan {
+            alloc_fail_ppm: 1_000_000,
+            ..FaultPlan::default()
+        };
+        let counters = Arc::new(InjectCounters::default());
+        inject::install(plan, 1, Arc::clone(&counters));
+        let failed = a.alloc(64);
+        inject::clear();
+        assert!(matches!(
+            failed,
+            Err(MemError::OutOfNativeMemory { requested: 64 })
+        ));
+        assert!(failed.unwrap_err().is_transient());
+        assert_eq!(counters.get(InjectPoint::Alloc), 1);
+        assert_eq!(a.bytes_in_use(), before, "the failed alloc took nothing");
+        a.alloc(64).expect("the next alloc succeeds");
     }
 }

@@ -170,7 +170,7 @@ impl Tenant {
     /// The typed shed reason when admission rejects the request.
     pub fn serve(&self, req: &Request) -> Result<RequestOutcome, Rejected> {
         let health = self.health();
-        let bytes_in_use = self.vm.heap().native_alloc().stats().bytes_in_use as usize;
+        let bytes_in_use = self.vm.heap().native_alloc().bytes_in_use() as usize;
         let permit = match self.admission.try_admit(health, bytes_in_use) {
             Ok(p) => p,
             Err(r) => {

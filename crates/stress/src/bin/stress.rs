@@ -14,17 +14,19 @@
 use std::process::ExitCode;
 
 use mte_sim::inject::FaultPlan;
+use stress::broken::{BrokenTable, BROKEN};
 use stress::harness::{
     run_containment_schedule, run_lifecycle_schedule, run_schedule, run_serving_schedule,
-    ScheduleResult, SchemeKind, StressConfig,
+    run_table_schedule, ScheduleResult, StressConfig,
 };
 use stress::sched::trace_hash;
 use telemetry::json::JsonValue;
+use workloads::Backend;
 
 struct Options {
     seed: u64,
     schedules: u64,
-    scheme: Option<SchemeKind>,
+    scheme: Option<Backend>,
     lifecycle: bool,
     containment: bool,
     serving: bool,
@@ -60,15 +62,15 @@ impl Options {
     /// The selected workload: contended acquire/release rounds, the
     /// object-lifecycle (acquire → drop handle → sweep → release)
     /// regression schedule, or the fault-containment schedule.
-    fn run(&self, kind: SchemeKind, seed: u64) -> ScheduleResult {
+    fn run(&self, backend: Backend, seed: u64) -> ScheduleResult {
         if self.serving {
-            run_serving_schedule(kind, seed, &self.cfg)
+            run_serving_schedule(backend, seed, &self.cfg)
         } else if self.containment {
-            run_containment_schedule(kind, seed, &self.cfg)
+            run_containment_schedule(backend, seed, &self.cfg)
         } else if self.lifecycle {
-            run_lifecycle_schedule(kind, seed, &self.cfg)
+            run_lifecycle_schedule(backend, seed, &self.cfg)
         } else {
-            run_schedule(kind, seed, &self.cfg)
+            run_schedule(backend, seed, &self.cfg)
         }
     }
 
@@ -180,9 +182,7 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, St
                 o.scheme = match v.as_str() {
                     "all" => None,
                     label => Some(
-                        SchemeKind::REAL
-                            .into_iter()
-                            .find(|k| k.label() == label)
+                        Backend::parse(label)
                             .ok_or_else(|| format!("--scheme: unknown scheme {label:?}"))?,
                     ),
                 };
@@ -238,7 +238,7 @@ struct SchemeOutcome {
     failing_schedule: Option<u64>,
 }
 
-fn sweep(kind: SchemeKind, o: &Options) -> SchemeOutcome {
+fn sweep(backend: Backend, o: &Options) -> SchemeOutcome {
     let mut combined: u64 = 0xcbf2_9ce4_8422_2325;
     let mut steps_total = 0;
     let mut injected = 0;
@@ -248,7 +248,7 @@ fn sweep(kind: SchemeKind, o: &Options) -> SchemeOutcome {
     let mut run = 0;
     for idx in 0..o.schedules {
         let seed = schedule_seed(o.seed, idx);
-        let result = o.run(kind, seed);
+        let result = o.run(backend, seed);
         run += 1;
         combined ^= trace_hash(&result.report.trace);
         combined = combined.wrapping_mul(0x1000_0000_01b3);
@@ -260,7 +260,7 @@ fn sweep(kind: SchemeKind, o: &Options) -> SchemeOutcome {
         if !result.violations.is_empty() {
             eprintln!(
                 "[{}] schedule {idx} (seed {seed:#x}) violated invariants:",
-                kind.label()
+                backend.label()
             );
             for v in &result.violations {
                 eprintln!("  {v}");
@@ -270,7 +270,7 @@ fn sweep(kind: SchemeKind, o: &Options) -> SchemeOutcome {
                 eprintln!("    {ev}");
             }
             return SchemeOutcome {
-                scheme: kind.label(),
+                scheme: backend.label(),
                 schedules_run: run,
                 clean: false,
                 trace_hash: combined,
@@ -285,7 +285,7 @@ fn sweep(kind: SchemeKind, o: &Options) -> SchemeOutcome {
         }
     }
     SchemeOutcome {
-        scheme: kind.label(),
+        scheme: backend.label(),
         schedules_run: run,
         clean: true,
         trace_hash: combined,
@@ -299,14 +299,14 @@ fn sweep(kind: SchemeKind, o: &Options) -> SchemeOutcome {
     }
 }
 
-fn schedule_replay(kind: SchemeKind, idx: u64, o: &Options) {
+fn schedule_replay(backend: Backend, idx: u64, o: &Options) {
     let seed = schedule_seed(o.seed, idx);
     let session = o.trace_out.as_ref().map(|_| trace::RecordingSession::start());
-    let result = o.run(kind, seed);
+    let result = o.run(backend, seed);
     if let (Some(session), Some(path)) = (session, o.trace_out.as_ref()) {
         let t = session.finish(trace::TraceHeader {
-            label: format!("stress:{}:{idx}", kind.label()),
-            scheme: kind.label().to_owned(),
+            label: format!("stress:{}:{idx}", backend.label()),
+            scheme: backend.label().to_owned(),
             tcf_mode: 1,
             check_jni: false,
             fault_policy: if o.containment { 1 } else { 0 },
@@ -320,7 +320,7 @@ fn schedule_replay(kind: SchemeKind, idx: u64, o: &Options) {
     }
     println!(
         "[{}] schedule {idx} seed {seed:#x}: {} events, {} steps, abort={:?}",
-        kind.label(),
+        backend.label(),
         result.report.trace.len(),
         result.report.steps,
         result.report.abort,
@@ -347,9 +347,9 @@ struct SelfCheckOutcome {
     first_violation: Option<String>,
 }
 
-/// Runs a broken scheme until the harness flags it; the harness fails
+/// Runs a broken table until the harness flags it; the harness fails
 /// its own audit if a seeded bug survives the whole budget.
-fn self_check(kind: SchemeKind, o: &Options) -> SelfCheckOutcome {
+fn self_check(&(label, table): &BrokenTable, o: &Options) -> SelfCheckOutcome {
     // No fault injection here: the self-check isolates pure concurrency
     // detection.
     let cfg = StressConfig {
@@ -358,10 +358,10 @@ fn self_check(kind: SchemeKind, o: &Options) -> SelfCheckOutcome {
     };
     for idx in 0..o.schedules {
         let seed = schedule_seed(o.seed, idx);
-        let result = run_schedule(kind, seed, &cfg);
+        let result = run_table_schedule(table(), seed, &cfg);
         if !result.violations.is_empty() {
             return SelfCheckOutcome {
-                scheme: kind.label(),
+                scheme: label,
                 caught: true,
                 schedules_to_catch: Some(idx + 1),
                 first_violation: result.violations.first().cloned(),
@@ -369,7 +369,7 @@ fn self_check(kind: SchemeKind, o: &Options) -> SelfCheckOutcome {
         }
     }
     SelfCheckOutcome {
-        scheme: kind.label(),
+        scheme: label,
         caught: false,
         schedules_to_catch: None,
         first_violation: None,
@@ -388,8 +388,8 @@ fn main() -> ExitCode {
     // cross-test interference without changing what the oracle can see.
     telemetry::set_enabled(false);
 
-    let schemes: Vec<SchemeKind> = match o.scheme {
-        Some(SchemeKind::Guarded) if o.containment => {
+    let schemes: Vec<Backend> = match o.scheme {
+        Some(Backend::Guarded) if o.containment => {
             eprintln!(
                 "stress: --containment runs MTE4JNI with a guarded-copy \
                  fallback; --scheme guarded has nothing to contain"
@@ -399,11 +399,11 @@ fn main() -> ExitCode {
         Some(k) => vec![k],
         // Containment is an MTE4JNI-with-fallback workload: guarded copy
         // is the degradation target, not a scheme under test.
-        None if o.containment => SchemeKind::REAL
+        None if o.containment => Backend::ALL
             .into_iter()
-            .filter(|k| k.backend().table().is_some())
+            .filter(|b| b.table().is_some())
             .collect(),
-        None => SchemeKind::REAL.to_vec(),
+        None => Backend::ALL.to_vec(),
     };
 
     if let Some(idx) = o.schedule_replay {
@@ -411,8 +411,8 @@ fn main() -> ExitCode {
             eprintln!("--trace-out needs a single --scheme (events from multiple schemes would interleave in one file)");
             return ExitCode::FAILURE;
         }
-        for &kind in &schemes {
-            schedule_replay(kind, idx, &o);
+        for &backend in &schemes {
+            schedule_replay(backend, idx, &o);
         }
         return ExitCode::SUCCESS;
     }
@@ -423,8 +423,8 @@ fn main() -> ExitCode {
 
     let mut ok = true;
     let mut outcomes = Vec::new();
-    for &kind in &schemes {
-        let out = sweep(kind, &o);
+    for &backend in &schemes {
+        let out = sweep(backend, &o);
         println!(
             "[{}] {} schedules, {} steps, {} injected faults, {} — trace hash {:#018x}",
             out.scheme,
@@ -451,12 +451,8 @@ fn main() -> ExitCode {
 
     let mut self_checks = Vec::new();
     if o.self_check {
-        for kind in [
-            SchemeKind::BrokenLockFree,
-            SchemeKind::BrokenTwoTier,
-            SchemeKind::BrokenGlobal,
-        ] {
-            let out = self_check(kind, &o);
+        for broken in &BROKEN {
+            let out = self_check(broken, &o);
             match (out.caught, out.schedules_to_catch) {
                 (true, Some(n)) => println!(
                     "[self-check] {} caught in {n} schedule(s): {}",

@@ -23,6 +23,16 @@ use mte4jni::{ReleaseOutcome, TagTable};
 use mte_sim::sync::{yield_point, Mutex};
 use mte_sim::{MteThread, Tag, TaggedMemory, TaggedPtr, GRANULE};
 
+/// A broken table's report label and constructor.
+pub type BrokenTable = (&'static str, fn() -> Arc<dyn TagTable>);
+
+/// The broken tables, in the order the self-check runs them.
+pub const BROKEN: [BrokenTable; 3] = [
+    ("broken-lock-free", || Arc::new(BrokenLockFree::new())),
+    ("broken-two-tier", || Arc::new(BrokenTwoTier::new(16))),
+    ("broken-global", || Arc::new(BrokenGlobal::new())),
+];
+
 #[derive(Debug)]
 struct Entry {
     reference_num: u32,

@@ -37,8 +37,6 @@ use workloads::{Backend, VmSchemes};
 
 use crate::sched::{self, RunReport};
 
-use crate::broken::{BrokenGlobal, BrokenLockFree, BrokenTwoTier};
-
 /// Base address of the per-schedule simulated memory.
 const BASE: u64 = 0x7a00_0000_0000;
 /// Per-schedule memory size: small, so hundreds of schedules stay cheap.
@@ -50,58 +48,6 @@ const MEMORY: MemoryConfig = MemoryConfig {
 };
 /// Release retries under injection before a worker gives up.
 const RELEASE_RETRIES: usize = 64;
-
-/// Which scheme a schedule exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchemeKind {
-    /// The lock-free packed-word table (production default).
-    LockFree,
-    /// The paper's two-tier locking table (§3.1.2).
-    TwoTier,
-    /// The global-lock ablation table.
-    Global,
-    /// The guarded-copy shadow ledger.
-    Guarded,
-    /// Deliberately broken lock-free variant (mutation self-check).
-    BrokenLockFree,
-    /// Deliberately broken two-tier variant (mutation self-check).
-    BrokenTwoTier,
-    /// Deliberately broken global variant (mutation self-check).
-    BrokenGlobal,
-}
-
-impl SchemeKind {
-    /// Display/report label: the backend's for a real scheme.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchemeKind::BrokenLockFree => "broken-lock-free",
-            SchemeKind::BrokenTwoTier => "broken-two-tier",
-            SchemeKind::BrokenGlobal => "broken-global",
-            real => real.backend().label(),
-        }
-    }
-
-    /// The backend a VM-mounted schedule runs. The broken mutants
-    /// cannot be mounted behind a VM (the scheme builds its own table),
-    /// so they map to their real counterparts; the mutation self-check
-    /// exercises them through [`run_schedule`].
-    pub fn backend(self) -> Backend {
-        match self {
-            SchemeKind::LockFree | SchemeKind::BrokenLockFree => Backend::LockFree,
-            SchemeKind::TwoTier | SchemeKind::BrokenTwoTier => Backend::TwoTier,
-            SchemeKind::Global | SchemeKind::BrokenGlobal => Backend::Global,
-            SchemeKind::Guarded => Backend::Guarded,
-        }
-    }
-
-    /// The real (non-mutated) schemes, in report order.
-    pub const REAL: [SchemeKind; 4] = [
-        SchemeKind::LockFree,
-        SchemeKind::TwoTier,
-        SchemeKind::Global,
-        SchemeKind::Guarded,
-    ];
-}
 
 /// Knobs for one schedule.
 #[derive(Clone, Copy, Debug)]
@@ -165,26 +111,17 @@ fn mix(seed: u64, salt: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Runs one seeded schedule of `kind` and returns what happened. Same
-/// `(kind, seed, cfg)` ⇒ identical trace, violations and counts.
-pub fn run_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> ScheduleResult {
-    match kind {
-        SchemeKind::LockFree => {
-            run_table_schedule(Arc::new(AtomicEntryTable::new()), seed, cfg)
-        }
-        SchemeKind::TwoTier => {
-            run_table_schedule(Arc::new(TwoTierTable::new(16)), seed, cfg)
-        }
-        SchemeKind::Global => run_table_schedule(Arc::new(GlobalLockTable::new()), seed, cfg),
-        SchemeKind::Guarded => run_guarded_schedule(seed, cfg),
-        SchemeKind::BrokenLockFree => {
-            run_table_schedule(Arc::new(BrokenLockFree::new()), seed, cfg)
-        }
-        SchemeKind::BrokenTwoTier => {
-            run_table_schedule(Arc::new(BrokenTwoTier::new(16)), seed, cfg)
-        }
-        SchemeKind::BrokenGlobal => run_table_schedule(Arc::new(BrokenGlobal::new()), seed, cfg),
-    }
+/// Runs one seeded table-contention schedule of `backend`'s table (or
+/// the guarded-copy ledger) and returns what happened. Same
+/// `(backend, seed, cfg)` ⇒ identical trace, violations and counts.
+pub fn run_schedule(backend: Backend, seed: u64, cfg: &StressConfig) -> ScheduleResult {
+    let table: Arc<dyn TagTable> = match backend {
+        Backend::LockFree => Arc::new(AtomicEntryTable::new()),
+        Backend::TwoTier => Arc::new(TwoTierTable::new(16)),
+        Backend::Global => Arc::new(GlobalLockTable::new()),
+        Backend::Guarded => return run_guarded_schedule(seed, cfg),
+    };
+    run_table_schedule(table, seed, cfg)
 }
 
 fn probe(mem: &TaggedMemory, begin: TaggedPtr, tag: Tag, when: &str) {
@@ -279,7 +216,10 @@ fn table_worker(
     inject::clear();
 }
 
-fn run_table_schedule(
+/// Runs one seeded table-contention schedule over `table`: the real
+/// tables through [`run_schedule`], the broken ones
+/// ([`BROKEN`](crate::broken::BROKEN)) from the mutation self-check.
+pub fn run_table_schedule(
     table: Arc<dyn TagTable>,
     seed: u64,
     cfg: &StressConfig,
@@ -390,10 +330,9 @@ fn vm_oracle(vm: &Vm, schemes: &VmSchemes, cfg: &StressConfig) -> Vec<String> {
 ///
 /// The MTE VM runs without a fallback under the default
 /// [`FaultPolicy::Abort`](jni_rt::FaultPolicy::Abort); the guarded VM is
-/// [`Backend::build_vm`]'s. The broken-table mutants map to their real
-/// counterparts ([`SchemeKind::backend`]).
-pub fn run_lifecycle_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> ScheduleResult {
-    let (vm, schemes) = match kind.backend().table() {
+/// [`Backend::build_vm`]'s.
+pub fn run_lifecycle_schedule(backend: Backend, seed: u64, cfg: &StressConfig) -> ScheduleResult {
+    let (vm, schemes) = match backend.table() {
         None => Backend::Guarded.build_vm(MEMORY),
         Some(backend) => {
             let p = Arc::new(Mte4Jni::with_config(TableConfig {
@@ -548,7 +487,7 @@ fn lifecycle_worker(vm: &Vm, worker: usize, seed: u64, cfg: &StressConfig, talli
 }
 
 /// Runs one seeded **containment** schedule: the contained MTE4JNI VM of
-/// [`Backend::build_vm`] over `kind`'s table (a guarded-copy fallback, a
+/// [`Backend::build_vm`] over `backend`'s table (a guarded-copy fallback, a
 /// low quarantine threshold, [`FaultPolicy::Contain`]) and workers that
 /// deliberately go out of bounds on some rounds. The oracle
 /// (`vm_oracle`) asserts the VM survives every schedule — contained
@@ -556,8 +495,12 @@ fn lifecycle_worker(vm: &Vm, worker: usize, seed: u64, cfg: &StressConfig, talli
 /// quiescent and with no residual tags.
 ///
 /// [`FaultPolicy::Contain`]: jni_rt::FaultPolicy::Contain
-pub fn run_containment_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> ScheduleResult {
-    let (vm, schemes) = kind.backend().build_vm(MEMORY);
+pub fn run_containment_schedule(
+    backend: Backend,
+    seed: u64,
+    cfg: &StressConfig,
+) -> ScheduleResult {
+    let (vm, schemes) = backend.build_vm(MEMORY);
     let tallies = Arc::new(Tallies::default());
 
     let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..cfg.threads)
@@ -775,7 +718,7 @@ fn run_guarded_schedule(seed: u64, cfg: &StressConfig) -> ScheduleResult {
 /// neighbor; the rest must come out clean).
 pub const SERVING_TENANTS: u32 = 3;
 
-/// Serving workload: a [`SERVING_TENANTS`]-tenant fleet of `kind` VMs
+/// Serving workload: a [`SERVING_TENANTS`]-tenant fleet of `backend` VMs
 /// under one deterministic schedule — one scheduled worker per tenant
 /// drives that tenant's seeded request stream through the full serving
 /// funnel (admission, bounded retry, health latch). Tenant 0 runs with
@@ -783,8 +726,8 @@ pub const SERVING_TENANTS: u32 = 3;
 /// in; the oracle checks the isolation invariant: every other tenant
 /// finishes everything it admitted with zero contained faults, balanced
 /// pin books, and zero stale table entries, no matter what tenant 0
-/// does. Same `(kind, seed, cfg)` ⇒ identical trace and counts.
-pub fn run_serving_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> ScheduleResult {
+/// does. Same `(backend, seed, cfg)` ⇒ identical trace and counts.
+pub fn run_serving_schedule(backend: Backend, seed: u64, cfg: &StressConfig) -> ScheduleResult {
     use server::{Tenant, TenantConfig, TrafficConfig};
 
     // Enough traffic per tenant for containment, quarantine and
@@ -794,7 +737,7 @@ pub fn run_serving_schedule(kind: SchemeKind, seed: u64, cfg: &StressConfig) -> 
     let tenants: Vec<Tenant> = (0..SERVING_TENANTS)
         .map(|id| {
             let mut tc = TenantConfig::new(id);
-            tc.scheme = kind.backend();
+            tc.scheme = backend;
             if id == 0 && cfg.fault_plan.is_active() {
                 tc.fault_plan = Some(cfg.fault_plan);
             }

@@ -4,10 +4,13 @@
 use std::sync::Arc;
 
 use mte_sim::inject::FaultPlan;
+use stress::broken::BROKEN;
 use stress::harness::{
-    run_containment_schedule, run_lifecycle_schedule, run_schedule, SchemeKind, StressConfig,
+    run_containment_schedule, run_lifecycle_schedule, run_schedule, run_table_schedule,
+    StressConfig,
 };
 use stress::sched::{self, trace_hash, Abort};
+use workloads::Backend;
 
 fn render(result: &stress::harness::ScheduleResult) -> String {
     result
@@ -25,15 +28,15 @@ fn same_seed_replays_the_same_schedule_bit_for_bit() {
         fault_plan: FaultPlan::uniform(2000),
         ..StressConfig::default()
     };
-    for kind in SchemeKind::REAL {
+    for backend in Backend::ALL {
         for seed in [1u64, 42, 0xDEAD_BEEF] {
-            let a = run_schedule(kind, seed, &cfg);
-            let b = run_schedule(kind, seed, &cfg);
+            let a = run_schedule(backend, seed, &cfg);
+            let b = run_schedule(backend, seed, &cfg);
             assert_eq!(
                 render(&a),
                 render(&b),
                 "{}: seed {seed:#x} must replay identically",
-                kind.label()
+                backend.label()
             );
             assert_eq!(trace_hash(&a.report.trace), trace_hash(&b.report.trace));
             assert_eq!(a.violations, b.violations);
@@ -47,7 +50,7 @@ fn same_seed_replays_the_same_schedule_bit_for_bit() {
 fn different_seeds_explore_different_interleavings() {
     let cfg = StressConfig::default();
     let hashes: Vec<u64> = (0..16)
-        .map(|seed| trace_hash(&run_schedule(SchemeKind::TwoTier, seed, &cfg).report.trace))
+        .map(|seed| trace_hash(&run_schedule(Backend::TwoTier, seed, &cfg).report.trace))
         .collect();
     let distinct: std::collections::HashSet<_> = hashes.iter().collect();
     // Identical traces for a few seeds are fine; all-16-identical means
@@ -66,13 +69,13 @@ fn real_schemes_survive_contention_and_heavy_fault_injection() {
         fault_plan: FaultPlan::uniform(100_000),
         ..StressConfig::default()
     };
-    for kind in SchemeKind::REAL {
+    for backend in Backend::ALL {
         for seed in 0..40u64 {
-            let r = run_schedule(kind, seed, &cfg);
+            let r = run_schedule(backend, seed, &cfg);
             assert!(
                 r.violations.is_empty(),
                 "{} seed {seed}: {:?}\ntrace:\n{}",
-                kind.label(),
+                backend.label(),
                 r.violations,
                 render(&r)
             );
@@ -86,11 +89,11 @@ fn lifecycle_schedules_replay_bit_for_bit() {
         fault_plan: FaultPlan::uniform(2000),
         ..StressConfig::default()
     };
-    for kind in SchemeKind::REAL {
+    for backend in Backend::ALL {
         for seed in [3u64, 0xBEEF] {
-            let a = run_lifecycle_schedule(kind, seed, &cfg);
-            let b = run_lifecycle_schedule(kind, seed, &cfg);
-            assert_eq!(render(&a), render(&b), "{}: seed {seed:#x}", kind.label());
+            let a = run_lifecycle_schedule(backend, seed, &cfg);
+            let b = run_lifecycle_schedule(backend, seed, &cfg);
+            assert_eq!(render(&a), render(&b), "{}: seed {seed:#x}", backend.label());
             assert_eq!(a.violations, b.violations);
             assert_eq!(a.fresh_acquires, b.fresh_acquires);
             assert_eq!(a.freed, b.freed);
@@ -107,20 +110,20 @@ fn lifecycle_schedules_stay_clean_under_fault_injection() {
         fault_plan: FaultPlan::uniform(20_000),
         ..StressConfig::default()
     };
-    for kind in SchemeKind::REAL {
+    for backend in Backend::ALL {
         for seed in 0..20u64 {
-            let r = run_lifecycle_schedule(kind, seed, &cfg);
+            let r = run_lifecycle_schedule(backend, seed, &cfg);
             assert!(
                 r.violations.is_empty(),
                 "{} seed {seed}: {:?}\ntrace:\n{}",
-                kind.label(),
+                backend.label(),
                 r.violations,
                 render(&r)
             );
             assert_eq!(
                 r.fresh_acquires, r.freed,
                 "{} seed {seed}: every acquire must reach its final release",
-                kind.label()
+                backend.label()
             );
         }
     }
@@ -143,11 +146,11 @@ fn containment_schedules_replay_bit_for_bit() {
         fault_plan: mixed_plan(),
         ..StressConfig::default()
     };
-    for kind in [SchemeKind::LockFree, SchemeKind::TwoTier, SchemeKind::Global] {
+    for backend in [Backend::LockFree, Backend::TwoTier, Backend::Global] {
         for seed in [5u64, 0xFACE] {
-            let a = run_containment_schedule(kind, seed, &cfg);
-            let b = run_containment_schedule(kind, seed, &cfg);
-            assert_eq!(render(&a), render(&b), "{}: seed {seed:#x}", kind.label());
+            let a = run_containment_schedule(backend, seed, &cfg);
+            let b = run_containment_schedule(backend, seed, &cfg);
+            assert_eq!(render(&a), render(&b), "{}: seed {seed:#x}", backend.label());
             assert_eq!(a.violations, b.violations);
             assert_eq!(a.contained, b.contained);
             assert_eq!(a.degraded_quarantine, b.degraded_quarantine);
@@ -170,7 +173,7 @@ fn containment_schedules_survive_faults_and_observe_degradation() {
     let mut contained = 0;
     let mut degraded = 0;
     for seed in 0..30u64 {
-        let r = run_containment_schedule(SchemeKind::TwoTier, seed, &cfg);
+        let r = run_containment_schedule(Backend::TwoTier, seed, &cfg);
         assert!(
             r.violations.is_empty(),
             "seed {seed}: {:?}\ntrace:\n{}",
@@ -318,37 +321,41 @@ mod mutation {
     /// many schedules (in practice they fall in the first few).
     const BUDGET: u64 = 64;
 
-    fn caught_within(kind: SchemeKind, budget: u64) -> Option<u64> {
+    fn broken(label: &str) -> fn() -> Arc<dyn mte4jni::TagTable> {
+        BROKEN.into_iter().find(|b| b.0 == label).expect("a broken table").1
+    }
+
+    fn caught_within(label: &str, budget: u64) -> Option<u64> {
         let cfg = StressConfig::default();
-        (0..budget).find(|&seed| !run_schedule(kind, seed, &cfg).violations.is_empty())
+        let table = broken(label);
+        (0..budget).find(|&seed| !run_table_schedule(table(), seed, &cfg).violations.is_empty())
     }
 
     #[test]
     fn broken_lock_free_is_caught_within_budget() {
-        let at = caught_within(SchemeKind::BrokenLockFree, BUDGET);
+        let at = caught_within("broken-lock-free", BUDGET);
         assert!(at.is_some(), "lost-update bug survived {BUDGET} schedules");
     }
 
     #[test]
     fn broken_two_tier_is_caught_within_budget() {
-        let at = caught_within(SchemeKind::BrokenTwoTier, BUDGET);
+        let at = caught_within("broken-two-tier", BUDGET);
         assert!(at.is_some(), "lost-update bug survived {BUDGET} schedules");
     }
 
     #[test]
     fn broken_global_is_caught_within_budget() {
-        let at = caught_within(SchemeKind::BrokenGlobal, BUDGET);
+        let at = caught_within("broken-global", BUDGET);
         assert!(at.is_some(), "lost-update bug survived {BUDGET} schedules");
     }
 
     #[test]
     fn the_catch_is_itself_deterministic() {
         let cfg = StressConfig::default();
-        let seed = (0..BUDGET)
-            .find(|&s| !run_schedule(SchemeKind::BrokenTwoTier, s, &cfg).violations.is_empty())
-            .expect("bug must be catchable");
-        let a = run_schedule(SchemeKind::BrokenTwoTier, seed, &cfg);
-        let b = run_schedule(SchemeKind::BrokenTwoTier, seed, &cfg);
+        let table = broken("broken-two-tier");
+        let seed = caught_within("broken-two-tier", BUDGET).expect("bug must be catchable");
+        let a = run_table_schedule(table(), seed, &cfg);
+        let b = run_table_schedule(table(), seed, &cfg);
         assert_eq!(a.violations, b.violations);
         assert_eq!(render(&a), render(&b));
     }

@@ -278,7 +278,7 @@ impl VmSchemes {
                 v.push(format!("{shadows} guarded-copy shadows leaked"));
             }
         }
-        let in_use = vm.heap().native_alloc().stats().bytes_in_use;
+        let in_use = vm.heap().native_alloc().bytes_in_use();
         if in_use != 0 {
             v.push(format!("{in_use} native bytes leaked"));
         }

@@ -46,7 +46,7 @@ fn every_scheme_survives_concurrent_private_arrays() {
         hammer(&vm, 8, 200, None);
         // Guarded copy must have returned every shadow buffer.
         assert_eq!(
-            vm.heap().native_alloc().stats().bytes_in_use,
+            vm.heap().native_alloc().bytes_in_use(),
             0,
             "{scheme}: native buffers leaked"
         );

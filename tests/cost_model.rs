@@ -14,7 +14,7 @@ fn session(scheme: Scheme, len: usize) -> (mte_sim::MteStatsSnapshot, u64) {
     let thread = vm.attach_thread("cost");
     let env = vm.env(&thread);
     let a = env.new_int_array(len).unwrap();
-    let native_before = vm.heap().native_alloc().stats().peak_bytes;
+    let native_before = vm.heap().native_alloc().peak_bytes();
     let before = vm.heap().memory().stats().snapshot();
     env.call_native("session", NativeKind::Normal, |env| {
         let elems = env.get_primitive_array_critical(&a)?;
@@ -22,7 +22,7 @@ fn session(scheme: Scheme, len: usize) -> (mte_sim::MteStatsSnapshot, u64) {
     })
     .unwrap();
     let delta = vm.heap().memory().stats().snapshot().since(&before);
-    let native_peak = vm.heap().native_alloc().stats().peak_bytes - native_before;
+    let native_peak = vm.heap().native_alloc().peak_bytes() - native_before;
     (delta, native_peak)
 }
 
