@@ -73,6 +73,16 @@ echo "== rustdoc (warnings denied) =="
 # item deleted from the code cannot leave a dangling link in the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-going
 
+echo "== examples =="
+# Every example must run to a clean exit. Most assert what they show
+# (quickstart's sum and caught write, telemetry_tour's timed acquires
+# and releases equal to its VM's pins and unpins). runtime_doctor
+# needs a trace and runs with the trace gate below.
+for example in quickstart oob_detection image_pipeline multithreaded_sharing telemetry_tour; do
+    cargo run --offline -q --example "$example" >/dev/null
+done
+echo "examples: all five ran clean"
+
 echo "== bench smoke: kernel throughput regression gate =="
 # Reduced-scale throughput run of the wide-word kernels (DESIGN.md §10),
 # written to the temp dir so CI leaves the committed reports as they are.

@@ -88,6 +88,7 @@ fn tag_conflict_probability(args: &Args, report: &mut BenchReport) {
         }
         vm.heap().sweep();
     }
+    report.merge([vm.snapshot()]);
     println!(
         "  OOB into a live tagged neighbour : missed {missed_live}/{trials} = {:.2}%",
         100.0 * missed_live as f64 / trials as f64
@@ -132,6 +133,7 @@ fn red_zone_sweep(args: &Args, report: &mut BenchReport) {
             })
         }
     });
+    report.merge(vms.iter().map(Vm::snapshot));
     for (rz, s) in zones.into_iter().zip(&series) {
         let per_pair_ns = s.median().as_nanos() as u64 / u64::from(iters);
         println!("{:>10}  {:>10.1}µs  {}", rz, per_pair_ns as f64 / 1e3, rz);

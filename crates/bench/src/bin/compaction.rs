@@ -195,7 +195,7 @@ fn run_mode(
         "release must drop the last pin"
     );
 
-    report.count_vms([&vm]);
+    report.merge([vm.snapshot()]);
     result
 }
 

@@ -38,7 +38,7 @@ fn main() {
     oob_write_test(&mut report);
     oob_read_test(&mut report);
     red_zone_skip_test(&mut report);
-    gc_concurrency_test();
+    gc_concurrency_test(&mut report);
     alignment_hazard_test(&mut report);
     stale_tag_ablation(&mut report);
 
@@ -99,7 +99,10 @@ fn oob_write_test(report: &mut BenchReport) {
     banner("1. Out-of-bounds WRITE: int[18], write at index 21 (Figure 3)");
     for scheme in Scheme::MAIN {
         println!("--- scheme: {scheme} ---");
-        match run_oob_write(&scheme.build_vm()) {
+        let vm = scheme.build_vm();
+        let result = run_oob_write(&vm);
+        report.merge([vm.snapshot()]);
+        match result {
             Ok(()) => {
                 println!("NOT DETECTED: program terminated normally, heap silently corrupted\n");
                 detection_row(report, "oob_write", &scheme.to_string(), false, "none");
@@ -148,6 +151,10 @@ fn oob_read_test(report: &mut BenchReport) {
             env.release_primitive_array_critical(&array, elems, ReleaseMode::CopyBack)?;
             Ok(secret)
         });
+        // Dropping the environment releases what a fault left borrowed;
+        // the VM is measured after, so the report holds those releases.
+        drop(env);
+        report.merge([vm.snapshot()]);
         match result {
             Ok(_) => {
                 println!("{scheme:<28} NOT DETECTED (information leak succeeds)");
@@ -188,6 +195,8 @@ fn red_zone_skip_test(report: &mut BenchReport) {
             elems.write_i32(&mem, 64, 0xDEAD)?;
             env.release_primitive_array_critical(&array, elems, ReleaseMode::CopyBack)
         });
+        drop(env);
+        report.merge([vm.snapshot()]);
         match result {
             Ok(()) => {
                 println!("{name:<28} NOT DETECTED (write sailed past the red zone)");
@@ -206,7 +215,7 @@ fn red_zone_skip_test(report: &mut BenchReport) {
     println!();
 }
 
-fn gc_concurrency_test() {
+fn gc_concurrency_test(report: &mut BenchReport) {
     banner("4. Concurrent GC scans during tagged native access (§3.3)");
     let vm = Scheme::Mte4JniSync.build_vm();
     let thread = vm.attach_thread("main");
@@ -222,11 +231,12 @@ fn gc_concurrency_test() {
         env.release_primitive_array_critical(&array, elems, ReleaseMode::CopyBack)
     })
     .unwrap();
-    let report = gc.stop();
+    let scans = gc.stop();
+    report.merge([vm.snapshot()]);
     println!(
         "GC scanned the heap {} times while the object was tagged: {} faults",
-        report.cycles,
-        report.faults.len()
+        scans.cycles,
+        scans.faults.len()
     );
     println!("(thread-level TCO control keeps runtime threads unchecked — 0 faults expected)");
 
@@ -278,6 +288,7 @@ fn alignment_hazard_test(report: &mut BenchReport) {
             env.release_primitive_array_critical(&victim, elems, ReleaseMode::CopyBack)?;
             r.map_err(Into::into)
         });
+        report.merge([vm.snapshot()]);
         match result {
             Ok(_) => {
                 println!("{label:<38} objects {gap} B apart: cross-object access NOT caught");
@@ -320,6 +331,7 @@ fn stale_tag_ablation(report: &mut BenchReport) {
             mem.read_u32(mte_sim::TaggedPtr::from_addr(array.data_addr()))
                 .map_err(Into::into)
         });
+        report.merge([vm.snapshot()]);
         match result {
             Ok(_) => {
                 println!("{label:<32} post-release untagged access OK (no stale tags)");

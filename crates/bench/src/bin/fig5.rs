@@ -36,9 +36,9 @@ fn main() {
     print_environment("Figure 5 — single-thread JNI copy overhead");
 
     let rounds = Rounds::new(repeats);
-    // Runs first: the reset then leaves the report's histograms to the
-    // figure's own runs, and the row's VMs never reach its counter sums.
-    // Each row sets the recording state before its own clock read.
+    // Its VMs are never merged into the report, so the report covers
+    // the table's runs only. Each row sets the recording state before
+    // its own clock read.
     const TELEMETRY_ITERS: u32 = 4096;
     let recording = telemetry::enabled();
     let vms = [Scheme::NoProtection.build_vm(), Scheme::NoProtection.build_vm()];
@@ -53,7 +53,6 @@ fn main() {
     let [telemetry_off, telemetry_on] =
         [0, 1].map(|i| cost[i].median().as_nanos() as f64 / f64::from(TELEMETRY_ITERS));
     telemetry::set_enabled(recording);
-    telemetry::reset();
 
     // The columns after the no-protection baseline: JSON key, header,
     // and the VM each table row builds for it.
@@ -83,7 +82,7 @@ fn main() {
             .chain(columns.iter().map(|c| (c.2)()))
             .collect();
         let series = rounds.run(&vms, |vm| copy_row(vm, len, iters));
-        report.count_vms(&vms);
+        report.merge(vms.iter().map(Vm::snapshot));
         let baseline = series[0].min();
         let ratios: Vec<f64> = series[1..].iter().map(|s| ratio(s.min(), baseline)).collect();
         let mut fields = vec![

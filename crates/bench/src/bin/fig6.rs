@@ -57,7 +57,7 @@ fn main() {
     let rounds = Rounds::new(ROUNDS);
     let table = |report: &mut BenchReport, sharing: SharingMode, label: &str, rows: Vec<(String, Vm)>| {
         let series = rounds.run(&rows, |(_, vm)| read_row(vm, sharing, threads, reads, array_len));
-        report.count_vms(rows.iter().map(|(_, vm)| vm));
+        report.merge(rows.iter().map(|(_, vm)| vm.snapshot()));
         println!("{:>26}  {:>10}  {:>8}  {:>21}", "scheme", "time", "ratio", "range");
         for ((name, _), s) in rows.iter().zip(&series) {
             let ratio = s.median_ratio(&series[0]);

@@ -18,6 +18,7 @@
 //! `crates/bench/baselines/BENCH_serving.baseline.json` (≤ 20% req/s
 //! regression) and bounds the lock-free noisy p99 ratio.
 
+use std::cell::RefCell;
 use std::time::Duration;
 
 use bench::{json_output, print_environment, spread, Args, BenchReport, Rounds};
@@ -25,6 +26,7 @@ use mte_sim::inject::FaultPlan;
 use server::{Server, ServerConfig};
 use server::traffic::TrafficConfig;
 use telemetry::json::JsonValue;
+use telemetry::Snapshot;
 use workloads::Backend;
 
 /// Tenant count for the noisy-neighbor comparison rows.
@@ -64,9 +66,15 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// One row: each pass builds a fresh fleet and its arrival stream
-/// (untimed), serves the stream (timed by the fleet itself), and checks
-/// the fleet afterwards.
-fn fleet_row(scheme: Backend, tenants: u32, noisy: bool, per_tenant: u64) -> impl FnMut() -> Pass {
+/// (untimed), serves the stream (timed by the fleet itself), checks the
+/// fleet afterwards, and merges every tenant's snapshot into `measured`.
+fn fleet_row<'m>(
+    scheme: Backend,
+    tenants: u32,
+    noisy: bool,
+    per_tenant: u64,
+    measured: &'m RefCell<Snapshot>,
+) -> impl FnMut() -> Pass + 'm {
     move || {
         let workers = (tenants as usize).min(8);
         let mut cfg = ServerConfig::with_tenants(tenants, workers);
@@ -89,6 +97,9 @@ fn fleet_row(scheme: Backend, tenants: u32, noisy: bool, per_tenant: u64) -> imp
         // quiescent and, under a noisy neighbor, isolation must hold.
         let violations = server.quiesce_all();
         assert!(violations.is_empty(), "fleet not quiescent: {violations:?}");
+        for t in server.tenants() {
+            measured.borrow_mut().merge(t.snapshot());
+        }
         if noisy {
             for t in server.tenants().iter().filter(|t| t.config().id != 0) {
                 let s = t.stats();
@@ -149,6 +160,7 @@ fn main() {
     // run, but the run's peak is stable within ~10%.
     let mut peak_req_s = 0f64;
     let rounds = Rounds::new(repeats);
+    let measured = RefCell::new(Snapshot::default());
     for tenants in [1u32, NOISY_TENANTS, 16] {
         let noisy_runs: &[bool] = if tenants == NOISY_TENANTS { &[false, true] } else { &[false] };
         let rows: Vec<(Backend, bool)> = Backend::ALL
@@ -156,7 +168,7 @@ fn main() {
             .flat_map(|scheme| noisy_runs.iter().map(move |&noisy| (scheme, noisy)))
             .collect();
         let series = rounds.run(rows.iter().copied(), |(scheme, noisy)| {
-            fleet_row(scheme, tenants, noisy, per_tenant)
+            fleet_row(scheme, tenants, noisy, per_tenant, &measured)
         });
         let baseline = series[0].map(|p| p.elapsed);
         let mut quiet_neighbor_p99 = 0u64;
@@ -220,6 +232,7 @@ fn main() {
     }
 
     report.summary("peak_req_s", peak_req_s);
+    report.merge([measured.into_inner()]);
     println!("\nfleet peak: {peak_req_s:.0} req/s");
 
     if let Some(dir) = json_path {

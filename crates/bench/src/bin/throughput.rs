@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use art_heap::{Heap, HeapConfig, ObjectRef};
 use bench::{copy_row, json_output, print_environment, spread, timed, Args, BenchReport, Rounds};
-use jni_rt::{NativeKind, ReleaseMode};
+use jni_rt::{NativeKind, ReleaseMode, Vm};
 use mte_sim::{
     MemoryConfig, MteThread, ScalarMemory, Tag, TaggedMemory, TaggedPtr, TcfMode, PAGE_SIZE,
 };
@@ -255,6 +255,7 @@ fn main() {
             None => native_pass(),
         }
     });
+    report.merge([vm.snapshot()]);
     let per_pair = |d: Duration| d.as_nanos() as f64 / pairs;
     let element_rw_ns = per_pair(element[0].median());
     let scalar_element_rw_ns = per_pair(element[1].median());
@@ -297,7 +298,7 @@ fn main() {
     let schemes = [Scheme::GuardedCopy, Scheme::Mte4JniSync];
     let vms = schemes.map(Scheme::build_vm);
     let series = rounds.run(&vms, |vm| copy_row(vm, 1024, iters));
-    report.count_vms(&vms);
+    report.merge(vms.iter().map(Vm::snapshot));
     for (scheme, s) in schemes.iter().zip(&series) {
         let bytes = 1024 * 4 * u64::from(iters) * 2; // read + write per copy
         let g = gbps(bytes, s.min());

@@ -11,7 +11,6 @@
 //!
 //! Every timed figure runs its table rows through [`Rounds`].
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -26,9 +25,8 @@ pub use rounds::{crew, timed, Rounds, Series, Start};
 
 /// Machine-readable result sink for the harness binaries' `--json`
 /// option: a named report of parameters, table rows, and summary
-/// figures, serialized alongside the latency [`telemetry::Snapshot`]
-/// and the summed counters of the VMs it measured under one
-/// [`telemetry::SCHEMA_VERSION`]ed document.
+/// figures, serialized with the merged [`telemetry::Snapshot`] of the
+/// VMs it measured under one [`telemetry::SCHEMA_VERSION`]ed document.
 ///
 /// The printed table and the JSON rows are built from the same values,
 /// so the two outputs can never drift apart.
@@ -37,7 +35,7 @@ pub struct BenchReport {
     params: JsonValue,
     rows: Vec<JsonValue>,
     summary: JsonValue,
-    counters: BTreeMap<String, u64>,
+    telemetry: telemetry::Snapshot,
 }
 
 impl BenchReport {
@@ -48,7 +46,7 @@ impl BenchReport {
             params: JsonValue::object(),
             rows: Vec::new(),
             summary: JsonValue::object(),
-            counters: BTreeMap::new(),
+            telemetry: telemetry::Snapshot::default(),
         }
     }
 
@@ -74,27 +72,22 @@ impl BenchReport {
         self
     }
 
-    /// Adds each VM's counters ([`Vm::counters`]) to the report's sums.
-    /// Call it once per VM whose latency samples reach the report's
-    /// histograms, after its measured section.
-    pub fn count_vms<'a>(&mut self, vms: impl IntoIterator<Item = &'a Vm>) {
-        for (key, value) in vms.into_iter().flat_map(Vm::counters) {
-            *self.counters.entry(key).or_default() += value;
-        }
+    /// Merges the snapshots ([`Vm::snapshot`], `Tenant::snapshot`) of
+    /// what the report measured, each taken after its measured section:
+    /// the report's counters and histograms cover exactly those owners.
+    pub fn merge(&mut self, snapshots: impl IntoIterator<Item = telemetry::Snapshot>) {
+        snapshots.into_iter().for_each(|s| self.telemetry.merge(s));
     }
 
-    /// Assembles the schema-versioned document, collecting the telemetry
-    /// snapshot and adding the summed counters to it.
+    /// Assembles the schema-versioned document.
     pub fn to_json(&self) -> JsonValue {
-        let mut telemetry = telemetry::Snapshot::collect().to_json();
-        telemetry.insert("counters", JsonValue::from(&self.counters));
         let mut o = JsonValue::object();
         o.insert("schema_version", telemetry::SCHEMA_VERSION)
             .insert("bench", self.name.as_str())
             .insert("params", self.params.clone())
             .insert("rows", JsonValue::Array(self.rows.clone()))
             .insert("summary", self.summary.clone())
-            .insert("telemetry", telemetry);
+            .insert("telemetry", self.telemetry.to_json());
         o
     }
 
@@ -335,7 +328,7 @@ pub fn workload_figure(
             .map(Scheme::build_vm)
             .collect();
         let series = rounds.run(&vms, |vm| row(vm, spec));
-        report.count_vms(&vms);
+        report.merge(vms.iter().map(Vm::snapshot));
         let checksums = series[0].map(|&(_, sum)| sum);
         let times: Vec<Series<Duration>> = series.iter().map(|s| s.map(|&(t, _)| t)).collect();
         let mut pct = [0.0f64; 3];
@@ -533,7 +526,8 @@ mod tests {
                 let d = Rounds::new(1).run([&vm], |vm| read_row(vm, sharing, 4, 20, 64));
                 assert!(d[0].min() > Duration::ZERO, "{scheme} {sharing:?}");
                 let pins: u64 = vm
-                    .counters()
+                    .snapshot()
+                    .counters
                     .iter()
                     .filter(|(key, _)| key.ends_with(".heap.pins_total"))
                     .map(|(_, n)| n)
@@ -572,7 +566,7 @@ mod tests {
             (degraded_vm(), 7, 1),
         ] {
             Rounds::new(repeats).run([&vm], |vm| copy_row(vm, 4, iters));
-            report.count_vms([&vm]);
+            report.merge([vm.snapshot()]);
         }
         let json = report.to_json();
         let counter = |key: &str| {

@@ -6,7 +6,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use telemetry::Tally;
+use telemetry::{HistKey, HistSlot, HistogramSummary, LatencyOp, SizeClass, Tally};
 
 use mte_sim::{
     BlockAllocator, MemoryConfig, MteThread, NativeAllocator, TagCheckFault, Tag, TaggedMemory,
@@ -146,6 +146,9 @@ struct HeapInner {
     /// The cumulative [`HeapStats`] totals, indexed by the constants
     /// below. Pure statistics: nothing in the heap reads them back.
     totals: Tally<8>,
+    /// Compaction pause times while recording is on, one histogram per
+    /// size class of the bytes a pass moved.
+    compaction_pause: [HistSlot; SizeClass::Large as usize + 1],
 }
 
 const PINS: usize = 0;
@@ -226,6 +229,7 @@ impl Heap {
                 safepoint_hook: Mutex::new(None),
                 sweep_serial: SchedMutex::new(()),
                 totals: Tally::new(),
+                compaction_pause: Default::default(),
             }),
         }
     }
@@ -747,14 +751,15 @@ impl Heap {
         totals.add(MOVED_OBJECTS, stats.moved_objects as u64);
         totals.add(MOVED_BYTES, stats.moved_bytes as u64);
         if recording {
-            telemetry::histogram(telemetry::HistKey {
+            let size_class = SizeClass::from_bytes(stats.moved_bytes as u64);
+            let key = || HistKey {
                 tenant: None,
                 scheme: "heap",
                 interface: "Compact",
-                size_class: telemetry::SizeClass::from_bytes(stats.moved_bytes as u64),
-                op: telemetry::LatencyOp::GcPause,
-            })
-            .record(stats.pause);
+                size_class,
+                op: LatencyOp::GcPause,
+            };
+            self.inner.compaction_pause[size_class as usize].record(key, stats.pause);
         }
         telemetry::trace::emit(|| telemetry::trace::TraceEvent::Compact {
             moved: stats.moved_objects as u64,
@@ -813,6 +818,15 @@ impl Heap {
             .values()
             .filter(|m| m.live.strong_count() > 0)
             .count()
+    }
+
+    /// The compaction pauses timed while recording was on, one summary
+    /// per size class of the bytes a pass moved.
+    pub fn compaction_pauses(&self) -> impl Iterator<Item = HistogramSummary> + '_ {
+        self.inner
+            .compaction_pause
+            .iter()
+            .filter_map(HistSlot::summary)
     }
 
     /// Aggregate heap statistics.

@@ -2,7 +2,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::Arc;
 
 use art_heap::{ArrayRef, HeapError, JavaThread, ObjectRef, PinGuard, PrimitiveType, StringRef};
 use art_heap::{encode_modified_utf8, Heap};
@@ -17,7 +16,7 @@ use crate::containment::{DegradeReason, FaultPolicy};
 use crate::error::JniError;
 use crate::guard::CriticalGuard;
 use crate::native::{NativeArray, NativeMem, NativeUtf};
-use crate::protection::{AcquireOutcome, JniContext, Protection, ReleaseMode};
+use crate::protection::{AcquireOutcome, JniContext, ReleaseMode};
 use crate::trampoline::NativeKind;
 use crate::vm::Vm;
 use crate::Result;
@@ -141,18 +140,6 @@ impl<'a> JniEnv<'a> {
         }
     }
 
-    /// The scheme a borrow routes through: the VM's primary protection,
-    /// or the degradation fallback for quarantined/degraded borrows.
-    fn scheme_for(&self, via_fallback: bool) -> &Arc<dyn Protection> {
-        if via_fallback {
-            self.vm
-                .fallback_protection()
-                .expect("fallback routing requires a fallback scheme")
-        } else {
-            self.vm.protection()
-        }
-    }
-
     /// Deterministic backoff before a retry: linearly more yield points
     /// per attempt, so the cooperative scheduler interleaves other
     /// threads (and the fault injector draws fresh randomness) before
@@ -197,7 +184,7 @@ impl<'a> JniEnv<'a> {
         let started = telemetry::start_timing();
         let mut retries = 0u32;
         let out = loop {
-            match self.scheme_for(via_fallback).on_acquire(&cx, scheme_obj) {
+            match self.vm.scheme_for(via_fallback).on_acquire(&cx, scheme_obj) {
                 Ok(out) => break out,
                 Err(JniError::Mem(MemError::TagExhausted { .. }))
                     if !via_fallback && has_fallback =>
@@ -234,8 +221,7 @@ impl<'a> JniEnv<'a> {
             let elapsed = t0.elapsed();
             let size = SizeClass::from_bytes(scheme_obj.byte_len() as u64);
             self.vm
-                .borrow_latency(via_fallback, LatencyOp::Acquire, interface, size)
-                .record(elapsed);
+                .record_borrow(via_fallback, LatencyOp::Acquire, interface, size, elapsed);
         }
         self.borrows.borrow_mut().push(LiveBorrow {
             ptr: out.ptr,
@@ -345,7 +331,7 @@ impl<'a> JniEnv<'a> {
         // primary. Unknown pointers go to the primary, which reports a
         // stale release where it can.
         let via_fallback = slot.is_some_and(|i| self.borrows.borrow()[i].via_fallback);
-        let scheme = self.scheme_for(via_fallback);
+        let scheme = self.vm.scheme_for(via_fallback);
         let containment = self.vm.containment();
         let started = telemetry::start_timing();
         let mut retries = 0u32;
@@ -366,8 +352,7 @@ impl<'a> JniEnv<'a> {
             let elapsed = t0.elapsed();
             let size = SizeClass::from_bytes(scheme_obj.byte_len() as u64);
             self.vm
-                .borrow_latency(via_fallback, LatencyOp::Release, interface, size)
-                .record(elapsed);
+                .record_borrow(via_fallback, LatencyOp::Release, interface, size, elapsed);
         }
         // The borrow ends — and its record drops the pin — when the
         // scheme tore its tracking down: on success, or on a CheckJNI
@@ -855,7 +840,7 @@ impl<'a> JniEnv<'a> {
         let pending = mte.syscall("art_jni_method_end");
         if let Some(t0) = started {
             let elapsed = t0.elapsed();
-            self.vm.trampoline_latency(kind).record(elapsed);
+            self.vm.record_trampoline(kind, elapsed);
         }
         let result = match (result, pending) {
             (Err(e), _) => Err(self.handle_native_error(name, e, borrow_mark, depth_mark)),
@@ -871,8 +856,9 @@ impl<'a> JniEnv<'a> {
     }
 
     /// Attribution and containment for an error leaving the trampoline.
-    /// Always attributes tag-check faults to the nearest live borrow;
-    /// under [`FaultPolicy::Contain`] additionally tombstones the fault,
+    /// Always attributes tag-check faults to the live borrow whose
+    /// pointer tag they carry ([`Self::attribute_fault`]); under
+    /// [`FaultPolicy::Contain`] additionally tombstones the fault,
     /// reclaims the frame's leaked borrows, and swaps the error for
     /// [`JniError::ContainedFault`]. Errors that are not live tag-check
     /// faults — including already-contained faults from a nested
@@ -907,23 +893,30 @@ impl<'a> JniEnv<'a> {
     }
 
     /// Fills in the fault's interface/scheme attribution from the
-    /// live-borrow log: an illicit access usually sits just past (or
-    /// just before) the borrow it escaped, so the nearest handed-out
-    /// pointer names the Table-1 interface for the tombstone.
+    /// live-borrow log: the faulting pointer carries the tag of the
+    /// borrow it was derived from, however far past that borrow it
+    /// strayed, so the live borrows handed out under that tag name the
+    /// Table-1 interface for the tombstone. Left `None` when no live
+    /// borrow carries the tag, or when those that do disagree on the
+    /// interface or the scheme.
     fn attribute_fault(&self, mut e: JniError) -> JniError {
         let fault = match &mut e {
             JniError::Mem(MemError::TagCheck(f)) => Some(f),
             JniError::Heap(HeapError::Mem(MemError::TagCheck(f))) => Some(f),
             _ => None,
         };
-        if let Some(fault) = fault {
-            if fault.attribution.is_none() {
-                let addr = fault.pointer.addr();
-                let borrows = self.borrows.borrow();
-                if let Some(b) = borrows.iter().min_by_key(|b| b.ptr.addr().abs_diff(addr)) {
+        if let Some(fault) = fault.filter(|f| f.attribution.is_none()) {
+            let borrows = self.borrows.borrow();
+            let mut suspects = borrows
+                .iter()
+                .filter(|b| b.ptr.tag() == fault.pointer_tag)
+                .map(|b| (b.interface, self.vm.scheme_for(b.via_fallback).name()));
+            if let Some(first) = suspects.next() {
+                if suspects.all(|other| other == first) {
+                    let (interface, scheme) = first;
                     fault.attribution = Some(FaultAttribution {
-                        interface: b.interface,
-                        scheme: self.scheme_for(b.via_fallback).name().to_owned().into(),
+                        interface,
+                        scheme: scheme.to_owned().into(),
                     });
                 }
             }

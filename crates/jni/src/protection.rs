@@ -107,12 +107,12 @@ pub trait Protection: Send + Sync + fmt::Debug {
     fn on_safepoint(&self, _mem: &TaggedMemory, _sp: &Safepoint<'_>) {}
 
     /// Scheme-specific counters, as `(name, value)` pairs read from the
-    /// scheme's own tallies. [`Vm::counters`] returns them under
+    /// scheme's own tallies. [`Vm::snapshot`] reports them under
     /// `scheme.<name>.<counter>`, for the primary scheme and the
     /// fallback alike, and bench reports sum them over the VMs they
     /// measured.
     ///
-    /// [`Vm::counters`]: crate::Vm::counters
+    /// [`Vm::snapshot`]: crate::Vm::snapshot
     fn counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }

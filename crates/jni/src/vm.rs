@@ -1,13 +1,12 @@
 //! The simulated runtime instance.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use art_heap::{GcScanner, GcScannerConfig, Heap, HeapConfig, JavaThread};
 use mte_sim::TcfMode;
-use telemetry::{HistKey, JniInterface, LatencyHistogram, LatencyOp, SizeClass};
+use telemetry::{HistKey, HistSlot, JniInterface, LatencyOp, SizeClass, Snapshot};
 
 use crate::containment::{Containment, ContainmentConfig, ContainmentStats, FaultPolicy, Tombstone};
 use crate::env::JniEnv;
@@ -17,9 +16,6 @@ use crate::trampoline::NativeKind;
 /// Acquire and release histogram slots: (primary or fallback scheme) ×
 /// (acquire or release) × interface × payload size class.
 const BORROW_SLOTS: usize = 2 * 2 * JniInterface::ALL.len() * (SizeClass::Large as usize + 1);
-
-/// A latency histogram handle, resolved on its first sample.
-type Slot = OnceLock<Arc<LatencyHistogram>>;
 
 /// Runtime configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,8 +77,8 @@ pub struct Vm {
     fallback: Option<Arc<dyn Protection>>,
     containment: Containment,
     config: VmConfig,
-    borrow_latency: [Slot; BORROW_SLOTS],
-    trampoline_latency: [Slot; 3],
+    borrow_latency: [HistSlot; BORROW_SLOTS],
+    trampoline_latency: [HistSlot; 3],
 }
 
 impl Vm {
@@ -147,16 +143,18 @@ impl Vm {
         JniEnv::new(self, thread)
     }
 
-    /// This VM's counters, read from the owners that keep them, under
-    /// `scheme.<name>.…` keys: the simulated MTE hardware counters
+    /// This VM's counters and every latency histogram it holds with a
+    /// sample. The counters are read from the owners that keep them,
+    /// under `scheme.<name>.…` keys: the simulated MTE hardware counters
     /// (`…mte.loads`, `…mte.sync_faults`, …), whatever
     /// [`Protection::counters`] reports, the heap's pin and GC totals
     /// (`…heap.pins_total`, …) and the containment counters, all under
     /// the primary scheme's name; and the fallback scheme's own
     /// [`Protection::counters`], if one is installed, under the
-    /// fallback's name. A pure read: every call sums the owners' exact
-    /// tallies afresh.
-    pub fn counters(&self) -> BTreeMap<String, u64> {
+    /// fallback's name. The histograms are the VM's acquire, release and
+    /// trampoline timings and its heap's compaction pauses. A pure read:
+    /// every call sums the owners' exact tallies afresh.
+    pub fn snapshot(&self) -> Snapshot {
         let mte = self.heap.memory().stats().snapshot();
         let hs = self.heap.stats();
         let cs = self.containment.stats();
@@ -182,68 +180,79 @@ impl Vm {
             ("containment.quarantined_methods", cs.quarantined_methods),
         ];
         let scheme = self.protection.name();
-        let mut out: BTreeMap<String, u64> = own
-            .into_iter()
-            .chain(self.protection.counters())
-            .map(|(key, value)| (format!("scheme.{scheme}.{key}"), value))
-            .collect();
+        let mut snap = Snapshot {
+            counters: own
+                .into_iter()
+                .chain(self.protection.counters())
+                .map(|(key, value)| (format!("scheme.{scheme}.{key}"), value))
+                .collect(),
+            histograms: Vec::new(),
+        };
         if let Some(fallback) = &self.fallback {
             let scheme = fallback.name();
-            out.extend(
+            snap.counters.extend(
                 fallback
                     .counters()
                     .into_iter()
                     .map(|(key, value)| (format!("scheme.{scheme}.{key}"), value)),
             );
         }
-        out
+        self.borrow_latency
+            .iter()
+            .chain(&self.trampoline_latency)
+            .filter_map(HistSlot::summary)
+            .chain(self.heap.compaction_pauses())
+            .for_each(|h| snap.add_histogram(h));
+        snap
     }
 
-    /// The histogram an acquire or release (`op`) on `interface` of a
-    /// `size`-class payload records into, through the primary scheme or
-    /// the fallback.
-    pub(crate) fn borrow_latency(
+    /// The scheme a borrow routes through: the primary protection, or
+    /// the degradation fallback for quarantined/degraded borrows.
+    pub(crate) fn scheme_for(&self, via_fallback: bool) -> &Arc<dyn Protection> {
+        if via_fallback {
+            self.fallback
+                .as_ref()
+                .expect("fallback routing requires a fallback scheme")
+        } else {
+            &self.protection
+        }
+    }
+
+    /// Records an acquire or release (`op`) on `interface` of a
+    /// `size`-class payload, through the primary scheme or the fallback.
+    pub(crate) fn record_borrow(
         &self,
         via_fallback: bool,
         op: LatencyOp,
         interface: JniInterface,
         size: SizeClass,
-    ) -> &LatencyHistogram {
+        elapsed: Duration,
+    ) {
         debug_assert!(matches!(op, LatencyOp::Acquire | LatencyOp::Release));
         let row = usize::from(via_fallback) * 2 + usize::from(op == LatencyOp::Release);
         let slot = (row * JniInterface::ALL.len() + usize::from(interface.index()))
             * (SizeClass::Large as usize + 1)
             + size as usize;
-        self.borrow_latency[slot].get_or_init(|| {
-            let scheme = if via_fallback {
-                self.fallback
-                    .as_ref()
-                    .expect("fallback routing requires a fallback scheme")
-            } else {
-                &self.protection
-            };
-            telemetry::histogram(HistKey {
-                tenant: None,
-                scheme: scheme.name(),
-                interface: interface.label(),
-                size_class: size,
-                op,
-            })
-        })
+        let key = || HistKey {
+            tenant: None,
+            scheme: self.scheme_for(via_fallback).name(),
+            interface: interface.label(),
+            size_class: size,
+            op,
+        };
+        self.borrow_latency[slot].record(key, elapsed);
     }
 
-    /// The histogram a `kind` trampoline records into (no payload, so
-    /// one size class).
-    pub(crate) fn trampoline_latency(&self, kind: NativeKind) -> &LatencyHistogram {
-        self.trampoline_latency[kind as usize].get_or_init(|| {
-            telemetry::histogram(HistKey {
-                tenant: None,
-                scheme: self.protection.name(),
-                interface: kind.label(),
-                size_class: SizeClass::Tiny,
-                op: LatencyOp::Trampoline,
-            })
-        })
+    /// Records one `kind` trampoline (no payload, so one size class).
+    pub(crate) fn record_trampoline(&self, kind: NativeKind, elapsed: Duration) {
+        let key = || HistKey {
+            tenant: None,
+            scheme: self.protection.name(),
+            interface: kind.label(),
+            size_class: SizeClass::Tiny,
+            op: LatencyOp::Trampoline,
+        };
+        self.trampoline_latency[kind as usize].record(key, elapsed);
     }
 
     /// Starts a correctly configured background GC scanner: it inherits
@@ -391,8 +400,8 @@ impl VmBuilder {
                 check_jni: self.check_jni,
                 fault_policy: self.fault_policy,
             },
-            borrow_latency: [const { Slot::new() }; BORROW_SLOTS],
-            trampoline_latency: [const { Slot::new() }; 3],
+            borrow_latency: std::array::from_fn(|_| HistSlot::default()),
+            trampoline_latency: Default::default(),
         }
     }
 }

@@ -22,11 +22,21 @@ pub struct BlockAllocator {
     start: u64,
     end: u64,
     align: u64,
-    free: Mutex<Vec<(u64, u64)>>,
-    bytes_requested: AtomicU64,
-    bytes_allocated: AtomicU64,
+    state: Mutex<State>,
+    /// Bytes currently allocated (rounded sizes). Written only under the
+    /// `state` mutex, read without it: admission and quiescence checks
+    /// read it as one load.
     in_use: AtomicU64,
-    peak: AtomicU64,
+}
+
+/// The free `(addr, len)` blocks, sorted by address and coalesced, and
+/// the statistics kept under the same mutex.
+#[derive(Default)]
+struct State {
+    free: Vec<(u64, u64)>,
+    bytes_requested: u64,
+    bytes_allocated: u64,
+    peak: u64,
 }
 
 impl BlockAllocator {
@@ -43,11 +53,11 @@ impl BlockAllocator {
             start,
             end: start + len as u64,
             align: align as u64,
-            free: Mutex::new(vec![(start, len as u64)]),
-            bytes_requested: AtomicU64::new(0),
-            bytes_allocated: AtomicU64::new(0),
+            state: Mutex::new(State {
+                free: vec![(start, len as u64)],
+                ..State::default()
+            }),
             in_use: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
         }
     }
 
@@ -74,7 +84,8 @@ impl BlockAllocator {
     /// address and the rounded block size, or `None` when exhausted.
     pub fn alloc(&self, len: usize) -> Option<(u64, usize)> {
         let want = self.round(len);
-        let mut free = self.free.lock();
+        let mut state = self.state.lock();
+        let free = &mut state.free;
         let idx = free.iter().position(|&(_, flen)| flen >= want)?;
         let (fstart, flen) = free[idx];
         if flen == want {
@@ -82,11 +93,11 @@ impl BlockAllocator {
         } else {
             free[idx] = (fstart + want, flen - want);
         }
-        drop(free);
-        self.bytes_requested.fetch_add(len as u64, Ordering::Relaxed);
-        self.bytes_allocated.fetch_add(want, Ordering::Relaxed);
-        let now = self.in_use.fetch_add(want, Ordering::Relaxed) + want;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        state.bytes_requested += len as u64;
+        state.bytes_allocated += want;
+        let now = self.bytes_in_use() + want;
+        self.in_use.store(now, Ordering::Relaxed);
+        state.peak = state.peak.max(now);
         Some((fstart, want as usize))
     }
 
@@ -103,7 +114,8 @@ impl BlockAllocator {
             addr >= self.start && addr + len <= self.end && addr.is_multiple_of(self.align),
             "freed block {addr:#x}+{len} invalid for this allocator"
         );
-        let mut free = self.free.lock();
+        let mut state = self.state.lock();
+        let free = &mut state.free;
         let pos = free.partition_point(|&(fstart, _)| fstart < addr);
         if let Some(&(next, _)) = free.get(pos) {
             assert!(addr + len <= next, "double free or overlap at {addr:#x}");
@@ -121,8 +133,7 @@ impl BlockAllocator {
             free[pos - 1].1 += free[pos].1;
             free.remove(pos);
         }
-        drop(free);
-        self.in_use.fetch_sub(len, Ordering::Relaxed);
+        self.in_use.store(self.bytes_in_use() - len, Ordering::Relaxed);
     }
 
     /// Replaces the free list with the complement of `allocated`, a
@@ -136,7 +147,8 @@ impl BlockAllocator {
     /// Panics if `allocated` is unsorted, overlapping, misaligned, or
     /// outside the managed range.
     pub fn reset_layout(&self, allocated: &[(u64, u64)]) {
-        let mut free = self.free.lock();
+        let mut state = self.state.lock();
+        let free = &mut state.free;
         free.clear();
         let mut cursor = self.start;
         let mut in_use = 0u64;
@@ -154,7 +166,6 @@ impl BlockAllocator {
         if cursor < self.end {
             free.push((cursor, self.end - cursor));
         }
-        drop(free);
         self.in_use.store(in_use, Ordering::Relaxed);
     }
 
@@ -165,15 +176,15 @@ impl BlockAllocator {
 
     /// High-water mark of [`Self::bytes_in_use`].
     pub fn peak_bytes(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
+        self.state.lock().peak
     }
 
     /// Cumulative internal fragmentation: bytes handed out beyond what was
     /// requested. This is the §4.1 "minor internal memory fragmentation"
     /// cost of 16-byte alignment, made measurable.
     pub fn fragmentation_bytes(&self) -> u64 {
-        self.bytes_allocated.load(Ordering::Relaxed)
-            - self.bytes_requested.load(Ordering::Relaxed)
+        let state = self.state.lock();
+        state.bytes_allocated - state.bytes_requested
     }
 }
 

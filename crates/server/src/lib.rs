@@ -38,5 +38,5 @@ pub mod traffic;
 pub use admission::{Admission, Permit, Rejected};
 pub use health::{Health, HealthTracker};
 pub use server::{RunSummary, Server, ServerConfig};
-pub use tenant::{RequestOutcome, Tenant, TenantConfig};
+pub use tenant::{RequestOutcome, Tenant, TenantConfig, TenantStats};
 pub use traffic::{Corpus, Request, RequestKind, TrafficConfig};

@@ -13,15 +13,14 @@
 //! containment telemetry into admission decisions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use jni_rt::{ContainmentStats, JniEnv, JniError, NativeKind, ReleaseMode, Vm};
 use mte4jni::Mte4Jni;
 use mte_sim::inject::{self, FaultPlan, InjectCounters};
 use mte_sim::sync::yield_point;
 use mte_sim::{MemError, MemoryConfig};
-use telemetry::fleet::{RequestLatency, TenantStats};
-use telemetry::{HistKey, LatencyHistogram, LatencyOp, SizeClass};
+use telemetry::{HistKey, HistSlot, HistogramSummary, LatencyOp, SizeClass, Snapshot};
 use workloads::{Backend, VmSchemes};
 
 use crate::admission::{Admission, Rejected};
@@ -86,6 +85,40 @@ pub enum RequestOutcome {
     Failed,
 }
 
+/// One tenant's counters and request latency. All counts are cumulative
+/// over the tenant's lifetime.
+#[derive(Clone, Debug, Default)]
+pub struct TenantStats {
+    /// Tenant index within the fleet.
+    pub tenant: u32,
+    /// Protection-scheme label (`"lock-free"`, `"guarded"`, …).
+    pub scheme: String,
+    /// Health-state label at snapshot time (`"healthy"`, `"degraded"`,
+    /// `"quarantined"`, `"evicted"`).
+    pub health: String,
+    /// Requests past admission control.
+    pub admitted: u64,
+    /// Admitted requests that ran to completion.
+    pub completed: u64,
+    /// Requests shed because the per-tenant queue was full.
+    pub shed_queue_full: u64,
+    /// Requests shed because the native-memory budget was exhausted.
+    pub shed_budget: u64,
+    /// Requests shed because the tenant was quarantined or evicted.
+    pub shed_quarantined: u64,
+    /// Tag-check faults contained by the tenant's trampolines.
+    pub contained_faults: u64,
+    /// Single-acquire degradations after `TagExhausted`.
+    pub degraded_exhaust: u64,
+    /// Acquires routed to the fallback by method quarantine.
+    pub degraded_quarantine: u64,
+    /// Transient-error retries spent across all requests.
+    pub retries: u64,
+    /// The tenant's request-latency histogram; `None` until a request
+    /// is timed with recording on.
+    pub latency: Option<HistogramSummary>,
+}
+
 #[derive(Debug, Default)]
 struct Counters {
     admitted: AtomicU64,
@@ -107,7 +140,7 @@ pub struct Tenant {
     admission: Admission,
     counters: Counters,
     inject_counters: Arc<InjectCounters>,
-    request_latency: OnceLock<Arc<LatencyHistogram>>,
+    request_latency: HistSlot,
 }
 
 impl Tenant {
@@ -124,7 +157,7 @@ impl Tenant {
             health: HealthTracker::default(),
             counters: Counters::default(),
             inject_counters: Arc::new(InjectCounters::default()),
-            request_latency: OnceLock::new(),
+            request_latency: HistSlot::default(),
             cfg,
             vm,
             schemes,
@@ -227,17 +260,14 @@ impl Tenant {
         }
         if let Some(t0) = t0 {
             let elapsed = t0.elapsed();
-            self.request_latency
-                .get_or_init(|| {
-                    telemetry::histogram(HistKey {
-                        tenant: Some(self.cfg.id),
-                        scheme: self.cfg.scheme.label(),
-                        interface: "Request",
-                        size_class: SizeClass::Tiny,
-                        op: LatencyOp::Request,
-                    })
-                })
-                .record(elapsed);
+            let key = || HistKey {
+                tenant: Some(self.cfg.id),
+                scheme: self.cfg.scheme.label(),
+                interface: "Request",
+                size_class: SizeClass::Tiny,
+                op: LatencyOp::Request,
+            };
+            self.request_latency.record(key, elapsed);
         }
         Ok(outcome)
     }
@@ -357,7 +387,7 @@ impl Tenant {
             .collect()
     }
 
-    /// This tenant's counters and request-latency quantiles.
+    /// This tenant's counters and request-latency summary.
     pub fn stats(&self) -> TenantStats {
         let cs = self.vm.containment_stats();
         let c = &self.counters;
@@ -374,12 +404,19 @@ impl Tenant {
             degraded_exhaust: cs.degraded_tag_exhaustion,
             degraded_quarantine: cs.degraded_quarantine,
             retries: c.retries.load(Ordering::Relaxed),
-            latency: self
-                .request_latency
-                .get()
-                .map(|h| RequestLatency::of(h))
-                .unwrap_or_default(),
+            latency: self.request_latency.summary(),
         }
+    }
+
+    /// The tenant VM's snapshot ([`Vm::snapshot`]) plus the tenant's
+    /// request-latency histogram. Replay requests run on VMs of their
+    /// own, which they drop: none of those VMs is in it.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = self.vm.snapshot();
+        if let Some(h) = self.request_latency.summary() {
+            snap.add_histogram(h);
+        }
+        snap
     }
 
     /// Requests that exhausted their retry budget.

@@ -5,8 +5,7 @@
 //! books, and zero stale table entries.
 
 use mte_sim::inject::FaultPlan;
-use server::{Request, Server, ServerConfig, Tenant, TrafficConfig};
-use telemetry::fleet::TenantStats;
+use server::{Request, Server, ServerConfig, Tenant, TenantStats, TrafficConfig};
 use workloads::Backend;
 
 fn noisy_fleet(scheme: Backend) -> (Server, Vec<Request>) {

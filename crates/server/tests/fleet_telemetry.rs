@@ -1,19 +1,17 @@
 //! Per-tenant request telemetry: two tenants on the same backend record
 //! into two histograms that differ only in their typed `tenant` label,
-//! and each tenant's stats report its own request count.
+//! and each tenant's stats and snapshot report its own request count.
 //!
-//! Telemetry state is process-global, so this file holds exactly one
-//! test: sharing a binary with other telemetry-enabling tests would race
-//! on the counts.
+//! The recording flag is process-wide, so this file holds exactly one
+//! test: a second test in the binary could turn recording off under it.
 
-use server::{Server, ServerConfig, Tenant, TrafficConfig};
+use server::{Server, ServerConfig, Tenant, TenantStats, TrafficConfig};
 use telemetry::json::JsonValue;
-use telemetry::LatencyOp;
+use telemetry::{LatencyOp, Snapshot};
 use workloads::Backend;
 
 #[test]
 fn same_backend_tenants_get_typed_tenant_histograms() {
-    telemetry::reset();
     telemetry::set_enabled(true);
 
     let server = Server::new(ServerConfig::with_tenants(2, 2));
@@ -32,16 +30,30 @@ fn same_backend_tenants_get_typed_tenant_histograms() {
 
     let rows: Vec<_> = server.tenants().iter().map(Tenant::stats).collect();
     assert_eq!(rows.len(), 2);
+    let latency = |s: &TenantStats| s.latency.as_ref().map_or(0, |h| h.count);
     for s in &rows {
         assert_eq!(s.scheme, Backend::LockFree.label());
         assert!(s.admitted > 0);
-        assert_eq!(s.latency.count, s.admitted, "tenant {}: {s:?}", s.tenant);
+        assert_eq!(latency(s), s.admitted, "tenant {}: {s:?}", s.tenant);
     }
-    assert_ne!(rows[0].latency.count, rows[1].latency.count);
+    assert_ne!(latency(&rows[0]), latency(&rows[1]));
 
-    let requests: Vec<_> = telemetry::Snapshot::collect()
+    // Each tenant's snapshot holds its own request histogram and no
+    // other tenant's; merged, they make the fleet's.
+    let mut fleet = Snapshot::default();
+    for t in server.tenants() {
+        let snap = t.snapshot();
+        let tenants: Vec<_> = snap
+            .histograms
+            .iter()
+            .filter_map(|h| h.key.tenant)
+            .collect();
+        assert_eq!(tenants, [t.config().id]);
+        fleet.merge(snap);
+    }
+    let requests: Vec<_> = fleet
         .histograms
-        .into_iter()
+        .iter()
         .filter(|h| h.key.op == LatencyOp::Request)
         .collect();
     assert_eq!(requests.len(), 2, "{requests:?}");
@@ -53,11 +65,11 @@ fn same_backend_tenants_get_typed_tenant_histograms() {
     );
     assert_eq!(a.scheme, Backend::LockFree.label());
     for (h, s) in requests.iter().zip(&rows) {
-        assert_eq!(h.count, s.latency.count);
+        assert_eq!(Some(*h), s.latency.as_ref());
     }
 
     // The snapshot JSON carries the tenant as a number and round-trips.
-    let text = telemetry::Snapshot::collect().to_json().to_pretty_string();
+    let text = fleet.to_json().to_pretty_string();
     let back = telemetry::json::parse(&text).unwrap();
     let tenants: Vec<_> = back
         .get("histograms")
@@ -83,5 +95,4 @@ fn same_backend_tenants_get_typed_tenant_histograms() {
         .all(|h| h.get("tenant").is_none()));
 
     telemetry::set_enabled(false);
-    telemetry::reset();
 }

@@ -1,9 +1,8 @@
 //! Log-bucketed latency histograms (HDR-style) keyed by
 //! `(tenant, scheme, interface, payload-size-class, operation)`.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Number of power-of-two buckets: bucket `i` holds durations in
@@ -75,11 +74,12 @@ impl LatencyOp {
     }
 }
 
-/// A histogram registry key. `interface` is a display label rather than
+/// A histogram's key: what it times, in which scheme and interface, for
+/// which payload size. `interface` is a display label rather than
 /// [`crate::JniInterface`] so trampolines can key by native-call kind
-/// (`"Normal"`, `"FastNative"`, …) through the same table. The derived
-/// order is the snapshot order: `tenant` leads, so the untenanted
-/// histograms (`None`) come first and the serving layer's sort last.
+/// (`"Normal"`, `"FastNative"`, …). The derived order is the snapshot
+/// order: `tenant` leads, so the untenanted histograms (`None`) come
+/// first and the serving layer's sort last.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HistKey {
     /// Serving-layer tenant id, for per-tenant request histograms.
@@ -95,24 +95,13 @@ pub struct HistKey {
     pub op: LatencyOp,
 }
 
-/// A concurrent log-bucketed histogram.
+/// A concurrent log-bucketed histogram under its own key.
 #[derive(Debug)]
-pub struct LatencyHistogram {
+struct LatencyHistogram {
+    key: HistKey,
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> LatencyHistogram {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
 }
 
 fn bucket_for(ns: u64) -> usize {
@@ -123,103 +112,109 @@ fn bucket_for(ns: u64) -> usize {
     }
 }
 
-impl LatencyHistogram {
-    /// Records one duration.
-    pub fn record(&self, d: Duration) {
+/// One latency histogram, held by what it times (a VM's acquire,
+/// release and trampoline timings, a heap's compaction pauses, a serving
+/// tenant's requests). The histogram is allocated on the slot's first
+/// sample, so an owner whose recording stays off holds one empty
+/// `OnceLock` per slot and nothing else.
+#[derive(Debug, Default)]
+pub struct HistSlot(OnceLock<Box<LatencyHistogram>>);
+
+impl HistSlot {
+    /// Records one duration, creating the histogram under `key()` on
+    /// the slot's first sample.
+    pub fn record(&self, key: impl FnOnce() -> HistKey, d: Duration) {
+        let h = self.0.get_or_init(|| {
+            Box::new(LatencyHistogram {
+                key: key(),
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+                sum_ns: AtomicU64::new(0),
+                max_ns: AtomicU64::new(0),
+            })
+        });
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.buckets[bucket_for(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        h.buckets[bucket_for(ns)].fetch_add(1, Ordering::Relaxed);
+        h.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        h.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+    /// The histogram's summary, or `None` before its first sample.
+    pub fn summary(&self) -> Option<HistogramSummary> {
+        let h = self.0.get()?;
+        let buckets: Vec<u64> = h
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let count = buckets.iter().sum();
+        (count > 0).then(|| HistogramSummary {
+            key: h.key,
+            count,
+            sum_ns: h.sum_ns.load(Ordering::Relaxed),
+            max_ns: h.max_ns.load(Ordering::Relaxed),
+            buckets,
+        })
     }
+}
 
+/// A histogram read out: its key, its raw log2 buckets and the sum and
+/// max they cannot carry. The percentiles are computed from the buckets,
+/// so two summaries under one key [`merge`](Self::merge) exactly.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HistogramSummary {
+    /// The histogram's key.
+    pub key: HistKey,
+    /// Samples recorded (the buckets' sum).
+    pub count: u64,
+    /// Sum of every sample, nanoseconds.
+    pub sum_ns: u64,
+    /// Largest sample, nanoseconds.
+    pub max_ns: u64,
+    /// Raw log2 bucket counts: bucket `i` holds `[2^(i-1), 2^i)` ns.
+    pub buckets: Vec<u64>,
+}
+
+impl HistogramSummary {
     /// An upper-bound estimate of the `q`-quantile, `q` in `[0, 1]`: the
     /// ceiling of the bucket holding the rank, `2^i − 1` ns (bucket 0 is
     /// "≤ 1 ns"), clamped to the observed max so p99 never exceeds it.
     /// Returns 0 for an empty histogram.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
+        if self.count == 0 {
             return 0;
         }
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+        for (i, &b) in self.buckets.iter().enumerate() {
+            seen += b;
             if seen >= rank {
                 let ceiling = if i == 0 { 1 } else { (1u64 << i) - 1 };
-                return ceiling.min(self.max_ns());
+                return ceiling.min(self.max_ns);
             }
         }
-        self.max_ns()
-    }
-
-    /// Largest recorded duration in nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns.load(Ordering::Relaxed)
+        self.max_ns
     }
 
     /// Mean in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
-        self.sum_ns
-            .load(Ordering::Relaxed)
-            .checked_div(self.count())
-            .unwrap_or(0)
+        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Raw bucket counts, for JSON export.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Zeroes every bucket and summary, in place.
-    fn clear(&self) {
-        for a in self
-            .buckets
-            .iter()
-            .chain([&self.count, &self.sum_ns, &self.max_ns])
-        {
-            a.store(0, Ordering::Relaxed);
+    /// Adds `other`'s samples: buckets, count and sum add, the larger
+    /// max stays. Both must share a key.
+    pub fn merge(&mut self, other: &HistogramSummary) {
+        debug_assert_eq!(
+            self.key, other.key,
+            "merging histograms under different keys"
+        );
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
+        self.count += other.count;
+        self.sum_ns += other.sum_ns;
+        self.max_ns = self.max_ns.max(other.max_ns);
     }
-}
-
-static REGISTRY: Mutex<BTreeMap<HistKey, Arc<LatencyHistogram>>> = Mutex::new(BTreeMap::new());
-
-fn registry() -> std::sync::MutexGuard<'static, BTreeMap<HistKey, Arc<LatencyHistogram>>> {
-    REGISTRY
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The histogram for `key`, created on first use. This takes the
-/// registry lock: a recording site resolves its handle once and keeps
-/// it, so each later sample is just [`LatencyHistogram::record`].
-pub fn histogram(key: HistKey) -> Arc<LatencyHistogram> {
-    Arc::clone(registry().entry(key).or_default())
-}
-
-/// Every registered histogram, in key order.
-pub(crate) fn all_histograms() -> Vec<(HistKey, Arc<LatencyHistogram>)> {
-    registry()
-        .iter()
-        .map(|(&k, h)| (k, Arc::clone(h)))
-        .collect()
-}
-
-/// Zeroes every registered histogram in place. The entries stay, so a
-/// handle resolved before the reset keeps feeding the registry.
-pub(crate) fn reset_all() {
-    registry().values().for_each(|h| h.clear());
 }
 
 #[cfg(test)]
@@ -236,19 +231,53 @@ mod tests {
         assert_eq!(bucket_for(u64::MAX), BUCKETS - 1);
     }
 
+    fn key(op: LatencyOp) -> HistKey {
+        HistKey {
+            tenant: None,
+            scheme: "test-scheme",
+            interface: "ArrayElements",
+            size_class: SizeClass::Tiny,
+            op,
+        }
+    }
+
     #[test]
     fn quantiles_bracket_the_data() {
-        let h = LatencyHistogram::default();
+        let slot = HistSlot::default();
+        assert_eq!(slot.summary(), None, "no histogram before the first sample");
         for ns in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
-            h.record(Duration::from_nanos(ns));
+            slot.record(|| key(LatencyOp::Acquire), Duration::from_nanos(ns));
         }
-        assert_eq!(h.count(), 10);
+        let h = slot.summary().unwrap();
+        assert_eq!(h.key, key(LatencyOp::Acquire));
+        assert_eq!(h.count, 10);
         let p50 = h.quantile_ns(0.50);
         assert!((32..=127).contains(&p50), "p50 bucket ceiling: {p50}");
-        assert_eq!(h.max_ns(), 1000);
+        assert_eq!(h.max_ns, 1000);
         assert_eq!(h.quantile_ns(1.0), 1000, "p100 clamps to max");
         assert!(h.quantile_ns(0.99) <= 1023);
         assert_eq!(h.mean_ns(), 145);
+    }
+
+    #[test]
+    fn merging_adds_samples_and_keeps_the_larger_max() {
+        let (a, b) = (HistSlot::default(), HistSlot::default());
+        for ns in [10u64, 20] {
+            a.record(|| key(LatencyOp::Release), Duration::from_nanos(ns));
+        }
+        b.record(|| key(LatencyOp::Release), Duration::from_nanos(300));
+        let mut merged = a.summary().unwrap();
+        merged.merge(&b.summary().unwrap());
+        let both = HistSlot::default();
+        for ns in [10u64, 20, 300] {
+            both.record(|| key(LatencyOp::Release), Duration::from_nanos(ns));
+        }
+        assert_eq!(
+            merged,
+            both.summary().unwrap(),
+            "a merge equals one histogram of every sample"
+        );
+        assert_eq!((merged.count, merged.sum_ns, merged.max_ns), (3, 330, 300));
     }
 
     #[test]
@@ -259,20 +288,5 @@ mod tests {
         assert_eq!(SizeClass::from_bytes(1024), SizeClass::Small);
         assert_eq!(SizeClass::from_bytes(16384), SizeClass::Medium);
         assert_eq!(SizeClass::from_bytes(16385), SizeClass::Large);
-    }
-
-    #[test]
-    fn registry_reuses_histograms() {
-        let key = HistKey {
-            tenant: None,
-            scheme: "test-scheme",
-            interface: "ArrayElements",
-            size_class: SizeClass::Tiny,
-            op: LatencyOp::Acquire,
-        };
-        let a = histogram(key);
-        a.record(Duration::from_nanos(5));
-        let b = histogram(key);
-        assert_eq!(b.count(), 1);
     }
 }

@@ -5,14 +5,18 @@
 //!
 //! * **Latency histograms** — log-bucketed (HDR-style) distributions
 //!   under a typed, `Copy` [`HistKey`] (`tenant`, `scheme`, `interface`,
-//!   payload size class, `op`) with p50/p90/p99/max summaries, collected
-//!   into one [`Snapshot`];
+//!   payload size class, `op`). Each is held in a [`HistSlot`] by what
+//!   it times (a VM's acquire, release and trampoline slots, a heap's
+//!   compaction pauses, a serving tenant's requests) and read out as a
+//!   [`HistogramSummary`] with p50/p90/p99/max;
 //! * **Tallies** — [`Tally`], exact per-thread-row counters whose bump
 //!   is a plain load and store, for the runtime's own statistics
 //!   (`MteStats`, the heap's pin and GC totals, the schemes' and tag
 //!   tables' counters). Each count is kept once, by its owner; a VM
-//!   reads its owners' counts on demand (`jni_rt::Vm::counters`), and a
-//!   bench report sums those reads over the VMs it measured;
+//!   reads its owners' counts on demand;
+//! * **Snapshots** — one owner's counters and histograms as one
+//!   [`Snapshot`] (`jni_rt::Vm::snapshot`). [`Snapshot::merge`] sums
+//!   several, so a bench report covers exactly the VMs it measured;
 //! * **JSON** — a dependency-free writer/parser powering the bench
 //!   binaries' schema-versioned `BENCH_*.json` exports.
 //!
@@ -25,14 +29,16 @@
 //! relaxed atomic. Benches that export JSON call [`set_enabled`]`(true)`;
 //! the paper-calibration hot paths (Fig. 5 no-protection baseline) leave
 //! it off and pay a branch-on-load per operation. Enabled, a latency
-//! sample costs two `Instant::now` reads plus four relaxed atomics on a
-//! handle its owner (the VM, a serving tenant) resolved once through
-//! [`histogram`].
+//! sample costs two `Instant::now` reads plus three relaxed atomics on
+//! the histogram its owner allocated on the slot's first sample.
+//!
+//! Besides the tallies' per-thread row claims, the recording flag and
+//! the trace sink are the crate's only process-wide state: every
+//! histogram and every count belongs to an owner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fleet;
 mod hist;
 mod interface;
 pub mod json;
@@ -40,9 +46,9 @@ mod snapshot;
 mod tally;
 pub mod trace;
 
-pub use hist::{histogram, HistKey, LatencyHistogram, LatencyOp, SizeClass};
+pub use hist::{HistKey, HistSlot, HistogramSummary, LatencyOp, SizeClass};
 pub use interface::JniInterface;
-pub use snapshot::{HistogramSummary, Snapshot, SCHEMA_VERSION};
+pub use snapshot::{Snapshot, SCHEMA_VERSION};
 pub use tally::Tally;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,69 +68,23 @@ pub fn enabled() -> bool {
 }
 
 /// Starts a latency measurement: `None` (skip the timing entirely) when
-/// telemetry is disabled. Pair with [`LatencyHistogram::record`] on a
-/// handle from [`histogram`].
+/// telemetry is disabled. Pair with [`HistSlot::record`].
 #[inline]
 pub fn start_timing() -> Option<Instant> {
     enabled().then(Instant::now)
 }
 
-/// Zeroes every histogram in place (handles resolved before the call
-/// keep recording into the registry). The boundary between two measured
-/// phases; tests call it between cases, and `fig5` after its telemetry
-/// on/off row.
-pub fn reset() {
-    hist::reset_all();
-}
-
-/// Serializes the unit tests that touch process-global telemetry state
-/// (the enable flag, the histograms): run in
-/// parallel, one test's `set_enabled(false)` or `reset()` would cut
-/// into another's measurement.
-#[cfg(test)]
-pub(crate) static GLOBAL_STATE_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The only test in this crate that touches the recording flag.
     #[test]
-    fn end_to_end_record_and_snapshot() {
-        let _serial = GLOBAL_STATE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        // Disabled: timing short-circuits.
+    fn timing_follows_the_recording_flag() {
         set_enabled(false);
         assert!(start_timing().is_none());
-
         set_enabled(true);
-        let t0 = start_timing().expect("enabled");
-        histogram(HistKey {
-            tenant: None,
-            scheme: "test-scheme",
-            interface: "PrimitiveArrayCritical",
-            size_class: SizeClass::Small,
-            op: LatencyOp::Acquire,
-        })
-        .record(t0.elapsed());
-
-        let snap = Snapshot::collect();
-        assert_eq!(snap.schema_version, SCHEMA_VERSION);
-        let mine = |snap: &Snapshot| {
-            snap.histograms
-                .iter()
-                .find(|h| h.key.scheme == "test-scheme" && h.key.interface == "PrimitiveArrayCritical")
-                .cloned()
-        };
-        let h = mine(&snap).expect("recorded histogram");
-        assert_eq!(h.count, 1);
-        assert_eq!(h.key.op, LatencyOp::Acquire);
-
-        // Collecting does not consume: histograms are cumulative until
-        // `reset`.
-        assert_eq!(mine(&Snapshot::collect()), Some(h));
-        reset();
-        assert_eq!(mine(&Snapshot::collect()), None, "a zeroed histogram is omitted");
-
+        assert!(start_timing().is_some());
         set_enabled(false);
     }
 }

@@ -253,7 +253,7 @@ fn main() {
         );
     }
 
-    // --- 4. The scheme's own counters (`Vm::counters` reports them
+    // --- 4. The scheme's own counters (`Vm::snapshot` reports them
     // under `scheme.<name>.…`). ---
     // `safepoint_purge_frees` counts entries a GC safepoint force-freed,
     // the second term of the funnel conservation law

@@ -1,12 +1,13 @@
 //! A tour of the telemetry layer: turn it on, drive some JNI traffic
 //! through an MTE4JNI VM (including one caught out-of-bounds write), and
-//! print the resulting schema-versioned document — the latency snapshot
-//! plus the VM's counters, the same shape the bench binaries attach to
+//! print the VM's schema-versioned snapshot — its latency histograms
+//! and its counters, the same shape the bench binaries attach to
 //! `BENCH_<name>.json` under `--json`.
 //!
 //! Run with `cargo run --example telemetry_tour`.
 
 use mte4jni_repro::prelude::*;
+use telemetry::LatencyOp;
 
 fn main() {
     // Recording is off until enabled.
@@ -47,19 +48,23 @@ fn main() {
     })
     .unwrap();
 
-    // The snapshot holds the latency histograms, with p50/p90/p99 per
-    // (scheme, interface, size class); the VM reads its exact counters
-    // from the owners that keep them.
-    let snapshot = telemetry::Snapshot::collect();
-    let counters = vm.counters();
-    let mut doc = snapshot.to_json();
-    doc.insert("counters", telemetry::json::JsonValue::from(&counters));
-    println!("{}", doc.to_pretty_string());
+    // The VM's snapshot holds its latency histograms, with p50/p90/p99
+    // per (scheme, interface, size class), and the exact counters it
+    // reads from the owners that keep them.
+    let snapshot = vm.snapshot();
+    println!("{}", snapshot.to_json().to_pretty_string());
 
-    eprintln!(
-        "-- {} counters, {} histograms ({} samples) --",
-        counters.len(),
-        snapshot.histograms.len(),
-        snapshot.histograms.iter().map(|h| h.count).sum::<u64>(),
-    );
+    // Both come from the one VM: every timed acquire and release is one
+    // pin and one unpin of the heap.
+    let timed = |op| {
+        snapshot
+            .histograms
+            .iter()
+            .filter(|h| h.key.op == op)
+            .map(|h| h.count)
+            .sum::<u64>()
+    };
+    let counter = |key: &str| snapshot.counters[&format!("scheme.mte4jni.heap.{key}")];
+    assert_eq!(timed(LatencyOp::Acquire), counter("pins_total"));
+    assert_eq!(timed(LatencyOp::Release), counter("unpins_total"));
 }

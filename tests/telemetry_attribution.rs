@@ -1,19 +1,17 @@
 //! End-to-end per-interface telemetry attribution for one MTE4JNI OOB
 //! scenario: acquire → tag ops → sync fault → release. The latency
 //! histograms attribute the borrow to its `JniInterface`; the VM's
-//! counter read carries the tag instructions, the fault and the
-//! scheme's own counts.
+//! counters carry the tag instructions, the fault and the scheme's own
+//! counts, all in one snapshot of the one VM.
 //!
-//! Telemetry state is process-global (one histogram registry), so this
-//! file holds exactly one test: sharing a binary with other
-//! telemetry-enabling tests would race on the counts.
+//! The recording flag is process-wide, so this file holds exactly one
+//! test: a second test in the binary could turn recording off under it.
 
 use mte4jni_repro::prelude::*;
 use telemetry::LatencyOp;
 
 #[test]
 fn oob_scenario_attributes_events_to_primitive_array_critical() {
-    telemetry::reset();
     telemetry::set_enabled(true);
 
     let vm = Scheme::Mte4JniSync.build_vm();
@@ -32,8 +30,7 @@ fn oob_scenario_attributes_events_to_primitive_array_critical() {
     })
     .unwrap();
 
-    let snap = telemetry::Snapshot::collect();
-    assert_eq!(snap.schema_version, telemetry::SCHEMA_VERSION);
+    let snap = vm.snapshot();
 
     // Interface attribution: the borrow opened and closed under
     // PrimitiveArrayCritical, one timed acquire and one timed release
@@ -53,10 +50,10 @@ fn oob_scenario_attributes_events_to_primitive_array_critical() {
     );
     assert_eq!(timed(LatencyOp::Release), [("mte4jni", "PrimitiveArrayCritical", 1)]);
 
-    // The whole causal chain is visible in the VM's counter read: the
-    // tag instructions and fault its MteStats counted exactly, and the
-    // scheme's own counts, under one prefix.
-    let counters = vm.counters();
+    // The whole causal chain is visible in the same snapshot's counters:
+    // the tag instructions and fault its MteStats counted exactly, and
+    // the scheme's own counts, under one prefix.
+    let counters = &snap.counters;
     assert!(
         counters["scheme.mte4jni.mte.irg_ops"] >= 1,
         "acquire drew a random tag: {counters:?}"
@@ -83,5 +80,4 @@ fn oob_scenario_attributes_events_to_primitive_array_critical() {
     );
 
     telemetry::set_enabled(false);
-    telemetry::reset();
 }
