@@ -40,6 +40,11 @@ fn throughput_holds_the_baseline_floors() {
         throughput(&fixture("throughput.planted"), &base),
         "checked_read_bytes_gbps_4k",
     );
+    // The JNI accessors 10% over `TaggedMemory`'s own checked pairs.
+    rejects(
+        throughput(&fixture("throughput.planted-native"), &base),
+        "native_element_rw_ratio",
+    );
 }
 
 #[test]
@@ -144,25 +149,39 @@ fn inlined_rejects_an_out_of_line_copy_of_the_one_word_path() {
     let listing = |name| read_text(&format!("{dir}/inlined.{name}.nm")).unwrap();
     let pass = listing("pass");
     inlined(&pass).unwrap();
-    rejects(inlined(&listing("planted")), "check_word_access");
+    rejects(inlined(&listing("planted")), "TaggedMemory::load_le");
+    // The plane view's one-word functions must inline too.
+    rejects(inlined(&listing("planted-view")), "PlaneView::check_word_access");
     // The cold handlers stay out of line, and a listing without them is
     // not of a binary that runs the path.
     let hot = pass.replace("TaggedMemory::tag_mismatch", "TaggedMemory::other");
     rejects(inlined(&hot), "tag_mismatch");
+    let hot = pass.replace("TaggedMemory::load_straddle", "TaggedMemory::other");
+    rejects(inlined(&hot), "load_straddle");
     rejects(inlined(""), "no out-of-line");
-    // The bulk accessors, the span walk and the armed injection lookup
-    // are not on the one-word path.
+    // The bulk accessors, the span walk, the straddling tails, the
+    // hooked element accesses, the armed injection lookup and the hooks
+    // word itself are not on the one-word path.
     for symbol in [
         "jni_rt::native::NativeMem::read_bytes",
         "jni_rt::native::NativeUtf::read_byte",
+        "jni_rt::native::NativeArray::load_hooked",
         "mte_sim::memory::TaggedMemory::check_access",
+        "mte_sim::memory::TaggedMemory::store_straddle",
+        "mte_sim::memory::PlaneView::memory",
         "mte_sim::inject::should_fail_armed",
+        "telemetry::hooks::HOOKS",
     ] {
         assert!(!on_one_word_path(symbol), "{symbol}");
     }
     for symbol in [
+        "jni_rt::native::NativeArray::load_elem",
         "jni_rt::native::NativeMem::write_f64",
         "mte_sim::memory::TaggedMemory::store_u16",
+        "mte_sim::memory::TaggedMemory::view",
+        "mte_sim::memory::PlaneView::store_lanes",
+        "mte_sim::thread::MteThread::checks_enabled",
+        "telemetry::hooks::word",
         "mte_sim::inject::should_fail",
     ] {
         assert!(on_one_word_path(symbol), "{symbol}");

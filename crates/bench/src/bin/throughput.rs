@@ -11,10 +11,11 @@
 //! `store_u32` pairs over a tagged 4 KiB region — the access pattern of
 //! a JNI native element loop — and records `element_rw_ns` and
 //! `speedup_element_rw`, a within-run ratio CI gates so the host's speed
-//! cancels out. A report-only `native_element_rw_ns` row times the same
-//! pairs through `NativeArray::read_i32`/`write_i32` on an array
-//! borrowed under MTE4JNI+Sync, so it includes whatever the JNI
-//! accessors add over `TaggedMemory`'s own. A report-only
+//! cancels out. A `native_element_rw_ns` row times the same pairs
+//! through `NativeArray::read_i32`/`write_i32` on an array borrowed
+//! under MTE4JNI+Sync, and `native_element_rw_ratio`, the median of its
+//! per-round ratios to the `TaggedMemory` row, is gated too: the JNI
+//! accessors may add nothing measurable to the check. A report-only
 //! `pin_unpin_ns` row times `Heap::pin` and dropping its guard on one
 //! small array: the object's atomic pin count up and down and one load
 //! of the world gate's compaction flag, with no gate hold. `--quick`
@@ -207,7 +208,7 @@ fn main() {
     // the same pairs through the JNI surface native code calls:
     // `NativeArray::read_i32`/`write_i32` on an int array borrowed with
     // `GetPrimitiveArrayCritical` under MTE4JNI+Sync, the borrow and its
-    // release outside the clock. It is report-only.
+    // release outside the clock; its ratio to the first row is gated.
     const ELEMENTS: usize = 4096 / 4;
     let passes = (volume / 4096) as u32;
     let pairs = f64::from(ELEMENTS as u32 * passes);
@@ -261,15 +262,18 @@ fn main() {
     let scalar_element_rw_ns = per_pair(element[1].median());
     let native_element_rw_ns = per_pair(element[2].median());
     let speedup_element_rw = element[1].median_ratio(&element[0]);
+    let native_element_rw_ratio = element[2].median_ratio(&element[0]);
     println!(
         "element rw (checked u32 load+store, 4 KiB): {element_rw_ns:.2} ns wide, \
          {scalar_element_rw_ns:.2} ns scalar, {speedup_element_rw:.2}x; \
-         {native_element_rw_ns:.2} ns through NativeArray (MTE4JNI+Sync)"
+         {native_element_rw_ns:.2} ns through NativeArray (MTE4JNI+Sync), \
+         {native_element_rw_ratio:.3}x wide"
     );
     println!();
     report.summary("element_rw_ns", element_rw_ns);
     report.summary("scalar_element_rw_ns", scalar_element_rw_ns);
     report.summary("native_element_rw_ns", native_element_rw_ns);
+    report.summary("native_element_rw_ratio", native_element_rw_ratio);
     report.summary("speedup_element_rw", speedup_element_rw);
 
     // Pin view: the bookkeeping every JNI acquire/release pair does

@@ -124,7 +124,7 @@ impl<'a> JniEnv<'a> {
 
     /// The native-code memory view for this thread.
     pub fn native_mem(&self) -> NativeMem<'_> {
-        NativeMem::new(self.vm.heap().memory(), self.thread.mte())
+        NativeMem::new(self.vm.heap().memory().view(), self.thread.mte())
     }
 
     /// Current `Get*Critical` nesting depth.
@@ -348,12 +348,6 @@ impl<'a> JniEnv<'a> {
                 r => break r,
             }
         };
-        if let Some(t0) = started {
-            let elapsed = t0.elapsed();
-            let size = SizeClass::from_bytes(scheme_obj.byte_len() as u64);
-            self.vm
-                .record_borrow(via_fallback, LatencyOp::Release, interface, size, elapsed);
-        }
         // The borrow ends — and its record drops the pin — when the
         // scheme tore its tracking down: on success, or on a CheckJNI
         // abort (the buffer is gone either way). `JNI_COMMIT` keeps the
@@ -364,6 +358,15 @@ impl<'a> JniEnv<'a> {
         let ends_borrow = mode != ReleaseMode::Commit
             && matches!(result, Ok(()) | Err(JniError::CheckJniAbort(_)));
         if let Some(i) = slot.filter(|_| ends_borrow) {
+            // One release sample per borrow that ends, as `acquire` takes
+            // one per borrow it opens: a commit, or an attempt its caller
+            // retries, is not timed on its own.
+            if let Some(t0) = started {
+                let elapsed = t0.elapsed();
+                let size = SizeClass::from_bytes(scheme_obj.byte_len() as u64);
+                self.vm
+                    .record_borrow(via_fallback, LatencyOp::Release, interface, size, elapsed);
+            }
             // The scheme call cannot touch this environment's borrow
             // list, so `slot` still names the same borrow.
             self.borrows.borrow_mut().remove(i);

@@ -10,35 +10,38 @@
 use std::fmt;
 
 use art_heap::{ArrayRef, PrimitiveType};
-use mte_sim::{MemError, MteThread, TaggedMemory, TaggedPtr};
+use mte_sim::{MemError, MteThread, PlaneView, TaggedPtr};
+use telemetry::hooks;
 use telemetry::trace::{self, TraceEvent};
 
 use crate::tracecode;
 
 /// A native code's window onto the simulated memory: the pair of the
-/// memory and the executing thread's MTE state.
+/// memory's [`PlaneView`] and the executing thread's MTE state.
 ///
 /// Obtain one from [`JniEnv::native_mem`]; all accesses through it follow
-/// the thread's current check mode and `TCO` state.
+/// the thread's current check mode and `TCO` state, read at each access.
+/// The view is taken once, so a native element loop keeps the memory's
+/// planes in registers for the whole frame.
 ///
 /// [`JniEnv::native_mem`]: crate::JniEnv::native_mem
 #[derive(Clone, Copy)]
 pub struct NativeMem<'a> {
-    memory: &'a TaggedMemory,
+    view: PlaneView<'a>,
     mte: &'a MteThread,
 }
 
 macro_rules! scalar_access {
-    ($read:ident, $write:ident, $ty:ty, $load:ident, $store:ident, $decode:expr, $encode:expr, $doc:literal) => {
+    ($read:ident, $write:ident, $ty:ty, $size:expr, $decode:expr, $encode:expr, $doc:literal) => {
         #[doc = concat!("Reads a `", $doc, "` at `ptr` (no bounds check; tag-checked).")]
         ///
         /// # Errors
         ///
         /// [`MemError::TagCheck`] on a synchronous tag mismatch;
         /// [`MemError::OutOfRange`] outside the simulated memory.
-        #[inline]
+        #[inline(always)]
         pub fn $read(&self, ptr: TaggedPtr) -> Result<$ty, MemError> {
-            self.memory.$load(self.mte, ptr).map($decode)
+            self.load::<true>(ptr, $size).map($decode)
         }
 
         #[doc = concat!("Writes a `", $doc, "` at `ptr` (no bounds check; tag-checked).")]
@@ -46,16 +49,16 @@ macro_rules! scalar_access {
         /// # Errors
         ///
         /// See the corresponding read method.
-        #[inline]
+        #[inline(always)]
         pub fn $write(&self, ptr: TaggedPtr, value: $ty) -> Result<(), MemError> {
-            self.memory.$store(self.mte, ptr, $encode(value))
+            self.store::<true>(ptr, $size, $encode(value))
         }
     };
 }
 
 impl<'a> NativeMem<'a> {
-    pub(crate) fn new(memory: &'a TaggedMemory, mte: &'a MteThread) -> NativeMem<'a> {
-        NativeMem { memory, mte }
+    pub(crate) fn new(view: PlaneView<'a>, mte: &'a MteThread) -> NativeMem<'a> {
+        NativeMem { view, mte }
     }
 
     /// The executing thread's MTE state.
@@ -63,15 +66,33 @@ impl<'a> NativeMem<'a> {
         self.mte
     }
 
-    scalar_access!(read_u8, write_u8, u8, load_u8, store_u8, |v| v, |v| v, "u8");
-    scalar_access!(read_i8, write_i8, i8, load_u8, store_u8, |v: u8| v as i8, |v: i8| v as u8, "i8 (jbyte)");
-    scalar_access!(read_u16, write_u16, u16, load_u16, store_u16, |v| v, |v| v, "u16 (jchar)");
-    scalar_access!(read_i16, write_i16, i16, load_u16, store_u16, |v: u16| v as i16, |v: i16| v as u16, "i16 (jshort)");
-    scalar_access!(read_i32, write_i32, i32, load_u32, store_u32, |v: u32| v as i32, |v: i32| v as u32, "i32 (jint)");
-    scalar_access!(read_u32, write_u32, u32, load_u32, store_u32, |v| v, |v| v, "u32");
-    scalar_access!(read_i64, write_i64, i64, load_u64, store_u64, |v: u64| v as i64, |v: i64| v as u64, "i64 (jlong)");
-    scalar_access!(read_f32, write_f32, f32, load_u32, store_u32, f32::from_bits, |v: f32| v.to_bits(), "f32 (jfloat)");
-    scalar_access!(read_f64, write_f64, f64, load_u64, store_u64, f64::from_bits, |v: f64| v.to_bits(), "f64 (jdouble)");
+    /// Loads `len` bytes at `ptr` through the view; `HOOKS` as in
+    /// [`PlaneView::load_le`].
+    #[inline(always)]
+    fn load<const HOOKS: bool>(&self, ptr: TaggedPtr, len: usize) -> Result<u64, MemError> {
+        self.view.load_le::<HOOKS>(self.mte, ptr, len)
+    }
+
+    /// Stores the low `len` bytes of `value` at `ptr` through the view.
+    #[inline(always)]
+    fn store<const HOOKS: bool>(
+        &self,
+        ptr: TaggedPtr,
+        len: usize,
+        value: u64,
+    ) -> Result<(), MemError> {
+        self.view.store_le::<HOOKS>(self.mte, ptr, len, value)
+    }
+
+    scalar_access!(read_u8, write_u8, u8, 1, |v| v as u8, u64::from, "u8");
+    scalar_access!(read_i8, write_i8, i8, 1, |v| v as i8, |v: i8| u64::from(v as u8), "i8 (jbyte)");
+    scalar_access!(read_u16, write_u16, u16, 2, |v| v as u16, u64::from, "u16 (jchar)");
+    scalar_access!(read_i16, write_i16, i16, 2, |v| v as i16, |v: i16| u64::from(v as u16), "i16 (jshort)");
+    scalar_access!(read_i32, write_i32, i32, 4, |v| v as i32, |v: i32| u64::from(v as u32), "i32 (jint)");
+    scalar_access!(read_u32, write_u32, u32, 4, |v| v as u32, u64::from, "u32");
+    scalar_access!(read_i64, write_i64, i64, 8, |v| v as i64, |v: i64| v as u64, "i64 (jlong)");
+    scalar_access!(read_f32, write_f32, f32, 4, |v| f32::from_bits(v as u32), |v: f32| u64::from(v.to_bits()), "f32 (jfloat)");
+    scalar_access!(read_f64, write_f64, f64, 8, f64::from_bits, f64::to_bits, "f64 (jdouble)");
 
     /// Bulk read (tag-checked per granule).
     ///
@@ -79,7 +100,7 @@ impl<'a> NativeMem<'a> {
     ///
     /// See [`Self::read_u8`].
     pub fn read_bytes(&self, ptr: TaggedPtr, buf: &mut [u8]) -> Result<(), MemError> {
-        self.memory.read_bytes(self.mte, ptr, buf)
+        self.view.memory().read_bytes(self.mte, ptr, buf)
     }
 
     /// Bulk write (tag-checked per granule).
@@ -88,7 +109,7 @@ impl<'a> NativeMem<'a> {
     ///
     /// See [`Self::read_u8`].
     pub fn write_bytes(&self, ptr: TaggedPtr, buf: &[u8]) -> Result<(), MemError> {
-        self.memory.write_bytes(self.mte, ptr, buf)
+        self.view.memory().write_bytes(self.mte, ptr, buf)
     }
 
     /// Bulk fill — the native `memset` over an acquired buffer
@@ -98,7 +119,7 @@ impl<'a> NativeMem<'a> {
     ///
     /// See [`Self::read_u8`].
     pub fn fill(&self, ptr: TaggedPtr, len: usize, value: u8) -> Result<(), MemError> {
-        self.memory.fill(self.mte, ptr, len, value)
+        self.view.memory().fill(self.mte, ptr, len, value)
     }
 }
 
@@ -111,7 +132,7 @@ impl fmt::Debug for NativeMem<'_> {
 }
 
 macro_rules! array_access {
-    ($read:ident, $write:ident, $ty:ty, $mem_read:ident, $mem_write:ident, $size:expr, $bits:expr, $doc:literal) => {
+    ($read:ident, $write:ident, $ty:ty, $size:expr, $decode:expr, $encode:expr, $doc:literal) => {
         #[doc = concat!("Reads element `index` as `", $doc, "`.")]
         ///
         /// `index` is **not** bounds checked and may be negative — this is
@@ -127,17 +148,7 @@ macro_rules! array_access {
         // element loop makes no call per access (DESIGN.md §10).
         #[inline(always)]
         pub fn $read(&self, mem: &NativeMem<'_>, index: isize) -> Result<$ty, MemError> {
-            let offset = (index as i64).wrapping_mul($size);
-            let r = mem.$mem_read(self.ptr.wrapping_offset(offset));
-            trace::emit(|| TraceEvent::Access {
-                base: self.ptr.raw(),
-                offset,
-                width: $size as u8,
-                write: false,
-                value: 0,
-                outcome: tracecode::mem_result_outcome(&r),
-            });
-            r
+            self.load_elem(mem, index, $size).map($decode)
         }
 
         #[doc = concat!("Writes element `index` as `", $doc, "` (no bounds check).")]
@@ -152,17 +163,7 @@ macro_rules! array_access {
             index: isize,
             value: $ty,
         ) -> Result<(), MemError> {
-            let offset = (index as i64).wrapping_mul($size);
-            let r = mem.$mem_write(self.ptr.wrapping_offset(offset), value);
-            trace::emit(|| TraceEvent::Access {
-                base: self.ptr.raw(),
-                offset,
-                width: $size as u8,
-                write: true,
-                value: ($bits)(value),
-                outcome: tracecode::mem_result_outcome(&r),
-            });
-            r
+            self.store_elem(mem, index, $size, $encode(value))
         }
     };
 }
@@ -212,14 +213,126 @@ impl NativeArray {
         self.is_copy
     }
 
-    array_access!(read_i8, write_i8, i8, read_i8, write_i8, 1, |v: i8| v as u8 as u64, "jbyte");
-    array_access!(read_u8, write_u8, u8, read_u8, write_u8, 1, |v: u8| v as u64, "u8");
-    array_access!(read_u16, write_u16, u16, read_u16, write_u16, 2, |v: u16| v as u64, "jchar");
-    array_access!(read_i16, write_i16, i16, read_i16, write_i16, 2, |v: i16| v as u16 as u64, "jshort");
-    array_access!(read_i32, write_i32, i32, read_i32, write_i32, 4, |v: i32| v as u32 as u64, "jint");
-    array_access!(read_i64, write_i64, i64, read_i64, write_i64, 8, |v: i64| v as u64, "jlong");
-    array_access!(read_f32, write_f32, f32, read_f32, write_f32, 4, |v: f32| v.to_bits() as u64, "jfloat");
-    array_access!(read_f64, write_f64, f64, read_f64, write_f64, 8, |v: f64| v.to_bits(), "jdouble");
+    /// The `width`-byte load of element `index`. The [`hooks`] word is
+    /// read once: at zero no injector is armed and no trace sink is
+    /// installed, so the access runs without the injection draw and the
+    /// trace emit, which could not act on it. Otherwise it takes the
+    /// out-of-line [`Self::load_hooked`].
+    #[inline(always)]
+    fn load_elem(
+        &self,
+        mem: &NativeMem<'_>,
+        index: isize,
+        width: usize,
+    ) -> Result<u64, MemError> {
+        if hooks::word() == 0 {
+            self.load::<false>(mem, index, width)
+        } else {
+            self.load_hooked(mem, index, width).map_err(|e| *e)
+        }
+    }
+
+    /// [`Self::load`] with its hooks, kept out of the element loop: a
+    /// second inlined copy there joined the two copies' results through
+    /// the stack. The error is boxed so the result comes back in
+    /// registers, as `TaggedMemory::load_straddle`'s does.
+    #[cold]
+    #[inline(never)]
+    fn load_hooked(
+        &self,
+        mem: &NativeMem<'_>,
+        index: isize,
+        width: usize,
+    ) -> Result<u64, Box<MemError>> {
+        Ok(self.load::<true>(mem, index, width)?)
+    }
+
+    /// [`Self::load_elem`]'s access: with `HOOKS`, the injection draw in
+    /// the tag check and one `Access` trace event.
+    #[inline(always)]
+    fn load<const HOOKS: bool>(
+        &self,
+        mem: &NativeMem<'_>,
+        index: isize,
+        width: usize,
+    ) -> Result<u64, MemError> {
+        let offset = (index as i64).wrapping_mul(width as i64);
+        let r = mem.load::<HOOKS>(self.ptr.wrapping_offset(offset), width);
+        if HOOKS {
+            trace::emit(|| TraceEvent::Access {
+                base: self.ptr.raw(),
+                offset,
+                width: width as u8,
+                write: false,
+                value: 0,
+                outcome: tracecode::mem_result_outcome(&r),
+            });
+        }
+        r
+    }
+
+    /// The store counterpart of [`Self::load_elem`]: the low `width`
+    /// bytes of `value` into element `index`.
+    #[inline(always)]
+    fn store_elem(
+        &self,
+        mem: &NativeMem<'_>,
+        index: isize,
+        width: usize,
+        value: u64,
+    ) -> Result<(), MemError> {
+        if hooks::word() == 0 {
+            self.store::<false>(mem, index, width, value)
+        } else {
+            self.store_hooked(mem, index, width, value).map_err(|e| *e)
+        }
+    }
+
+    /// The store counterpart of [`Self::load_hooked`].
+    #[cold]
+    #[inline(never)]
+    fn store_hooked(
+        &self,
+        mem: &NativeMem<'_>,
+        index: isize,
+        width: usize,
+        value: u64,
+    ) -> Result<(), Box<MemError>> {
+        Ok(self.store::<true>(mem, index, width, value)?)
+    }
+
+    /// [`Self::store_elem`]'s access; see [`Self::load`].
+    #[inline(always)]
+    fn store<const HOOKS: bool>(
+        &self,
+        mem: &NativeMem<'_>,
+        index: isize,
+        width: usize,
+        value: u64,
+    ) -> Result<(), MemError> {
+        let offset = (index as i64).wrapping_mul(width as i64);
+        let r = mem.store::<HOOKS>(self.ptr.wrapping_offset(offset), width, value);
+        if HOOKS {
+            trace::emit(|| TraceEvent::Access {
+                base: self.ptr.raw(),
+                offset,
+                width: width as u8,
+                write: true,
+                value,
+                outcome: tracecode::mem_result_outcome(&r),
+            });
+        }
+        r
+    }
+
+    array_access!(read_i8, write_i8, i8, 1, |v| v as i8, |v: i8| u64::from(v as u8), "jbyte");
+    array_access!(read_u8, write_u8, u8, 1, |v| v as u8, u64::from, "u8");
+    array_access!(read_u16, write_u16, u16, 2, |v| v as u16, u64::from, "jchar");
+    array_access!(read_i16, write_i16, i16, 2, |v| v as i16, |v: i16| u64::from(v as u16), "jshort");
+    array_access!(read_i32, write_i32, i32, 4, |v| v as i32, |v: i32| u64::from(v as u32), "jint");
+    array_access!(read_i64, write_i64, i64, 8, |v| v as i64, |v: i64| v as u64, "jlong");
+    array_access!(read_f32, write_f32, f32, 4, |v| f32::from_bits(v as u32), |v: f32| u64::from(v.to_bits()), "jfloat");
+    array_access!(read_f64, write_f64, f64, 8, f64::from_bits, f64::to_bits, "jdouble");
 }
 
 /// The buffer returned by `GetStringUTFChars`: modified UTF-8 bytes plus a

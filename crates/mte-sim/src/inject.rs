@@ -13,15 +13,18 @@
 //! to the injector rather than the scheme under test.
 //!
 //! The hooks are compiled into every binary, figure benches included,
-//! so the disarmed case must cost nothing measurable: a process-wide
-//! count of armed threads is read with one relaxed load, and only when
+//! so the disarmed case must cost nothing measurable: the count of
+//! armed threads lives in the low bits of the process-wide
+//! [`telemetry::hooks`] word, read with one relaxed load, and only when
 //! it is nonzero does `should_fail` touch the thread-local. An armed
 //! thread always sees its own increment, so its decision stream is
 //! exactly the one it would draw alone.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use telemetry::hooks;
 
 /// A fault-injection site inside the simulator: which operation an
 /// injected fault hit.
@@ -119,14 +122,10 @@ impl InjectCounters {
     }
 }
 
-/// Threads whose [`INJECTOR`] slot holds an injector. Raised when an
-/// [`Injector`] is built and lowered when it drops, so replacing one,
-/// clearing an empty slot and thread exit all keep the count exact.
-/// `Relaxed` suffices: the count publishes no data (each thread reads
-/// only its own injector), and a thread always observes its own
-/// increment.
-static ARMED_THREADS: AtomicUsize = AtomicUsize::new(0);
-
+/// The injector in one thread's [`INJECTOR`] slot. It counts itself in
+/// [`hooks::armed`] when built and uncounts itself when it drops, so
+/// replacing one, clearing an empty slot and thread exit all keep the
+/// count exact.
 struct Injector {
     plan: FaultPlan,
     rng: u64,
@@ -135,7 +134,7 @@ struct Injector {
 
 impl Injector {
     fn new(plan: FaultPlan, rng: u64, counters: Arc<InjectCounters>) -> Injector {
-        ARMED_THREADS.fetch_add(1, Ordering::Relaxed);
+        hooks::arm();
         Injector {
             plan,
             rng,
@@ -146,7 +145,7 @@ impl Injector {
 
 impl Drop for Injector {
     fn drop(&mut self) {
-        ARMED_THREADS.fetch_sub(1, Ordering::Relaxed);
+        hooks::disarm();
     }
 }
 
@@ -189,7 +188,7 @@ fn xorshift64star(state: &mut u64) -> u64 {
 /// a thread-local lookup when no thread in the process is armed.
 #[inline]
 pub(crate) fn should_fail(point: InjectPoint) -> bool {
-    if ARMED_THREADS.load(Ordering::Relaxed) == 0 {
+    if hooks::armed() == 0 {
         return false;
     }
     should_fail_armed(point)
@@ -233,8 +232,8 @@ mod tests {
         ARMING.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn armed() -> usize {
-        ARMED_THREADS.load(Ordering::Relaxed)
+    fn armed() -> u32 {
+        hooks::armed()
     }
 
     fn counters() -> Arc<InjectCounters> {

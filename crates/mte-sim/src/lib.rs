@@ -66,7 +66,7 @@ mod thread;
 pub use block_alloc::BlockAllocator;
 pub use error::MemError;
 pub use fault::{AccessKind, Backtrace, FaultAttribution, FaultKind, Frame, TagCheckFault};
-pub use memory::{MemoryConfig, TaggedMemory};
+pub use memory::{MemoryConfig, PlaneView, TaggedMemory};
 pub use nalloc::NativeAllocator;
 pub use pointer::TaggedPtr;
 pub use reference::ScalarMemory;

@@ -95,6 +95,38 @@ fn zeroed_bytes(len: usize) -> Box<[AtomicU8]> {
     (0..len).map(|_| AtomicU8::new(0)).collect()
 }
 
+/// A `Copy` view of a [`TaggedMemory`]'s planes: its base and size,
+/// the data, tag and `PROT_MTE` slices, and the memory itself for the
+/// cold handlers (fault reports and statistics).
+///
+/// The view owns the one-word checked access path (DESIGN.md §10):
+/// [`TaggedMemory`]'s scalar accessors (`load_u8` … `store_u64`)
+/// delegate to it, and `jni_rt::NativeMem` holds one for a whole
+/// native frame, so an element loop keeps these fields in registers
+/// instead of reloading them through `&TaggedMemory` after every
+/// access (an access may store, and the compiler cannot prove that the
+/// store leaves the memory's fields alone). The planes never move or
+/// resize, so the view stays valid for as long as it borrows the
+/// memory.
+#[derive(Clone, Copy)]
+pub struct PlaneView<'m> {
+    base: u64,
+    size: usize,
+    data: &'m [AtomicU64],
+    tags: &'m [AtomicU64],
+    prot: &'m [AtomicU8],
+    memory: &'m TaggedMemory,
+}
+
+impl fmt::Debug for PlaneView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PlaneView")
+            .field("base", &format_args!("{:#x}", self.base))
+            .field("size", &self.size)
+            .finish()
+    }
+}
+
 /// Outlined constructor for the out-of-range error so the bounds check
 /// inlines to a compare + predictable branch.
 #[cold]
@@ -165,6 +197,20 @@ impl TaggedMemory {
         &self.stats
     }
 
+    /// The memory's [`PlaneView`], for a caller that makes many scalar
+    /// accesses in a row.
+    #[inline(always)]
+    pub fn view(&self) -> PlaneView<'_> {
+        PlaneView {
+            base: self.base,
+            size: self.size,
+            data: &self.data,
+            tags: &self.tags,
+            prot: &self.prot,
+            memory: self,
+        }
+    }
+
     #[inline]
     fn offset_of(&self, addr: u64, len: usize) -> Result<usize> {
         if self.contains(addr, len) {
@@ -176,7 +222,7 @@ impl TaggedMemory {
 
     #[inline]
     fn page_is_mte(&self, offset: usize) -> bool {
-        self.prot[offset / PAGE_SIZE].load(Ordering::Relaxed) & 1 != 0
+        self.view().page_is_mte(offset)
     }
 
     /// Applies or removes `PROT_MTE` over the pages covering
@@ -256,27 +302,7 @@ impl TaggedMemory {
         for (i, &b) in bytes.iter().enumerate() {
             value |= u64::from(b) << (i * 8);
         }
-        self.store_lanes(word_idx, byte_off, bytes.len(), value);
-    }
-
-    /// Stores the low `len` bytes of `value` into word `word_idx` at byte
-    /// lane `lane`: a plain store for a whole word, otherwise one atomic
-    /// read-modify-write, so concurrent writers to sibling bytes of the
-    /// same word cannot be clobbered.
-    #[inline(always)]
-    fn store_lanes(&self, word_idx: usize, lane: usize, len: usize, value: u64) {
-        debug_assert!(len > 0 && lane + len <= WORD);
-        let word = &self.data[word_idx];
-        if len == WORD {
-            word.store(value, Ordering::Relaxed);
-            return;
-        }
-        let mask = ((1u64 << (len * 8)) - 1) << (lane * 8);
-        let bits = (value << (lane * 8)) & mask;
-        // The closure always returns Some, so this cannot fail.
-        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
-            Some((w & !mask) | bits)
-        });
+        self.view().store_lanes(word_idx, byte_off, bytes.len(), value);
     }
 
     /// Copies `buf` into the data store starting at `offset`: full words
@@ -391,7 +417,7 @@ impl TaggedMemory {
     /// Performs the hardware tag check for an access of `len` bytes at
     /// `ptr` by thread `t`. Called on every bulk access and every scalar
     /// access that straddles a data word (one-word scalar accesses use
-    /// [`Self::check_word_access`]); a no-op when the thread's checks are
+    /// [`PlaneView::check_word_access`]); a no-op when the thread's checks are
     /// disabled or the page lacks `PROT_MTE`.
     ///
     /// The `PROT_MTE` bit is read once per *page* spanned by the access
@@ -424,36 +450,6 @@ impl TaggedMemory {
                 self.check_granule_span(t, ptr, g, segment_last, offset, access)?;
             }
             g = segment_last + 1;
-        }
-        Ok(())
-    }
-
-    /// The tag check for an access that stays inside one data word, and
-    /// so inside one granule and one page (DESIGN.md §10): one
-    /// `PROT_MTE` byte load and one nibble compare. Injection and
-    /// mismatch handling are exactly [`Self::check_access`]'s.
-    #[inline(always)]
-    fn check_word_access(
-        &self,
-        t: &MteThread,
-        ptr: TaggedPtr,
-        offset: usize,
-        access: AccessKind,
-    ) -> Result<()> {
-        if !t.checks_enabled() {
-            return Ok(());
-        }
-        if should_fail(InjectPoint::Check) {
-            self.spurious_fault(t, ptr, offset, access)?;
-        }
-        if !self.page_is_mte(offset) {
-            return Ok(());
-        }
-        let g = offset / GRANULE;
-        let (word_idx, nibble) = (g / TAGS_PER_WORD, g % TAGS_PER_WORD);
-        let word = self.tags[word_idx].load(Ordering::Relaxed);
-        if (word >> (nibble * 4)) & 0xF != u64::from(ptr.tag().value()) {
-            self.tag_mismatch(t, ptr, word, word_idx, nibble, nibble, offset, access)?;
         }
         Ok(())
     }
@@ -608,58 +604,51 @@ impl TaggedMemory {
         self.store_le(t, ptr, 1, u64::from(value))
     }
 
-    /// Region offset of a scalar access of `len <= 8` bytes: one
-    /// compare, since an address below the base wraps to a huge offset.
-    #[inline]
-    fn scalar_offset(&self, addr: u64, len: usize) -> Result<usize> {
-        debug_assert!((1..=WORD).contains(&len));
-        let offset = addr.wrapping_sub(self.base);
-        if offset <= (self.size - len) as u64 {
-            Ok(offset as usize)
-        } else {
-            Err(out_of_range(addr, len))
-        }
-    }
-
-    /// Scalar load of `len` (1..=8) bytes. An access inside one data
-    /// word takes one granule check and one word load; only a
-    /// word-straddling access pays for the span check and byte copy.
-    ///
-    /// This, [`Self::store_le`], [`Self::check_word_access`] and
-    /// [`Self::store_lanes`] are always inlined, so a caller's element
-    /// loop holds the whole one-word path and calls only the cold
-    /// handlers: with plain `#[inline]`, a dependent crate built without
-    /// LTO kept them out of line (DESIGN.md §10).
+    /// Scalar load of `len` (1..=8) bytes: the [`PlaneView`]'s one-word
+    /// path, injection draw included.
     #[inline(always)]
     fn load_le(&self, t: &MteThread, ptr: TaggedPtr, len: usize) -> Result<u64> {
-        let offset = self.scalar_offset(ptr.addr(), len)?;
-        let lane = offset % WORD;
-        if lane + len <= WORD {
-            self.check_word_access(t, ptr, offset, AccessKind::Read)?;
-            let word = self.data[offset / WORD].load(Ordering::Relaxed) >> (lane * 8);
-            return Ok(if len == WORD {
-                word
-            } else {
-                word & ((1u64 << (len * 8)) - 1)
-            });
-        }
+        self.view().load_le::<true>(t, ptr, len)
+    }
+
+    /// Scalar store of the low `len` (1..=8) bytes of `value`; see
+    /// [`Self::load_le`].
+    #[inline(always)]
+    fn store_le(&self, t: &MteThread, ptr: TaggedPtr, len: usize, value: u64) -> Result<()> {
+        self.view().store_le::<true>(t, ptr, len, value)
+    }
+
+    /// The tail of a scalar load that straddles two data words: the span
+    /// check and a byte copy. Out of line, so the one-word path that
+    /// inlines into element loops stays small. The error is boxed so the
+    /// result comes back in registers: a caller that inlines the
+    /// one-word path then keeps its own result in registers too, where a
+    /// `Result<u64, MemError>` returned through memory pinned it to the
+    /// stack, one store and reload per access.
+    #[inline(never)]
+    fn load_straddle(
+        &self,
+        t: &MteThread,
+        ptr: TaggedPtr,
+        offset: usize,
+        len: usize,
+    ) -> std::result::Result<u64, Box<MemError>> {
         self.check_access(t, ptr, offset, len, AccessKind::Read)?;
         let mut bytes = [0u8; WORD];
         self.copy_out(offset, &mut bytes[..len]);
         Ok(u64::from_le_bytes(bytes))
     }
 
-    /// Scalar store of the low `len` (1..=8) bytes of `value`; the
-    /// one-word case is a plain store or a single masked RMW.
-    #[inline(always)]
-    fn store_le(&self, t: &MteThread, ptr: TaggedPtr, len: usize, value: u64) -> Result<()> {
-        let offset = self.scalar_offset(ptr.addr(), len)?;
-        let lane = offset % WORD;
-        if lane + len <= WORD {
-            self.check_word_access(t, ptr, offset, AccessKind::Write)?;
-            self.store_lanes(offset / WORD, lane, len, value);
-            return Ok(());
-        }
+    /// The store counterpart of [`Self::load_straddle`].
+    #[inline(never)]
+    fn store_straddle(
+        &self,
+        t: &MteThread,
+        ptr: TaggedPtr,
+        offset: usize,
+        len: usize,
+        value: u64,
+    ) -> std::result::Result<(), Box<MemError>> {
         self.check_access(t, ptr, offset, len, AccessKind::Write)?;
         self.copy_in(offset, &value.to_le_bytes()[..len]);
         Ok(())
@@ -985,6 +974,150 @@ impl TaggedMemory {
     pub fn raw_tag_at(&self, addr: u64) -> Result<Tag> {
         let offset = self.offset_of(addr & !(GRANULE as u64 - 1), GRANULE)?;
         Ok(self.tag_nibble(offset / GRANULE))
+    }
+}
+
+impl<'m> PlaneView<'m> {
+    /// The memory this view is of, for its bulk and tag operations.
+    #[inline(always)]
+    pub fn memory(&self) -> &'m TaggedMemory {
+        self.memory
+    }
+
+    /// Whether the page holding region offset `offset` has `PROT_MTE`.
+    #[inline(always)]
+    fn page_is_mte(&self, offset: usize) -> bool {
+        self.prot[offset / PAGE_SIZE].load(Ordering::Relaxed) & 1 != 0
+    }
+
+    /// Region offset of a scalar access of `len <= 8` bytes: one
+    /// compare, since an address below the base wraps to a huge offset.
+    #[inline(always)]
+    fn scalar_offset(&self, addr: u64, len: usize) -> Result<usize> {
+        debug_assert!((1..=WORD).contains(&len));
+        let offset = addr.wrapping_sub(self.base);
+        if offset <= (self.size - len) as u64 {
+            Ok(offset as usize)
+        } else {
+            Err(out_of_range(addr, len))
+        }
+    }
+
+    /// The tag check for an access that stays inside one data word, and
+    /// so inside one granule and one page (DESIGN.md §10): one
+    /// `PROT_MTE` byte load and one nibble compare. Injection and
+    /// mismatch handling are exactly [`TaggedMemory::check_access`]'s;
+    /// `HOOKS = false` leaves out the injection draw, for a caller that
+    /// saw the [`telemetry::hooks`] word at zero (so no thread, this one
+    /// included, is armed).
+    #[inline(always)]
+    fn check_word_access<const HOOKS: bool>(
+        &self,
+        t: &MteThread,
+        ptr: TaggedPtr,
+        offset: usize,
+        access: AccessKind,
+    ) -> Result<()> {
+        if !t.checks_enabled() {
+            return Ok(());
+        }
+        if HOOKS && should_fail(InjectPoint::Check) {
+            self.memory.spurious_fault(t, ptr, offset, access)?;
+        }
+        if !self.page_is_mte(offset) {
+            return Ok(());
+        }
+        let g = offset / GRANULE;
+        let (word_idx, nibble) = (g / TAGS_PER_WORD, g % TAGS_PER_WORD);
+        let word = self.tags[word_idx].load(Ordering::Relaxed);
+        if (word >> (nibble * 4)) & 0xF != u64::from(ptr.tag().value()) {
+            let memory = self.memory;
+            memory.tag_mismatch(t, ptr, word, word_idx, nibble, nibble, offset, access)?;
+        }
+        Ok(())
+    }
+
+    /// Stores the low `len` bytes of `value` into word `word_idx` at byte
+    /// lane `lane`: a plain store for a whole word, otherwise one atomic
+    /// read-modify-write, so concurrent writers to sibling bytes of the
+    /// same word cannot be clobbered.
+    #[inline(always)]
+    fn store_lanes(&self, word_idx: usize, lane: usize, len: usize, value: u64) {
+        debug_assert!(len > 0 && lane + len <= WORD);
+        let word = &self.data[word_idx];
+        if len == WORD {
+            word.store(value, Ordering::Relaxed);
+            return;
+        }
+        let mask = ((1u64 << (len * 8)) - 1) << (lane * 8);
+        let bits = (value << (lane * 8)) & mask;
+        // The closure always returns Some, so this cannot fail.
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+            Some((w & !mask) | bits)
+        });
+    }
+
+    /// Scalar load of `len` (1..=8) bytes by thread `t`. An access inside
+    /// one data word takes one granule check and one word load; only a
+    /// word-straddling access pays for the span check and byte copy, in
+    /// the out-of-line `TaggedMemory::load_straddle`. `HOOKS = false`
+    /// leaves out the injection draw: pass `true` unless the
+    /// [`telemetry::hooks`] word was just seen at zero.
+    ///
+    /// This, [`Self::store_le`], `check_word_access` and
+    /// `store_lanes` are always inlined, so a caller's element
+    /// loop holds the whole one-word path and calls only the cold
+    /// handlers: with plain `#[inline]`, a dependent crate built without
+    /// LTO kept them out of line (DESIGN.md §10).
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfRange`] outside the region;
+    /// [`MemError::TagCheck`] on a synchronous tag mismatch.
+    #[inline(always)]
+    pub fn load_le<const HOOKS: bool>(
+        &self,
+        t: &MteThread,
+        ptr: TaggedPtr,
+        len: usize,
+    ) -> Result<u64> {
+        let offset = self.scalar_offset(ptr.addr(), len)?;
+        let lane = offset % WORD;
+        if lane + len > WORD {
+            return self.memory.load_straddle(t, ptr, offset, len).map_err(|e| *e);
+        }
+        self.check_word_access::<HOOKS>(t, ptr, offset, AccessKind::Read)?;
+        let word = self.data[offset / WORD].load(Ordering::Relaxed) >> (lane * 8);
+        Ok(if len == WORD {
+            word
+        } else {
+            word & ((1u64 << (len * 8)) - 1)
+        })
+    }
+
+    /// Scalar store of the low `len` (1..=8) bytes of `value`; the
+    /// one-word case is a plain store or a single masked RMW. See
+    /// [`Self::load_le`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::load_le`].
+    #[inline(always)]
+    pub fn store_le<const HOOKS: bool>(
+        &self,
+        t: &MteThread,
+        ptr: TaggedPtr,
+        len: usize,
+        value: u64,
+    ) -> Result<()> {
+        let offset = self.scalar_offset(ptr.addr(), len)?;
+        let lane = offset % WORD;
+        if lane + len > WORD {
+            return self.memory.store_straddle(t, ptr, offset, len, value).map_err(|e| *e);
+        }
+        self.check_word_access::<HOOKS>(t, ptr, offset, AccessKind::Write)?;
+        self.store_lanes(offset / WORD, lane, len, value);
+        Ok(())
     }
 }
 

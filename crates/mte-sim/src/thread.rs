@@ -65,6 +65,9 @@ pub struct MteThread {
     name: Arc<str>,
     mode: Cell<TcfMode>,
     tco: Cell<bool>,
+    /// `!tco && mode != None`, kept by [`Self::set_tco`] and
+    /// [`Self::set_mode`] so a checked access reads one cell.
+    checked: Cell<bool>,
     pending: Cell<Option<PendingFault>>,
     stack: RefCell<Vec<Frame>>,
     rng: Cell<u64>,
@@ -79,6 +82,7 @@ impl MteThread {
             name: name.into(),
             mode: Cell::new(TcfMode::None),
             tco: Cell::new(true),
+            checked: Cell::new(false),
             pending: Cell::new(None),
             stack: RefCell::new(Vec::new()),
             rng: Cell::new(seed),
@@ -109,6 +113,7 @@ impl MteThread {
     /// Sets the tag-check fault mode (the per-process `prctl` analogue).
     pub fn set_mode(&self, mode: TcfMode) {
         self.mode.set(mode);
+        self.checked.set(!self.tco.get() && mode != TcfMode::None);
     }
 
     /// Whether the `TCO` (tag check override) register is set.
@@ -120,11 +125,16 @@ impl MteThread {
     /// thread; `TCO = false` enables them (subject to [`TcfMode`]).
     pub fn set_tco(&self, tco: bool) {
         self.tco.set(tco);
+        self.checked.set(!tco && self.mode.get() != TcfMode::None);
     }
 
-    /// Whether an access on this thread is currently subject to tag checks.
+    /// Whether an access on this thread is currently subject to tag
+    /// checks: `TCO` clear and a mode other than [`TcfMode::None`]. One
+    /// cell load, read on every checked access (a nested trampoline can
+    /// toggle `TCO` mid-frame), so it is always inlined.
+    #[inline(always)]
     pub fn checks_enabled(&self) -> bool {
-        !self.tco.get() && self.mode.get() != TcfMode::None
+        self.checked.get()
     }
 
     /// Pushes a simulated stack frame; the frame pops when the returned
@@ -300,6 +310,12 @@ mod tests {
         assert!(t.checks_enabled());
         t.set_mode(TcfMode::None);
         assert!(!t.checks_enabled());
+        t.set_mode(TcfMode::Async);
+        assert!(t.checks_enabled(), "mode set back under cleared TCO");
+        t.set_tco(true);
+        assert!(!t.checks_enabled());
+        t.set_mode(TcfMode::Sync);
+        assert!(!t.checks_enabled(), "mode set under TCO");
     }
 
     #[test]

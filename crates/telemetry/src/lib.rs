@@ -21,7 +21,8 @@
 //!   binaries' schema-versioned `BENCH_*.json` exports.
 //!
 //! The ordered, replayable event stream is the separate [`trace`]
-//! funnel.
+//! funnel; [`hooks`] is the one word a checked native access reads to
+//! learn whether a trace sink or a fault injector could act on it.
 //!
 //! # Cost model
 //!
@@ -32,14 +33,15 @@
 //! sample costs two `Instant::now` reads plus three relaxed atomics on
 //! the histogram its owner allocated on the slot's first sample.
 //!
-//! Besides the tallies' per-thread row claims, the recording flag and
-//! the trace sink are the crate's only process-wide state: every
-//! histogram and every count belongs to an owner.
+//! Besides the tallies' per-thread row claims, the recording flag, the
+//! trace sink and the hooks word are the crate's only process-wide
+//! state: every histogram and every count belongs to an owner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hist;
+pub mod hooks;
 mod interface;
 pub mod json;
 mod snapshot;

@@ -2,8 +2,10 @@
 //! logs (DESIGN §14).
 //!
 //! Unlike the latency histograms, this is an ordered stream. It is
-//! **off by default**: every `emit` call pays one relaxed atomic load
-//! when no recorder is installed. The runtime layers
+//! **off by default**: while no recorder is installed, every `emit` call
+//! pays one relaxed load of the [`crate::hooks`] word, a mask of
+//! its trace bit and a branch; a checked native element access skips
+//! even that while the whole word is zero. The runtime layers
 //! (jni trampoline/env funnel, heap GC, containment) call [`emit`] at
 //! their semantic boundary points; a recorder (see `crates/trace`)
 //! installs a [`TraceSink`] to capture the stream and serialize it.
@@ -16,8 +18,10 @@
 //! runs.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::hooks;
 
 /// Replay/trace outcome codes: a compact, scheme-agnostic classification
 /// of how one traced operation ended. The jni layer maps its error types
@@ -220,7 +224,6 @@ pub trait TraceSink: Send + Sync {
     fn emit(&self, tid: u32, event: TraceEvent);
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<Arc<dyn TraceSink>>> = Mutex::new(None);
 /// Bumped on every install so stale thread-local tids are re-assigned.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -238,24 +241,24 @@ pub fn install(sink: Arc<dyn TraceSink>) {
     EPOCH.fetch_add(1, Ordering::SeqCst);
     NEXT_TID.store(0, Ordering::SeqCst);
     *slot = Some(sink);
-    ACTIVE.store(true, Ordering::SeqCst);
+    hooks::set_tracing(true);
 }
 
 /// Uninstalls the active sink (idempotent).
 pub fn uninstall() {
-    ACTIVE.store(false, Ordering::SeqCst);
+    hooks::set_tracing(false);
     *SINK.lock().unwrap() = None;
 }
 
 /// Whether a recorder is currently installed.
 #[inline]
 pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    hooks::word() & hooks::TRACE_BIT != 0
 }
 
 /// Emits one event when recording is active; the closure (and any
-/// encoding work inside it) only runs then, so instrumented hot paths
-/// pay a single relaxed load + branch while idle.
+/// encoding work inside it) only runs then, so an idle call costs a
+/// relaxed load of the hooks word, a mask and a branch.
 #[inline]
 pub fn emit(make: impl FnOnce() -> TraceEvent) {
     if !active() {
